@@ -21,7 +21,7 @@ from .geometry import (EARTH_MASS, EARTH_RADIUS, GRAV_CONST, LIGHT_SPEED, Roi,
                        angular_speed, direction_to, ground_to_sat_frame,
                        ground_track_speed, orbital_speed, sat_to_ground_frame,
                        slant_range)
-from .kernels import USING_NUMBA, gain_matrix, gain_matrix_numpy
+from .kernels import gain_matrix
 from .link import (ChannelSample, LinkParams, fspl, g_rx, noise_power,
                    rician_sample, sinr_db, snr_db)
 from .simulate import (Scene, cdf_from_map, coverage_map, dominance_violations,
@@ -32,11 +32,11 @@ __all__ = [
     "ArrayGeometry", "CdfCurve", "ChannelSample", "CodebookCycle",
     "EARTH_MASS", "EARTH_RADIUS", "FieldMap", "GRAV_CONST", "LIGHT_SPEED",
     "LabeledBeam", "LatticeSpec", "LinkParams", "Precoder", "Roi", "Scene",
-    "SceneConfig", "TimeSeries", "USING_NUMBA", "angular_speed",
+    "SceneConfig", "TimeSeries", "angular_speed",
     "apply_overrides", "beam_gain", "build_cycle", "build_scene", "cdf_from_map",
     "coverage_map", "cycle_period", "dft_baseline", "direction_to",
     "dominance_violations", "eventually_active_points", "format_config",
-    "fspl", "g_rx", "gain_matrix", "gain_matrix_numpy", "ground_to_sat_frame",
+    "fspl", "g_rx", "gain_matrix", "ground_to_sat_frame",
     "ground_track_speed", "handover_map", "iteration_lattice",
     "lattice_scaling", "load_config", "make_lattice_spec", "noise_power",
     "orbital_speed", "parse_config", "pass_timeseries", "pass_window",

@@ -152,7 +152,7 @@ def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
         rows = []
         for k, beams in enumerate(scene.cycle.iterations):
             for b in beams:
-                for idx, phase in phase_table(b, scene.geometry):
+                for idx, phase in phase_table(b, scene.geometry, scene.h_sat):
                     rows.append((k, b.beam_id, idx, phase))
         _write_rows(emit.path("phases.csv"),
                     "iteration,beam_id,element_index,phase_radians", rows,

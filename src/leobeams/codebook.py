@@ -119,7 +119,6 @@ class LabeledBeam:
     beam_id: int
     rf_chain: int
     target: tuple[float, float]
-    precoder: Precoder
 
 
 class CodebookCycle:
@@ -163,8 +162,8 @@ def _base_label(point: np.ndarray, labeled: np.ndarray, tol: float) -> int:
     return idx
 
 
-def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec, roi: Roi,
-                h_sat: float) -> CodebookCycle:
+def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec,
+                roi: Roi) -> CodebookCycle:
     """Construct all K iterations with labeled beams and per-iteration RF chains."""
     labeled = eventually_active_points(spec, roi)
     iterations = []
@@ -184,7 +183,6 @@ def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec, roi: Roi,
                 beam_id=ids[idx],
                 rf_chain=chain,
                 target=(float(p[0]), float(p[1])),
-                precoder=beam_precoder(p, geometry, chain, h_sat),
             ))
         iterations.append(beams)
     return CodebookCycle(iterations, spec, labeled)
@@ -203,8 +201,8 @@ def _grid_shape(n_beams: int, aspect: float) -> tuple[int, int]:
     return best
 
 
-def dft_baseline(geometry: ArrayGeometry, roi: Roi, h_sat: float,
-                 n_beams: int = 15, shrink: float = 0.88) -> list[LabeledBeam]:
+def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int = 15,
+                 shrink: float = 0.88) -> list[LabeledBeam]:
     """Static rectangular-grid codebook used as the fixed-beam baseline.
 
     The grid is centered on the ROI with spacings shrink * (2*semi_x / cols,
@@ -238,7 +236,6 @@ def dft_baseline(geometry: ArrayGeometry, roi: Roi, h_sat: float,
             beam_id=bid,
             rf_chain=bid % geometry.n_rf,
             target=(float(p[0]), float(p[1])),
-            precoder=beam_precoder(p, geometry, bid % geometry.n_rf, h_sat),
         ))
     return beams
 
@@ -252,7 +249,9 @@ def cycle_table(cycle: CodebookCycle) -> list[tuple[int, int, int, float, float]
     return rows
 
 
-def phase_table(beam: LabeledBeam, geometry: ArrayGeometry) -> list[tuple[int, float]]:
+def phase_table(beam: LabeledBeam, geometry: ArrayGeometry,
+                h_sat: float) -> list[tuple[int, float]]:
     """Rows of (element_index, phase_radians) for the beam's sub-array."""
+    coeffs = beam_precoder(beam.target, geometry, beam.rf_chain, h_sat).coeffs
     on = np.flatnonzero(geometry.rf_map == beam.rf_chain)
-    return [(int(n), float(np.angle(beam.precoder.coeffs[n]))) for n in on]
+    return [(int(n), float(np.angle(coeffs[n]))) for n in on]

@@ -9,6 +9,7 @@ constants are ordinary keys so tests and what-if runs can pin them.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .antenna import satellite_array
@@ -59,14 +60,16 @@ class SceneConfig:
     earth_radius_m: float = EARTH_RADIUS
     light_speed_m_s: float = LIGHT_SPEED
     boltzmann_dbw: float = BOLTZMANN_DBW
-    # constellation-level inputs, accepted for completeness; the single
-    # satellite simulator does not consume them
-    n_planes: int = 0
-    n_sats_per_plane: int = 0
-    min_elevation_deg: float = 0.0
 
     def validate(self) -> None:
         """Raise ValueError naming the first offending key."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # an infinite Rician factor is the pure line-of-sight channel
+            if f.name == "rician_factor" and value == math.inf:
+                continue
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         positive = [
             "h_sat_m", "roi_semi_x_m", "roi_semi_y_m", "element_spacing_wl",
             "oversampling", "dft_shrink", "carrier_hz", "bandwidth_hz",
@@ -83,6 +86,8 @@ class SceneConfig:
                 raise ValueError(f"{key} must be at least 1")
         if self.dt_s < 0:
             raise ValueError("dt_s must be non-negative (0 selects the default)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SceneConfig)}
@@ -165,8 +170,7 @@ def build_scene(cfg: SceneConfig) -> Scene:
         k_boltz_dbw=cfg.boltzmann_dbw,
         light_speed=cfg.light_speed_m_s,
     )
-    cycle = build_cycle(geometry, lattice, roi, cfg.h_sat_m)
-    dft = tuple(dft_baseline(geometry, roi, cfg.h_sat_m,
-                             cfg.dft_n_beams, cfg.dft_shrink))
+    cycle = build_cycle(geometry, lattice, roi)
+    dft = tuple(dft_baseline(geometry, roi, cfg.dft_n_beams, cfg.dft_shrink))
     return Scene(geometry=geometry, lattice=lattice, roi=roi, h_sat=cfg.h_sat_m,
                  link=link, cycle=cycle, dft_beams=dft, v_ground=v_ground)

@@ -5,22 +5,16 @@ factors, one per axis, driven only by the direction-cosine offsets between
 the evaluation point and the beam target. Sub-array placement adds a global
 phase that power ignores, and planar arrays have no z term, so this kernel
 is exact for the full panel.
-
-Two interchangeable implementations are provided: a numba @njit version and
-a pure-numpy version. Set LEOBEAMS_NO_NUMBA=1 before import to force numpy.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 _EPS = 1e-12
 
 
-def gain_matrix_numpy(px, py, tx, ty, h_sat, n_x, n_y, spacing):
+def gain_matrix(px, py, tx, ty, h_sat, n_x, n_y, spacing):
     """Gain of every beam toward every point, vectorized in numpy.
 
     px, py: satellite-frame point coordinates [m], shape (n_points,).
@@ -45,67 +39,3 @@ def _dirichlet_sq(a, n):
     small = np.abs(s) < _EPS
     ratio = np.sin(n * a) / np.where(small, 1.0, s)
     return np.where(small, float(n) ** 2, ratio * ratio)
-
-
-try:  # pragma: no cover - import guard
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gain_matrix_jit(px, py, tx, ty, h_sat, n_x, n_y, spacing):
-        npts = px.shape[0]
-        nb = tx.shape[0]
-        out = np.empty((npts, nb), dtype=np.float64)
-        vtx = np.empty(nb, dtype=np.float64)
-        vty = np.empty(nb, dtype=np.float64)
-        for j in range(nb):
-            rt = math.sqrt(tx[j] * tx[j] + ty[j] * ty[j] + h_sat * h_sat)
-            vtx[j] = tx[j] / rt
-            vty[j] = ty[j] / rt
-        norm = float(n_x * n_y)
-        for i in range(npts):
-            rp = math.sqrt(px[i] * px[i] + py[i] * py[i] + h_sat * h_sat)
-            vpx = px[i] / rp
-            vpy = py[i] / rp
-            for j in range(nb):
-                a = math.pi * spacing * (vpx - vtx[j])
-                b = math.pi * spacing * (vpy - vty[j])
-                sa = math.sin(a)
-                if abs(sa) < _EPS:
-                    fx = float(n_x) * float(n_x)
-                else:
-                    ra = math.sin(n_x * a) / sa
-                    fx = ra * ra
-                sb = math.sin(b)
-                if abs(sb) < _EPS:
-                    fy = float(n_y) * float(n_y)
-                else:
-                    rb = math.sin(n_y * b) / sb
-                    fy = rb * rb
-                out[i, j] = fx * fy / norm
-        return out
-
-    def gain_matrix_numba(px, py, tx, ty, h_sat, n_x, n_y, spacing):
-        """Numba twin of gain_matrix_numpy (identical contract)."""
-        return _gain_matrix_jit(
-            np.ascontiguousarray(px, dtype=np.float64),
-            np.ascontiguousarray(py, dtype=np.float64),
-            np.ascontiguousarray(tx, dtype=np.float64),
-            np.ascontiguousarray(ty, dtype=np.float64),
-            float(h_sat), int(n_x), int(n_y), float(spacing),
-        )
-
-else:  # pragma: no cover
-
-    def gain_matrix_numba(*args, **kwargs):
-        raise RuntimeError("numba is not installed; use gain_matrix_numpy")
-
-
-USING_NUMBA = _HAVE_NUMBA and not os.environ.get("LEOBEAMS_NO_NUMBA")
-
-gain_matrix = gain_matrix_numba if USING_NUMBA else gain_matrix_numpy

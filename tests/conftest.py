@@ -1,17 +1,9 @@
 import pytest
 
 from leobeams.config import SceneConfig, build_scene
-from leobeams.simulate import serving_beam
 
 
 @pytest.fixture(scope="session")
 def scene():
     """Reference scene with the default configuration."""
     return build_scene(SceneConfig())
-
-
-@pytest.fixture(scope="session")
-def warm_kernels(scene):
-    # trigger JIT compilation once so timed tests measure the algorithm
-    serving_beam(scene, (1000.0, 2000.0))
-    return True

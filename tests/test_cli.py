@@ -1,10 +1,13 @@
 import filecmp
+import hashlib
 
 import pytest
 
 from leobeams import cli
 
 FAST = ["--set", "grid_step_m=25000", "--set", "handover_grid_step_m=25000"]
+PHASES_SHA256 = (
+    "43fae1a89945d72cccc92845769297345d26e800b05586644f26ffe1b59f1c30")
 
 
 def _run(argv):
@@ -20,6 +23,10 @@ def test_codebook_outputs(tmp_path):
     assert lines[0] == "iteration,beam_id,rf_chain,target_x_m,target_y_m"
     assert len(lines) == 1 + 43
     assert len((out / "dft_grid.csv").read_text().splitlines()) == 1 + 15
+    # byte guard on the precoder phases; the same digest is recorded in
+    # perfbench/references.json
+    digest = hashlib.sha256((out / "phases.csv").read_bytes()).hexdigest()
+    assert digest == PHASES_SHA256
 
 
 def test_manifest_lists_every_output(tmp_path):
@@ -98,6 +105,20 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     assert _run(["map", "--config", conf, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--set", "h_sat_m=inf"], "h_sat_m"),
+    (["--set", "carrier_hz=inf"], "carrier_hz"),
+    (["--set", "tx_power_dbw=nan"], "tx_power_dbw"),
+    (["--set", "grid_step_m=inf"], "grid_step_m"),
+    (["--seed", "-1"], "seed"),
+    (["--set", "seed=-1"], "seed"),
+])
+def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
+    assert _run(["map", "--out", tmp_path / "o"] + argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err and key in err
 
 
 def test_unknown_key_exits_nonzero(tmp_path, capsys):

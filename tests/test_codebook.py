@@ -112,7 +112,7 @@ def test_point_roi_yields_single_label(spec):
 @pytest.fixture(scope="module")
 def cycle(spec, roi):
     geom = satellite_array(13, (12, 24), 0.5)
-    return cb.build_cycle(geom, spec, roi, H)
+    return cb.build_cycle(geom, spec, roi)
 
 
 def test_build_cycle_structure(cycle):
@@ -149,27 +149,28 @@ def test_precoders_point_at_targets(cycle):
     geom = satellite_array(13, (12, 24), 0.5)
     for b in cycle.iterations[2]:
         v = direction_to(b.target[0], b.target[1], H)
-        assert beam_gain(geom, b.precoder, v) == pytest.approx(288.0, rel=1e-9)
+        pre = cb.beam_precoder(b.target, geom, b.rf_chain, H)
+        assert beam_gain(geom, pre, v) == pytest.approx(288.0, rel=1e-9)
 
 
 def test_overflow_names_offending_iteration(spec, roi):
     geom = satellite_array(9, (12, 24), 0.5)
     with pytest.raises(ValueError, match=r"iteration 0.*13.*9"):
-        cb.build_cycle(geom, spec, roi, H)
+        cb.build_cycle(geom, spec, roi)
 
 
 def test_single_iteration_cycle_matches_initial(roi):
     vg = ground_track_speed(H)
     one = cb.make_lattice_spec(H, 1.4, (12, 24), 1, vg)
     geom = satellite_array(13, (12, 24), 0.5)
-    cyc = cb.build_cycle(geom, one, roi, H)
+    cyc = cb.build_cycle(geom, one, roi)
     assert len(cyc.iterations) == 1
     assert np.array_equal(cyc.targets(0), cb.iteration_lattice(0, one, roi))
 
 
 def test_dft_baseline_grid(roi):
     geom = satellite_array(13, (12, 24), 0.5)
-    beams = cb.dft_baseline(geom, roi, H)
+    beams = cb.dft_baseline(geom, roi)
     assert len(beams) == 15
     xs = sorted({round(b.target[0], 3) for b in beams})
     ys = sorted({round(b.target[1], 3) for b in beams})
@@ -181,15 +182,16 @@ def test_dft_baseline_grid(roi):
     assert [beams[i].beam_id for i in order] == list(range(15))
     for b in beams:
         v = direction_to(b.target[0], b.target[1], H)
-        assert beam_gain(geom, b.precoder, v) == pytest.approx(288.0, rel=1e-9)
+        pre = cb.beam_precoder(b.target, geom, b.rf_chain, H)
+        assert beam_gain(geom, pre, v) == pytest.approx(288.0, rel=1e-9)
 
 
 def test_dft_baseline_rejects_bad_shrink(roi):
     geom = satellite_array(13, (12, 24), 0.5)
     with pytest.raises(ValueError, match="beams"):
-        cb.dft_baseline(geom, roi, H, shrink=0.5)
+        cb.dft_baseline(geom, roi, shrink=0.5)
     with pytest.raises(ValueError, match="beams"):
-        cb.dft_baseline(geom, roi, H, shrink=1.2)
+        cb.dft_baseline(geom, roi, shrink=1.2)
 
 
 def test_tables(cycle):
@@ -197,6 +199,6 @@ def test_tables(cycle):
     rows = cb.cycle_table(cycle)
     assert len(rows) == 43
     assert rows[0][0] == 0 and rows[-1][0] == 3
-    phases = cb.phase_table(cycle.iterations[0][0], geom)
+    phases = cb.phase_table(cycle.iterations[0][0], geom, H)
     assert len(phases) == 288
     assert all(-math.pi <= p <= math.pi for _, p in phases)

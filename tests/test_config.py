@@ -49,6 +49,8 @@ def test_validation_names_offending_key():
         parse_config("cycle_len = 0\n").validate()
     with pytest.raises(ValueError, match="dt_s"):
         parse_config("dt_s = -0.1\n").validate()
+    # the pure line-of-sight limit stays valid
+    parse_config("rician_factor = inf\n").validate()
 
 
 def test_format_parse_round_trip():
@@ -92,8 +94,7 @@ def test_resolve_dt(scene):
         dataclasses.replace(SceneConfig(), dt_s=0.25), scene) == 0.25
 
 
-def test_unused_constellation_keys_accepted():
-    cfg = parse_config("n_planes = 83\nn_sats_per_plane = 53\n"
-                       "min_elevation_deg = 53\n")
-    cfg.validate()
-    assert cfg.n_planes == 83
+def test_removed_constellation_keys_rejected():
+    for key in ("n_planes", "n_sats_per_plane", "min_elevation_deg"):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            parse_config(f"{key} = 53\n")

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -13,7 +9,7 @@ from leobeams.geometry import direction_to
 H = 1.3e6
 
 
-def _random_case(rng, n_pts=40, n_beams=9):
+def _random_case(rng, n_pts, n_beams):
     px = rng.uniform(-5.3e5, 5.3e5, n_pts)
     py = rng.uniform(-1.7e5, 1.7e5, n_pts)
     tx = rng.uniform(-5.3e5, 5.3e5, n_beams)
@@ -27,7 +23,7 @@ def test_kernel_matches_generic_beam_gain():
     rng = np.random.default_rng(11)
     px, py, tx, ty = _random_case(rng, n_pts=12, n_beams=5)
     geom = ant.satellite_array(5, (12, 24), 0.5)
-    fast = kernels.gain_matrix_numpy(px, py, tx, ty, H, 12, 24, 0.5)
+    fast = kernels.gain_matrix(px, py, tx, ty, H, 12, 24, 0.5)
     for j in range(tx.size):
         pre = beam_precoder(np.array([tx[j], ty[j]]), geom, j, H)
         for i in range(px.size):
@@ -39,41 +35,13 @@ def test_kernel_own_target_equals_subarray_size():
     rng = np.random.default_rng(4)
     tx = rng.uniform(-5e5, 5e5, 8)
     ty = rng.uniform(-1.6e5, 1.6e5, 8)
-    g = kernels.gain_matrix_numpy(tx, ty, tx, ty, H, 12, 24, 0.5)
+    g = kernels.gain_matrix(tx, ty, tx, ty, H, 12, 24, 0.5)
     assert np.diag(g) == pytest.approx(288.0, rel=1e-12)
 
 
 def test_kernel_handles_near_coincident_directions():
-    g = kernels.gain_matrix_numpy(np.array([1e-7]), np.array([0.0]),
-                                  np.array([0.0]), np.array([0.0]),
-                                  H, 12, 24, 0.5)
+    g = kernels.gain_matrix(np.array([1e-7]), np.array([0.0]),
+                            np.array([0.0]), np.array([0.0]),
+                            H, 12, 24, 0.5)
     assert g[0, 0] == pytest.approx(288.0, rel=1e-9)
 
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba not installed")
-def test_numba_matches_numpy():
-    rng = np.random.default_rng(7)
-    px, py, tx, ty = _random_case(rng)
-    a = kernels.gain_matrix_numpy(px, py, tx, ty, H, 12, 24, 0.5)
-    b = kernels.gain_matrix_numba(px, py, tx, ty, H, 12, 24, 0.5)
-    assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
-
-
-def test_active_kernel_selection():
-    if kernels._HAVE_NUMBA and not os.environ.get("LEOBEAMS_NO_NUMBA"):
-        assert kernels.USING_NUMBA
-        assert kernels.gain_matrix is kernels.gain_matrix_numba
-    else:
-        assert not kernels.USING_NUMBA
-        assert kernels.gain_matrix is kernels.gain_matrix_numpy
-
-
-def test_env_flag_selects_numpy_path():
-    code = ("import leobeams.kernels as k; "
-            "assert not k.USING_NUMBA; "
-            "assert k.gain_matrix is k.gain_matrix_numpy; "
-            "print('ok')")
-    env = dict(os.environ, LEOBEAMS_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0 and out.stdout.strip() == "ok"
