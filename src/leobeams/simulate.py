@@ -7,8 +7,8 @@ drifts backward along x in the satellite frame at the ground-track speed.
 Serving disciplines differ by design. Static codebooks (frozen lattice or the
 DFT baseline) re-select the best beam at every sample; the sweep over the
 pattern is monotone, so this never flaps. The dynamic codebook associates at
-window entry and at codebook update instants only, holding the beam between
-updates, which keeps the serving ID constant while footprints are frozen.
+window entry and at each update instant tau = g * t_c exactly, holding the
+beam in between so the serving ID stays constant while footprints are frozen.
 """
 
 from __future__ import annotations
@@ -89,13 +89,9 @@ def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
 
 
 def _serve(gains: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row serving ID and gain: max gain, exact ties to the lowest ID.
-
-    ids may be (n_beams,) shared across rows or (n_rows, n_beams).
-    """
+    """Per-row serving ID and gain: max gain, exact ties to the lowest ID."""
     best = gains.max(axis=1, keepdims=True)
-    ids2 = np.broadcast_to(ids, gains.shape) if ids.ndim == 1 else ids
-    cand = np.where(gains == best, ids2, _BIG_ID)
+    cand = np.where(gains == best, ids, _BIG_ID)
     cols = np.argmin(cand, axis=1)
     rows = np.arange(gains.shape[0])
     return cand[rows, cols], gains[rows, cols]
@@ -164,11 +160,32 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, thresholds_db: np.ndarray = None,
 # pass time series
 # ---------------------------------------------------------------------------
 
-def pass_window(scene: Scene, ut_xy) -> tuple[float, float]:
-    """Times between which a fixed ground point sits inside the moving ROI."""
-    x_g, y = float(ut_xy[0]), float(ut_xy[1])
-    x_b = float(scene.roi.x_extent(y))
+def pass_window(scene: Scene, ut_xy):
+    """Times between which fixed ground point(s) sit inside the moving ROI."""
+    x_g, x_b = np.asarray(ut_xy[0], dtype=float), scene.roi.x_extent(ut_xy[1])
     return (x_g - x_b) / scene.v_ground, (x_g + x_b) / scene.v_ground
+
+
+def _iteration(scene: Scene, t) -> np.ndarray:
+    """Dynamic iteration g at time(s) t; up to 1e-9 s before g * t_c counts as g."""
+    return np.floor((np.asarray(t) + 1e-9) / scene.lattice.t_c).astype(np.int64)
+
+
+def _dynamic_associations(scene: Scene, px: np.ndarray, py: np.ndarray,
+                          t_in: np.ndarray, t_out: np.ndarray):
+    """Dynamic-codebook associations: point i at t_in[i], then at each update
+    instant tau = g * t_c in (t_in[i], t_out[i]]. Yields (g, points, ids) per
+    iteration g: the associating point indices and their serving beam IDs.
+    """
+    g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
+    for g in range(int(g_in.min()), int(g_out.max()) + 1):
+        pts = np.flatnonzero((g_in <= g) & (g <= g_out))
+        t = np.where(g_in[pts] == g, t_in[pts], g * scene.lattice.t_c)
+        tx, ty, ids = _beam_arrays(scene, "hex", g)
+        # bound until the next call: freeing it first made glibc hand the
+        # pages back and fault them in again, ~5x the page faults
+        gains = _gains(scene, px[pts] - scene.v_ground * t, py[pts], tx, ty)
+        yield g, pts, _serve(gains, ids)[0]
 
 
 def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
@@ -177,20 +194,33 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     """Serving ID and SNR for a fixed ground point while it crosses the ROI.
 
     Samples run from t_start at spacing dt (default one twentieth of the
-    update period) and keep only instants where the point is inside the ROI;
-    without an explicit duration the series extends to the point's exit.
+    update period) while the point is inside the ROI, up to its exit or the
+    end of duration. Dynamic mode associates at the first sample and at each
+    update instant tau = g * t_c up to the last, and a sample reports the beam
+    held since then; a series ending before the window's final tau can thus
+    show one change fewer than `handover_map`.
     """
     if mode not in PASS_MODES:
         raise ValueError(f"unknown pass mode {mode!r}")
     if dt is None:
         dt = scene.default_dt
+    x_g, y = float(ut_xy[0]), float(ut_xy[1])
+    for name, value in dict(x=x_g, y=y, t_start=t_start, duration=duration,
+                            dt=dt).items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x_g, y = float(ut_xy[0]), float(ut_xy[1])
     t_in, t_out = pass_window(scene, ut_xy)
-    end = t_out if duration is None else t_start + duration
-    n = int(math.floor((end - t_start) / dt + 1e-9)) + 1 if end >= t_start else 0
-    ts = t_start + dt * np.arange(n)
+    end = t_out if duration is None else min(t_start + duration, t_out)
+    # float64 must resolve dt, and t_c for the iteration index, at these times
+    t_max = max(abs(t_start), abs(t_in), abs(t_out))
+    if not t_max * 2.0**-52 < min(dt, scene.lattice.t_c):
+        raise ValueError(f"dt = {dt} is below the float resolution at t = {t_max:g}")
+    # sample indices from one before entry to the end; the ROI mask cuts
+    k0 = max(0, math.ceil((t_in - t_start) / dt) - 1)
+    n = math.floor((end - t_start) / dt + 1e-9) + 1 - k0
+    ts = t_start + dt * np.arange(k0, k0 + max(n, 0))
     sx = x_g - scene.v_ground * ts
     keep = scene.roi.contains(sx, np.full_like(sx, y))
     ts, sx = ts[keep], sx[keep]
@@ -204,23 +234,17 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         gains = _gains(scene, sx, sy, tx, ty)
         sid, g_serve = _serve(gains, ids)
     else:
-        t_c = scene.lattice.t_c
-        g_iter = np.floor(ts / t_c + 1e-12).astype(np.int64)
-        sid = np.empty(ts.size, dtype=np.int64)
-        g_serve = np.empty(ts.size)
-        start = 0
-        while start < ts.size:
-            stop = start
-            while stop < ts.size and g_iter[stop] == g_iter[start]:
-                stop += 1
-            g = int(g_iter[start])
+        # one event per iteration from the first sample's to the last one's,
+        # so every sample is written by the event of its own iteration
+        g_s = _iteration(scene, ts)
+        sid, g_serve = np.empty(ts.size, dtype=np.int64), np.empty(ts.size)
+        for g, _, held in _dynamic_associations(
+                scene, np.array([x_g]), np.array([y]), ts[:1], ts[-1:]):
+            at = g_s == g
             tx, ty, ids = _beam_arrays(scene, "hex", g)
-            gains = _gains(scene, sx[start:stop], sy[start:stop], tx, ty)
-            first_id, _ = _serve(gains[:1], ids)
-            col = int(np.flatnonzero(ids == first_id[0])[0])
-            sid[start:stop] = first_id[0]
-            g_serve[start:stop] = gains[:, col]
-            start = stop
+            col = ids == held[0]
+            sid[at] = held[0]
+            g_serve[at] = _gains(scene, sx[at], sy[at], tx[col], ty[col])[:, 0]
 
     metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
     return TimeSeries(t_s=ts, serving_id=sid.astype(np.int64), metric_db=metric)
@@ -251,42 +275,13 @@ def _swept_handover_counts(scene: Scene, px: np.ndarray, py: np.ndarray,
 
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
                              py: np.ndarray) -> np.ndarray:
-    """Dynamic-codebook handovers: associate at entry, re-check each update."""
-    t_c = scene.lattice.t_c
-    k_len = scene.cycle.cycle_len
-    n_b = scene.cycle.n_beams
-    x_b = scene.roi.x_extent(py)
-    t_in = (px - x_b) / scene.v_ground
-    t_out = (px + x_b) / scene.v_ground
-    g_in = np.floor(t_in / t_c + 1e-12).astype(np.int64)
-
-    # association at window entry (satellite-frame x is +x_extent there)
-    prev = np.empty(px.size, dtype=np.int64)
-    for k in range(k_len):
-        grp = (g_in % k_len) == k
-        if not grp.any():
-            continue
-        tx, ty, _ = _beam_arrays(scene, "hex", k)
-        base = np.array([b.beam_id for b in scene.cycle.iterations[k]])
-        gains = _gains(scene, x_b[grp], py[grp], tx, ty)
-        ids2 = (base[None, :] + (g_in[grp] // k_len)[:, None]) % n_b
-        sid, _ = _serve(gains, ids2)
-        prev[grp] = sid
-
-    # re-association at every update instant inside the window
-    counts = np.zeros(px.size, dtype=np.int64)
-    g_lo = int(math.ceil(t_in.min() / t_c))
-    g_hi = int(math.floor(t_out.max() / t_c + 1e-12))
-    for g in range(g_lo, g_hi + 1):
-        tau = g * t_c
-        live = (tau > t_in + 1e-9) & (tau <= t_out + 1e-9)
-        if not live.any():
-            continue
-        tx, ty, ids = _beam_arrays(scene, "hex", g)
-        gains = _gains(scene, px[live] - scene.v_ground * tau, py[live], tx, ty)
-        sid, _ = _serve(gains, ids)
-        counts[live] += sid != prev[live]
-        prev[live] = sid
+    """Dynamic-codebook handovers: ID changes across the association events."""
+    t_in, t_out = pass_window(scene, (px, py))
+    prev = np.full(px.size, -1, dtype=np.int64)
+    counts = np.full(px.size, -1, dtype=np.int64)  # entry is no handover
+    for _, pts, sid in _dynamic_associations(scene, px, py, t_in, t_out):
+        counts[pts] += sid != prev[pts]
+        prev[pts] = sid
     return counts
 
 

@@ -114,11 +114,30 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     (["--set", "grid_step_m=inf"], "grid_step_m"),
     (["--seed", "-1"], "seed"),
     (["--set", "seed=-1"], "seed"),
+    # finite but overflowing: the slant range, then the ground-track speed
+    (["--set", "h_sat_m=1e300"], "h_sat_m"),
+    (["--set", "h_sat_m=1e200"], "h_sat_m"),
+    (["--set", "earth_radius_m=1e300"], "earth_radius_m"),
 ])
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
     assert _run(["map", "--out", tmp_path / "o"] + argv) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err and key in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--x", "0", "--y", "0", "--duration", "inf"], "duration"),
+    (["--x", "0", "--y", "0", "--t-start=-inf"], "t_start"),
+    (["--x", "inf", "--y", "0"], "x"),
+    (["--x", "0", "--y", "nan"], "y"),
+    # finite, but no float resolves the sample spacing that far out
+    (["--x", "0", "--y", "0", "--t-start=-1e300"], "dt"),
+])
+def test_bad_timeseries_flag_exits_nonzero_naming_it(tmp_path, capsys, argv,
+                                                     name):
+    assert _run(["timeseries", "--out", tmp_path / "o"] + argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {name} ") and "\n" not in err
 
 
 def test_unknown_key_exits_nonzero(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobeams import simulate as sim
 from leobeams.fields import FieldMap
@@ -170,6 +174,86 @@ def test_handover_map_matches_pass_counts(scene):
         got_s = sim.pass_timeseries(scene, pt, "static", t_start=t_in)
         assert dyn.values[iy, ix] == got_d.handover_count()
         assert stat.values[iy, ix] == got_s.handover_count()
+
+
+@pytest.fixture(scope="module")
+def coarse_handover_maps(scene):
+    return {m: sim.handover_map(scene, m, step=20e3) for m in sim.PASS_MODES}
+
+
+@pytest.mark.parametrize("mode", sim.PASS_MODES)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_handover_map_count_equals_series_count(scene, coarse_handover_maps,
+                                                mode, data):
+    # one serving policy per mode: a series sampled over a cell's whole
+    # window, at least twice per update period for the dynamic codebook,
+    # counts exactly the map's handovers
+    hmap = coarse_handover_maps[mode]
+    cells = np.argwhere(np.isfinite(hmap.values))
+    iy, ix = cells[data.draw(st.integers(0, len(cells) - 1))]
+    pt = (hmap.xs[ix], hmap.ys[iy])
+    t_in, t_out = sim.pass_window(scene, pt)
+    dt = None
+    if mode == "dynamic":
+        n_min = math.ceil(2 * (t_out - t_in) / scene.lattice.t_c)
+        dt = (t_out - t_in) / data.draw(st.integers(n_min, 4 * n_min))
+    series = sim.pass_timeseries(scene, pt, mode, dt=dt, t_start=t_in)
+    assert hmap.values[iy, ix] == series.handover_count()
+
+
+def test_pass_timeseries_dynamic_associates_at_entry_and_updates(scene):
+    # oracle: after each association event the series holds the best beam at
+    # that exact instant, under that instant's iteration, even when no sample
+    # lands on the update instant
+    t_c, v = scene.lattice.t_c, scene.v_ground
+    for x, y in zip(*_grid_points(scene, 40e3)):
+        t_in, _ = sim.pass_window(scene, (x, y))
+        ts = sim.pass_timeseries(scene, (x, y), "dynamic", t_start=t_in + 1.234)
+        g = np.floor((ts.t_s + 1e-9) / t_c).astype(int)
+        events = [(ts.t_s[0], g[0], ts.serving_id[0])] + [
+            (k * t_c, k, ts.serving_id[np.argmax(g == k)])
+            for k in range(g[0] + 1, g[-1] + 1)]
+        for t, k, sid in events:
+            assert sid == sim.serving_beam(scene, (x - v * t, y), "hex", k)[0]
+
+
+@pytest.mark.parametrize("offset_s", [-5e-10, 0.0, 5e-10])
+def test_dynamic_series_window_on_update_instants(scene, offset_s):
+    # entry and exit both within the 1e-9 s tolerance of an update instant:
+    # every sample still takes its beam and gain from an association event
+    t_c, v = scene.lattice.t_c, scene.v_ground
+    m = math.floor(2 * scene.roi.semi_x / (v * t_c))
+    x_b = m * v * t_c / 2
+    y = scene.roi.semi_y * math.sqrt(1 - (x_b / scene.roi.semi_x) ** 2)
+    x = x_b + v * (3 * t_c + offset_s)
+    t_in, t_out = sim.pass_window(scene, (x, y))
+    series = sim.pass_timeseries(scene, (x, y), "dynamic", t_start=t_in,
+                                 dt=(t_out - t_in) / (2 * m))
+    assert series.t_s.size == 2 * m + 1
+    assert set(series.serving_id.tolist()) <= set(range(scene.cycle.n_beams))
+    assert np.all(np.isfinite(series.metric_db))
+    assert np.all(series.metric_db <= snr_db(288.0, scene.h_sat, scene.link))
+    counts = sim._dynamic_handover_counts(scene, np.array([x]), np.array([y]))
+    assert series.handover_count() == counts[0]
+
+
+def test_pass_timeseries_clips_far_range_to_window(scene):
+    # a duration or start far outside the window samples only the window
+    full = sim.pass_timeseries(scene, (0.0, 0.0))
+    long = sim.pass_timeseries(scene, (0.0, 0.0), duration=1e12)
+    assert np.array_equal(full.t_s, long.t_s)
+    assert np.array_equal(full.serving_id, long.serving_id)
+    t_in, t_out = sim.pass_window(scene, (0.0, 0.0))
+    early = sim.pass_timeseries(scene, (0.0, 0.0), t_start=-1e12)
+    assert t_in - 1e-3 <= early.t_s[0] and early.t_s[-1] <= t_out + 1e-3
+    assert abs(early.t_s.size - (t_out - t_in) / scene.default_dt) <= 1
+
+
+def test_pass_timeseries_rejects_non_finite_dt(scene):
+    # the CLI takes dt from the validated config; library callers pass it
+    with pytest.raises(ValueError, match="^dt must be finite"):
+        sim.pass_timeseries(scene, (0.0, 0.0), dt=math.inf)
 
 
 def test_dominance_violations_sparse_and_reported(scene):
