@@ -121,6 +121,13 @@ class _Emitter:
             digest = hashlib.sha256(fh.read()).hexdigest()
         self.records.append((name, digest))
 
+    def field_map(self, stem: str, fmap) -> None:
+        """Write a map as <stem>.csv and <stem>.ppm and record both."""
+        fmap.to_csv(self.path(stem + ".csv"))
+        self.done(stem + ".csv")
+        fmap.to_ppm(self.path(stem + ".ppm"))
+        self.done(stem + ".ppm")
+
     def write_manifest(self) -> None:
         with open(self.path("manifest.txt"), "w") as fh:
             fh.write(f"# leobeams {__version__} resolved configuration\n")
@@ -175,11 +182,7 @@ def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
 def _run_map(args, cfg, scene, emit: _Emitter) -> None:
     fmap = coverage_map(scene, metric=args.metric, mode=args.mode,
                         iteration=args.iteration, step=cfg.grid_step_m)
-    stem = f"map_{args.mode}_{args.metric}"
-    fmap.to_csv(emit.path(stem + ".csv"))
-    emit.done(stem + ".csv")
-    fmap.to_ppm(emit.path(stem + ".ppm"))
-    emit.done(stem + ".ppm")
+    emit.field_map(f"map_{args.mode}_{args.metric}", fmap)
 
 
 def _run_cdf(args, cfg, scene, emit: _Emitter) -> None:
@@ -208,17 +211,10 @@ def _run_handover(args, cfg, scene, emit: _Emitter) -> None:
     step = cfg.handover_grid_step_m
     dt = resolve_dt(cfg, scene)
     hmap = handover_map(scene, mode=args.mode, step=step, dt=dt)
-    stem = f"handover_{args.mode}"
-    hmap.to_csv(emit.path(stem + ".csv"))
-    emit.done(stem + ".csv")
-    hmap.to_ppm(emit.path(stem + ".ppm"))
-    emit.done(stem + ".ppm")
+    emit.field_map(f"handover_{args.mode}", hmap)
     if args.mode == "dynamic":
         smap = handover_map(scene, mode="static", step=step, dt=dt)
-        smap.to_csv(emit.path("handover_static.csv"))
-        emit.done("handover_static.csv")
-        smap.to_ppm(emit.path("handover_static.ppm"))
-        emit.done("handover_static.ppm")
+        emit.field_map("handover_static", smap)
         bad = dominance_violations(hmap, smap)
         _write_rows(emit.path("dominance_violations.csv"),
                     "x_m,y_m,dynamic,static", bad,

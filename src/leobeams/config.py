@@ -154,13 +154,15 @@ def build_scene(cfg: SceneConfig) -> Scene:
                                cfg.element_spacing_wl)
     v_ground = ground_track_speed(cfg.h_sat_m, cfg.grav_const,
                                   cfg.earth_mass_kg, cfg.earth_radius_m)
-    if not (v_ground > 0 and math.isfinite(cfg.h_sat_m * cfg.h_sat_m)):
+    lattice = None
+    if v_ground > 0 and math.isfinite(cfg.h_sat_m * cfg.h_sat_m):
+        lattice = make_lattice_spec(cfg.h_sat_m, cfg.oversampling,
+                                    (cfg.subarray_nx, cfg.subarray_ny),
+                                    cfg.cycle_len, v_ground)
+    if lattice is None or not math.isfinite(lattice.t_c):
         raise ValueError(f"h_sat_m = {cfg.h_sat_m} (earth_radius_m = "
                          f"{cfg.earth_radius_m}) overflows the slant range or "
-                         f"stalls the ground track")
-    lattice = make_lattice_spec(cfg.h_sat_m, cfg.oversampling,
-                                (cfg.subarray_nx, cfg.subarray_ny),
-                                cfg.cycle_len, v_ground)
+                         f"the update period, or stalls the ground track")
     roi = Roi(cfg.roi_semi_x_m, cfg.roi_semi_y_m)
     link = LinkParams(
         f_carrier=cfg.carrier_hz,

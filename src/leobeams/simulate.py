@@ -9,6 +9,10 @@ DFT baseline) re-select the best beam at every sample; the sweep over the
 pattern is monotone, so this never flaps. The dynamic codebook associates at
 window entry and at each update instant tau = g * t_c exactly, holding the
 beam in between so the serving ID stays constant while footprints are frozen.
+
+Every serving decision goes through one evaluator, `_serve`, which walks the
+points in slices of CHUNK, so the gain matrix of one kernel call, and the
+memory of any evaluation, is bounded by CHUNK x n_beams whatever the grid size.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .link import LinkParams, noise_rel, sinr_db, snr_db
 DEFAULT_GRID_STEP = 2000.0      # coverage-map spacing [m]
 DEFAULT_HANDOVER_STEP = 5000.0  # handover-map spacing [m]
 UPDATE_SUBSTEPS = 20            # time samples per codebook update period
+CHUNK = 8192                    # points per gain-kernel call
+MAX_SAMPLES = 2**22             # time samples of one pass series or sweep row
 
 MAP_MODES = ("hex", "dft")
 PASS_MODES = ("static", "dynamic", "dft")
@@ -83,67 +89,82 @@ def _beam_arrays(scene: Scene, mode: str,
 
 def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
     g = scene.geometry
-    return gain_matrix(np.asarray(px, dtype=float), np.asarray(py, dtype=float),
-                       tx, ty, scene.h_sat, g.subarray_nx, g.subarray_ny,
-                       g.spacing)
+    return gain_matrix(px, py, tx, ty, scene.h_sat, g.subarray_nx,
+                       g.subarray_ny, g.spacing)
 
 
-def _serve(gains: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row serving ID and gain: max gain, exact ties to the lowest ID."""
-    best = gains.max(axis=1, keepdims=True)
-    cand = np.where(gains == best, ids, _BIG_ID)
-    cols = np.argmin(cand, axis=1)
-    rows = np.arange(gains.shape[0])
-    return cand[rows, cols], gains[rows, cols]
+def _serve(scene: Scene, px, py, mode: str,
+           iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Serving ID, serving gain and summed interferer gain at each point.
+
+    Max gain wins, exact ties go to the lowest ID. One kernel call per slice
+    of CHUNK points; row sums and the argmax do not depend on the slicing.
+    """
+    tx, ty, ids = _beam_arrays(scene, mode, iteration)
+    px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
+    sid = np.empty(px.size, dtype=np.int64)
+    g_serve, interf = np.empty(px.size), np.empty(px.size)
+    for a in range(0, px.size, CHUNK):
+        s = slice(a, a + CHUNK)
+        gains = _gains(scene, px[s], py[s], tx, ty)
+        best = gains.max(axis=1)
+        sid[s] = np.where(gains == best[:, None], ids, _BIG_ID).min(axis=1)
+        g_serve[s], interf[s] = best, gains.sum(axis=1) - best
+    return sid, g_serve, interf
 
 
 def serving_beam(scene: Scene, point_xy, mode: str = "hex",
                  iteration: int = 0) -> tuple[int, float]:
     """Serving beam ID and its linear gain at one satellite-frame point."""
-    tx, ty, ids = _beam_arrays(scene, mode, iteration)
-    gains = _gains(scene, [point_xy[0]], [point_xy[1]], tx, ty)
-    sid, g = _serve(gains, ids)
+    sid, g, _ = _serve(scene, [point_xy[0]], [point_xy[1]], mode, iteration)
     return int(sid[0]), float(g[0])
+
+
+def _roi_field(roi: Roi, step: float, fill) -> FieldMap:
+    """Grid over the ROI box holding fill(px, py) at in-ROI nodes, NaN elsewhere."""
+    xs, ys = roi_grid(roi, step)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    mask = roi.contains(gx, gy)
+    vals = np.full(gx.shape, np.nan)
+    vals[mask] = fill(gx[mask], gy[mask])
+    return FieldMap(xs=xs, ys=ys, values=vals)
+
+
+def _check_samples(n: float, dt: float) -> None:
+    if not n <= MAX_SAMPLES:
+        raise ValueError(f"dt = {dt} s needs {n:.4g} samples in one pass, "
+                         f"more than the {MAX_SAMPLES} it may hold")
 
 
 # ---------------------------------------------------------------------------
 # maps and CDFs
 # ---------------------------------------------------------------------------
 
-def _point_metrics(scene: Scene, px: np.ndarray, py: np.ndarray, mode: str,
-                   iteration: int) -> dict[str, np.ndarray]:
-    tx, ty, ids = _beam_arrays(scene, mode, iteration)
-    gains = _gains(scene, px, py, tx, ty)
-    sid, g_serve = _serve(gains, ids)
-    dist = slant_range(px, py, scene.h_sat)
-    interf = gains.sum(axis=1) - g_serve
-    return {
-        "cell": sid.astype(float),
-        "snr": snr_db(g_serve, dist, scene.link),
-        "sinr": sinr_db(g_serve, interf, noise_rel(dist, scene.link)),
-    }
-
-
 def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
                  iteration: int = 0, step: float = DEFAULT_GRID_STEP) -> FieldMap:
     """Satellite-frame map of SNR, SINR, or serving-cell ID over the ROI."""
     if metric not in ("snr", "sinr", "cell"):
         raise ValueError(f"unknown metric {metric!r}")
-    xs, ys = roi_grid(scene.roi, step)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    mask = scene.roi.contains(gx, gy)
-    vals = np.full(gx.shape, np.nan)
-    vals[mask] = _point_metrics(scene, gx[mask], gy[mask], mode, iteration)[metric]
-    return FieldMap(xs=xs, ys=ys, values=vals)
+
+    def at(px, py):
+        sid, g_serve, interf = _serve(scene, px, py, mode, iteration)
+        if metric == "cell":
+            return sid
+        dist = slant_range(px, py, scene.h_sat)
+        if metric == "snr":
+            return snr_db(g_serve, dist, scene.link)
+        return sinr_db(g_serve, interf, noise_rel(dist, scene.link))
+    return _roi_field(scene.roi, step, at)
 
 
 def cdf_from_map(fmap: FieldMap, thresholds_db: np.ndarray,
                  label: str = "") -> CdfCurve:
     """Complementary CDF prob(value > threshold) over a map's in-ROI cells."""
-    vals = fmap.values[np.isfinite(fmap.values)]
+    vals = np.sort(fmap.values[np.isfinite(fmap.values)])
     if vals.size == 0:
         raise ValueError("map has no in-ROI cells")
-    probs = (vals[:, None] > thresholds_db[None, :]).mean(axis=0)
+    above = vals.size - np.searchsorted(vals, thresholds_db, side="right")
+    probs = above / vals.size
     return CdfCurve(thresholds_db=thresholds_db, probs=probs, label=label)
 
 
@@ -181,11 +202,8 @@ def _dynamic_associations(scene: Scene, px: np.ndarray, py: np.ndarray,
     for g in range(int(g_in.min()), int(g_out.max()) + 1):
         pts = np.flatnonzero((g_in <= g) & (g <= g_out))
         t = np.where(g_in[pts] == g, t_in[pts], g * scene.lattice.t_c)
-        tx, ty, ids = _beam_arrays(scene, "hex", g)
-        # bound until the next call: freeing it first made glibc hand the
-        # pages back and fault them in again, ~5x the page faults
-        gains = _gains(scene, px[pts] - scene.v_ground * t, py[pts], tx, ty)
-        yield g, pts, _serve(gains, ids)[0]
+        yield g, pts, _serve(scene, px[pts] - scene.v_ground * t, py[pts],
+                             "hex", g)[0]
 
 
 def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
@@ -220,6 +238,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     # sample indices from one before entry to the end; the ROI mask cuts
     k0 = max(0, math.ceil((t_in - t_start) / dt) - 1)
     n = math.floor((end - t_start) / dt + 1e-9) + 1 - k0
+    _check_samples(n, dt)
     ts = t_start + dt * np.arange(k0, k0 + max(n, 0))
     sx = x_g - scene.v_ground * ts
     keep = scene.roi.contains(sx, np.full_like(sx, y))
@@ -230,9 +249,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 
     if mode in ("static", "dft"):
         cb_mode = "hex" if mode == "static" else "dft"
-        tx, ty, ids = _beam_arrays(scene, cb_mode, 0)
-        gains = _gains(scene, sx, sy, tx, ty)
-        sid, g_serve = _serve(gains, ids)
+        sid, g_serve, _ = _serve(scene, sx, sy, cb_mode, 0)
     else:
         # one event per iteration from the first sample's to the last one's,
         # so every sample is written by the event of its own iteration
@@ -240,11 +257,13 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         sid, g_serve = np.empty(ts.size, dtype=np.int64), np.empty(ts.size)
         for g, _, held in _dynamic_associations(
                 scene, np.array([x_g]), np.array([y]), ts[:1], ts[-1:]):
-            at = g_s == g
+            at = np.flatnonzero(g_s == g)
             tx, ty, ids = _beam_arrays(scene, "hex", g)
             col = ids == held[0]
             sid[at] = held[0]
-            g_serve[at] = _gains(scene, sx[at], sy[at], tx[col], ty[col])[:, 0]
+            for a in range(0, at.size, CHUNK):  # the held beam, not an argmax
+                i = at[a:a + CHUNK]
+                g_serve[i] = _gains(scene, sx[i], sy[i], tx[col], ty[col])[:, 0]
 
     metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
     return TimeSeries(t_s=ts, serving_id=sid.astype(np.int64), metric_db=metric)
@@ -257,19 +276,15 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 def _swept_handover_counts(scene: Scene, px: np.ndarray, py: np.ndarray,
                            cb_mode: str, dt: float) -> np.ndarray:
     """Static-codebook handovers: every point of a row sees the same sweep."""
-    tx, ty, ids = _beam_arrays(scene, cb_mode, 0)
     counts = np.zeros(px.size, dtype=np.int64)
     for y in np.unique(py):
-        row = py == y
         x_b = float(scene.roi.x_extent(y))
-        n = int(math.floor(2.0 * x_b / (scene.v_ground * dt) + 1e-9)) + 1
-        sx = x_b - scene.v_ground * dt * np.arange(n)
+        n = 2.0 * x_b / (scene.v_ground * dt) + 1e-9
+        _check_samples(n, dt)
+        sx = x_b - scene.v_ground * dt * np.arange(math.floor(n) + 1)
         sx = sx[scene.roi.contains(sx, np.full_like(sx, y))]
-        if sx.size == 0:
-            continue
-        gains = _gains(scene, sx, np.full_like(sx, y), tx, ty)
-        sid, _ = _serve(gains, ids)
-        counts[row] = int(np.count_nonzero(sid[1:] != sid[:-1]))
+        sid = _serve(scene, sx, np.full_like(sx, y), cb_mode, 0)[0]
+        counts[py == y] = np.count_nonzero(sid[1:] != sid[:-1])
     return counts
 
 
@@ -293,18 +308,10 @@ def handover_map(scene: Scene, mode: str = "dynamic",
         raise ValueError(f"unknown pass mode {mode!r}")
     if dt is None:
         dt = scene.default_dt
-    xs, ys = roi_grid(scene.roi, step)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    mask = scene.roi.contains(gx, gy)
-    px, py = gx[mask], gy[mask]
-    if mode == "dynamic":
-        counts = _dynamic_handover_counts(scene, px, py)
-    else:
-        counts = _swept_handover_counts(scene, px, py,
-                                        "hex" if mode == "static" else "dft", dt)
-    vals = np.full(gx.shape, np.nan)
-    vals[mask] = counts.astype(float)
-    return FieldMap(xs=xs, ys=ys, values=vals)
+    cb_mode = "hex" if mode == "static" else "dft"
+    return _roi_field(scene.roi, step, lambda px, py: (
+        _dynamic_handover_counts(scene, px, py) if mode == "dynamic"
+        else _swept_handover_counts(scene, px, py, cb_mode, dt)))
 
 
 def dominance_violations(dynamic_map: FieldMap,

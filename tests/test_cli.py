@@ -8,6 +8,37 @@ from leobeams import cli
 FAST = ["--set", "grid_step_m=25000", "--set", "handover_grid_step_m=25000"]
 PHASES_SHA256 = (
     "43fae1a89945d72cccc92845769297345d26e800b05586644f26ffe1b59f1c30")
+# default-config output bytes, recorded before the chunked serving evaluator
+DEFAULT_SHA256 = {
+    "map": (["map", "--metric", "sinr", "--mode", "hex"], {
+        "map_hex_sinr.csv":
+            "8bffe4d862e5abd987ce95aa019378f35bd9adfe7b2bcb66b4b447a0db0d3835",
+        "map_hex_sinr.ppm":
+            "5e3457e9c0556edaf08785b0882f5dcf3bb730a17408469fa7562a7531520829",
+    }),
+    "map-dft-cell": (["map", "--metric", "cell", "--mode", "dft"], {
+        "map_dft_cell.csv":
+            "d37e18c6b7ea66e7e201e8fa6718e41ea54c11cf3f3d7a3431cfb033ea62fa92",
+        "map_dft_cell.ppm":
+            "333d34f9c5338d0b72756f9317238eebdd27cb9209f0f8fa4944759f53d07e01",
+    }),
+    "cdf": (["cdf"], {
+        "cdf.csv":
+            "e764e1134e50108120cefc28b22745c0409c2886e6a056d63beb8bee4b316809",
+    }),
+    "handover-dynamic": (["handover", "--mode", "dynamic"], {
+        "handover_dynamic.csv":
+            "6f08544fd784128d2f49b209f6b029e742b78e56e7c80195296f6751e50ccaae",
+        "handover_dynamic.ppm":
+            "9f652908888f52234c3ea8be943634acb16bdaeae5bfee2a5249aae409d1a0e7",
+        "handover_static.csv":
+            "2639acffdef855fabd75f04084d7ed58c38c834cd340e8460318987ef2a6a158",
+        "handover_static.ppm":
+            "354fa7c1c548d691bea84427455a45e193c785e24677789c5930f0c7fd615965",
+        "dominance_violations.csv":
+            "cfb6a9149373b6a1565002921acfa64f41806e5250aeb305b5cf5cacb11c801a",
+    }),
+}
 
 
 def _run(argv):
@@ -27,6 +58,16 @@ def test_codebook_outputs(tmp_path):
     # perfbench/references.json
     digest = hashlib.sha256((out / "phases.csv").read_bytes()).hexdigest()
     assert digest == PHASES_SHA256
+
+
+@pytest.mark.parametrize("job", sorted(DEFAULT_SHA256))
+def test_default_outputs_byte_identical(tmp_path, job):
+    argv, digests = DEFAULT_SHA256[job]
+    out = tmp_path / "run"
+    assert _run(argv + ["--out", out]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in digests}
+    assert got == digests
 
 
 def test_manifest_lists_every_output(tmp_path):
@@ -108,19 +149,25 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, key", [
-    (["--set", "h_sat_m=inf"], "h_sat_m"),
-    (["--set", "carrier_hz=inf"], "carrier_hz"),
-    (["--set", "tx_power_dbw=nan"], "tx_power_dbw"),
-    (["--set", "grid_step_m=inf"], "grid_step_m"),
-    (["--seed", "-1"], "seed"),
-    (["--set", "seed=-1"], "seed"),
+    (["map", "--set", "h_sat_m=inf"], "h_sat_m"),
+    (["map", "--set", "carrier_hz=inf"], "carrier_hz"),
+    (["map", "--set", "tx_power_dbw=nan"], "tx_power_dbw"),
+    (["map", "--set", "grid_step_m=inf"], "grid_step_m"),
+    (["map", "--seed", "-1"], "seed"),
+    (["map", "--set", "seed=-1"], "seed"),
     # finite but overflowing: the slant range, then the ground-track speed
-    (["--set", "h_sat_m=1e300"], "h_sat_m"),
-    (["--set", "h_sat_m=1e200"], "h_sat_m"),
-    (["--set", "earth_radius_m=1e300"], "earth_radius_m"),
+    (["map", "--set", "h_sat_m=1e300"], "h_sat_m"),
+    (["map", "--set", "h_sat_m=1e200"], "h_sat_m"),
+    (["map", "--set", "earth_radius_m=1e300"], "earth_radius_m"),
+    # finite, but the update period overflows
+    (["handover", "--set", "h_sat_m=1e130"], "h_sat_m"),
+    (["timeseries", "--x", "0", "--y", "0", "--set", "h_sat_m=1e130"],
+     "h_sat_m"),
+    # more sweep samples than one pass may hold
+    (["handover", "--set", "dt_s=1e-9"], "dt"),
 ])
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
-    assert _run(["map", "--out", tmp_path / "o"] + argv) == 2
+    assert _run(argv[:1] + ["--out", tmp_path / "o"] + argv[1:]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err and key in err
 
@@ -132,6 +179,8 @@ def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
     (["--x", "0", "--y", "nan"], "y"),
     # finite, but no float resolves the sample spacing that far out
     (["--x", "0", "--y", "0", "--t-start=-1e300"], "dt"),
+    # more samples than one pass may hold
+    (["--x", "0", "--y", "0", "--dt", "1e-9"], "dt"),
 ])
 def test_bad_timeseries_flag_exits_nonzero_naming_it(tmp_path, capsys, argv,
                                                      name):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,61 @@ def test_cdf_from_map_rejects_empty():
                      values=np.array([[np.nan]]))
     with pytest.raises(ValueError):
         sim.cdf_from_map(empty, np.array([0.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(vals=st.lists(st.integers(-12, 12), min_size=1, max_size=80),
+       thr=st.lists(st.integers(-14, 14), min_size=1, max_size=30))
+def test_cdf_from_map_matches_boolean_mean(vals, thr):
+    # quarter steps make values tie with each other and with the thresholds
+    v = np.array(vals, dtype=float) / 4
+    fmap = FieldMap(xs=np.arange(v.size + 2.0), ys=np.array([0.0]),
+                    values=np.concatenate([v, [np.nan, np.inf]])[None, :])
+    thresholds = np.array(thr, dtype=float) / 4
+    curve = sim.cdf_from_map(fmap, thresholds)
+    oracle = (v[:, None] > thresholds[None, :]).mean(axis=0)
+    assert np.array_equal(curve.probs, oracle)
+
+
+def _chunk_probe_outputs(scene):
+    maps = [sim.coverage_map(scene, metric, mode, step=10e3)
+            for metric in ("snr", "sinr", "cell") for mode in sim.MAP_MODES]
+    maps += [sim.handover_map(scene, mode, step=20e3) for mode in sim.PASS_MODES]
+    series = [sim.pass_timeseries(scene, (3e3, 41e3), mode)
+              for mode in sim.PASS_MODES]
+    return ([m.values for m in maps]
+            + [a for s in series for a in (s.serving_id, s.metric_db)])
+
+
+def test_outputs_independent_of_chunk_size(scene, monkeypatch):
+    # row sums and the argmax do not depend on how points are sliced, and no
+    # kernel call evaluates more than CHUNK points
+    ref = _chunk_probe_outputs(scene)
+    sizes, kernel = [], sim.gain_matrix
+
+    def probe(px, *args):
+        sizes.append(px.size)
+        return kernel(px, *args)
+    monkeypatch.setattr(sim, "CHUNK", 7)
+    monkeypatch.setattr(sim, "gain_matrix", probe)
+    got = _chunk_probe_outputs(scene)
+    assert len(sizes) > 1000 and max(sizes) == 7
+    for a, b in zip(ref, got, strict=True):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_coverage_map_memory_bounded_by_chunk(scene):
+    # the full (points x beams) gain matrix alone would take 8 * n_beams
+    # bytes per point; the chunked evaluator stays well under twice that
+    n_points = _grid_points(scene, 1000.0)[0].size
+    n_beams = scene.cycle.targets(0).shape[0]
+    tracemalloc.start()
+    try:
+        sim.coverage_map(scene, step=1000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_beams * 8 * n_points
 
 
 def test_pass_window(scene):
