@@ -34,11 +34,10 @@ DEFAULT_HANDOVER_STEP = 5000.0  # handover-map spacing [m]
 UPDATE_SUBSTEPS = 20            # time samples per codebook update period
 CHUNK = 8192                    # points per gain-kernel call
 MAX_SAMPLES = 2**22             # time samples of one pass series or sweep row
+MAX_CELLS = 2**23               # grid nodes of one map's ROI box
 
 MAP_MODES = ("hex", "dft")
 PASS_MODES = ("static", "dynamic", "dft")
-
-_BIG_ID = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,29 @@ class Scene:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def roi_grid(roi: Roi, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Grid axes centered on the sub-satellite point covering the ROI box."""
+def roi_grid(roi: Roi, step: float,
+             key: str = "grid step") -> tuple[np.ndarray, np.ndarray]:
+    """Grid axes centered on the sub-satellite point covering the ROI box.
+
+    Raises ValueError naming key, before allocating, when the box would hold
+    more than MAX_CELLS nodes.
+    """
     if step <= 0:
-        raise ValueError("grid step must be positive")
-    nx = int(math.floor(roi.semi_x / step))
-    ny = int(math.floor(roi.semi_y / step))
+        raise ValueError(f"{key} must be positive")
+    nx, ny = np.floor(roi.semi_x / step), np.floor(roi.semi_y / step)
+    cells = (2 * nx + 1) * (2 * ny + 1)
+    if not cells <= MAX_CELLS:
+        raise ValueError(f"{key} = {step} m puts {cells:.4g} nodes in one map, "
+                         f"more than the {MAX_CELLS} it may hold")
+    nx, ny = int(nx), int(ny)
     return (step * np.arange(-nx, nx + 1, dtype=float),
             step * np.arange(-ny, ny + 1, dtype=float))
 
 
 def _beam_arrays(scene: Scene, mode: str,
                  iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Target coordinates and stable IDs of the active beams (one snapshot)."""
+    """Target coordinates and stable IDs of the active beams (one snapshot),
+    in ascending-ID order."""
     if mode == "hex":
         targets = scene.cycle.targets(iteration)
         ids = scene.cycle.beam_ids(iteration)
@@ -84,7 +93,8 @@ def _beam_arrays(scene: Scene, mode: str,
         ids = np.array([b.beam_id for b in scene.dft_beams])
     else:
         raise ValueError(f"unknown codebook mode {mode!r}")
-    return targets[:, 0], targets[:, 1], ids
+    order = np.argsort(ids, kind="stable")  # IDs wrap mod n_beams past a cycle
+    return targets[order, 0], targets[order, 1], ids[order]
 
 
 def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
@@ -97,8 +107,9 @@ def _serve(scene: Scene, px, py, mode: str,
            iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Serving ID, serving gain and summed interferer gain at each point.
 
-    Max gain wins, exact ties go to the lowest ID. One kernel call per slice
-    of CHUNK points; row sums and the argmax do not depend on the slicing.
+    Max gain wins, exact ties go to the lowest ID: the columns are in
+    ascending-ID order and argmax takes the first maximum. One kernel call per
+    slice of CHUNK points; row sums and the argmax do not depend on the slicing.
     """
     tx, ty, ids = _beam_arrays(scene, mode, iteration)
     px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
@@ -107,8 +118,9 @@ def _serve(scene: Scene, px, py, mode: str,
     for a in range(0, px.size, CHUNK):
         s = slice(a, a + CHUNK)
         gains = _gains(scene, px[s], py[s], tx, ty)
-        best = gains.max(axis=1)
-        sid[s] = np.where(gains == best[:, None], ids, _BIG_ID).min(axis=1)
+        k = gains.argmax(axis=1)
+        best = gains[np.arange(k.size), k]
+        sid[s] = ids[k]
         g_serve[s], interf[s] = best, gains.sum(axis=1) - best
     return sid, g_serve, interf
 
@@ -120,9 +132,9 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
     return int(sid[0]), float(g[0])
 
 
-def _roi_field(roi: Roi, step: float, fill) -> FieldMap:
+def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
     """Grid over the ROI box holding fill(px, py) at in-ROI nodes, NaN elsewhere."""
-    xs, ys = roi_grid(roi, step)
+    xs, ys = roi_grid(roi, step, key)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     mask = roi.contains(gx, gy)
     vals = np.full(gx.shape, np.nan)
@@ -154,7 +166,7 @@ def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
         if metric == "snr":
             return snr_db(g_serve, dist, scene.link)
         return sinr_db(g_serve, interf, noise_rel(dist, scene.link))
-    return _roi_field(scene.roi, step, at)
+    return _roi_field(scene.roi, step, "grid_step_m", at)
 
 
 def cdf_from_map(fmap: FieldMap, thresholds_db: np.ndarray,
@@ -309,7 +321,7 @@ def handover_map(scene: Scene, mode: str = "dynamic",
     if dt is None:
         dt = scene.default_dt
     cb_mode = "hex" if mode == "static" else "dft"
-    return _roi_field(scene.roi, step, lambda px, py: (
+    return _roi_field(scene.roi, step, "handover_grid_step_m", lambda px, py: (
         _dynamic_handover_counts(scene, px, py) if mode == "dynamic"
         else _swept_handover_counts(scene, px, py, cb_mode, dt)))
 
@@ -326,7 +338,7 @@ def dominance_violations(dynamic_map: FieldMap,
     if (dynamic_map.xs.size != static_map.xs.size
             or dynamic_map.ys.size != static_map.ys.size):
         raise ValueError("maps must share the same grid")
-    gx, gy = np.meshgrid(dynamic_map.xs, dynamic_map.ys, indexing="xy")
     d, s = dynamic_map.values, static_map.values
-    bad = np.isfinite(d) & np.isfinite(s) & (d > s)
-    return np.column_stack([gx[bad], gy[bad], d[bad], s[bad]])
+    iy, ix = np.nonzero(np.isfinite(d) & np.isfinite(s) & (d > s))
+    return np.column_stack([dynamic_map.xs[ix], dynamic_map.ys[iy],
+                            d[iy, ix], s[iy, ix]])

@@ -165,6 +165,10 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
      "h_sat_m"),
     # more sweep samples than one pass may hold
     (["handover", "--set", "dt_s=1e-9"], "dt"),
+    # more grid nodes than one map may hold
+    (["map", "--set", "grid_step_m=1"], "grid_step_m"),
+    (["cdf", "--grid-step", "1"], "grid_step_m"),
+    (["handover", "--set", "handover_grid_step_m=1"], "handover_grid_step_m"),
 ])
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
     assert _run(argv[:1] + ["--out", tmp_path / "o"] + argv[1:]) == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobeams import antenna as ant
 from leobeams import kernels
@@ -45,3 +47,119 @@ def test_kernel_handles_near_coincident_directions():
                             H, 12, 24, 0.5)
     assert g[0, 0] == pytest.approx(288.0, rel=1e-9)
 
+
+
+# ---------------------------------------------------------------------------
+# angle-addition kernel against the direct formula
+# ---------------------------------------------------------------------------
+
+def _direct_gain_matrix(px, py, tx, ty, h_sat, n_x, n_y, spacing):
+    """The direct formula, four sines per (point, beam) element: the oracle."""
+    rp = np.sqrt(px * px + py * py + h_sat * h_sat)
+    rt = np.sqrt(tx * tx + ty * ty + h_sat * h_sat)
+    a = np.pi * spacing * ((px / rp)[:, None] - (tx / rt)[None, :])
+    b = np.pi * spacing * ((py / rp)[:, None] - (ty / rt)[None, :])
+
+    def dirichlet_sq(a, n):
+        s = np.sin(a)
+        small = np.abs(s) < kernels._EPS
+        ratio = np.sin(n * a) / np.where(small, 1.0, s)
+        return np.where(small, float(n) ** 2, ratio * ratio)
+    return dirichlet_sq(a, n_x) * dirichlet_sq(b, n_y) / (n_x * n_y)
+
+
+_U = 8 * np.finfo(float).eps  # a few ulp of 1
+
+
+def _rounding_bound(px, py, tx, ty, h_sat, n_x, n_y, spacing):
+    """Largest |angle addition - direct| the rounding model allows, per element.
+
+    On one axis with a = a_p - a_t and A = |a_p| + |a_t|, each formula gets
+    sin a to within U (1 + A) and sin(n a) to within U (1 + n A) absolute:
+    the arguments carry a few relative roundings of terms of size A (n A),
+    and the sines, products and difference add a few ulp of 1. As
+    |sin(n a) / sin a| <= n, D = (sin n a / sin a)^2 then moves by at most
+    4 n^2 U (1 + A) / |sin a| to first order, per formula. Below _EPS both
+    formulas return the limit n^2, so |sin a| is floored there. The gain is
+    Dx Dy / (n_x n_y), so relative to the peak n_x n_y the two axes add.
+    """
+    rp = np.sqrt(px * px + py * py + h_sat * h_sat)
+    rt = np.sqrt(tx * tx + ty * ty + h_sat * h_sat)
+    k = np.pi * spacing
+
+    def rel(p, t):
+        a = k * (p[:, None] - t[None, :])
+        big_a = k * (np.abs(p)[:, None] + np.abs(t)[None, :])
+        sin_a = np.maximum(np.abs(np.sin(a)), kernels._EPS)
+        return 2 * 4 * _U * (1 + big_a) / sin_a  # two formulas
+    rx, ry = rel(px / rp, tx / rt), rel(py / rp, ty / rt)
+    return n_x * n_y * (rx + ry + rx * ry + 4 * np.finfo(float).eps)
+
+
+def _from_cosines(u, v, h_sat):
+    w = np.sqrt(1.0 - u * u - v * v)
+    return u * h_sat / w, v * h_sat / w
+
+
+@st.composite
+def _kernel_case(draw):
+    """Random beams plus one point placed against beam j: on its target, at
+    10^-3..10^5 m from it, on a Dirichlet null of the x factor, or next to a
+    grating lobe (|a| ~ pi). Three random points ride along in every case."""
+    kind = draw(st.sampled_from(["target", "offset", "null", "grating"]))
+    n_x = draw(st.integers(2 if kind == "null" else 1, 32))
+    n_y = draw(st.integers(1, 32))
+    spacing = draw(st.floats(0.6 if kind == "grating" else 0.5, 1.0))
+    h_sat = draw(st.floats(3e5, 2e6))
+    n_beams = draw(st.integers(1, 6))
+    cos = st.lists(st.floats(-0.6, 0.6), min_size=n_beams + 3,
+                   max_size=n_beams + 3)
+    small = st.lists(st.floats(-0.2, 0.2), min_size=n_beams + 3,
+                     max_size=n_beams + 3)
+    u, v = np.array(draw(cos)), np.array(draw(small))
+    ut, vt, up, vp = u[:n_beams], v[:n_beams], u[n_beams:], v[n_beams:]
+    j = draw(st.integers(0, n_beams - 1))
+    if kind in ("null", "grating"):
+        # direction cosines d apart on x, so a = pi spacing d
+        if kind == "null":  # a = m pi / n_x, m not a multiple of n_x
+            m = draw(st.integers(1, int(1.6 * n_x * spacing)).filter(
+                lambda m: m % n_x))
+            d = m / (n_x * spacing)
+        else:  # a = pi (1 - delta): the grating lobe
+            delta = draw(st.sampled_from([0.0]) | st.floats(1e-12, 1e-2))
+            d = (1 - delta) / spacing
+        d *= draw(st.sampled_from([-1.0, 1.0]))
+        c = draw(st.floats(-0.05, 0.05))
+        ut[j], u_new = c - d / 2, c + d / 2
+        v_new = vt[j] + draw(st.floats(-0.2, 0.2))
+    tx, ty = _from_cosines(ut, vt, h_sat)
+    px, py = _from_cosines(up, vp, h_sat)
+    if kind == "target":
+        x0, y0 = tx[j], ty[j]
+    elif kind == "offset":
+        r = 10.0 ** draw(st.floats(-3, 5))
+        th = draw(st.floats(0, 2 * np.pi))
+        x0, y0 = tx[j] + r * np.cos(th), ty[j] + r * np.sin(th)
+    else:
+        x0, y0 = _from_cosines(u_new, v_new, h_sat)
+    px, py = np.append(px, x0), np.append(py, y0)
+    return kind, j, (px, py, tx, ty, h_sat, n_x, n_y, spacing)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_kernel_case())
+def test_kernel_within_rounding_bound_of_direct_formula(case):
+    kind, j, args = case
+    fast = kernels.gain_matrix(*args)
+    ref = _direct_gain_matrix(*args)
+    tol = _rounding_bound(*args)
+    assert np.all(np.abs(fast - ref) <= tol)
+    if kind == "target":  # sin a = 0 on both axes: the exact limit, bit for bit
+        assert fast[-1, j] == ref[-1, j] == args[5] * args[6]
+    # the serving choice: a row's argmax may differ only between gains the
+    # rounding bound cannot order
+    peak = args[5] * args[6]
+    rows = np.flatnonzero(ref.max(axis=1) > 1e-3 * peak)
+    kf, kr = fast.argmax(axis=1)[rows], ref.argmax(axis=1)[rows]
+    gap = ref[rows, kr] - ref[rows, kf]
+    assert np.all((kf == kr) | (gap <= tol[rows, kr] + tol[rows, kf]))

@@ -52,6 +52,40 @@ def test_serving_beam_tie_takes_lower_id(scene):
     assert sid == min(ids[tied])
 
 
+def _lowest_tied_id(scene, px, py, mode, g):
+    """The tie rule spelled out on the codebook's own column order: among
+    the beams at the row's max gain, the lowest ID."""
+    if mode == "hex":
+        targets, ids = scene.cycle.targets(g), scene.cycle.beam_ids(g)
+    else:
+        targets = np.array([b.target for b in scene.dft_beams])
+        ids = np.array([b.beam_id for b in scene.dft_beams])
+    geom = scene.geometry
+    gains = gain_matrix(px, py, targets[:, 0], targets[:, 1], scene.h_sat,
+                        geom.subarray_nx, geom.subarray_ny, geom.spacing)
+    best = gains.max(axis=1)
+    big = np.iinfo(np.int64).max
+    return np.where(gains == best[:, None], ids, big).min(axis=1), best
+
+
+@pytest.mark.parametrize("mode, g", [("hex", g) for g in (-3, 0, 3, 4, 5, 8, 9)]
+                         + [("dft", 0)])
+def test_serve_ids_follow_lowest_tied_id_rule(scene, mode, g):
+    # IDs wrap mod n_beams from g = cycle_len on, so the codebook's columns
+    # are not in ID order; at g = 8 the (0, 80 km) tie is between IDs 12
+    # and 0, with 0 in the later column
+    _, _, ids = sim._beam_arrays(scene, mode, g)
+    assert np.all(np.diff(ids) > 0)
+    px, py = _grid_points(scene, 10e3)
+    px, py = np.append(px, 0.0), np.append(py, 80e3)
+    sid, g_serve, _ = sim._serve(scene, px, py, mode, g)
+    want, best = _lowest_tied_id(scene, px, py, mode, g)
+    assert np.array_equal(sid, want)
+    assert np.array_equal(g_serve, best)
+    if (mode, g) == ("hex", 8):
+        assert sid[-1] == 0
+
+
 def test_serving_matches_nearest_lattice_point(scene):
     # brute-force oracle on a coarse grid: the serving beam is the nearest
     # active lattice point in the beam-width metric (y weighted by the
