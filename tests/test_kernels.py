@@ -81,7 +81,8 @@ def _rounding_bound(px, py, tx, ty, h_sat, n_x, n_y, spacing):
     |sin(n a) / sin a| <= n, D = (sin n a / sin a)^2 then moves by at most
     4 n^2 U (1 + A) / |sin a| to first order, per formula. Below _EPS both
     formulas return the limit n^2, so |sin a| is floored there. The gain is
-    Dx Dy / (n_x n_y), so relative to the peak n_x n_y the two axes add.
+    Dx Dy / (n_x n_y), so relative to the peak n_x n_y the two axes add,
+    plus their product and a few ulp for the final multiply and divide.
     """
     rp = np.sqrt(px * px + py * py + h_sat * h_sat)
     rt = np.sqrt(tx * tx + ty * ty + h_sat * h_sat)
