@@ -22,7 +22,7 @@ from . import __version__
 from .codebook import cycle_table, phase_table
 from .config import (SceneConfig, apply_overrides, build_scene, format_config,
                      load_config, resolve_dt)
-from .fields import write_cdf_set
+from .fields import write_cdf_set, write_csv
 from .link import rician_sample
 from .simulate import (coverage_map, dominance_violations, handover_map,
                        pass_timeseries, sinr_cdf)
@@ -136,46 +136,33 @@ class _Emitter:
                 fh.write(f"# output {name} sha256={digest}\n")
 
 
-def _write_rows(path, header: str, rows, fmt) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(fmt(row) + "\n")
-
-
 def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
-    _write_rows(emit.path("cycle.csv"),
-                "iteration,beam_id,rf_chain,target_x_m,target_y_m",
-                cycle_table(scene.cycle),
-                lambda r: f"{r[0]},{r[1]},{r[2]},{r[3]:.3f},{r[4]:.3f}")
+    write_csv(emit.path("cycle.csv"),
+              "iteration,beam_id,rf_chain,target_x_m,target_y_m",
+              (f"{k},{b},{c},{x:.3f},{y:.3f}\n"
+               for k, b, c, x, y in cycle_table(scene.cycle)))
     emit.done("cycle.csv")
-    _write_rows(emit.path("dft_grid.csv"),
-                "beam_id,rf_chain,target_x_m,target_y_m",
-                [(b.beam_id, b.rf_chain, b.target[0], b.target[1])
-                 for b in scene.dft_beams],
-                lambda r: f"{r[0]},{r[1]},{r[2]:.3f},{r[3]:.3f}")
+    write_csv(emit.path("dft_grid.csv"),
+              "beam_id,rf_chain,target_x_m,target_y_m",
+              (f"{b.beam_id},{b.rf_chain},{b.target[0]:.3f},{b.target[1]:.3f}\n"
+               for b in scene.dft_beams))
     emit.done("dft_grid.csv")
     if args.phases:
-        rows = []
-        for k, beams in enumerate(scene.cycle.iterations):
-            for b in beams:
-                for idx, phase in phase_table(b, scene.geometry, scene.h_sat):
-                    rows.append((k, b.beam_id, idx, phase))
-        _write_rows(emit.path("phases.csv"),
-                    "iteration,beam_id,element_index,phase_radians", rows,
-                    lambda r: f"{r[0]},{r[1]},{r[2]},{r[3]:.9f}")
+        write_csv(emit.path("phases.csv"),
+                  "iteration,beam_id,element_index,phase_radians",
+                  (f"{k},{b.beam_id},{idx},{phase:.9f}\n"
+                   for k, beams in enumerate(scene.cycle.iterations)
+                   for b in beams
+                   for idx, phase in phase_table(b, scene.geometry, scene.h_sat)))
         emit.done("phases.csv")
     if args.channel_check:
         rng = np.random.default_rng(cfg.seed)
         sample = rician_sample((0.0, 0.0), scene.geometry, scene.h_sat,
                                scene.link, rng)
-        _write_rows(emit.path("channel_check.csv"),
-                    "seed,matrix_fro,los_fro,scatter_fro",
-                    [(cfg.seed,
-                      np.linalg.norm(sample.matrix),
-                      np.linalg.norm(sample.los_part),
-                      np.linalg.norm(sample.rician_part))],
-                    lambda r: f"{r[0]},{r[1]:.9e},{r[2]:.9e},{r[3]:.9e}")
+        matrix, los, scatter = sample.fro_norms()
+        write_csv(emit.path("channel_check.csv"),
+                  "seed,matrix_fro,los_fro,scatter_fro",
+                  [f"{cfg.seed},{matrix:.9e},{los:.9e},{scatter:.9e}\n"])
         emit.done("channel_check.csv")
 
 
@@ -216,9 +203,10 @@ def _run_handover(args, cfg, scene, emit: _Emitter) -> None:
         smap = handover_map(scene, mode="static", step=step, dt=dt)
         emit.field_map("handover_static", smap)
         bad = dominance_violations(hmap, smap)
-        _write_rows(emit.path("dominance_violations.csv"),
-                    "x_m,y_m,dynamic,static", bad,
-                    lambda r: f"{r[0]:.3f},{r[1]:.3f},{int(r[2])},{int(r[3])}")
+        write_csv(emit.path("dominance_violations.csv"),
+                  "x_m,y_m,dynamic,static",
+                  (f"{x:.3f},{y:.3f},{int(d)},{int(s)}\n"
+                   for x, y, d, s in bad.tolist()))
         emit.done("dominance_violations.csv")
         if len(bad):
             print(f"warning: {len(bad)} grid cells hand over more often "

@@ -254,4 +254,4 @@ def phase_table(beam: LabeledBeam, geometry: ArrayGeometry,
     """Rows of (element_index, phase_radians) for the beam's sub-array."""
     coeffs = beam_precoder(beam.target, geometry, beam.rf_chain, h_sat).coeffs
     on = np.flatnonzero(geometry.rf_map == beam.rf_chain)
-    return [(int(n), float(np.angle(coeffs[n]))) for n in on]
+    return list(zip(on.tolist(), np.angle(coeffs[on]).tolist()))

@@ -1,7 +1,11 @@
 """Output containers: gridded maps, pass time series, CDF curves.
 
-Writers emit plain CSV with fixed numeric formatting so identical inputs
-produce byte-identical files. Maps can also render to binary PPM (P6), an
+Every CSV the package writes goes through one writer, `write_csv(path,
+header, lines)`. Callers hand it an iterable of finished `"...\n"` lines,
+formatted with fixed f-string specs from `.tolist()` columns, so identical
+inputs produce byte-identical files. The writer joins `BLOCK_LINES` lines
+at a time into one `write`, so its transient memory is one block however
+large the map or series. Maps can also render to binary PPM (P6), an
 uncompressed raster any image viewer opens.
 
 Color ramp (fixed, linear between anchors on the normalized value t):
@@ -16,8 +20,11 @@ NaN cells (points outside the region of interest) render mid-gray (80,80,80).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
+
+BLOCK_LINES = 4096  # lines joined into one write by write_csv
 
 _RAMP_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _RAMP_RGB = np.array([
@@ -29,6 +36,18 @@ _RAMP_RGB = np.array([
 ], dtype=float)
 
 NODATA_RGB = (80, 80, 80)
+
+
+def write_csv(path, header: str, lines) -> None:
+    """Write `header` and then `lines` (each ending in a newline) to path.
+
+    Lines are consumed in blocks of `BLOCK_LINES`, each written as one join.
+    """
+    lines = iter(lines)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        while block := list(islice(lines, BLOCK_LINES)):
+            fh.write("".join(block))
 
 
 def color_ramp(t) -> np.ndarray:
@@ -57,11 +76,14 @@ class FieldMap:
 
     def to_csv(self, path) -> None:
         """Write rows x_m,y_m,value (y outer, x inner); no-data cells as nan."""
-        with open(path, "w", newline="") as fh:
-            fh.write("x_m,y_m,value\n")
-            for iy, y in enumerate(self.ys):
-                for ix, x in enumerate(self.xs):
-                    fh.write(f"{x:.3f},{y:.3f},{self.values[iy, ix]:.6f}\n")
+        write_csv(path, "x_m,y_m,value", self._csv_lines())
+
+    def _csv_lines(self):
+        x_strs = [f"{x:.3f}," for x in self.xs.tolist()]
+        for y, row in zip(self.ys.tolist(), self.values):
+            y_str = f"{y:.3f},"
+            for x, v in zip(x_strs, row.tolist()):
+                yield f"{x}{y_str}{v:.6f}\n"
 
     def to_ppm(self, path, vmin: float = None, vmax: float = None) -> None:
         """Render to binary PPM; +y is the top image row, +x the right column."""
@@ -88,7 +110,6 @@ class TimeSeries:
     t_s: np.ndarray
     serving_id: np.ndarray
     metric_db: np.ndarray
-    metric_name: str = "snr_db"
 
     def __post_init__(self):
         if not (self.t_s.size == self.serving_id.size == self.metric_db.size):
@@ -100,10 +121,17 @@ class TimeSeries:
         return int(np.count_nonzero(ids[1:] != ids[:-1]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"t_s,serving_id,{self.metric_name}\n")
-            for t, sid, m in zip(self.t_s, self.serving_id, self.metric_db):
-                fh.write(f"{t:.6f},{int(sid)},{m:.6f}\n")
+        write_csv(path, "t_s,serving_id,snr_db", self._csv_lines())
+
+    def _csv_lines(self):
+        # columns go to Python lists one block at a time, so memory stays
+        # O(BLOCK_LINES) for a series of up to MAX_SAMPLES rows
+        for i in range(0, self.t_s.size, BLOCK_LINES):
+            block = slice(i, i + BLOCK_LINES)
+            for t, sid, m in zip(self.t_s[block].tolist(),
+                                 self.serving_id[block].astype(np.int64).tolist(),
+                                 self.metric_db[block].tolist()):
+                yield f"{t:.6f},{sid},{m:.6f}\n"
 
 
 @dataclass(frozen=True)
@@ -123,12 +151,6 @@ class CdfCurve:
         idx = int(np.argmin(np.abs(self.thresholds_db - threshold_db)))
         return float(self.probs[idx])
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("threshold_db,prob\n")
-            for th, p in zip(self.thresholds_db, self.probs):
-                fh.write(f"{th:.6f},{p:.6f}\n")
-
 
 def write_cdf_set(path, curves: list[CdfCurve]) -> None:
     """Write several CDF curves side by side: threshold_db,prob_<label>,..."""
@@ -138,8 +160,7 @@ def write_cdf_set(path, curves: list[CdfCurve]) -> None:
     for c in curves[1:]:
         if c.thresholds_db.size != base.size or not np.allclose(c.thresholds_db, base):
             raise ValueError("curves must share the same threshold grid")
-    with open(path, "w", newline="") as fh:
-        fh.write("threshold_db," + ",".join(f"prob_{c.label}" for c in curves) + "\n")
-        for i, th in enumerate(base):
-            row = ",".join(f"{c.probs[i]:.6f}" for c in curves)
-            fh.write(f"{th:.6f},{row}\n")
+    rows = zip(base.tolist(), *(c.probs.tolist() for c in curves))
+    write_csv(path, "threshold_db," + ",".join(f"prob_{c.label}" for c in curves),
+              (f"{th:.6f}," + ",".join(f"{p:.6f}" for p in ps) + "\n"
+               for th, *ps in rows))

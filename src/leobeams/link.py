@@ -102,11 +102,37 @@ def sinr_db(g_serving, g_interference, rel_noise):
 
 @dataclass(frozen=True)
 class ChannelSample:
-    """One stochastic channel draw, with the LoS / scattered split retained."""
+    """One stochastic channel draw, kept as its rank-1 factors.
 
-    matrix: np.ndarray
-    los_part: np.ndarray
-    rician_part: np.ndarray
+    H = (los_col + scatter_col) outer conj(a_sat), with los_col = gamma * a_ut
+    and scatter_col = gamma * sqrt(1/k_rician) * a_scatter. The dense
+    (n_ut x n_sat) matrices are built only when one of them is read.
+    """
+
+    los_col: np.ndarray
+    scatter_col: np.ndarray
+    a_sat: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.outer(self.los_col + self.scatter_col, np.conj(self.a_sat))
+
+    @property
+    def los_part(self) -> np.ndarray:
+        return np.outer(self.los_col, np.conj(self.a_sat))
+
+    @property
+    def rician_part(self) -> np.ndarray:
+        return np.outer(self.scatter_col, np.conj(self.a_sat))
+
+    def fro_norms(self) -> tuple[float, float, float]:
+        """Frobenius norms of (matrix, los_part, rician_part).
+
+        Each is rank one, so ||u v^H||_F = ||u|| * ||v|| with no dense build.
+        """
+        sat = float(np.linalg.norm(self.a_sat))
+        return tuple(float(np.linalg.norm(col)) * sat for col in
+                     (self.los_col + self.scatter_col, self.los_col, self.scatter_col))
 
 
 def draw_scatter(n_ut: int, rng: np.random.Generator) -> np.ndarray:
@@ -120,8 +146,8 @@ def rician_sample(point_xy, sat_geometry: ArrayGeometry, h_sat: float,
     """Draw the Rician channel matrix toward a satellite-frame ground point.
 
     H = gamma * (a_ut + sqrt(1/k_rician) * a_scatter) outer conj(a_sat), where
-    gamma is the aggregate loss magnitude (phase not modeled). Deterministic
-    given the generator state.
+    gamma is the aggregate loss magnitude (phase not modeled), returned as its
+    rank-1 factors. Deterministic given the generator state.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -134,7 +160,6 @@ def rician_sample(point_xy, sat_geometry: ArrayGeometry, h_sat: float,
     ut_pos = upa_positions(params.ut_dims[0], params.ut_dims[1], ut_spacing)
     a_ut = steering_vector(ut_pos, -v_down)
     a_scatter = draw_scatter(a_ut.shape[0], rng)
-    los = gamma * np.outer(a_ut, np.conj(a_sat))
     scaled = float(np.sqrt(1.0 / params.k_rician)) if np.isfinite(params.k_rician) else 0.0
-    ric = gamma * scaled * np.outer(a_scatter, np.conj(a_sat))
-    return ChannelSample(matrix=los + ric, los_part=los, rician_part=ric)
+    return ChannelSample(los_col=gamma * a_ut,
+                         scatter_col=gamma * scaled * a_scatter, a_sat=a_sat)

@@ -1,9 +1,11 @@
 import filecmp
 import hashlib
+import tracemalloc
 
 import pytest
 
 from leobeams import cli
+from leobeams.config import SceneConfig, build_scene
 
 FAST = ["--set", "grid_step_m=25000", "--set", "handover_grid_step_m=25000"]
 PHASES_SHA256 = (
@@ -58,6 +60,23 @@ def test_codebook_outputs(tmp_path):
     # perfbench/references.json
     digest = hashlib.sha256((out / "phases.csv").read_bytes()).hexdigest()
     assert digest == PHASES_SHA256
+
+
+def test_channel_check_memory_stays_below_one_dense_matrix(tmp_path):
+    # the three norms come from the rank-1 factors; one dense
+    # n_ut x n_sat complex matrix is 34.5 MB at the default config
+    scene = build_scene(SceneConfig())
+    n_ut = scene.link.ut_dims[0] * scene.link.ut_dims[1]
+    dense = n_ut * scene.geometry.n_elements * 16
+    tracemalloc.start()
+    try:
+        assert _run(["codebook", "--channel-check", "--out", tmp_path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 8
+    line = (tmp_path / "channel_check.csv").read_text().splitlines()[1]
+    assert line.startswith("0,")
 
 
 @pytest.mark.parametrize("job", sorted(DEFAULT_SHA256))

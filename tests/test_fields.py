@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobeams import fields
 
@@ -80,14 +85,11 @@ def test_timeseries_roundtrip(tmp_path):
                           metric_db=np.arange(3.0))
 
 
-def test_cdf_curve(tmp_path):
+def test_cdf_curve():
     c = fields.CdfCurve(thresholds_db=np.array([0.0, 1.0, 2.0]),
                         probs=np.array([1.0, 0.5, 0.25]), label="hex")
     assert c.prob_at(1.0) == 0.5
     assert c.prob_at(0.9) == 0.5  # nearest grid entry
-    p = tmp_path / "c.csv"
-    c.to_csv(p)
-    assert p.read_text().splitlines()[1] == "0.000000,1.000000"
     with pytest.raises(ValueError):
         fields.CdfCurve(thresholds_db=np.arange(3.0), probs=np.arange(2.0))
 
@@ -104,3 +106,100 @@ def test_cdf_set_requires_common_grid(tmp_path):
     lines = (tmp_path / "x.csv").read_text().splitlines()
     assert lines[0] == "threshold_db,prob_hex,prob_dft"
     assert lines[1] == "0.000000,1.000000,1.000000"
+
+
+# The per-cell loops the blocked writer replaced, kept as the byte oracle.
+def _map_oracle(m):
+    out = ["x_m,y_m,value\n"]
+    for iy, y in enumerate(m.ys):
+        for ix, x in enumerate(m.xs):
+            out.append(f"{x:.3f},{y:.3f},{m.values[iy, ix]:.6f}\n")
+    return "".join(out)
+
+
+def _series_oracle(ts):
+    out = ["t_s,serving_id,snr_db\n"]
+    for t, sid, m in zip(ts.t_s, ts.serving_id, ts.metric_db):
+        out.append(f"{t:.6f},{int(sid)},{m:.6f}\n")
+    return "".join(out)
+
+
+def _cdf_set_oracle(curves):
+    out = ["threshold_db," + ",".join(f"prob_{c.label}" for c in curves) + "\n"]
+    for i, th in enumerate(curves[0].thresholds_db):
+        row = ",".join(f"{c.probs[i]:.6f}" for c in curves)
+        out.append(f"{th:.6f},{row}\n")
+    return "".join(out)
+
+
+# -4e-7 prints as -0.000000; 5e-324 and 1e-310 are subnormal
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -4e-7, 4e-7, 1e300,
+            -1e300, 5e-324, -1e-310, 3.0, -17.0, 2.0**53, 0.0005, -0.0005]
+_values = st.one_of(st.sampled_from(_SPECIAL),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.integers(-10**6, 10**6).map(float))
+_BLOCK = 4
+
+
+def _column(draw, n):
+    return np.array(draw(st.lists(_values, min_size=n, max_size=n)), dtype=float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_writers_match_per_cell_oracle(tmp_path_factory, data):
+    # sizes straddle the (shrunk) block length: 1x1 maps up to several blocks
+    tmp_path = tmp_path_factory.mktemp("csv")
+    draw = data.draw
+    ny, nx = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    vals = _column(draw, 2 * ny * nx).reshape(ny, 2 * nx)
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    if layout == "strided":
+        vals = vals[:, ::2]
+    elif layout == "contiguous":
+        vals = np.ascontiguousarray(vals[:, :nx])
+    else:
+        vals = np.ascontiguousarray(vals[:, :nx].T).T
+    fmap = fields.FieldMap(xs=_column(draw, nx), ys=_column(draw, ny),
+                           values=vals)
+
+    n = draw(st.integers(0, 3 * _BLOCK + 1))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    ids = np.array(draw(st.lists(st.integers(-2**31, 2**31 - 1),
+                                 min_size=n, max_size=n)), dtype=dtype)
+    series = fields.TimeSeries(t_s=_column(draw, n), serving_id=ids,
+                               metric_db=_column(draw, n))
+
+    m = draw(st.integers(1, 2 * _BLOCK + 1))
+    base = np.linspace(-10.0, 20.0, m)
+    curves = [fields.CdfCurve(base, _column(draw, m), label)
+              for label in draw(st.sampled_from([["hex"], ["hex", "dft"]]))]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "BLOCK_LINES", _BLOCK)
+        fmap.to_csv(tmp_path / "m.csv")
+        series.to_csv(tmp_path / "s.csv")
+        fields.write_cdf_set(tmp_path / "c.csv", curves)
+    assert (tmp_path / "m.csv").read_bytes() == _map_oracle(fmap).encode()
+    assert (tmp_path / "s.csv").read_bytes() == _series_oracle(series).encode()
+    assert (tmp_path / "c.csv").read_bytes() == _cdf_set_oracle(curves).encode()
+
+
+def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch):
+    # a whole-file join, or whole-column lists, would hold every row at once;
+    # the writer holds one block of lines (each line, its share of the join
+    # and its encoded bytes) and one block of column values: well under
+    # 512 B per line
+    monkeypatch.setattr(fields, "BLOCK_LINES", 256)
+    n = 2**16
+    ts = fields.TimeSeries(t_s=np.arange(n) * 0.05,
+                           serving_id=np.arange(n) % 13,
+                           metric_db=np.sin(np.arange(n)) * 20.0)
+    tracemalloc.start()
+    try:
+        ts.to_csv(tmp_path / "ts.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "ts.csv").stat().st_size
+    assert peak < 512 * fields.BLOCK_LINES < size / 8

@@ -139,6 +139,24 @@ def test_rician_infinite_factor_drops_scatter(small_geome):
     assert np.array_equal(s.matrix, s.los_part)
 
 
+@pytest.mark.parametrize("k_rician", [10.0, 0.5, math.inf])
+@pytest.mark.parametrize("seed", [0, 7, 52])
+def test_fro_norms_match_dense_parts(small_geome, k_rician, seed):
+    p = link.LinkParams(f_carrier=11.45e9, bandwidth=250e6, p_tx_dbw=15.0,
+                        lp_cable_db=0.0, lp_at_db=0.017, noise_temp_dbk=24.1,
+                        k_rician=k_rician, ut_dims=(24, 24))
+    s = link.rician_sample((7e4, -2e4), small_geome, H, p,
+                           np.random.default_rng(seed))
+    dense = [float(np.linalg.norm(m))
+             for m in (s.matrix, s.los_part, s.rician_part)]
+    # a sum of n squares carries a relative rounding error of at most n * eps
+    n = s.matrix.size
+    assert s.fro_norms() == pytest.approx(dense, rel=n * np.finfo(float).eps,
+                                          abs=0.0)
+    if k_rician == math.inf:
+        assert s.fro_norms()[2] == 0.0
+
+
 def test_scatter_trace_normalization():
     # E[|a|^2] per entry is 1, so the squared norm of a 576-entry draw
     # averages to 576; 10^4 seeded draws must land within 2%
