@@ -27,6 +27,8 @@ from .link import rician_sample
 from .simulate import (coverage_map, dominance_violations, handover_map,
                        pass_timeseries, sinr_cdf)
 
+HASH_BLOCK = 2**20  # bytes read per sha256 update
+
 
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key = value config file")
@@ -117,9 +119,11 @@ class _Emitter:
         return os.path.join(self.out_dir, name)
 
     def done(self, name: str) -> None:
+        digest = hashlib.sha256()
         with open(self.path(name), "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        self.records.append((name, digest))
+            for block in iter(lambda: fh.read(HASH_BLOCK), b""):
+                digest.update(block)
+        self.records.append((name, digest.hexdigest()))
 
     def field_map(self, stem: str, fmap) -> None:
         """Write a map as <stem>.csv and <stem>.ppm and record both."""

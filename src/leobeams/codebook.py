@@ -40,12 +40,6 @@ def lattice_scaling(h_sat: float, oversampling: float,
             math.pi * h_sat / (oversampling * n_y))
 
 
-def cycle_period(h_sat: float, cycle_len: int, w_sat: float, earth_radius: float,
-                 oversampling: float, n_sub_x: int) -> float:
-    """Update period: the lattice advances one x period per full cycle."""
-    return math.pi * h_sat / (cycle_len * w_sat * earth_radius * oversampling * n_sub_x)
-
-
 def make_lattice_spec(h_sat: float, oversampling: float,
                       subarray_dims: tuple[int, int], cycle_len: int,
                       v_ground: float) -> LatticeSpec:

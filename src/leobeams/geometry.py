@@ -1,10 +1,11 @@
-"""Orbit kinematics, flat-plane ground geometry, and frame conversions.
+"""Orbit kinematics, flat-plane ground geometry, and the region of interest.
 
 The satellite flies along +x at constant altitude over a locally flat ground
 plane. The ground frame is pinned so that the sub-satellite point crosses the
 origin at t = 0; the satellite frame keeps the sub-satellite point at the
 origin for all t. The two frames differ by a translation of the ground-track
-distance along x.
+distance along x: ground point x sits at x - v_ground * t in the satellite
+frame at time t.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ def direction_to(x, y, h_sat: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     r = slant_range(x, y, h_sat)
     return np.stack([x / r, y / r, -h_sat / r], axis=-1)
-
-
-def ground_to_sat_frame(x, y, t: float, v_ground: float):
-    """Ground-frame coordinates -> satellite-frame coordinates at time t."""
-    return np.asarray(x, dtype=float) - v_ground * t, np.asarray(y, dtype=float)
-
-
-def sat_to_ground_frame(x, y, t: float, v_ground: float):
-    """Satellite-frame coordinates -> ground-frame coordinates at time t."""
-    return np.asarray(x, dtype=float) + v_ground * t, np.asarray(y, dtype=float)
 
 
 @dataclass(frozen=True)

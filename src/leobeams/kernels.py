@@ -9,12 +9,19 @@ is exact for the full panel.
 The offset angle a = a_p - a_t splits into a per-point and a per-beam part,
 so angle addition, sin(a_p - a_t) = sin a_p cos a_t - cos a_p sin a_t (and
 the same for n a), takes every sin and cos once per point and once per beam
-on each axis; the (points x beams) matrix sees only multiplies and adds. The
+on each axis; the point-beam matrix sees only multiplies and adds. The
 difference of products carries a rounding error of a few ulp of 1, so the
 Dirichlet ratio's relative error grows as 1 / |sin a| where sin a -> 0: at
 the beam's own target (below _EPS the exact limit n^2 is used) and at its
 grating lobes |a| -> pi. Relative to the peak gain it stays within a few
 ulp / |sin a| on each axis.
+
+The matrix is computed as a C-ordered (beams x points) array and returned
+as its (points x beams) transpose. A scene has 10 to 15 beams and thousands
+of points per call, so in this layout every elementwise pass, and the
+serving-beam reduction over beams, runs along rows of thousands of
+contiguous values instead of rows of 10 to 15. Multiplication commutes in
+IEEE arithmetic, so every value is bit-identical to the other layout's.
 """
 
 from __future__ import annotations
@@ -29,7 +36,9 @@ def gain_matrix(px, py, tx, ty, h_sat, n_x, n_y, spacing):
 
     px, py: satellite-frame point coordinates [m], shape (n_points,).
     tx, ty: beam target coordinates [m], shape (n_beams,).
-    Returns shape (n_points, n_beams), values in [0, n_x * n_y].
+    Returns shape (n_points, n_beams), values in [0, n_x * n_y]: the
+    transpose of a C-ordered (n_beams, n_points) array, whose `.T` has one
+    contiguous row per beam.
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
@@ -41,18 +50,19 @@ def gain_matrix(px, py, tx, ty, h_sat, n_x, n_y, spacing):
     g = _dirichlet_sq(k * (px / rp), k * (tx / rt), n_x)
     g *= _dirichlet_sq(k * (py / rp), k * (ty / rt), n_y)
     g /= n_x * n_y
-    return g
+    return g.T
 
 
 def _sin_diff(u, v):
-    """sin(u[:, None] - v[None, :]) by angle addition."""
-    s = np.multiply.outer(np.sin(u), np.cos(v))
-    s -= np.multiply.outer(np.cos(u), np.sin(v))
+    """sin(u[None, :] - v[:, None]) by angle addition: one row per v."""
+    s = np.multiply.outer(np.cos(v), np.sin(u))
+    s -= np.multiply.outer(np.sin(v), np.cos(u))
     return s
 
 
 def _dirichlet_sq(ap, at, n):
-    """(sin(n a) / sin a)^2 at a = ap[:, None] - at[None, :]; n^2 where sin a ~ 0."""
+    """(sin(n a) / sin a)^2 at a = ap[None, :] - at[:, None], shape
+    (at.size, ap.size); n^2 where sin a ~ 0."""
     s = _sin_diff(ap, at)
     small = np.abs(s) < _EPS
     s[small] = 1.0

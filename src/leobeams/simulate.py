@@ -107,9 +107,13 @@ def _serve(scene: Scene, px, py, mode: str,
            iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Serving ID, serving gain and summed interferer gain at each point.
 
-    Max gain wins, exact ties go to the lowest ID: the columns are in
-    ascending-ID order and argmax takes the first maximum. One kernel call per
-    slice of CHUNK points; row sums and the argmax do not depend on the slicing.
+    Max gain wins, exact ties go to the lowest ID. One kernel call per slice
+    of CHUNK points; its transpose has one contiguous row per beam, in
+    ascending-ID order. A running max walks those rows: a later row takes
+    the point only with a strictly larger gain, so ties stay on the lowest
+    ID. The summed gain adds the rows in the same ascending-ID order, one
+    sequential sum per point, and the interferer sum is that total less
+    the serving gain. None of it depends on the slicing.
     """
     tx, ty, ids = _beam_arrays(scene, mode, iteration)
     px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
@@ -117,11 +121,15 @@ def _serve(scene: Scene, px, py, mode: str,
     g_serve, interf = np.empty(px.size), np.empty(px.size)
     for a in range(0, px.size, CHUNK):
         s = slice(a, a + CHUNK)
-        gains = _gains(scene, px[s], py[s], tx, ty)
-        k = gains.argmax(axis=1)
-        best = gains[np.arange(k.size), k]
+        rows = _gains(scene, px[s], py[s], tx, ty).T
+        k = np.zeros(rows.shape[1], dtype=np.intp)
+        best, total = rows[0].copy(), rows[0].copy()
+        for b in range(1, rows.shape[0]):
+            k[rows[b] > best] = b
+            np.maximum(best, rows[b], out=best)
+            total += rows[b]
         sid[s] = ids[k]
-        g_serve[s], interf[s] = best, gains.sum(axis=1) - best
+        g_serve[s], interf[s] = best, total - best
     return sid, g_serve, interf
 
 
@@ -133,12 +141,17 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
 
 
 def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
-    """Grid over the ROI box holding fill(px, py) at in-ROI nodes, NaN elsewhere."""
+    """Grid over the ROI box holding fill(px, py) at in-ROI nodes, NaN elsewhere.
+
+    The mask is built row by row, so no full-box coordinate grid is made.
+    """
     xs, ys = roi_grid(roi, step, key)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    mask = roi.contains(gx, gy)
-    vals = np.full(gx.shape, np.nan)
-    vals[mask] = fill(gx[mask], gy[mask])
+    mask = np.empty((ys.size, xs.size), dtype=bool)
+    for iy, y in enumerate(ys):
+        mask[iy] = roi.contains(xs, y)
+    vals = np.full(mask.shape, np.nan)
+    vals[mask] = fill(np.broadcast_to(xs, mask.shape)[mask],
+                      np.repeat(ys, np.count_nonzero(mask, axis=1)))
     return FieldMap(xs=xs, ys=ys, values=vals)
 
 

@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from leobeams import cli
@@ -77,6 +78,24 @@ def test_channel_check_memory_stays_below_one_dense_matrix(tmp_path):
     assert peak < dense / 8
     line = (tmp_path / "channel_check.csv").read_text().splitlines()[1]
     assert line.startswith("0,")
+
+
+def test_output_hashing_is_bounded_by_one_block(tmp_path):
+    # a file of several blocks plus a partial one hashes to the digest of
+    # its bytes, while done() holds no more than a couple of blocks
+    data = np.random.default_rng(0).bytes(6 * cli.HASH_BLOCK + 12345)
+    (tmp_path / "big.bin").write_bytes(data)
+    want = hashlib.sha256(data).hexdigest()
+    del data
+    emit = cli._Emitter(str(tmp_path), SceneConfig())
+    tracemalloc.start()
+    try:
+        emit.done("big.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emit.records == [("big.bin", want)]
+    assert peak < 3 * cli.HASH_BLOCK
 
 
 @pytest.mark.parametrize("job", sorted(DEFAULT_SHA256))

@@ -5,7 +5,8 @@ import pytest
 
 from leobeams import codebook as cb
 from leobeams.antenna import beam_gain, satellite_array
-from leobeams.geometry import Roi, direction_to, ground_track_speed
+from leobeams.geometry import (EARTH_RADIUS, Roi, angular_speed, direction_to,
+                               ground_track_speed)
 
 H = 1.3e6
 RX, RY = 534.1e3, 170.5e3
@@ -52,9 +53,9 @@ def test_cycle_period_oracles(spec):
     assert spec.t_c == pytest.approx(10.1518, abs=2e-4)
     one = cb.make_lattice_spec(H, 1.4, (12, 24), 1, vg)
     assert one.t_c == pytest.approx(40.607, abs=1e-3)
-    # the standalone formula agrees with the composed LatticeSpec value
-    from leobeams.geometry import EARTH_RADIUS, angular_speed
-    direct = cb.cycle_period(H, 4, angular_speed(H), EARTH_RADIUS, 1.4, 12)
+    # the closed form pi h / (L w R_e O n_x): the lattice advances one x
+    # period per full cycle of L updates
+    direct = math.pi * H / (4 * angular_speed(H) * EARTH_RADIUS * 1.4 * 12)
     assert direct == pytest.approx(spec.t_c, rel=1e-12)
 
 

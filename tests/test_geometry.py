@@ -55,14 +55,6 @@ def test_range_times_direction_reconstructs_point():
     assert r * v == pytest.approx([x, y, -H], rel=1e-12)
 
 
-def test_frame_round_trip():
-    vg = geo.ground_track_speed(H)
-    x, y, t = 2.5e5, -7.5e4, 13.7
-    sx, sy = geo.ground_to_sat_frame(x, y, t, vg)
-    gx, gy = geo.sat_to_ground_frame(sx, sy, t, vg)
-    assert abs(gx - x) < 1e-9 and abs(gy - y) < 1e-9
-
-
 def test_roi_contains_boundary_and_extent():
     roi = geo.Roi(534.1e3, 170.5e3)
     assert roi.contains(534.1e3, 0.0)

@@ -41,6 +41,16 @@ def test_kernel_own_target_equals_subarray_size():
     assert np.diag(g) == pytest.approx(288.0, rel=1e-12)
 
 
+def test_kernel_rows_are_contiguous_per_beam():
+    # the layout guard: the kernel computes beams x points, so the serving
+    # reductions walk one contiguous row of points per beam
+    rng = np.random.default_rng(2)
+    px, py, tx, ty = _random_case(rng, n_pts=50, n_beams=13)
+    g = kernels.gain_matrix(px, py, tx, ty, H, 12, 24, 0.5)
+    assert g.shape == (50, 13)
+    assert g.T.flags.c_contiguous
+
+
 def test_kernel_handles_near_coincident_directions():
     g = kernels.gain_matrix(np.array([1e-7]), np.array([0.0]),
                             np.array([0.0]), np.array([0.0]),

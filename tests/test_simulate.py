@@ -159,6 +159,51 @@ def test_cdf_from_map_matches_boolean_mean(vals, thr):
     assert np.array_equal(curve.probs, oracle)
 
 
+@st.composite
+def _serve_case(draw):
+    """A points x beams gain matrix of 1, 10, 13 or 15 beams, about half of
+    it from a pool of two or three values so exact ties are common,
+    ascending IDs, and a CHUNK of 1 to 9 points."""
+    n_beams = draw(st.sampled_from([1, 10, 13, 15]))
+    n_points = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.floats(0.0, 288.0), min_size=2, max_size=3))
+    value = st.sampled_from(pool) | st.floats(0.0, 288.0)
+    n = n_points * n_beams
+    gains = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    ids = sorted(draw(st.sets(st.integers(0, 99), min_size=n_beams,
+                              max_size=n_beams)))
+    return (gains.reshape(n_points, n_beams), np.array(ids),
+            draw(st.integers(1, 9)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_serve_case())
+def test_serve_running_max_matches_argmax_oracle(scene, case):
+    gains, ids, chunk = case
+    n_points, n_beams = gains.shape
+
+    def kernel(px, *args):  # the kernel's layout: a transposed C array
+        return np.ascontiguousarray(gains[px.astype(int)].T).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "CHUNK", chunk)
+        mp.setattr(sim, "gain_matrix", kernel)
+        mp.setattr(sim, "_beam_arrays", lambda *a: (
+            np.zeros(n_beams), np.zeros(n_beams), ids))
+        px, py = np.arange(n_points, dtype=float), np.zeros(n_points)
+        sid, g_serve, interf = sim._serve(scene, px, py, "hex", 0)
+    # the oracle: argmax and row sums over the points x beams matrix
+    k = gains.argmax(axis=1)
+    best = gains[np.arange(n_points), k]
+    total = gains.sum(axis=1)
+    assert np.array_equal(sid, ids[k])
+    assert np.array_equal(g_serve, best)
+    # the two sums add the same n_beams non-negative terms in different
+    # orders, each within (n_beams - 1) eps/2 total of the exact sum, and
+    # subtracting the serving gain rounds each once more, by eps/2 total
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(interf - (total - best)) <= n_beams * eps * total)
+
+
 def _chunk_probe_outputs(scene):
     maps = [sim.coverage_map(scene, metric, mode, step=10e3)
             for metric in ("snr", "sinr", "cell") for mode in sim.MAP_MODES]
