@@ -3,9 +3,9 @@
 The beam targets of iteration k form a hexagonal lattice shifted back along x
 by k/K of one lattice period, clipped to the elliptical region of interest.
 Advancing one iteration per update period freezes the beam footprints on the
-ground. Beam IDs are assigned so that a ground location keeps a single ID for
-the whole pass: base labels follow the (y, x) ordering of the eventually
-active lattice points and increment cyclically once per K-iteration cycle.
+ground. A ground node keeps a single beam ID for the whole pass: its base
+label is its (y, x) rank among the nodes active in some iteration of one
+lattice enumeration, and IDs increment cyclically once per K-iteration cycle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class LatticeSpec:
 
     c_x: float          # lattice period along x [m]
     c_y: float          # lattice scaling along y [m]
-    oversampling: float
     cycle_len: int      # iterations per cycle (K)
     t_c: float          # update period [s]
 
@@ -46,8 +45,8 @@ def make_lattice_spec(h_sat: float, oversampling: float,
     c_x, c_y = lattice_scaling(h_sat, oversampling, subarray_dims)
     if cycle_len < 1:
         raise ValueError("cycle_len must be at least 1")
-    return LatticeSpec(c_x=c_x, c_y=c_y, oversampling=oversampling,
-                       cycle_len=cycle_len, t_c=c_x / (cycle_len * v_ground))
+    return LatticeSpec(c_x=c_x, c_y=c_y, cycle_len=cycle_len,
+                       t_c=c_x / (cycle_len * v_ground))
 
 
 def _sorted_yx(points: np.ndarray) -> np.ndarray:
@@ -55,22 +54,33 @@ def _sorted_yx(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
+def _lattice(spec: LatticeSpec, roi: Roi) -> tuple[np.ndarray, np.ndarray]:
+    """Targets (K x nodes x 2) of both sub-lattices and their in-ROI mask.
+
+    Iteration k puts node (i, j) at (c_x * (i - k/K), sqrt(3) * c_y * j), with
+    half-integer (i, j) on the offset sub-lattice. The index box covers the
+    ROI at every shift; nodes come in (y, x) label order.
+    """
+    ny = math.sqrt(3.0) * spec.c_y
+    i_hi = int(math.ceil((roi.semi_x + spec.c_x) / spec.c_x)) + 2
+    j_hi = int(math.ceil(roi.semi_y / ny)) + 2
+    gi, gj = np.meshgrid(np.arange(-i_hi, i_hi + 1, dtype=float),
+                         np.arange(-j_hi, j_hi + 1, dtype=float), indexing="ij")
+    i = np.concatenate([gi.ravel(), gi.ravel() + 0.5])
+    j = np.concatenate([gj.ravel(), gj.ravel() + 0.5])
+    order = np.lexsort((i, j))
+    shift = np.arange(spec.cycle_len)[:, None] / spec.cycle_len
+    x = spec.c_x * (i[order] - shift)
+    pts = np.stack(np.broadcast_arrays(x, ny * j[order]), axis=-1)
+    return pts, roi.contains(pts[..., 0], pts[..., 1])
+
+
 def iteration_lattice(k: int, spec: LatticeSpec, roi: Roi) -> np.ndarray:
     """Satellite-frame lattice points of iteration k inside the ROI, sorted by (y, x)."""
     if k < 0:
         raise ValueError("iteration index must be non-negative")
-    shift = (k % spec.cycle_len) / spec.cycle_len
-    ny = math.sqrt(3.0) * spec.c_y
-    i_hi = int(math.ceil(roi.semi_x / spec.c_x)) + 2
-    j_hi = int(math.ceil(roi.semi_y / ny)) + 2
-    i = np.arange(-i_hi, i_hi + 1, dtype=float)
-    j = np.arange(-j_hi, j_hi + 1, dtype=float)
-    gi, gj = np.meshgrid(i, j, indexing="ij")
-    main = np.column_stack([spec.c_x * (gi.ravel() - shift), ny * gj.ravel()])
-    offs = np.column_stack([spec.c_x * (gi.ravel() + 0.5 - shift),
-                            ny * (gj.ravel() + 0.5)])
-    pts = np.vstack([main, offs])
-    return _sorted_yx(pts[roi.contains(pts[:, 0], pts[:, 1])])
+    pts, mask = _lattice(spec, roi)
+    return pts[k % spec.cycle_len][mask[k % spec.cycle_len]]
 
 
 def eventually_active_points(spec: LatticeSpec, roi: Roi) -> np.ndarray:
@@ -78,19 +88,8 @@ def eventually_active_points(spec: LatticeSpec, roi: Roi) -> np.ndarray:
 
     The (y, x) order defines the beam labels 0..n_beams-1.
     """
-    ny = math.sqrt(3.0) * spec.c_y
-    i_hi = int(math.ceil((roi.semi_x + spec.c_x) / spec.c_x)) + 2
-    j_hi = int(math.ceil(roi.semi_y / ny)) + 2
-    i = np.arange(-i_hi, i_hi + 1, dtype=float)
-    j = np.arange(-j_hi, j_hi + 1, dtype=float)
-    gi, gj = np.meshgrid(i, j, indexing="ij")
-    main = np.column_stack([spec.c_x * gi.ravel(), ny * gj.ravel()])
-    offs = np.column_stack([spec.c_x * (gi.ravel() + 0.5), ny * (gj.ravel() + 0.5)])
-    pts = np.vstack([main, offs])
-    keep = np.zeros(len(pts), dtype=bool)
-    for k in range(spec.cycle_len):
-        keep |= roi.contains(pts[:, 0] - k * spec.c_x / spec.cycle_len, pts[:, 1])
-    return _sorted_yx(pts[keep])
+    pts, mask = _lattice(spec, roi)
+    return pts[0][mask.any(axis=0)]
 
 
 def beam_precoder(point: np.ndarray, geometry: ArrayGeometry, rf_chain: int,
@@ -123,10 +122,9 @@ class CodebookCycle:
     its ID for the whole pass.
     """
 
-    def __init__(self, iterations: list[list[LabeledBeam]], lattice: LatticeSpec,
+    def __init__(self, iterations: list[list[LabeledBeam]],
                  labeled_points: np.ndarray):
         self.iterations = iterations
-        self.lattice = lattice
         self.labeled_points = labeled_points
 
     @property
@@ -135,64 +133,44 @@ class CodebookCycle:
 
     @property
     def cycle_len(self) -> int:
-        return self.lattice.cycle_len
+        return len(self.iterations)
 
     def targets(self, k: int) -> np.ndarray:
         return np.array([b.target for b in self.iterations[k % self.cycle_len]])
 
     def beam_ids(self, g: int) -> np.ndarray:
         """Stable beam IDs of global iteration g (g may be negative)."""
-        k = g % self.cycle_len
-        m = g // self.cycle_len
+        m, k = divmod(g, self.cycle_len)
         base = np.array([b.beam_id for b in self.iterations[k]])
         return (base + m) % self.n_beams
 
 
-def _base_label(point: np.ndarray, labeled: np.ndarray, tol: float) -> int:
-    d2 = np.square(labeled[:, 0] - point[0]) + np.square(labeled[:, 1] - point[1])
-    idx = int(np.argmin(d2))
-    if d2[idx] > tol * tol:
-        raise RuntimeError("active lattice point missing from the labeled set")
-    return idx
-
-
 def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec,
                 roi: Roi) -> CodebookCycle:
-    """Construct all K iterations with labeled beams and per-iteration RF chains."""
-    labeled = eventually_active_points(spec, roi)
+    """Construct all K iterations with labeled beams and per-iteration RF chains.
+
+    A node's label is its rank among the eventually active nodes; an
+    iteration's beams are its active nodes in label order, on chains 0, 1, ...
+    """
+    pts, mask = _lattice(spec, roi)
+    ever = mask.any(axis=0)
+    label = np.cumsum(ever) - 1
     iterations = []
-    for k in range(spec.cycle_len):
-        pts = iteration_lattice(k, spec, roi)
-        if len(pts) > geometry.n_rf:
-            raise ValueError(
-                f"iteration {k} needs {len(pts)} beams but only "
-                f"{geometry.n_rf} RF chains are available")
-        shift = k * spec.c_x / spec.cycle_len
-        ids = [_base_label(p + np.array([shift, 0.0]), labeled, 1.0) for p in pts]
-        order = np.argsort(ids)  # RF chains follow label order
-        beams = []
-        for chain, idx in enumerate(order):
-            p = pts[idx]
-            beams.append(LabeledBeam(
-                beam_id=ids[idx],
-                rf_chain=chain,
-                target=(float(p[0]), float(p[1])),
-            ))
-        iterations.append(beams)
-    return CodebookCycle(iterations, spec, labeled)
+    for k, on in enumerate(mask):
+        ids, targets = label[on].tolist(), pts[k][on].tolist()
+        if len(ids) > geometry.n_rf:
+            raise ValueError(f"iteration {k} needs {len(ids)} beams but only "
+                             f"{geometry.n_rf} RF chains are available")
+        iterations.append([LabeledBeam(beam_id=b, rf_chain=c, target=tuple(t))
+                           for c, (b, t) in enumerate(zip(ids, targets))])
+    return CodebookCycle(iterations, pts[0][ever])
 
 
 def _grid_shape(n_beams: int, aspect: float) -> tuple[int, int]:
     # factor pair closest in log-aspect to the ROI
-    best, score = (n_beams, 1), None
-    for cols in range(1, n_beams + 1):
-        if n_beams % cols:
-            continue
-        rows = n_beams // cols
-        s = abs(math.log((cols / rows) / aspect))
-        if score is None or s < score:
-            best, score = (cols, rows), s
-    return best
+    return min(((cols, n_beams // cols) for cols in range(1, n_beams + 1)
+                if n_beams % cols == 0),
+               key=lambda cr: abs(math.log((cr[0] / cr[1]) / aspect)))
 
 
 def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int = 15,
@@ -223,24 +201,14 @@ def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int = 15,
         raise ValueError(
             f"grid spacing yields {len(inside)} in-ROI beams, expected {n_beams}; "
             f"adjust the shrink factor")
-    inside = _sorted_yx(inside)
-    beams = []
-    for bid, p in enumerate(inside):
-        beams.append(LabeledBeam(
-            beam_id=bid,
-            rf_chain=bid % geometry.n_rf,
-            target=(float(p[0]), float(p[1])),
-        ))
-    return beams
+    return [LabeledBeam(beam_id=bid, rf_chain=bid % geometry.n_rf, target=tuple(p))
+            for bid, p in enumerate(_sorted_yx(inside).tolist())]
 
 
 def cycle_table(cycle: CodebookCycle) -> list[tuple[int, int, int, float, float]]:
     """Rows of (iteration, beam_id, rf_chain, target_x_m, target_y_m)."""
-    rows = []
-    for k, beams in enumerate(cycle.iterations):
-        for b in beams:
-            rows.append((k, b.beam_id, b.rf_chain, b.target[0], b.target[1]))
-    return rows
+    return [(k, b.beam_id, b.rf_chain, *b.target)
+            for k, beams in enumerate(cycle.iterations) for b in beams]
 
 
 def phase_table(beam: LabeledBeam, geometry: ArrayGeometry,

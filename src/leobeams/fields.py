@@ -85,14 +85,15 @@ class FieldMap:
             for x, v in zip(x_strs, row.tolist()):
                 yield f"{x}{y_str}{v:.6f}\n"
 
-    def to_ppm(self, path, vmin: float = None, vmax: float = None) -> None:
-        """Render to binary PPM; +y is the top image row, +x the right column."""
+    def to_ppm(self, path) -> None:
+        """Render to binary PPM; +y is the top image row, +x the right column.
+
+        The color ramp spans the finite values' min to max.
+        """
         vals = self.values
         finite = np.isfinite(vals)
-        if vmin is None:
-            vmin = float(vals[finite].min()) if finite.any() else 0.0
-        if vmax is None:
-            vmax = float(vals[finite].max()) if finite.any() else 1.0
+        vmin = float(vals[finite].min()) if finite.any() else 0.0
+        vmax = float(vals[finite].max()) if finite.any() else 1.0
         span = vmax - vmin
         t = (vals - vmin) / span if span > 0 else np.full_like(vals, 0.5)
         rgb = color_ramp(np.where(finite, t, 0.0))

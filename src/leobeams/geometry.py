@@ -72,10 +72,10 @@ class Roi:
         if self.semi_x <= 0 or self.semi_y <= 0:
             raise ValueError("Roi semi-radii must be positive")
 
-    def contains(self, x, y, tol: float = 1e-9):
-        """Ellipse inequality, boundary points included."""
+    def contains(self, x, y):
+        """Ellipse inequality, boundary points (to 1e-9 of the norm) included."""
         return (np.square(np.asarray(x) / self.semi_x)
-                + np.square(np.asarray(y) / self.semi_y)) <= 1.0 + tol
+                + np.square(np.asarray(y) / self.semi_y)) <= 1.0 + 1e-9
 
     def x_extent(self, y):
         """Half-width of the ellipse along x at height y (0 outside)."""

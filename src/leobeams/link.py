@@ -141,23 +141,21 @@ def draw_scatter(n_ut: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def rician_sample(point_xy, sat_geometry: ArrayGeometry, h_sat: float,
-                  params: LinkParams, rng: np.random.Generator = None,
-                  ut_spacing: float = 0.5) -> ChannelSample:
+                  params: LinkParams, rng: np.random.Generator) -> ChannelSample:
     """Draw the Rician channel matrix toward a satellite-frame ground point.
 
     H = gamma * (a_ut + sqrt(1/k_rician) * a_scatter) outer conj(a_sat), where
     gamma is the aggregate loss magnitude (phase not modeled), returned as its
-    rank-1 factors. Deterministic given the generator state.
+    rank-1 factors. The terminal array has half-wavelength spacing.
+    Deterministic given the generator state.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     x, y = float(point_xy[0]), float(point_xy[1])
     v_down = direction_to(x, y, h_sat)
     r = slant_range(x, y, h_sat)
     gamma = 10.0 ** (-(fspl(r, params.f_carrier, params.light_speed)
                        + params.lp_at_db + params.lp_cable_db) / 20.0)
     a_sat = steering_vector(sat_geometry.positions, v_down)
-    ut_pos = upa_positions(params.ut_dims[0], params.ut_dims[1], ut_spacing)
+    ut_pos = upa_positions(params.ut_dims[0], params.ut_dims[1], 0.5)
     a_ut = steering_vector(ut_pos, -v_down)
     a_scatter = draw_scatter(a_ut.shape[0], rng)
     scaled = float(np.sqrt(1.0 / params.k_rician)) if np.isfinite(params.k_rician) else 0.0

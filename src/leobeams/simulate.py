@@ -35,6 +35,8 @@ UPDATE_SUBSTEPS = 20            # time samples per codebook update period
 CHUNK = 8192                    # points per gain-kernel call
 MAX_SAMPLES = 2**22             # time samples of one pass series or sweep row
 MAX_CELLS = 2**23               # grid nodes of one map's ROI box
+CDF_THRESHOLDS_DB = np.arange(-10.0, 20.0001, 0.25)  # SINR CDF abscissae [dB]
+CDF_THRESHOLDS_DB.flags.writeable = False            # shared by every curve
 
 MAP_MODES = ("hex", "dft")
 PASS_MODES = ("static", "dynamic", "dft")
@@ -143,15 +145,22 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
 def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
     """Grid over the ROI box holding fill(px, py) at in-ROI nodes, NaN elsewhere.
 
-    The mask is built row by row, so no full-box coordinate grid is made.
+    The mask is built row by row, so no full-box coordinate grid is made, and
+    fill is called once per block of whole rows of about 16 * CHUNK nodes, so
+    its per-point arrays do not grow with the grid. fill must treat each
+    point, or each row, on its own.
     """
     xs, ys = roi_grid(roi, step, key)
     mask = np.empty((ys.size, xs.size), dtype=bool)
     for iy, y in enumerate(ys):
         mask[iy] = roi.contains(xs, y)
     vals = np.full(mask.shape, np.nan)
-    vals[mask] = fill(np.broadcast_to(xs, mask.shape)[mask],
-                      np.repeat(ys, np.count_nonzero(mask, axis=1)))
+    rows = max(1, 16 * CHUNK // xs.size)
+    for r in range(0, ys.size, rows):
+        m = mask[r:r + rows]
+        counts = np.count_nonzero(m, axis=1)
+        vals[r:r + rows][m] = fill(np.broadcast_to(xs, m.shape)[m],
+                                   np.repeat(ys[r:r + rows], counts))
     return FieldMap(xs=xs, ys=ys, values=vals)
 
 
@@ -193,13 +202,12 @@ def cdf_from_map(fmap: FieldMap, thresholds_db: np.ndarray,
     return CdfCurve(thresholds_db=thresholds_db, probs=probs, label=label)
 
 
-def sinr_cdf(scene: Scene, modes=MAP_MODES, thresholds_db: np.ndarray = None,
-             iteration: int = 0, step: float = DEFAULT_GRID_STEP) -> list[CdfCurve]:
-    """Coverage curves prob(SINR > threshold) over the in-ROI grid."""
-    if thresholds_db is None:
-        thresholds_db = np.arange(-10.0, 20.0001, 0.25)
+def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
+             step: float = DEFAULT_GRID_STEP) -> list[CdfCurve]:
+    """Coverage curves prob(SINR > threshold), one per mode, over the in-ROI
+    grid at the thresholds CDF_THRESHOLDS_DB."""
     return [cdf_from_map(coverage_map(scene, "sinr", mode, iteration, step),
-                         thresholds_db, label=mode) for mode in modes]
+                         CDF_THRESHOLDS_DB, label=mode) for mode in modes]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ from leobeams.config import SceneConfig, build_scene
 FAST = ["--set", "grid_step_m=25000", "--set", "handover_grid_step_m=25000"]
 PHASES_SHA256 = (
     "43fae1a89945d72cccc92845769297345d26e800b05586644f26ffe1b59f1c30")
+CYCLE_SHA256 = (
+    "220fecbf8e471f44016c0798edc05768e578c8ef2e2ec7bad1a159444d655855")
+DFT_GRID_SHA256 = (
+    "84f910d94bb3b05be6d6c8e4c1178c07da9bf816aad93ca84a1d3491a828e025")
 # default-config output bytes, recorded before the chunked serving evaluator
 DEFAULT_SHA256 = {
     "map": (["map", "--metric", "sinr", "--mode", "hex"], {
@@ -57,10 +61,12 @@ def test_codebook_outputs(tmp_path):
     assert lines[0] == "iteration,beam_id,rf_chain,target_x_m,target_y_m"
     assert len(lines) == 1 + 43
     assert len((out / "dft_grid.csv").read_text().splitlines()) == 1 + 15
-    # byte guard on the precoder phases; the same digest is recorded in
-    # perfbench/references.json
-    digest = hashlib.sha256((out / "phases.csv").read_bytes()).hexdigest()
-    assert digest == PHASES_SHA256
+    # byte guards on the codebook tables and the precoder phases; the same
+    # digests are recorded in perfbench/references.json
+    for name, want in (("cycle.csv", CYCLE_SHA256),
+                       ("dft_grid.csv", DFT_GRID_SHA256),
+                       ("phases.csv", PHASES_SHA256)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
 
 
 def test_channel_check_memory_stays_below_one_dense_matrix(tmp_path):

@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobeams import codebook as cb
 from leobeams.antenna import beam_gain, satellite_array
@@ -167,6 +170,79 @@ def test_single_iteration_cycle_matches_initial(roi):
     cyc = cb.build_cycle(geom, one, roi)
     assert len(cyc.iterations) == 1
     assert np.array_equal(cyc.targets(0), cb.iteration_lattice(0, one, roi))
+
+
+def _two_sub_lattices(spec, roi, i_hi, shift):
+    ny = math.sqrt(3.0) * spec.c_y
+    j_hi = int(math.ceil(roi.semi_y / ny)) + 2
+    gi, gj = np.meshgrid(np.arange(-i_hi, i_hi + 1, dtype=float),
+                         np.arange(-j_hi, j_hi + 1, dtype=float), indexing="ij")
+    main = np.column_stack([spec.c_x * (gi.ravel() - shift), ny * gj.ravel()])
+    offs = np.column_stack([spec.c_x * (gi.ravel() + 0.5 - shift),
+                            ny * (gj.ravel() + 0.5)])
+    return np.vstack([main, offs])
+
+
+def _oracle_lattice(k, spec, roi):
+    """Iteration k enumerated over its own index box."""
+    pts = _two_sub_lattices(spec, roi, int(math.ceil(roi.semi_x / spec.c_x)) + 2,
+                            (k % spec.cycle_len) / spec.cycle_len)
+    return cb._sorted_yx(pts[roi.contains(pts[:, 0], pts[:, 1])])
+
+
+def _oracle_cycle(spec, roi):
+    """Labeled points and (beam_id, rf_chain, target) rows of each iteration,
+    labeled by nearest-neighbour search from a second enumeration."""
+    i_hi = int(math.ceil((roi.semi_x + spec.c_x) / spec.c_x)) + 2
+    pts = _two_sub_lattices(spec, roi, i_hi, 0.0)
+    keep = np.zeros(len(pts), dtype=bool)
+    for k in range(spec.cycle_len):
+        keep |= roi.contains(pts[:, 0] - k * spec.c_x / spec.cycle_len, pts[:, 1])
+    labeled = cb._sorted_yx(pts[keep])
+    iterations = []
+    for k in range(spec.cycle_len):
+        rows = []
+        for p in _oracle_lattice(k, spec, roi):
+            d = np.hypot(labeled[:, 0] - p[0] - k * spec.c_x / spec.cycle_len,
+                         labeled[:, 1] - p[1])
+            assert d.min() < 1.0
+            rows.append((int(np.argmin(d)), (float(p[0]), float(p[1]))))
+        rows.sort()
+        iterations.append([(bid, chain, t) for chain, (bid, t) in enumerate(rows)])
+    return labeled, iterations
+
+
+@st.composite
+def _lattice_cases(draw):
+    h = draw(st.floats(0.5e6, 2e6))
+    spec = cb.make_lattice_spec(h, draw(st.floats(1.2, 1.7)),
+                                draw(st.sampled_from([(12, 24), (8, 8), (16, 4)])),
+                                draw(st.integers(1, 7)), ground_track_speed(h))
+    # semi-axes anywhere, or on a multiple of the node spacing so that nodes
+    # sit on the ellipse at some shift
+    semi_x = draw(st.one_of(
+        st.floats(1.0, 1.5e6),
+        st.integers(1, 40).map(lambda m: m * spec.c_x / (2 * spec.cycle_len))))
+    semi_y = draw(st.one_of(
+        st.floats(1.0, 1.5e6),
+        st.integers(1, 10).map(lambda m: m * math.sqrt(3.0) * spec.c_y / 2)))
+    return spec, Roi(semi_x, semi_y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_lattice_cases())
+def test_labels_by_lattice_rank_match_nearest_neighbour_oracle(case):
+    spec, roi = case
+    labeled, want = _oracle_cycle(spec, roi)
+    cyc = cb.build_cycle(SimpleNamespace(n_rf=10**6), spec, roi)
+    assert np.array_equal(cyc.labeled_points, labeled)
+    assert np.array_equal(cb.eventually_active_points(spec, roi), labeled)
+    assert cyc.cycle_len == spec.cycle_len
+    for k in range(spec.cycle_len):
+        assert [(b.beam_id, b.rf_chain, b.target) for b in cyc.iterations[k]] == want[k]
+    for k in range(3 * spec.cycle_len):
+        assert np.array_equal(cb.iteration_lattice(k, spec, roi),
+                              _oracle_lattice(k, spec, roi))
 
 
 def test_dft_baseline_grid(roi):

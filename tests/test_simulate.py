@@ -245,6 +245,21 @@ def test_coverage_map_memory_bounded_by_chunk(scene):
     assert peak < 2 * n_beams * 8 * n_points
 
 
+def test_fine_map_memory_bounded_by_grid_and_block(scene):
+    # fill runs on one block of whole rows (about 16 * CHUNK nodes) at a
+    # time, so a fine map peaks at its value grid (8 B per node) and mask
+    # (1 B per node) plus a block term that does not grow with the grid;
+    # one fill over every in-ROI node took about 72 B per node
+    xs, ys = sim.roi_grid(scene.roi, 500.0)
+    tracemalloc.start()
+    try:
+        sim.coverage_map(scene, step=500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * xs.size * ys.size + 128 * 16 * sim.CHUNK
+
+
 def test_pass_window(scene):
     t_in, t_out = sim.pass_window(scene, (0.0, 0.0))
     assert t_in == pytest.approx(-scene.roi.semi_x / scene.v_ground)
