@@ -12,6 +12,7 @@ Exit code 0 on success; nonzero with a single-line `error: ...` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -39,7 +40,10 @@ def _common(parser: argparse.ArgumentParser) -> None:
                         help="seed for the stochastic channel draw")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: argparse copies a list
+    default before appending to it, so calls never share their --set lists."""
     parser = argparse.ArgumentParser(
         prog="leobeams",
         description="Moving-satellite beam codebook simulator")

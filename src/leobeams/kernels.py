@@ -22,6 +22,13 @@ of points per call, so in this layout every elementwise pass, and the
 serving-beam reduction over beams, runs along rows of thousands of
 contiguous values instead of rows of 10 to 15. Multiplication commutes in
 IEEE arithmetic, so every value is bit-identical to the other layout's.
+
+The kernel is odd-symmetric in y: negating py and ty together negates every
+y-axis angle exactly, np.sin is odd and np.cos even, and IEEE rounding
+commutes with negation, so each sine difference flips sign bit for bit and
+its square, and so the gain, is unchanged. With points on y = 0 (+0.0 or
+-0.0) the differences of equal terms may differ only in the sign of a zero,
+which the _EPS branch maps to the same limit.
 """
 
 from __future__ import annotations

@@ -13,6 +13,15 @@ beam in between so the serving ID stays constant while footprints are frozen.
 Every serving decision goes through one evaluator, `_serve`, which walks the
 points in slices of CHUNK, so the gain matrix of one kernel call, and the
 memory of any evaluation, is bounded by CHUNK x n_beams whatever the grid size.
+
+The scene is symmetric about the ground track y = 0, bit for bit: the grid
+axes, every hex iteration's targets and the DFT grid are closed under
+y -> -y, and the kernel is odd-symmetric (np.sin is odd, np.cos even, and
+IEEE negation commutes with every rounding), so the gain of beam j at
+(x, -y) is the gain of its mirror beam M[j] at (x, y) exactly. `_serve`
+therefore evaluates the kernel once per mirror pair of points and answers
+for both: maps fill the rows y >= 0 and write rows y and -y, sweeps run the
+rows y >= 0, and a single point takes the side matching the sign of its y.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ DEFAULT_HANDOVER_STEP = 5000.0  # handover-map spacing [m]
 UPDATE_SUBSTEPS = 20            # time samples per codebook update period
 CHUNK = 8192                    # points per gain-kernel call
 MAX_SAMPLES = 2**22             # time samples of one pass series or sweep row
+SWEEP_BLOCK = 16 * CHUNK        # handover-sweep samples per _serve call
 MAX_CELLS = 2**23               # grid nodes of one map's ROI box
 CDF_THRESHOLDS_DB = np.arange(-10.0, 20.0001, 0.25)  # SINR CDF abscissae [dB]
 CDF_THRESHOLDS_DB.flags.writeable = False            # shared by every curve
@@ -105,33 +115,60 @@ def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
                        g.subarray_ny, g.spacing)
 
 
+def _mirror_order(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """M with M[j] the position of the beam whose target is (tx[j], -ty[j]).
+
+    Every codebook is closed under y -> -y, so a beam without an exact
+    mirror partner is a programming error and raises RuntimeError.
+    """
+    m = np.empty(tx.size, dtype=np.intp)
+    m[np.lexsort((-ty, tx))] = np.lexsort((ty, tx))
+    if not (np.array_equal(tx[m], tx) and np.array_equal(ty[m], -ty)):
+        raise RuntimeError("beam targets are not symmetric about y = 0")
+    return m
+
+
 def _serve(scene: Scene, px, py, mode: str,
            iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Serving ID, serving gain and summed interferer gain at each point.
+    """Serving ID, serving gain and summed interferer gain at (px, |py|) and
+    at its mirror (px, -|py|): each of shape (2, n points), row 0 for the
+    point at +|py| and row 1 for the one at -|py|.
 
     Max gain wins, exact ties go to the lowest ID. One kernel call per slice
-    of CHUNK points; its transpose has one contiguous row per beam, in
-    ascending-ID order. A running max walks those rows: a later row takes
-    the point only with a strictly larger gain, so ties stay on the lowest
-    ID. The summed gain adds the rows in the same ascending-ID order, one
-    sequential sum per point, and the interferer sum is that total less
+    of CHUNK points, at (px, |py|); its transpose has one contiguous row per
+    beam, in ascending-ID order. A running max walks those rows: a later row
+    takes the point only with a strictly larger gain, so ties stay on the
+    lowest ID. The summed gain adds the rows in the same ascending-ID order,
+    one sequential sum per point, and the interferer sum is that total less
     the serving gain. None of it depends on the slicing.
+
+    The mirrored point's gain for beam j is row M[j] (`_mirror_order`) bit
+    for bit, so the second walk takes rows M[0], M[1], ...: it replays the
+    walk a direct evaluation at (px, -|py|) would make, in ascending-ID
+    order. Walking the rows in their own order and mapping the winner
+    through M instead would break ties, and add the floating-point sum, in
+    another order, and so could change a serving ID or the last bit of an
+    interferer sum.
     """
     tx, ty, ids = _beam_arrays(scene, mode, iteration)
-    px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
-    sid = np.empty(px.size, dtype=np.int64)
-    g_serve, interf = np.empty(px.size), np.empty(px.size)
+    orders = (np.arange(ids.size), _mirror_order(tx, ty))
+    px = np.asarray(px, dtype=float)
+    py = np.abs(np.asarray(py, dtype=float))
+    sid = np.empty((2, px.size), dtype=np.int64)
+    g_serve, interf = np.empty((2, px.size)), np.empty((2, px.size))
     for a in range(0, px.size, CHUNK):
         s = slice(a, a + CHUNK)
         rows = _gains(scene, px[s], py[s], tx, ty).T
-        k = np.zeros(rows.shape[1], dtype=np.intp)
-        best, total = rows[0].copy(), rows[0].copy()
-        for b in range(1, rows.shape[0]):
-            k[rows[b] > best] = b
-            np.maximum(best, rows[b], out=best)
-            total += rows[b]
-        sid[s] = ids[k]
-        g_serve[s], interf[s] = best, total - best
+        for side, order in enumerate(orders):
+            k = np.zeros(rows.shape[1], dtype=np.intp)
+            best, total = rows[order[0]].copy(), rows[order[0]].copy()
+            for b in range(1, order.size):
+                row = rows[order[b]]
+                k[row > best] = b
+                np.maximum(best, row, out=best)
+                total += row
+            sid[side, s] = ids[k]
+            g_serve[side, s], interf[side, s] = best, total - best
     return sid, g_serve, interf
 
 
@@ -139,28 +176,36 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
                  iteration: int = 0) -> tuple[int, float]:
     """Serving beam ID and its linear gain at one satellite-frame point."""
     sid, g, _ = _serve(scene, [point_xy[0]], [point_xy[1]], mode, iteration)
-    return int(sid[0]), float(g[0])
+    side = int(point_xy[1] < 0)
+    return int(sid[side, 0]), float(g[side, 0])
 
 
 def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
-    """Grid over the ROI box holding fill(px, py) at in-ROI nodes, NaN elsewhere.
+    """Grid over the ROI box holding fill's values at in-ROI nodes, NaN elsewhere.
 
-    The mask is built row by row, so no full-box coordinate grid is made, and
-    fill is called once per block of whole rows of about 16 * CHUNK nodes, so
-    its per-point arrays do not grow with the grid. fill must treat each
-    point, or each row, on its own.
+    The grid and the ellipse are symmetric about y = 0 bit for bit
+    (ys[-1 - i] == -ys[i]), so fill(px, py) is called only on the nodes with
+    y >= 0 and returns shape (2, n): its values at (px, py) and at (px, -py).
+    Row y takes the first and row -y the second; the row y = 0 takes the
+    first. The mask is built row by row, so no full-box coordinate grid is
+    made, and fill is called once per block of whole rows of about
+    8 * CHUNK nodes a side, so its per-point arrays, both sides together,
+    do not grow with the grid. fill must treat each point, or each row, on
+    its own.
     """
     xs, ys = roi_grid(roi, step, key)
     mask = np.empty((ys.size, xs.size), dtype=bool)
     for iy, y in enumerate(ys):
         mask[iy] = roi.contains(xs, y)
     vals = np.full(mask.shape, np.nan)
-    rows = max(1, 16 * CHUNK // xs.size)
-    for r in range(0, ys.size, rows):
+    rows = max(1, 8 * CHUNK // xs.size)
+    for r in range(ys.size // 2, ys.size, rows):
         m = mask[r:r + rows]
         counts = np.count_nonzero(m, axis=1)
-        vals[r:r + rows][m] = fill(np.broadcast_to(xs, m.shape)[m],
-                                   np.repeat(ys[r:r + rows], counts))
+        up, down = fill(np.broadcast_to(xs, m.shape)[m],
+                        np.repeat(ys[r:r + rows], counts))
+        vals[::-1][r:r + rows][m] = down  # row i of vals[::-1] is row -y
+        vals[r:r + rows][m] = up
     return FieldMap(xs=xs, ys=ys, values=vals)
 
 
@@ -229,7 +274,9 @@ def _dynamic_associations(scene: Scene, px: np.ndarray, py: np.ndarray,
                           t_in: np.ndarray, t_out: np.ndarray):
     """Dynamic-codebook associations: point i at t_in[i], then at each update
     instant tau = g * t_c in (t_in[i], t_out[i]]. Yields (g, points, ids) per
-    iteration g: the associating point indices and their serving beam IDs.
+    iteration g: the associating point indices and their serving beam IDs,
+    shape (2, points), at (x, |y|) and at (x, -|y|). The window, and so every
+    association instant, is the same for both signs of y.
     """
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
     for g in range(int(g_in.min()), int(g_out.max()) + 1):
@@ -280,9 +327,10 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         raise ValueError("no samples fall inside the region of interest")
     sy = np.full_like(sx, y)
 
+    side = int(y < 0)
     if mode in ("static", "dft"):
         cb_mode = "hex" if mode == "static" else "dft"
-        sid, g_serve, _ = _serve(scene, sx, sy, cb_mode, 0)
+        sid, g_serve, _ = (a[side] for a in _serve(scene, sx, sy, cb_mode, 0))
     else:
         # one event per iteration from the first sample's to the last one's,
         # so every sample is written by the event of its own iteration
@@ -292,8 +340,8 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
                 scene, np.array([x_g]), np.array([y]), ts[:1], ts[-1:]):
             at = np.flatnonzero(g_s == g)
             tx, ty, ids = _beam_arrays(scene, "hex", g)
-            col = ids == held[0]
-            sid[at] = held[0]
+            col = ids == held[side, 0]
+            sid[at] = held[side, 0]
             for a in range(0, at.size, CHUNK):  # the held beam, not an argmax
                 i = at[a:a + CHUNK]
                 g_serve[i] = _gains(scene, sx[i], sy[i], tx[col], ty[col])[:, 0]
@@ -306,30 +354,52 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 # handover maps
 # ---------------------------------------------------------------------------
 
-def _swept_handover_counts(scene: Scene, px: np.ndarray, py: np.ndarray,
-                           cb_mode: str, dt: float) -> np.ndarray:
-    """Static-codebook handovers: every point of a row sees the same sweep."""
-    counts = np.zeros(px.size, dtype=np.int64)
-    for y in np.unique(py):
-        x_b = float(scene.roi.x_extent(y))
-        n = 2.0 * x_b / (scene.v_ground * dt) + 1e-9
-        _check_samples(n, dt)
-        sx = x_b - scene.v_ground * dt * np.arange(math.floor(n) + 1)
-        sx = sx[scene.roi.contains(sx, np.full_like(sx, y))]
-        sid = _serve(scene, sx, np.full_like(sx, y), cb_mode, 0)[0]
-        counts[py == y] = np.count_nonzero(sid[1:] != sid[:-1])
-    return counts
+def _swept_handover_counts(scene: Scene, py: np.ndarray, cb_mode: str,
+                           dt: float) -> np.ndarray:
+    """Static-codebook handovers at (x, py) and (x, -py), py >= 0, shape (2, n).
+
+    Every point of a row sees the same sweep, and row -y sees it mirrored,
+    so each row y >= 0 is swept once for both signs. The rows' samples go
+    through _serve together, SWEEP_BLOCK samples per call, and a row counts
+    the ID changes between its own consecutive samples. Rows are built a
+    group at a time, the rows whose first sample falls in one SWEEP_BLOCK of
+    the running sample count, so a group holds at most a block and a row.
+    """
+    ys = np.unique(py)
+    x_b = scene.roi.x_extent(ys)
+    n = 2.0 * x_b / (scene.v_ground * dt) + 1e-9
+    _check_samples(n.max(), dt)
+    n = np.floor(n).astype(np.int64) + 1
+    counts = np.empty((2, ys.size), dtype=np.int64)
+    group = (np.cumsum(n) - n) // SWEEP_BLOCK
+    for c in np.unique(group):
+        rows = np.flatnonzero(group == c)
+        sweeps = []
+        for r in rows:
+            sx = x_b[r] - scene.v_ground * dt * np.arange(n[r])
+            sweeps.append(sx[scene.roi.contains(sx, ys[r])])
+        sizes = np.array([sx.size for sx in sweeps])
+        sx, sy = np.concatenate(sweeps), np.repeat(ys[rows], sizes)
+        sid = np.empty((2, sx.size), dtype=np.int64)
+        for a in range(0, sx.size, SWEEP_BLOCK):
+            s = slice(a, a + SWEEP_BLOCK)
+            sid[:, s] = _serve(scene, sx[s], sy[s], cb_mode, 0)[0]
+        for r, a, b in zip(rows, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
+            counts[:, r] = np.count_nonzero(sid[:, a + 1:b] != sid[:, a:b - 1],
+                                            axis=1)
+    return counts[:, np.searchsorted(ys, py)]
 
 
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
                              py: np.ndarray) -> np.ndarray:
-    """Dynamic-codebook handovers: ID changes across the association events."""
+    """Dynamic-codebook handovers: ID changes across the association events,
+    at (px, |py|) and (px, -|py|), shape (2, n)."""
     t_in, t_out = pass_window(scene, (px, py))
-    prev = np.full(px.size, -1, dtype=np.int64)
-    counts = np.full(px.size, -1, dtype=np.int64)  # entry is no handover
+    prev = np.full((2, px.size), -1, dtype=np.int64)
+    counts = np.full((2, px.size), -1, dtype=np.int64)  # entry is no handover
     for _, pts, sid in _dynamic_associations(scene, px, py, t_in, t_out):
-        counts[pts] += sid != prev[pts]
-        prev[pts] = sid
+        counts[:, pts] += sid != prev[:, pts]
+        prev[:, pts] = sid
     return counts
 
 
@@ -344,7 +414,7 @@ def handover_map(scene: Scene, mode: str = "dynamic",
     cb_mode = "hex" if mode == "static" else "dft"
     return _roi_field(scene.roi, step, "handover_grid_step_m", lambda px, py: (
         _dynamic_handover_counts(scene, px, py) if mode == "dynamic"
-        else _swept_handover_counts(scene, px, py, cb_mode, dt)))
+        else _swept_handover_counts(scene, py, cb_mode, dt)))
 
 
 def dominance_violations(dynamic_map: FieldMap,

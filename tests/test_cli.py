@@ -45,6 +45,29 @@ DEFAULT_SHA256 = {
         "dominance_violations.csv":
             "cfb6a9149373b6a1565002921acfa64f41806e5250aeb305b5cf5cacb11c801a",
     }),
+    # recorded before the gain kernel was shared by y-mirrored points
+    "handover-dft": (["handover", "--mode", "dft"], {
+        "handover_dft.csv":
+            "8270bfc9220d479ddaa6291a9e54a1ec466983a2f9d9cb7d1931cb7204fe2c65",
+        "handover_dft.ppm":
+            "e563fa03ae59362a91a8a5e438f10518e812cca04b1cff0ce21d6ce684d3612b",
+    }),
+    "map-snr-iter1": (["map", "--metric", "snr", "--iter", "1"], {
+        "map_hex_snr.csv":
+            "16db2d37fe280f9aa5ee617131a8980d653e3314fc2bb75a42d980ba53b86220",
+        "map_hex_snr.ppm":
+            "c86474aa049afc59278712bd0b4f44a3507e71350782ec9cb886d2c8440fd9ac",
+    }),
+    "timeseries-dynamic-neg-y": (
+        ["timeseries", "--x", "123000", "--y", "-47000", "--mode", "dynamic"], {
+            "timeseries_dynamic.csv":
+                "7acc46c2f36d4ea9975cf04cb30330bf8db2bd053831777a4594411e1dd615d9",
+        }),
+    "timeseries-dft-neg-y": (
+        ["timeseries", "--x", "-210000", "--y", "-88000", "--mode", "dft"], {
+            "timeseries_dft.csv":
+                "82af5ba7676dd9255c4902ee1cecf2a69e0f81e3e01697cd2c46f9ba4a6c2d95",
+        }),
 }
 
 
@@ -253,6 +276,26 @@ def test_bad_cdf_mode_exits_nonzero(tmp_path, capsys):
     assert _run(["cdf", "--modes", "hex,warp", "--out", tmp_path / "o"]
                 + FAST) == 2
     assert "unknown codebook mode" in capsys.readouterr().err
+
+
+def test_cached_parser_keeps_each_calls_overrides(tmp_path):
+    # one parser serves every call; a --set list never leaks into the next
+    assert cli._build_parser() is cli._build_parser()
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert _run(["map", "--metric", "cell", "--out", a,
+                 "--set", "grid_step_m=40000"]) == 0
+    assert _run(["map", "--metric", "cell", "--out", b,
+                 "--set", "grid_step_m=50000", "--set", "seed=3"]) == 0
+    assert _run(["map", "--metric", "cell", "--out", c] + FAST) == 0
+    ma, mb, mc = ((d / "manifest.txt").read_text() for d in (a, b, c))
+    assert "grid_step_m = 40000.0" in ma and "seed = 0" in ma
+    assert "grid_step_m = 50000.0" in mb and "seed = 3" in mb
+    assert "grid_step_m = 25000.0" in mc and "seed = 0" in mc
+    parser = cli._build_parser()
+    x = parser.parse_args(["map", "--set", "seed=1"])
+    y = parser.parse_args(["map", "--set", "seed=2"])
+    assert x.overrides == ["seed=1"] and y.overrides == ["seed=2"]
+    assert parser.parse_args(["map"]).overrides == []
 
 
 def test_unknown_subcommand_rejected(capsys):

@@ -10,6 +10,7 @@ from leobeams import codebook as cb
 from leobeams.antenna import beam_gain, satellite_array
 from leobeams.geometry import (EARTH_RADIUS, Roi, angular_speed, direction_to,
                                ground_track_speed)
+from leobeams.simulate import _mirror_order
 
 H = 1.3e6
 RX, RY = 534.1e3, 170.5e3
@@ -243,6 +244,40 @@ def test_labels_by_lattice_rank_match_nearest_neighbour_oracle(case):
     for k in range(3 * spec.cycle_len):
         assert np.array_equal(cb.iteration_lattice(k, spec, roi),
                               _oracle_lattice(k, spec, roi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_lattice_cases(), st.integers(0, 3))
+def test_every_iteration_is_closed_under_y_mirror(case, cycles):
+    # each beam's target (x, y) has a partner at (x, -y) exactly, also for
+    # global iterations past the first cycle, whose IDs wrap
+    spec, roi = case
+    cyc = cb.build_cycle(SimpleNamespace(n_rf=10**6), spec, roi)
+    for k in range(spec.cycle_len):
+        t = cyc.targets(k + cycles * spec.cycle_len)
+        if t.size:
+            m = _mirror_order(t[:, 0], t[:, 1])
+            assert np.array_equal(t[m, 1], -t[:, 1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n_beams=st.integers(1, 30), shrink=st.floats(0.5, 1.0),
+       semi_x=st.floats(1e4, 1.5e6), semi_y=st.floats(1e4, 1.5e6))
+def test_dft_baseline_is_closed_under_y_mirror(n_beams, shrink, semi_x, semi_y):
+    # a grid the ROI does not fit to n_beams is rejected, not built
+    try:
+        beams = cb.dft_baseline(SimpleNamespace(n_rf=13), Roi(semi_x, semi_y),
+                                n_beams, shrink)
+    except ValueError:
+        return
+    t = np.array([b.target for b in beams])
+    m = _mirror_order(t[:, 0], t[:, 1])
+    assert np.array_equal(t[m, 1], -t[:, 1])
+
+
+def test_mirror_order_rejects_an_unpaired_beam():
+    with pytest.raises(RuntimeError, match="symmetric"):
+        _mirror_order(np.array([0.0, 1.0]), np.array([5.0, -5.0]))
 
 
 def test_dft_baseline_grid(roi):

@@ -7,6 +7,7 @@ from leobeams import antenna as ant
 from leobeams import kernels
 from leobeams.codebook import beam_precoder
 from leobeams.geometry import direction_to
+from leobeams.simulate import _mirror_order
 
 H = 1.3e6
 
@@ -174,3 +175,33 @@ def test_kernel_within_rounding_bound_of_direct_formula(case):
     kf, kr = fast.argmax(axis=1)[rows], ref.argmax(axis=1)[rows]
     gap = ref[rows, kr] - ref[rows, kf]
     assert np.all((kf == kr) | (gap <= tol[rows, kr] + tol[rows, kf]))
+
+
+# ---------------------------------------------------------------------------
+# mirror symmetry about y = 0
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_kernel_case(), st.lists(st.sampled_from([0.0, -0.0]), min_size=1,
+                                max_size=4), st.booleans())
+def test_kernel_is_odd_symmetric_in_y(case, zeros, zero_target):
+    # np.sin is odd and np.cos even, and IEEE negation commutes with every
+    # rounding, so negating py and ty together leaves each gain bit for bit;
+    # points sit on beam targets (the _EPS branch) and on y = +0.0 and -0.0
+    _, _, (px, py, tx, ty, h_sat, n_x, n_y, spacing) = case
+    if zero_target:
+        ty = ty.copy()
+        ty[0] = zeros[0]
+    zeros = np.array(zeros)
+    px = np.concatenate([px, tx, np.resize(tx, zeros.size)])
+    py = np.concatenate([py, ty, zeros])
+    rest = (h_sat, n_x, n_y, spacing)
+    g = kernels.gain_matrix(px, py, tx, ty, *rest)
+    assert g.tobytes() == kernels.gain_matrix(px, -py, tx, -ty, *rest).tobytes()
+    # on a beam set closed under y -> -y, the mirrored points see the same
+    # gains with the beams permuted by the mirror order M
+    tx2, ty2 = np.concatenate([tx, tx]), np.concatenate([ty, -ty])
+    m = _mirror_order(tx2, ty2)
+    up = kernels.gain_matrix(px, py, tx2, ty2, *rest)
+    down = kernels.gain_matrix(px, -py, tx2, ty2, *rest)
+    assert np.ascontiguousarray(up[:, m]).tobytes() == down.tobytes()

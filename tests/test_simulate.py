@@ -78,7 +78,9 @@ def test_serve_ids_follow_lowest_tied_id_rule(scene, mode, g):
     assert np.all(np.diff(ids) > 0)
     px, py = _grid_points(scene, 10e3)
     px, py = np.append(px, 0.0), np.append(py, 80e3)
-    sid, g_serve, _ = sim._serve(scene, px, py, mode, g)
+    # _serve answers at (px, |py|) in row 0 and at (px, -|py|) in row 1
+    side = (py < 0).astype(int), np.arange(px.size)
+    sid, g_serve = (a[side] for a in sim._serve(scene, px, py, mode, g)[:2])
     want, best = _lowest_tied_id(scene, px, py, mode, g)
     assert np.array_equal(sid, want)
     assert np.array_equal(g_serve, best)
@@ -190,7 +192,8 @@ def test_serve_running_max_matches_argmax_oracle(scene, case):
         mp.setattr(sim, "_beam_arrays", lambda *a: (
             np.zeros(n_beams), np.zeros(n_beams), ids))
         px, py = np.arange(n_points, dtype=float), np.zeros(n_points)
-        sid, g_serve, interf = sim._serve(scene, px, py, "hex", 0)
+        sid, g_serve, interf = (a[0] for a in
+                                sim._serve(scene, px, py, "hex", 0))
     # the oracle: argmax and row sums over the points x beams matrix
     k = gains.argmax(axis=1)
     best = gains[np.arange(n_points), k]
@@ -204,6 +207,69 @@ def test_serve_running_max_matches_argmax_oracle(scene, case):
     assert np.all(np.abs(interf - (total - best)) <= n_beams * eps * total)
 
 
+def _direct_serve(scene, px, py, mode, g):
+    """The evaluator before y-mirrored points shared a kernel call: the
+    kernel at the points themselves, one ascending-ID running max."""
+    tx, ty, ids = sim._beam_arrays(scene, mode, g)
+    sid = np.empty(px.size, dtype=np.int64)
+    g_serve, interf = np.empty(px.size), np.empty(px.size)
+    for a in range(0, px.size, sim.CHUNK):
+        s = slice(a, a + sim.CHUNK)
+        rows = sim._gains(scene, px[s], py[s], tx, ty).T
+        k = np.zeros(rows.shape[1], dtype=np.intp)
+        best, total = rows[0].copy(), rows[0].copy()
+        for b in range(1, rows.shape[0]):
+            k[rows[b] > best] = b
+            np.maximum(best, rows[b], out=best)
+            total += rows[b]
+        sid[s] = ids[k]
+        g_serve[s], interf[s] = best, total - best
+    return sid, g_serve, interf
+
+
+@st.composite
+def _mirror_case(draw, scene):
+    """A codebook snapshot (hex at g = -5..20, so IDs wrap from g = 4 on, or
+    dft), 1 to 30 points of either sign of y, a CHUNK of 1 to 9, and a
+    kernel that is exact or quantized to steps of 16 so exact ties are
+    common. Points are drawn on a 5 km grid, on beam targets, on y = +-0.0
+    and at (0, +-80 km), where x-mirrored beams tie."""
+    mode = draw(st.sampled_from(["hex", "hex", "dft"]))
+    g = draw(st.integers(-5, 20)) if mode == "hex" else 0
+    tx, ty, _ = sim._beam_arrays(scene, mode, g)
+    sign = st.sampled_from([1.0, -1.0])
+    point = st.one_of(
+        st.tuples(st.integers(-110, 110).map(lambda i: 5e3 * i),
+                  st.integers(-36, 36).map(lambda j: 5e3 * j)),
+        st.integers(0, tx.size - 1).flatmap(
+            lambda j: sign.map(lambda s: (tx[j], s * ty[j]))),
+        st.tuples(st.floats(-5.5e5, 5.5e5), st.sampled_from([0.0, -0.0])),
+        sign.map(lambda s: (0.0, s * 80e3)))
+    pts = np.array(draw(st.lists(point, min_size=1, max_size=30)))
+    return (mode, g, pts[:, 0], pts[:, 1], draw(st.integers(1, 9)),
+            draw(st.booleans()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
+    # row 0 of _serve is the direct evaluator at (px, |py|) and row 1 at
+    # (px, -|py|), bit for bit: IDs, serving gains and interferer sums
+    mode, g, px, py, chunk, quantized = data.draw(_mirror_case(scene))
+    kernel = sim.gain_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "CHUNK", chunk)
+        if quantized:
+            mp.setattr(sim, "gain_matrix",
+                       lambda *a: np.floor(kernel(*a) / 16) * 16)
+        paired = sim._serve(scene, px, py, mode, g)
+        up = _direct_serve(scene, px, np.abs(py), mode, g)
+        down = _direct_serve(scene, px, -np.abs(py), mode, g)
+    for got, want_up, want_down in zip(paired, up, down, strict=True):
+        assert np.array_equal(got[0], want_up)
+        assert np.array_equal(got[1], want_down)
+
+
 def _chunk_probe_outputs(scene):
     maps = [sim.coverage_map(scene, metric, mode, step=10e3)
             for metric in ("snr", "sinr", "cell") for mode in sim.MAP_MODES]
@@ -215,8 +281,9 @@ def _chunk_probe_outputs(scene):
 
 
 def test_outputs_independent_of_chunk_size(scene, monkeypatch):
-    # row sums and the argmax do not depend on how points are sliced, and no
-    # kernel call evaluates more than CHUNK points
+    # row sums and the argmax do not depend on how points are sliced, nor
+    # handover sweeps on how their rows' samples are grouped and sliced, and
+    # no kernel call evaluates more than CHUNK points
     ref = _chunk_probe_outputs(scene)
     sizes, kernel = [], sim.gain_matrix
 
@@ -224,6 +291,7 @@ def test_outputs_independent_of_chunk_size(scene, monkeypatch):
         sizes.append(px.size)
         return kernel(px, *args)
     monkeypatch.setattr(sim, "CHUNK", 7)
+    monkeypatch.setattr(sim, "SWEEP_BLOCK", 11)
     monkeypatch.setattr(sim, "gain_matrix", probe)
     got = _chunk_probe_outputs(scene)
     assert len(sizes) > 1000 and max(sizes) == 7
@@ -385,7 +453,7 @@ def test_dynamic_series_window_on_update_instants(scene, offset_s):
     assert np.all(np.isfinite(series.metric_db))
     assert np.all(series.metric_db <= snr_db(288.0, scene.h_sat, scene.link))
     counts = sim._dynamic_handover_counts(scene, np.array([x]), np.array([y]))
-    assert series.handover_count() == counts[0]
+    assert series.handover_count() == counts[0, 0]
 
 
 def test_pass_timeseries_clips_far_range_to_window(scene):
