@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from .antenna import (ArrayGeometry, Precoder, beam_gain, satellite_array,
                       steering_vector, upa_positions)
-from .codebook import (CodebookCycle, LabeledBeam, LatticeSpec, build_cycle,
-                       dft_baseline, eventually_active_points,
-                       iteration_lattice, lattice_scaling, make_lattice_spec)
+from .codebook import (Codebook, LatticeSpec, build_cycle, dft_baseline,
+                       eventually_active_points, lattice_scaling,
+                       make_lattice_spec)
 from .config import (SceneConfig, apply_overrides, build_scene, format_config,
                      load_config, parse_config)
 from .fields import CdfCurve, FieldMap, TimeSeries
@@ -28,17 +28,16 @@ from .simulate import (Scene, cdf_from_map, coverage_map, dominance_violations,
                        serving_beam, sinr_cdf)
 
 __all__ = [
-    "ArrayGeometry", "CdfCurve", "ChannelSample", "CodebookCycle",
-    "EARTH_MASS", "EARTH_RADIUS", "FieldMap", "GRAV_CONST", "LIGHT_SPEED",
-    "LabeledBeam", "LatticeSpec", "LinkParams", "Precoder", "Roi", "Scene",
-    "SceneConfig", "TimeSeries", "angular_speed", "apply_overrides",
-    "beam_gain", "build_cycle", "build_scene", "cdf_from_map",
-    "coverage_map", "dft_baseline", "direction_to", "dominance_violations",
-    "eventually_active_points", "format_config", "fspl", "g_rx",
-    "gain_matrix", "ground_track_speed", "handover_map",
-    "iteration_lattice", "lattice_scaling", "load_config",
-    "make_lattice_spec", "noise_power", "orbital_speed", "parse_config",
-    "pass_timeseries", "pass_window", "rician_sample", "satellite_array",
-    "serving_beam", "sinr_cdf", "sinr_db", "slant_range", "snr_db",
-    "steering_vector", "upa_positions",
+    "ArrayGeometry", "CdfCurve", "ChannelSample", "Codebook", "EARTH_MASS",
+    "EARTH_RADIUS", "FieldMap", "GRAV_CONST", "LIGHT_SPEED", "LatticeSpec",
+    "LinkParams", "Precoder", "Roi", "Scene", "SceneConfig", "TimeSeries",
+    "angular_speed", "apply_overrides", "beam_gain", "build_cycle",
+    "build_scene", "cdf_from_map", "coverage_map", "dft_baseline",
+    "direction_to", "dominance_violations", "eventually_active_points",
+    "format_config", "fspl", "g_rx", "gain_matrix", "ground_track_speed",
+    "handover_map", "lattice_scaling", "load_config", "make_lattice_spec",
+    "noise_power", "orbital_speed", "parse_config", "pass_timeseries",
+    "pass_window", "rician_sample", "satellite_array", "serving_beam",
+    "sinr_cdf", "sinr_db", "slant_range", "snr_db", "steering_vector",
+    "upa_positions",
 ]

@@ -20,13 +20,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .codebook import cycle_table, phase_table
+from .codebook import phase_table
 from .config import (SceneConfig, apply_overrides, build_scene, format_config,
                      load_config, resolve_dt)
 from .fields import write_cdf_set, write_csv
 from .link import rician_sample
-from .simulate import (coverage_map, dominance_violations, handover_map,
-                       pass_timeseries, sinr_cdf)
+from .simulate import (codebook_for, coverage_map, dominance_violations,
+                       handover_map, pass_timeseries, sinr_cdf)
 
 HASH_BLOCK = 2**20  # bytes read per sha256 update
 
@@ -144,24 +144,32 @@ class _Emitter:
                 fh.write(f"# output {name} sha256={digest}\n")
 
 
+def _beams(book):
+    """(iteration, beam_id, rf_chain, (x, y)) of every beam of one cycle, in
+    iteration then ascending-ID order, as Python numbers."""
+    for k, (ts, ids, rf) in enumerate(zip(book.targets, book.ids, book.rf)):
+        yield from ((k, b, c, t) for b, c, t in
+                    zip(ids.tolist(), rf.tolist(), ts.tolist()))
+
+
 def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
     write_csv(emit.path("cycle.csv"),
               "iteration,beam_id,rf_chain,target_x_m,target_y_m",
               (f"{k},{b},{c},{x:.3f},{y:.3f}\n"
-               for k, b, c, x, y in cycle_table(scene.cycle)))
+               for k, b, c, (x, y) in _beams(scene.hex)))
     emit.done("cycle.csv")
     write_csv(emit.path("dft_grid.csv"),
               "beam_id,rf_chain,target_x_m,target_y_m",
-              (f"{b.beam_id},{b.rf_chain},{b.target[0]:.3f},{b.target[1]:.3f}\n"
-               for b in scene.dft_beams))
+              (f"{b},{c},{x:.3f},{y:.3f}\n"
+               for _, b, c, (x, y) in _beams(scene.dft)))
     emit.done("dft_grid.csv")
     if args.phases:
         write_csv(emit.path("phases.csv"),
                   "iteration,beam_id,element_index,phase_radians",
-                  (f"{k},{b.beam_id},{idx},{phase:.9f}\n"
-                   for k, beams in enumerate(scene.cycle.iterations)
-                   for b in beams
-                   for idx, phase in phase_table(b, scene.geometry, scene.h_sat)))
+                  (f"{k},{b},{idx},{phase:.9f}\n"
+                   for k, b, c, t in _beams(scene.hex)
+                   for idx, phase in phase_table(t, scene.geometry, c,
+                                                 scene.h_sat)))
         emit.done("phases.csv")
     if args.channel_check:
         rng = np.random.default_rng(cfg.seed)
@@ -182,9 +190,8 @@ def _run_map(args, cfg, scene, emit: _Emitter) -> None:
 
 def _run_cdf(args, cfg, scene, emit: _Emitter) -> None:
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    for m in modes:
-        if m not in ("hex", "dft"):
-            raise ValueError(f"unknown codebook mode '{m}'")
+    for m in modes:  # reject every bad mode before any map is computed
+        codebook_for(scene, m)
     if not modes:
         raise ValueError("--modes needs at least one of hex, dft")
     curves = sinr_cdf(scene, modes=modes, iteration=args.iteration,

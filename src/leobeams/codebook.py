@@ -6,12 +6,14 @@ Advancing one iteration per update period freezes the beam footprints on the
 ground. A ground node keeps a single beam ID for the whole pass: its base
 label is its (y, x) rank among the nodes active in some iteration of one
 lattice enumeration, and IDs increment cyclically once per K-iteration cycle.
+Both codebooks are `Codebook` arrays; the DFT grid is the one-iteration case
+whose IDs never advance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,14 +77,6 @@ def _lattice(spec: LatticeSpec, roi: Roi) -> tuple[np.ndarray, np.ndarray]:
     return pts, roi.contains(pts[..., 0], pts[..., 1])
 
 
-def iteration_lattice(k: int, spec: LatticeSpec, roi: Roi) -> np.ndarray:
-    """Satellite-frame lattice points of iteration k inside the ROI, sorted by (y, x)."""
-    if k < 0:
-        raise ValueError("iteration index must be non-negative")
-    pts, mask = _lattice(spec, roi)
-    return pts[k % spec.cycle_len][mask[k % spec.cycle_len]]
-
-
 def eventually_active_points(spec: LatticeSpec, roi: Roi) -> np.ndarray:
     """Base-lattice points active during at least one iteration, sorted by (y, x).
 
@@ -105,49 +99,65 @@ def beam_precoder(point: np.ndarray, geometry: ArrayGeometry, rf_chain: int,
     return Precoder(coeffs=coeffs, rf_chain=rf_chain)
 
 
-@dataclass(frozen=True)
-class LabeledBeam:
-    """One beam of one iteration: stable ID, RF chain, and satellite-frame target."""
+def _mirror_order(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """M with M[j] the position of the beam whose target is (tx[j], -ty[j]).
 
-    beam_id: int
-    rf_chain: int
-    target: tuple[float, float]
+    Every codebook is closed under y -> -y, so a beam without an exact
+    mirror partner is a programming error and raises RuntimeError.
+    """
+    m = np.empty(tx.size, dtype=np.intp)
+    m[np.lexsort((-ty, tx))] = np.lexsort((ty, tx))
+    if not (np.array_equal(tx[m], tx) and np.array_equal(ty[m], -ty)):
+        raise RuntimeError("beam targets are not symmetric about y = 0")
+    return m
 
 
-class CodebookCycle:
-    """K iterations of labeled beams plus the ID bookkeeping for later cycles.
+@dataclass(frozen=True, eq=False)
+class Codebook:
+    """A K-iteration cycle of beams as read-only arrays.
 
-    Targets are satellite-frame and identical in every cycle; IDs advance by
-    one (mod n_beams) per full cycle so that each ground lattice node keeps
-    its ID for the whole pass.
+    Iteration k holds its beams' satellite-frame targets (n_k x 2), base IDs
+    and RF chains, in ascending base-ID order. Targets repeat every cycle;
+    IDs advance by `advance` (mod n_beams) per full cycle: 1 for the hex
+    cycle, so each ground node keeps its ID for the whole pass, and 0 for
+    the DFT grid. Each iteration's y-mirror order is computed once, here.
     """
 
-    def __init__(self, iterations: list[list[LabeledBeam]],
-                 labeled_points: np.ndarray):
-        self.iterations = iterations
-        self.labeled_points = labeled_points
+    targets: tuple[np.ndarray, ...]
+    ids: tuple[np.ndarray, ...]
+    rf: tuple[np.ndarray, ...]
+    n_beams: int
+    advance: int
+    mirror: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
-    @property
-    def n_beams(self) -> int:
-        return len(self.labeled_points)
+    def __post_init__(self):
+        mirror = tuple(_mirror_order(t[:, 0], t[:, 1]) for t in self.targets)
+        object.__setattr__(self, "mirror", mirror)
+        for a in (*self.targets, *self.ids, *self.rf, *mirror):
+            a.flags.writeable = False
 
     @property
     def cycle_len(self) -> int:
-        return len(self.iterations)
+        return len(self.targets)
 
-    def targets(self, k: int) -> np.ndarray:
-        return np.array([b.target for b in self.iterations[k % self.cycle_len]])
+    def snapshot(self, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Targets, stable IDs and y-mirror order M of global iteration g (g
+        may be negative), in ascending-ID order.
 
-    def beam_ids(self, g: int) -> np.ndarray:
-        """Stable beam IDs of global iteration g (g may be negative)."""
+        IDs wrap mod n_beams past a cycle, so the base order is re-sorted and
+        M, built in base order, is mapped into the sorted one: M[j] is the
+        sorted position of the mirror of sorted beam j.
+        """
         m, k = divmod(g, self.cycle_len)
-        base = np.array([b.beam_id for b in self.iterations[k]])
-        return (base + m) % self.n_beams
+        ids = (self.ids[k] + self.advance * m) % self.n_beams
+        asc = np.argsort(ids, kind="stable")
+        inv = np.argsort(asc)  # the inverse permutation
+        return self.targets[k][asc], ids[asc], inv[self.mirror[k][asc]]
 
 
 def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec,
-                roi: Roi) -> CodebookCycle:
-    """Construct all K iterations with labeled beams and per-iteration RF chains.
+                roi: Roi) -> Codebook:
+    """The dynamic hex codebook: K iterations, IDs advancing once per cycle.
 
     A node's label is its rank among the eventually active nodes; an
     iteration's beams are its active nodes in label order, on chains 0, 1, ...
@@ -155,15 +165,14 @@ def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec,
     pts, mask = _lattice(spec, roi)
     ever = mask.any(axis=0)
     label = np.cumsum(ever) - 1
-    iterations = []
-    for k, on in enumerate(mask):
-        ids, targets = label[on].tolist(), pts[k][on].tolist()
-        if len(ids) > geometry.n_rf:
-            raise ValueError(f"iteration {k} needs {len(ids)} beams but only "
+    for k, n in enumerate(np.count_nonzero(mask, axis=1)):
+        if n > geometry.n_rf:
+            raise ValueError(f"iteration {k} needs {n} beams but only "
                              f"{geometry.n_rf} RF chains are available")
-        iterations.append([LabeledBeam(beam_id=b, rf_chain=c, target=tuple(t))
-                           for c, (b, t) in enumerate(zip(ids, targets))])
-    return CodebookCycle(iterations, pts[0][ever])
+    return Codebook(targets=tuple(pts[k][on] for k, on in enumerate(mask)),
+                    ids=tuple(label[on] for on in mask),
+                    rf=tuple(np.arange(np.count_nonzero(on)) for on in mask),
+                    n_beams=int(np.count_nonzero(ever)), advance=1)
 
 
 def _grid_shape(n_beams: int, aspect: float) -> tuple[int, int]:
@@ -174,8 +183,9 @@ def _grid_shape(n_beams: int, aspect: float) -> tuple[int, int]:
 
 
 def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int = 15,
-                 shrink: float = 0.88) -> list[LabeledBeam]:
-    """Static rectangular-grid codebook used as the fixed-beam baseline.
+                 shrink: float = 0.88) -> Codebook:
+    """Static rectangular-grid codebook used as the fixed-beam baseline: one
+    iteration whose IDs, the beams' (y, x) ranks, never advance.
 
     The grid is centered on the ROI with spacings shrink * (2*semi_x / cols,
     2*semi_y / rows); the construction is rejected unless exactly n_beams
@@ -201,19 +211,14 @@ def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int = 15,
         raise ValueError(
             f"grid spacing yields {len(inside)} in-ROI beams, expected {n_beams}; "
             f"adjust the shrink factor")
-    return [LabeledBeam(beam_id=bid, rf_chain=bid % geometry.n_rf, target=tuple(p))
-            for bid, p in enumerate(_sorted_yx(inside).tolist())]
+    ids = np.arange(n_beams)
+    return Codebook(targets=(_sorted_yx(inside),), ids=(ids,),
+                    rf=(ids % geometry.n_rf,), n_beams=n_beams, advance=0)
 
 
-def cycle_table(cycle: CodebookCycle) -> list[tuple[int, int, int, float, float]]:
-    """Rows of (iteration, beam_id, rf_chain, target_x_m, target_y_m)."""
-    return [(k, b.beam_id, b.rf_chain, *b.target)
-            for k, beams in enumerate(cycle.iterations) for b in beams]
-
-
-def phase_table(beam: LabeledBeam, geometry: ArrayGeometry,
+def phase_table(target, geometry: ArrayGeometry, rf_chain: int,
                 h_sat: float) -> list[tuple[int, float]]:
-    """Rows of (element_index, phase_radians) for the beam's sub-array."""
-    coeffs = beam_precoder(beam.target, geometry, beam.rf_chain, h_sat).coeffs
-    on = np.flatnonzero(geometry.rf_map == beam.rf_chain)
+    """Rows of (element_index, phase_radians) of rf_chain steered at target."""
+    coeffs = beam_precoder(target, geometry, rf_chain, h_sat).coeffs
+    on = np.flatnonzero(geometry.rf_map == rf_chain)
     return list(zip(on.tolist(), np.angle(coeffs[on]).tolist()))

@@ -176,7 +176,7 @@ def build_scene(cfg: SceneConfig) -> Scene:
         k_boltz_dbw=cfg.boltzmann_dbw,
         light_speed=cfg.light_speed_m_s,
     )
-    cycle = build_cycle(geometry, lattice, roi)
-    dft = tuple(dft_baseline(geometry, roi, cfg.dft_n_beams, cfg.dft_shrink))
     return Scene(geometry=geometry, lattice=lattice, roi=roi, h_sat=cfg.h_sat_m,
-                 link=link, cycle=cycle, dft_beams=dft, v_ground=v_ground)
+                 link=link, hex=build_cycle(geometry, lattice, roi),
+                 dft=dft_baseline(geometry, roi, cfg.dft_n_beams,
+                                  cfg.dft_shrink), v_ground=v_ground)

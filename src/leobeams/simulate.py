@@ -10,6 +10,10 @@ pattern is monotone, so this never flaps. The dynamic codebook associates at
 window entry and at each update instant tau = g * t_c exactly, holding the
 beam in between so the serving ID stays constant while footprints are frozen.
 
+The scene holds two `Codebook`s: `Scene.hex`, the K-iteration hex cycle, and
+`Scene.dft`, the DFT grid as one iteration whose IDs never advance.
+`codebook_for` maps every mode name to one of them.
+
 Every serving decision goes through one evaluator, `_serve`, which walks the
 points in slices of CHUNK, so the gain matrix of one kernel call, and the
 memory of any evaluation, is bounded by CHUNK x n_beams whatever the grid size.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import ArrayGeometry
-from .codebook import CodebookCycle, LabeledBeam, LatticeSpec
+from .codebook import Codebook, LatticeSpec
 from .fields import CdfCurve, FieldMap, TimeSeries
 from .geometry import Roi, slant_range
 from .kernels import gain_matrix
@@ -61,8 +65,8 @@ class Scene:
     roi: Roi
     h_sat: float
     link: LinkParams
-    cycle: CodebookCycle
-    dft_beams: tuple[LabeledBeam, ...]
+    hex: Codebook
+    dft: Codebook
     v_ground: float
 
     @property
@@ -93,20 +97,13 @@ def roi_grid(roi: Roi, step: float,
             step * np.arange(-ny, ny + 1, dtype=float))
 
 
-def _beam_arrays(scene: Scene, mode: str,
-                 iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Target coordinates and stable IDs of the active beams (one snapshot),
-    in ascending-ID order."""
-    if mode == "hex":
-        targets = scene.cycle.targets(iteration)
-        ids = scene.cycle.beam_ids(iteration)
-    elif mode == "dft":
-        targets = np.array([b.target for b in scene.dft_beams])
-        ids = np.array([b.beam_id for b in scene.dft_beams])
-    else:
+def codebook_for(scene: Scene, mode: str, modes=MAP_MODES) -> Codebook:
+    """The codebook a mode serves from: the DFT grid for "dft" and the hex
+    cycle for every other name in modes (MAP_MODES, or PASS_MODES for pass
+    series and handover maps)."""
+    if mode not in modes:
         raise ValueError(f"unknown codebook mode {mode!r}")
-    order = np.argsort(ids, kind="stable")  # IDs wrap mod n_beams past a cycle
-    return targets[order, 0], targets[order, 1], ids[order]
+    return scene.dft if mode == "dft" else scene.hex
 
 
 def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
@@ -115,24 +112,11 @@ def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
                        g.subarray_ny, g.spacing)
 
 
-def _mirror_order(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """M with M[j] the position of the beam whose target is (tx[j], -ty[j]).
-
-    Every codebook is closed under y -> -y, so a beam without an exact
-    mirror partner is a programming error and raises RuntimeError.
-    """
-    m = np.empty(tx.size, dtype=np.intp)
-    m[np.lexsort((-ty, tx))] = np.lexsort((ty, tx))
-    if not (np.array_equal(tx[m], tx) and np.array_equal(ty[m], -ty)):
-        raise RuntimeError("beam targets are not symmetric about y = 0")
-    return m
-
-
-def _serve(scene: Scene, px, py, mode: str,
+def _serve(scene: Scene, px, py, book: Codebook,
            iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Serving ID, serving gain and summed interferer gain at (px, |py|) and
-    at its mirror (px, -|py|): each of shape (2, n points), row 0 for the
-    point at +|py| and row 1 for the one at -|py|.
+    """Serving ID, serving gain and summed interferer gain of book's global
+    iteration at (px, |py|) and at its mirror (px, -|py|): each of shape
+    (2, n points), row 0 for the point at +|py| and row 1 for the one at -|py|.
 
     Max gain wins, exact ties go to the lowest ID. One kernel call per slice
     of CHUNK points, at (px, |py|); its transpose has one contiguous row per
@@ -142,16 +126,17 @@ def _serve(scene: Scene, px, py, mode: str,
     one sequential sum per point, and the interferer sum is that total less
     the serving gain. None of it depends on the slicing.
 
-    The mirrored point's gain for beam j is row M[j] (`_mirror_order`) bit
-    for bit, so the second walk takes rows M[0], M[1], ...: it replays the
-    walk a direct evaluation at (px, -|py|) would make, in ascending-ID
-    order. Walking the rows in their own order and mapping the winner
-    through M instead would break ties, and add the floating-point sum, in
-    another order, and so could change a serving ID or the last bit of an
-    interferer sum.
+    The mirrored point's gain for beam j is row M[j] (the snapshot's mirror
+    order) bit for bit, so the second walk takes rows M[0], M[1], ...: it
+    replays the walk a direct evaluation at (px, -|py|) would make, in
+    ascending-ID order. Walking the rows in their own order and mapping the
+    winner through M instead would break ties, and add the floating-point
+    sum, in another order, and so could change a serving ID or the last bit
+    of an interferer sum.
     """
-    tx, ty, ids = _beam_arrays(scene, mode, iteration)
-    orders = (np.arange(ids.size), _mirror_order(tx, ty))
+    targets, ids, mirror = book.snapshot(iteration)
+    tx, ty = targets.T
+    orders = (np.arange(ids.size), mirror)
     px = np.asarray(px, dtype=float)
     py = np.abs(np.asarray(py, dtype=float))
     sid = np.empty((2, px.size), dtype=np.int64)
@@ -175,7 +160,8 @@ def _serve(scene: Scene, px, py, mode: str,
 def serving_beam(scene: Scene, point_xy, mode: str = "hex",
                  iteration: int = 0) -> tuple[int, float]:
     """Serving beam ID and its linear gain at one satellite-frame point."""
-    sid, g, _ = _serve(scene, [point_xy[0]], [point_xy[1]], mode, iteration)
+    sid, g, _ = _serve(scene, [point_xy[0]], [point_xy[1]],
+                       codebook_for(scene, mode), iteration)
     side = int(point_xy[1] < 0)
     return int(sid[side, 0]), float(g[side, 0])
 
@@ -224,9 +210,10 @@ def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
     """Satellite-frame map of SNR, SINR, or serving-cell ID over the ROI."""
     if metric not in ("snr", "sinr", "cell"):
         raise ValueError(f"unknown metric {metric!r}")
+    book = codebook_for(scene, mode)
 
     def at(px, py):
-        sid, g_serve, interf = _serve(scene, px, py, mode, iteration)
+        sid, g_serve, interf = _serve(scene, px, py, book, iteration)
         if metric == "cell":
             return sid
         dist = slant_range(px, py, scene.h_sat)
@@ -283,7 +270,7 @@ def _dynamic_associations(scene: Scene, px: np.ndarray, py: np.ndarray,
         pts = np.flatnonzero((g_in <= g) & (g <= g_out))
         t = np.where(g_in[pts] == g, t_in[pts], g * scene.lattice.t_c)
         yield g, pts, _serve(scene, px[pts] - scene.v_ground * t, py[pts],
-                             "hex", g)[0]
+                             scene.hex, g)[0]
 
 
 def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
@@ -298,8 +285,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     held since then; a series ending before the window's final tau can thus
     show one change fewer than `handover_map`.
     """
-    if mode not in PASS_MODES:
-        raise ValueError(f"unknown pass mode {mode!r}")
+    book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
         dt = scene.default_dt
     x_g, y = float(ut_xy[0]), float(ut_xy[1])
@@ -329,8 +315,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 
     side = int(y < 0)
     if mode in ("static", "dft"):
-        cb_mode = "hex" if mode == "static" else "dft"
-        sid, g_serve, _ = (a[side] for a in _serve(scene, sx, sy, cb_mode, 0))
+        sid, g_serve, _ = (a[side] for a in _serve(scene, sx, sy, book, 0))
     else:
         # one event per iteration from the first sample's to the last one's,
         # so every sample is written by the event of its own iteration
@@ -339,12 +324,12 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         for g, _, held in _dynamic_associations(
                 scene, np.array([x_g]), np.array([y]), ts[:1], ts[-1:]):
             at = np.flatnonzero(g_s == g)
-            tx, ty, ids = _beam_arrays(scene, "hex", g)
-            col = ids == held[side, 0]
+            targets, ids, _ = book.snapshot(g)
+            tx, ty = targets[ids == held[side, 0]].T
             sid[at] = held[side, 0]
             for a in range(0, at.size, CHUNK):  # the held beam, not an argmax
                 i = at[a:a + CHUNK]
-                g_serve[i] = _gains(scene, sx[i], sy[i], tx[col], ty[col])[:, 0]
+                g_serve[i] = _gains(scene, sx[i], sy[i], tx, ty)[:, 0]
 
     metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
     return TimeSeries(t_s=ts, serving_id=sid.astype(np.int64), metric_db=metric)
@@ -354,7 +339,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 # handover maps
 # ---------------------------------------------------------------------------
 
-def _swept_handover_counts(scene: Scene, py: np.ndarray, cb_mode: str,
+def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
                            dt: float) -> np.ndarray:
     """Static-codebook handovers at (x, py) and (x, -py), py >= 0, shape (2, n).
 
@@ -383,7 +368,7 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, cb_mode: str,
         sid = np.empty((2, sx.size), dtype=np.int64)
         for a in range(0, sx.size, SWEEP_BLOCK):
             s = slice(a, a + SWEEP_BLOCK)
-            sid[:, s] = _serve(scene, sx[s], sy[s], cb_mode, 0)[0]
+            sid[:, s] = _serve(scene, sx[s], sy[s], book, 0)[0]
         for r, a, b in zip(rows, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
             counts[:, r] = np.count_nonzero(sid[:, a + 1:b] != sid[:, a:b - 1],
                                             axis=1)
@@ -407,14 +392,12 @@ def handover_map(scene: Scene, mode: str = "dynamic",
                  step: float = DEFAULT_HANDOVER_STEP,
                  dt: float = None) -> FieldMap:
     """Serving-ID changes over each ground point's full in-ROI window."""
-    if mode not in PASS_MODES:
-        raise ValueError(f"unknown pass mode {mode!r}")
+    book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
         dt = scene.default_dt
-    cb_mode = "hex" if mode == "static" else "dft"
     return _roi_field(scene.roi, step, "handover_grid_step_m", lambda px, py: (
         _dynamic_handover_counts(scene, px, py) if mode == "dynamic"
-        else _swept_handover_counts(scene, py, cb_mode, dt)))
+        else _swept_handover_counts(scene, py, book, dt)))
 
 
 def dominance_violations(dynamic_map: FieldMap,

@@ -32,7 +32,8 @@ def test_criterion_1_beam_counts():
     spec = cb.make_lattice_spec(1.3e6, 1.4, (12, 24), 4,
                                 ground_track_speed(1.3e6))
     roi = Roi(534.1e3, 170.5e3)
-    counts = [len(cb.iteration_lattice(k, spec, roi)) for k in range(4)]
+    book = cb.build_cycle(satellite_array(13, (12, 24), 0.5), spec, roi)
+    counts = [len(book.targets[k]) for k in range(4)]
     elapsed = time.perf_counter() - t0
     ok = counts == [13, 10, 10, 10] and elapsed < 1.0
     _report(1, "beam-counts", ok, elapsed, f"per-iteration counts {counts}")
@@ -52,15 +53,14 @@ def test_criterion_2_cdf_separation(scene):
 
 def test_criterion_3_triple_point_cap(scene):
     t0 = time.perf_counter()
-    pts = scene.cycle.labeled_points
+    pts = cb.eventually_active_points(scene.lattice, scene.roi)
     c_x = scene.lattice.c_x
     w = scene.lattice.c_x / scene.lattice.c_y  # beam-width metric y weight
     scaled = pts * np.array([1.0, w])
     triples = [t for t in combinations(range(len(pts)), 3)
                if all(np.hypot(*(scaled[a] - scaled[b])) <= 1.001 * c_x
                       for a, b in combinations(t, 2))]
-    targets = scene.cycle.targets(0)
-    ids = scene.cycle.beam_ids(0)
+    targets = scene.hex.targets[0]
     worst = -np.inf
     for tri in triples:
         center_scaled = scaled[list(tri)].mean(axis=0)
@@ -153,40 +153,43 @@ def test_criterion_7_property_suite(scene, tmp_path):
     spec, roi = scene.lattice, scene.roi
     geom = scene.geometry
 
-    # lattice K-periodicity, exact
-    periodic = all(np.array_equal(cb.iteration_lattice(k, spec, roi),
-                                  cb.iteration_lattice(k + 4, spec, roi))
-                   for k in range(4))
+    # lattice K-periodicity, exact: a full cycle later every target recurs
+    # with its ID one higher
+    periodic = True
+    for k in range(4):
+        now, ids_now, _ = scene.hex.snapshot(k)
+        later, ids_later, _ = scene.hex.snapshot(k + 4)
+        col = np.searchsorted(ids_later, (ids_now + 1) % scene.hex.n_beams)
+        periodic &= np.array_equal(later[col], now)
 
     # phase-only precoders: constant modulus on the active sub-array,
     # exact zeros elsewhere; own-target gain equals the sub-array size
     unit_modulus = True
     own_target = True
-    for beams in scene.cycle.iterations:
-        for b in beams:
-            on = geom.rf_map == b.rf_chain
-            pre = cb.beam_precoder(b.target, geom, b.rf_chain, scene.h_sat)
+    for targets, rf in zip(scene.hex.targets, scene.hex.rf):
+        for t, c in zip(targets, rf):
+            on = geom.rf_map == c
+            pre = cb.beam_precoder(t, geom, c, scene.h_sat)
             mods = np.abs(pre.coeffs[on]) * math.sqrt(geom.n_sub)
             unit_modulus &= bool(np.all(np.abs(mods - 1.0) < 1e-12))
             unit_modulus &= bool(np.all(pre.coeffs[~on] == 0.0))
-            g = beam_gain(geom, pre,
-                          direction_to(b.target[0], b.target[1], scene.h_sat))
+            g = beam_gain(geom, pre, direction_to(t[0], t[1], scene.h_sat))
             own_target &= abs(g - geom.n_sub) / geom.n_sub < 1e-9
 
     # beam-ID permanence: whenever a base lattice node is targeted, the
     # beam carries the node's label, across two full cycles
-    labels = scene.cycle.labeled_points
+    labels = cb.eventually_active_points(spec, roi)
     permanent = True
     hits = 0
     for node_idx, p in enumerate(labels):
         for g in range(8):
             q = p - np.array([(g / 4.0) * spec.c_x, 0.0])
-            tg = scene.cycle.targets(g)
+            tg, ids, _ = scene.hex.snapshot(g)
             d = np.hypot(tg[:, 0] - q[0], tg[:, 1] - q[1])
             col = int(np.argmin(d))
             if d[col] < 1.0:
                 hits += 1
-                permanent &= int(scene.cycle.beam_ids(g)[col]) == node_idx
+                permanent &= int(ids[col]) == node_idx
     permanence_ok = permanent and hits >= len(labels)
 
     # SINR never exceeds SNR on the map grid

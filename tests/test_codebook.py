@@ -10,7 +10,6 @@ from leobeams import codebook as cb
 from leobeams.antenna import beam_gain, satellite_array
 from leobeams.geometry import (EARTH_RADIUS, Roi, angular_speed, direction_to,
                                ground_track_speed)
-from leobeams.simulate import _mirror_order
 
 H = 1.3e6
 RX, RY = 534.1e3, 170.5e3
@@ -63,23 +62,18 @@ def test_cycle_period_oracles(spec):
     assert direct == pytest.approx(spec.t_c, rel=1e-12)
 
 
-def test_iteration_counts_match_enumeration_oracle(spec, roi):
+def test_iteration_counts_match_enumeration_oracle(spec, cycle):
     oracle = _oracle_counts(spec.c_x, spec.c_y, 4)
     assert oracle == [13, 10, 10, 10]
-    got = [len(cb.iteration_lattice(k, spec, roi)) for k in range(4)]
-    assert got == oracle
+    assert [len(t) for t in cycle.targets] == oracle
 
 
-def test_iteration_lattice_is_k_periodic(spec, roi):
+def test_iterations_are_k_periodic(cycle):
+    # a full cycle later every target recurs exactly, its ID one higher
     for k in range(4):
-        a = cb.iteration_lattice(k, spec, roi)
-        b = cb.iteration_lattice(k + 4, spec, roi)
-        assert np.array_equal(a, b)
-
-
-def test_iteration_lattice_rejects_negative(spec, roi):
-    with pytest.raises(ValueError):
-        cb.iteration_lattice(-1, spec, roi)
+        t0, ids0, _ = cycle.snapshot(k)
+        t1, ids1, _ = cycle.snapshot(k + 4)
+        assert np.array_equal(t1[np.searchsorted(ids1, (ids0 + 1) % 13)], t0)
 
 
 def test_sort_key_example(spec):
@@ -93,7 +87,7 @@ def test_sort_key_example(spec):
     assert ordered[2] == pytest.approx([c_x / 2, math.sqrt(3) * c_y / 2])
 
 
-def test_eventually_active_points(spec, roi):
+def test_eventually_active_points(spec, roi, cycle):
     pts = cb.eventually_active_points(spec, roi)
     assert len(pts) == 13
     # sorted by (y, x)
@@ -102,7 +96,7 @@ def test_eventually_active_points(spec, roi):
     # every active point of every iteration, shifted back to the base
     # lattice, appears in the labeled set
     for k in range(4):
-        for p in cb.iteration_lattice(k, spec, roi):
+        for p in cycle.targets[k]:
             shifted = p + np.array([k * spec.c_x / 4, 0.0])
             d = np.min(np.hypot(pts[:, 0] - shifted[0], pts[:, 1] - shifted[1]))
             assert d < 1e-6
@@ -121,40 +115,44 @@ def cycle(spec, roi):
 
 
 def test_build_cycle_structure(cycle):
-    assert cycle.n_beams == 13
-    assert [len(it) for it in cycle.iterations] == [13, 10, 10, 10]
-    for beams in cycle.iterations:
-        ids = [b.beam_id for b in beams]
-        assert ids == sorted(ids)
-        assert [b.rf_chain for b in beams] == list(range(len(beams)))
-        assert len(set(ids)) == len(ids)
+    assert cycle.n_beams == 13 and cycle.advance == 1
+    assert [len(t) for t in cycle.targets] == [13, 10, 10, 10]
+    for t, ids, rf in zip(cycle.targets, cycle.ids, cycle.rf, strict=True):
+        assert np.all(np.diff(ids) > 0)
+        assert np.array_equal(rf, np.arange(len(t)))
+        assert len(ids) == len(t)
+    with pytest.raises(ValueError, match="read-only"):
+        cycle.ids[0][0] = 5
 
 
 def test_beam_ids_advance_per_cycle(cycle):
-    base = cycle.beam_ids(1)
-    assert np.array_equal(cycle.beam_ids(5), (base + 1) % 13)
-    assert np.array_equal(cycle.beam_ids(9), (base + 2) % 13)
-    assert np.array_equal(cycle.beam_ids(-3), (base - 1) % 13)
+    # the same iteration one cycle later or earlier: the same targets with
+    # IDs one up or down, re-sorted into ascending-ID order
+    t1, base, _ = cycle.snapshot(1)
+    for g, step in ((5, 1), (9, 2), (-3, -1)):
+        t, ids, _ = cycle.snapshot(g)
+        assert np.all(np.diff(ids) > 0)
+        assert np.array_equal(t[np.searchsorted(ids, (base + step) % 13)], t1)
 
 
 def test_node_keeps_id_one_cycle_later(cycle, spec):
     # ground node at the base lattice origin, observed at iteration 0 and a
     # full cycle later: by then it has drifted one x period in the satellite
     # frame and must carry the same stable ID
-    t0 = cycle.targets(0)
+    t0, ids0, _ = cycle.snapshot(0)
     col0 = int(np.argmin(np.hypot(t0[:, 0], t0[:, 1])))
     assert t0[col0] == pytest.approx([0.0, 0.0], abs=1e-6)
-    id0 = cycle.beam_ids(0)[col0]
-    col4 = int(np.argmin(np.hypot(t0[:, 0] + spec.c_x, t0[:, 1])))
-    assert t0[col4] == pytest.approx([-spec.c_x, 0.0], abs=1e-6)
-    assert cycle.beam_ids(4)[col4] == id0
+    t4, ids4, _ = cycle.snapshot(4)
+    col4 = int(np.argmin(np.hypot(t4[:, 0] + spec.c_x, t4[:, 1])))
+    assert t4[col4] == pytest.approx([-spec.c_x, 0.0], abs=1e-6)
+    assert ids4[col4] == ids0[col0]
 
 
 def test_precoders_point_at_targets(cycle):
     geom = satellite_array(13, (12, 24), 0.5)
-    for b in cycle.iterations[2]:
-        v = direction_to(b.target[0], b.target[1], H)
-        pre = cb.beam_precoder(b.target, geom, b.rf_chain, H)
+    for t, c in zip(cycle.targets[2], cycle.rf[2]):
+        v = direction_to(t[0], t[1], H)
+        pre = cb.beam_precoder(t, geom, c, H)
         assert beam_gain(geom, pre, v) == pytest.approx(288.0, rel=1e-9)
 
 
@@ -169,8 +167,8 @@ def test_single_iteration_cycle_matches_initial(roi):
     one = cb.make_lattice_spec(H, 1.4, (12, 24), 1, vg)
     geom = satellite_array(13, (12, 24), 0.5)
     cyc = cb.build_cycle(geom, one, roi)
-    assert len(cyc.iterations) == 1
-    assert np.array_equal(cyc.targets(0), cb.iteration_lattice(0, one, roi))
+    assert cyc.cycle_len == 1
+    assert np.array_equal(cyc.targets[0], _oracle_lattice(0, one, roi))
 
 
 def _two_sub_lattices(spec, roi, i_hi, shift):
@@ -236,65 +234,106 @@ def test_labels_by_lattice_rank_match_nearest_neighbour_oracle(case):
     spec, roi = case
     labeled, want = _oracle_cycle(spec, roi)
     cyc = cb.build_cycle(SimpleNamespace(n_rf=10**6), spec, roi)
-    assert np.array_equal(cyc.labeled_points, labeled)
+    assert cyc.n_beams == len(labeled)
     assert np.array_equal(cb.eventually_active_points(spec, roi), labeled)
     assert cyc.cycle_len == spec.cycle_len
     for k in range(spec.cycle_len):
-        assert [(b.beam_id, b.rf_chain, b.target) for b in cyc.iterations[k]] == want[k]
-    for k in range(3 * spec.cycle_len):
-        assert np.array_equal(cb.iteration_lattice(k, spec, roi),
-                              _oracle_lattice(k, spec, roi))
+        rows = zip(cyc.ids[k].tolist(), cyc.rf[k].tolist(),
+                   map(tuple, cyc.targets[k].tolist()))
+        assert list(rows) == want[k]
+        assert np.array_equal(cyc.targets[k], _oracle_lattice(k, spec, roi))
+
+
+def _id_sorted_oracle(book, g):
+    """The beams of global iteration g as the evaluator used to rebuild them
+    on every call: the codebook-order targets and IDs, sorted by ID."""
+    m, k = divmod(g, book.cycle_len)
+    targets = book.targets[k]
+    ids = (book.ids[k] + book.advance * m) % book.n_beams
+    order = np.argsort(ids, kind="stable")  # IDs wrap mod n_beams past a cycle
+    return targets[order, 0], targets[order, 1], ids[order]
+
+
+def _mirror_order_oracle(tx, ty):
+    """The y-mirror order as the evaluator used to compute it on every call,
+    from the ID-sorted targets."""
+    m = np.empty(tx.size, dtype=np.intp)
+    m[np.lexsort((-ty, tx))] = np.lexsort((ty, tx))
+    if not (np.array_equal(tx[m], tx) and np.array_equal(ty[m], -ty)):
+        raise RuntimeError("beam targets are not symmetric about y = 0")
+    return m
+
+
+def _assert_snapshot_matches_oracle(book, g):
+    tx, ty, ids = _id_sorted_oracle(book, g)
+    want = (tx, ty, ids, _mirror_order_oracle(tx, ty))
+    targets, ids, m = book.snapshot(g)
+    got = (targets[:, 0], targets[:, 1], ids, m)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+    # the mirror order pairs every target (x, y) with (x, -y)
+    assert np.array_equal(targets[m, 0], targets[:, 0])
+    assert np.array_equal(targets[m, 1], -targets[:, 1])
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(_lattice_cases(), st.integers(0, 3))
-def test_every_iteration_is_closed_under_y_mirror(case, cycles):
+@given(_lattice_cases())
+def test_every_iteration_is_closed_under_y_mirror(case):
     # each beam's target (x, y) has a partner at (x, -y) exactly, also for
-    # global iterations past the first cycle, whose IDs wrap
+    # global iterations before and past the first cycle, whose IDs wrap; the
+    # snapshot, its ID order and its mirror order match the per-call oracle
+    # bit for bit
     spec, roi = case
     cyc = cb.build_cycle(SimpleNamespace(n_rf=10**6), spec, roi)
-    for k in range(spec.cycle_len):
-        t = cyc.targets(k + cycles * spec.cycle_len)
-        if t.size:
-            m = _mirror_order(t[:, 0], t[:, 1])
-            assert np.array_equal(t[m, 1], -t[:, 1])
+    for g in range(-5, 21):
+        _assert_snapshot_matches_oracle(cyc, g)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(n_beams=st.integers(1, 30), shrink=st.floats(0.5, 1.0),
-       semi_x=st.floats(1e4, 1.5e6), semi_y=st.floats(1e4, 1.5e6))
-def test_dft_baseline_is_closed_under_y_mirror(n_beams, shrink, semi_x, semi_y):
-    # a grid the ROI does not fit to n_beams is rejected, not built
+       semi_x=st.floats(1e4, 1.5e6), semi_y=st.floats(1e4, 1.5e6),
+       g=st.integers(-5, 20))
+def test_dft_baseline_is_closed_under_y_mirror(n_beams, shrink, semi_x, semi_y,
+                                               g):
+    # a grid the ROI does not fit to n_beams is rejected, not built; a built
+    # one is closed under y -> -y and its IDs never advance
     try:
-        beams = cb.dft_baseline(SimpleNamespace(n_rf=13), Roi(semi_x, semi_y),
-                                n_beams, shrink)
+        book = cb.dft_baseline(SimpleNamespace(n_rf=13), Roi(semi_x, semi_y),
+                               n_beams, shrink)
     except ValueError:
         return
-    t = np.array([b.target for b in beams])
-    m = _mirror_order(t[:, 0], t[:, 1])
-    assert np.array_equal(t[m, 1], -t[:, 1])
+    assert book.cycle_len == 1 and book.advance == 0
+    assert np.array_equal(book.snapshot(g)[1], np.arange(n_beams))
+    _assert_snapshot_matches_oracle(book, g)
 
 
 def test_mirror_order_rejects_an_unpaired_beam():
     with pytest.raises(RuntimeError, match="symmetric"):
-        _mirror_order(np.array([0.0, 1.0]), np.array([5.0, -5.0]))
+        cb._mirror_order(np.array([0.0, 1.0]), np.array([5.0, -5.0]))
+    # a codebook computes its mirror orders, so runs the guard, when built
+    with pytest.raises(RuntimeError, match="symmetric"):
+        cb.Codebook(targets=(np.array([[0.0, 5.0], [1.0, -5.0]]),),
+                    ids=(np.arange(2),), rf=(np.arange(2),), n_beams=2,
+                    advance=0)
 
 
 def test_dft_baseline_grid(roi):
     geom = satellite_array(13, (12, 24), 0.5)
-    beams = cb.dft_baseline(geom, roi)
-    assert len(beams) == 15
-    xs = sorted({round(b.target[0], 3) for b in beams})
-    ys = sorted({round(b.target[1], 3) for b in beams})
-    assert len(xs) == 5 and len(ys) == 3
-    pts = np.array([b.target for b in beams])
+    book = cb.dft_baseline(geom, roi)
+    assert book.n_beams == 15 and book.cycle_len == 1
+    pts, ids, rf = book.targets[0], book.ids[0], book.rf[0]
+    assert len(pts) == 15
+    assert len(set(np.round(pts[:, 0], 3))) == 5
+    assert len(set(np.round(pts[:, 1], 3))) == 3
     assert pts.mean(axis=0) == pytest.approx([0.0, 0.0], abs=1e-6)
     # IDs follow the (y, x) order
     order = np.lexsort((pts[:, 0], pts[:, 1]))
-    assert [beams[i].beam_id for i in order] == list(range(15))
-    for b in beams:
-        v = direction_to(b.target[0], b.target[1], H)
-        pre = cb.beam_precoder(b.target, geom, b.rf_chain, H)
+    assert ids[order].tolist() == list(range(15))
+    assert np.array_equal(rf, ids % 13)
+    for t, c in zip(pts, rf):
+        v = direction_to(t[0], t[1], H)
+        pre = cb.beam_precoder(t, geom, c, H)
         assert beam_gain(geom, pre, v) == pytest.approx(288.0, rel=1e-9)
 
 
@@ -308,9 +347,7 @@ def test_dft_baseline_rejects_bad_shrink(roi):
 
 def test_tables(cycle):
     geom = satellite_array(13, (12, 24), 0.5)
-    rows = cb.cycle_table(cycle)
-    assert len(rows) == 43
-    assert rows[0][0] == 0 and rows[-1][0] == 3
-    phases = cb.phase_table(cycle.iterations[0][0], geom, H)
+    assert sum(len(t) for t in cycle.targets) == 43
+    phases = cb.phase_table(cycle.targets[0][0], geom, cycle.rf[0][0], H)
     assert len(phases) == 288
     assert all(-math.pi <= p <= math.pi for _, p in phases)

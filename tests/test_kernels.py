@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from leobeams import antenna as ant
 from leobeams import kernels
-from leobeams.codebook import beam_precoder
+from leobeams.codebook import _mirror_order, beam_precoder
 from leobeams.geometry import direction_to
-from leobeams.simulate import _mirror_order
 
 H = 1.3e6
 

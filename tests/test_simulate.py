@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leobeams import simulate as sim
+from leobeams.codebook import Codebook
 from leobeams.fields import FieldMap
 from leobeams.geometry import slant_range
 from leobeams.kernels import gain_matrix
@@ -30,8 +31,7 @@ def test_roi_grid_centered(scene):
 
 def test_serving_beam_at_targets(scene):
     # a beam's own target is served by that beam
-    targets = scene.cycle.targets(0)
-    ids = scene.cycle.beam_ids(0)
+    targets, ids, _ = scene.hex.snapshot(0)
     for t, i in zip(targets, ids):
         sid, gain = sim.serving_beam(scene, t)
         assert sid == i
@@ -41,25 +41,21 @@ def test_serving_beam_at_targets(scene):
 def test_serving_beam_tie_takes_lower_id(scene):
     # (0, 80 km) sits exactly between the two x-mirrored beams of the upper
     # lattice row; their gains agree bit for bit, so the tie rule decides
-    targets = scene.cycle.targets(0)
+    targets, ids, _ = scene.hex.snapshot(0)
     gains = gain_matrix(np.array([0.0]), np.array([80e3]),
                         targets[:, 0], targets[:, 1], scene.h_sat,
                         12, 24, scene.geometry.spacing)[0]
-    ids = scene.cycle.beam_ids(0)
     tied = np.flatnonzero(gains == gains.max())
     assert tied.size == 2
     sid, _ = sim.serving_beam(scene, (0.0, 80e3))
     assert sid == min(ids[tied])
 
 
-def _lowest_tied_id(scene, px, py, mode, g):
-    """The tie rule spelled out on the codebook's own column order: among
-    the beams at the row's max gain, the lowest ID."""
-    if mode == "hex":
-        targets, ids = scene.cycle.targets(g), scene.cycle.beam_ids(g)
-    else:
-        targets = np.array([b.target for b in scene.dft_beams])
-        ids = np.array([b.beam_id for b in scene.dft_beams])
+def _lowest_tied_id(scene, book, px, py, g):
+    """The tie rule spelled out with no walk over the beams: among the beams
+    at the row's max gain, the lowest ID, whatever their column order."""
+    targets, ids, _ = book.snapshot(g)
+    targets, ids = targets[::-1], ids[::-1]
     geom = scene.geometry
     gains = gain_matrix(px, py, targets[:, 0], targets[:, 1], scene.h_sat,
                         geom.subarray_nx, geom.subarray_ny, geom.spacing)
@@ -74,14 +70,15 @@ def test_serve_ids_follow_lowest_tied_id_rule(scene, mode, g):
     # IDs wrap mod n_beams from g = cycle_len on, so the codebook's columns
     # are not in ID order; at g = 8 the (0, 80 km) tie is between IDs 12
     # and 0, with 0 in the later column
-    _, _, ids = sim._beam_arrays(scene, mode, g)
+    book = sim.codebook_for(scene, mode)
+    _, ids, _ = book.snapshot(g)
     assert np.all(np.diff(ids) > 0)
     px, py = _grid_points(scene, 10e3)
     px, py = np.append(px, 0.0), np.append(py, 80e3)
     # _serve answers at (px, |py|) in row 0 and at (px, -|py|) in row 1
     side = (py < 0).astype(int), np.arange(px.size)
-    sid, g_serve = (a[side] for a in sim._serve(scene, px, py, mode, g)[:2])
-    want, best = _lowest_tied_id(scene, px, py, mode, g)
+    sid, g_serve = (a[side] for a in sim._serve(scene, px, py, book, g)[:2])
+    want, best = _lowest_tied_id(scene, book, px, py, g)
     assert np.array_equal(sid, want)
     assert np.array_equal(g_serve, best)
     if (mode, g) == ("hex", 8):
@@ -93,8 +90,7 @@ def test_serving_matches_nearest_lattice_point(scene):
     # active lattice point in the beam-width metric (y weighted by the
     # footprint aspect c_x/c_y)
     px, py = _grid_points(scene, 25e3)
-    targets = scene.cycle.targets(0)
-    ids = scene.cycle.beam_ids(0)
+    targets, ids, _ = scene.hex.snapshot(0)
     w = scene.lattice.c_x / scene.lattice.c_y
     d2 = ((px[:, None] - targets[None, :, 0]) ** 2
           + (w * (py[:, None] - targets[None, :, 1])) ** 2)
@@ -163,19 +159,21 @@ def test_cdf_from_map_matches_boolean_mean(vals, thr):
 
 @st.composite
 def _serve_case(draw):
-    """A points x beams gain matrix of 1, 10, 13 or 15 beams, about half of
-    it from a pool of two or three values so exact ties are common,
-    ascending IDs, and a CHUNK of 1 to 9 points."""
+    """A points x beams gain matrix of 1, 10, 13 or 15 beams, ascending IDs
+    with gaps, and a CHUNK of 1 to 9 points. The matrix and IDs come from a
+    seeded generator, so an example costs a handful of draws whatever its
+    size: a share of the entries (none, half, most or all) takes values from
+    a pool of two or three, so exact ties are common, and the rest are
+    uniform on [0, 288]."""
     n_beams = draw(st.sampled_from([1, 10, 13, 15]))
-    n_points = draw(st.integers(1, 40))
+    shape = (draw(st.integers(1, 40)), n_beams)
     pool = draw(st.lists(st.floats(0.0, 288.0), min_size=2, max_size=3))
-    value = st.sampled_from(pool) | st.floats(0.0, 288.0)
-    n = n_points * n_beams
-    gains = np.array(draw(st.lists(value, min_size=n, max_size=n)))
-    ids = sorted(draw(st.sets(st.integers(0, 99), min_size=n_beams,
-                              max_size=n_beams)))
-    return (gains.reshape(n_points, n_beams), np.array(ids),
-            draw(st.integers(1, 9)))
+    tied = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = np.where(rng.random(shape) < tied, rng.choice(pool, size=shape),
+                     rng.uniform(0.0, 288.0, shape))
+    ids = np.sort(rng.choice(100, size=n_beams, replace=False))
+    return gains, ids, draw(st.integers(1, 9))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -183,17 +181,19 @@ def _serve_case(draw):
 def test_serve_running_max_matches_argmax_oracle(scene, case):
     gains, ids, chunk = case
     n_points, n_beams = gains.shape
+    # a one-iteration codebook with these IDs; its targets only feed the
+    # mirror order, since the kernel below ignores them
+    book = Codebook(targets=(np.zeros((n_beams, 2)),), ids=(ids,),
+                    rf=(np.arange(n_beams),), n_beams=100, advance=0)
 
     def kernel(px, *args):  # the kernel's layout: a transposed C array
         return np.ascontiguousarray(gains[px.astype(int)].T).T
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "CHUNK", chunk)
         mp.setattr(sim, "gain_matrix", kernel)
-        mp.setattr(sim, "_beam_arrays", lambda *a: (
-            np.zeros(n_beams), np.zeros(n_beams), ids))
         px, py = np.arange(n_points, dtype=float), np.zeros(n_points)
         sid, g_serve, interf = (a[0] for a in
-                                sim._serve(scene, px, py, "hex", 0))
+                                sim._serve(scene, px, py, book, 0))
     # the oracle: argmax and row sums over the points x beams matrix
     k = gains.argmax(axis=1)
     best = gains[np.arange(n_points), k]
@@ -207,10 +207,11 @@ def test_serve_running_max_matches_argmax_oracle(scene, case):
     assert np.all(np.abs(interf - (total - best)) <= n_beams * eps * total)
 
 
-def _direct_serve(scene, px, py, mode, g):
+def _direct_serve(scene, px, py, book, g):
     """The evaluator before y-mirrored points shared a kernel call: the
     kernel at the points themselves, one ascending-ID running max."""
-    tx, ty, ids = sim._beam_arrays(scene, mode, g)
+    targets, ids, _ = book.snapshot(g)
+    tx, ty = targets[:, 0], targets[:, 1]
     sid = np.empty(px.size, dtype=np.int64)
     g_serve, interf = np.empty(px.size), np.empty(px.size)
     for a in range(0, px.size, sim.CHUNK):
@@ -236,7 +237,8 @@ def _mirror_case(draw, scene):
     and at (0, +-80 km), where x-mirrored beams tie."""
     mode = draw(st.sampled_from(["hex", "hex", "dft"]))
     g = draw(st.integers(-5, 20)) if mode == "hex" else 0
-    tx, ty, _ = sim._beam_arrays(scene, mode, g)
+    targets, _, _ = sim.codebook_for(scene, mode).snapshot(g)
+    tx, ty = targets[:, 0], targets[:, 1]
     sign = st.sampled_from([1.0, -1.0])
     point = st.one_of(
         st.tuples(st.integers(-110, 110).map(lambda i: 5e3 * i),
@@ -262,9 +264,10 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
         if quantized:
             mp.setattr(sim, "gain_matrix",
                        lambda *a: np.floor(kernel(*a) / 16) * 16)
-        paired = sim._serve(scene, px, py, mode, g)
-        up = _direct_serve(scene, px, np.abs(py), mode, g)
-        down = _direct_serve(scene, px, -np.abs(py), mode, g)
+        book = sim.codebook_for(scene, mode)
+        paired = sim._serve(scene, px, py, book, g)
+        up = _direct_serve(scene, px, np.abs(py), book, g)
+        down = _direct_serve(scene, px, -np.abs(py), book, g)
     for got, want_up, want_down in zip(paired, up, down, strict=True):
         assert np.array_equal(got[0], want_up)
         assert np.array_equal(got[1], want_down)
@@ -303,7 +306,7 @@ def test_coverage_map_memory_bounded_by_chunk(scene):
     # the full (points x beams) gain matrix alone would take 8 * n_beams
     # bytes per point; the chunked evaluator stays well under twice that
     n_points = _grid_points(scene, 1000.0)[0].size
-    n_beams = scene.cycle.targets(0).shape[0]
+    n_beams = scene.hex.targets[0].shape[0]
     tracemalloc.start()
     try:
         sim.coverage_map(scene, step=1000.0)
@@ -449,7 +452,7 @@ def test_dynamic_series_window_on_update_instants(scene, offset_s):
     series = sim.pass_timeseries(scene, (x, y), "dynamic", t_start=t_in,
                                  dt=(t_out - t_in) / (2 * m))
     assert series.t_s.size == 2 * m + 1
-    assert set(series.serving_id.tolist()) <= set(range(scene.cycle.n_beams))
+    assert set(series.serving_id.tolist()) <= set(range(scene.hex.n_beams))
     assert np.all(np.isfinite(series.metric_db))
     assert np.all(series.metric_db <= snr_db(288.0, scene.h_sat, scene.link))
     counts = sim._dynamic_handover_counts(scene, np.array([x]), np.array([y]))
