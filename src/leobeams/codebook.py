@@ -20,6 +20,8 @@ import numpy as np
 from .antenna import ArrayGeometry, Precoder, steering_vector
 from .geometry import Roi, direction_to
 
+MAX_LATTICE_NODES = 2**20  # nodes of one lattice enumeration, all K shifts
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -37,8 +39,11 @@ def lattice_scaling(h_sat: float, oversampling: float,
     n_x, n_y = subarray_dims
     if h_sat <= 0 or oversampling <= 0 or n_x < 1 or n_y < 1:
         raise ValueError("lattice scaling inputs must be positive")
-    return (math.pi * h_sat / (oversampling * n_x),
-            math.pi * h_sat / (oversampling * n_y))
+    c_x, c_y = (math.pi * h_sat / (oversampling * n) for n in (n_x, n_y))
+    if not min(c_x, c_y) > 0:
+        raise ValueError(f"oversampling = {oversampling} at h_sat_m = {h_sat} "
+                         f"underflows the lattice period to 0")
+    return c_x, c_y
 
 
 def make_lattice_spec(h_sat: float, oversampling: float,
@@ -61,11 +66,16 @@ def _lattice(spec: LatticeSpec, roi: Roi) -> tuple[np.ndarray, np.ndarray]:
 
     Iteration k puts node (i, j) at (c_x * (i - k/K), sqrt(3) * c_y * j), with
     half-integer (i, j) on the offset sub-lattice. The index box covers the
-    ROI at every shift; nodes come in (y, x) label order.
+    ROI at every shift; nodes come in (y, x) label order. Boxes over
+    MAX_LATTICE_NODES, counted in floats, are refused before any allocation.
     """
     ny = math.sqrt(3.0) * spec.c_y
-    i_hi = int(math.ceil((roi.semi_x + spec.c_x) / spec.c_x)) + 2
-    j_hi = int(math.ceil(roi.semi_y / ny)) + 2
+    i_hi, j_hi = (float(np.ceil(span)) + 2 for span in
+                  ((roi.semi_x + spec.c_x) / spec.c_x, roi.semi_y / ny))
+    nodes = 2.0 * (2 * i_hi + 1) * (2 * j_hi + 1) * spec.cycle_len
+    if not nodes <= MAX_LATTICE_NODES:
+        raise ValueError(f"cycle_len = {spec.cycle_len} and oversampling need "
+                         f"{nodes:.4g} lattice nodes, over {MAX_LATTICE_NODES}")
     gi, gj = np.meshgrid(np.arange(-i_hi, i_hi + 1, dtype=float),
                          np.arange(-j_hi, j_hi + 1, dtype=float), indexing="ij")
     i = np.concatenate([gi.ravel(), gi.ravel() + 0.5])
@@ -141,15 +151,15 @@ class Codebook:
         return len(self.targets)
 
     def snapshot(self, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Targets, stable IDs and y-mirror order M of global iteration g (g
-        may be negative), in ascending-ID order.
+        """Targets, stable IDs and y-mirror order M of global iteration g (any
+        integer; snapshots repeat every K * n_beams), in ascending-ID order.
 
         IDs wrap mod n_beams past a cycle, so the base order is re-sorted and
         M, built in base order, is mapped into the sorted one: M[j] is the
         sorted position of the mirror of sorted beam j.
         """
         m, k = divmod(g, self.cycle_len)
-        ids = (self.ids[k] + self.advance * m) % self.n_beams
+        ids = (self.ids[k] + self.advance * m % self.n_beams) % self.n_beams
         asc = np.argsort(ids, kind="stable")
         inv = np.argsort(asc)  # the inverse permutation
         return self.targets[k][asc], ids[asc], inv[self.mirror[k][asc]]

@@ -1,8 +1,10 @@
 """Downlink budget and the Rician channel draw.
 
 All deterministic quantities (FSPL, noise, SNR, SINR) work in dB on top of
-linear beam gains. The Rician sample is the only stochastic operation in the
-package and takes an explicit numpy Generator so reruns are bit-reproducible.
+linear beam gains; the budget is written once, in snr_db. The Rician sample
+is the only stochastic operation in the package and takes an explicit numpy
+Generator so reruns are bit-reproducible. tests/test_link.py holds snr_db,
+sinr_db and g_rx to the sampled channel's rank-1 factors.
 """
 
 from __future__ import annotations
@@ -85,13 +87,10 @@ def noise_rel(distance, params: LinkParams):
 
     Every co-channel beam reaches a ground point through the same distance,
     atmosphere, and receive combining, so those factors cancel in the SINR
-    ratio and the noise floor becomes this distance-dependent scalar.
+    ratio and the noise floor becomes this distance-dependent scalar, the
+    inverse SNR of a unit gain (linear_to_db(1.0) adds exactly 0.0).
     """
-    common = (params.p_tx_dbw - params.lp_cable_db - params.lp_at_db
-              - fspl(distance, params.f_carrier, params.light_speed)
-              + g_rx(params.ut_dims, params.k_rician)
-              - noise_power(params.noise_temp_dbk, params.bandwidth, params.k_boltz_dbw))
-    return db_to_linear(-common)
+    return db_to_linear(-snr_db(1.0, distance, params))
 
 
 def sinr_db(g_serving, g_interference, rel_noise):
@@ -105,30 +104,18 @@ class ChannelSample:
     """One stochastic channel draw, kept as its rank-1 factors.
 
     H = (los_col + scatter_col) outer conj(a_sat), with los_col = gamma * a_ut
-    and scatter_col = gamma * sqrt(1/k_rician) * a_scatter. The dense
-    (n_ut x n_sat) matrices are built only when one of them is read.
+    and scatter_col = gamma * sqrt(1/k_rician) * a_scatter. No dense
+    (n_ut x n_sat) matrix is built; w^H H f is (w^H col) * (a_sat^H f).
     """
 
     los_col: np.ndarray
     scatter_col: np.ndarray
     a_sat: np.ndarray
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.outer(self.los_col + self.scatter_col, np.conj(self.a_sat))
-
-    @property
-    def los_part(self) -> np.ndarray:
-        return np.outer(self.los_col, np.conj(self.a_sat))
-
-    @property
-    def rician_part(self) -> np.ndarray:
-        return np.outer(self.scatter_col, np.conj(self.a_sat))
-
     def fro_norms(self) -> tuple[float, float, float]:
-        """Frobenius norms of (matrix, los_part, rician_part).
+        """Frobenius norms of H and of its LoS and scattered parts.
 
-        Each is rank one, so ||u v^H||_F = ||u|| * ||v|| with no dense build.
+        Each is rank one, so ||u v^H||_F = ||u|| * ||v||.
         """
         sat = float(np.linalg.norm(self.a_sat))
         return tuple(float(np.linalg.norm(col)) * sat for col in
@@ -142,7 +129,7 @@ def draw_scatter(n_ut: int, rng: np.random.Generator) -> np.ndarray:
 
 def rician_sample(point_xy, sat_geometry: ArrayGeometry, h_sat: float,
                   params: LinkParams, rng: np.random.Generator) -> ChannelSample:
-    """Draw the Rician channel matrix toward a satellite-frame ground point.
+    """Draw the Rician channel toward a satellite-frame ground point.
 
     H = gamma * (a_ut + sqrt(1/k_rician) * a_scatter) outer conj(a_sat), where
     gamma is the aggregate loss magnitude (phase not modeled), returned as its
@@ -158,6 +145,6 @@ def rician_sample(point_xy, sat_geometry: ArrayGeometry, h_sat: float,
     ut_pos = upa_positions(params.ut_dims[0], params.ut_dims[1], 0.5)
     a_ut = steering_vector(ut_pos, -v_down)
     a_scatter = draw_scatter(a_ut.shape[0], rng)
-    scaled = float(np.sqrt(1.0 / params.k_rician)) if np.isfinite(params.k_rician) else 0.0
+    scaled = math.sqrt(1.0 / params.k_rician)  # 0.0 at an infinite factor
     return ChannelSample(los_col=gamma * a_ut,
                          scatter_col=gamma * scaled * a_scatter, a_sat=a_sat)

@@ -132,9 +132,11 @@ def _serve(scene: Scene, px, py, book: Codebook,
     ascending-ID order. Walking the rows in their own order and mapping the
     winner through M instead would break ties, and add the floating-point
     sum, in another order, and so could change a serving ID or the last bit
-    of an interferer sum.
+    of an interferer sum. An iteration with no beams raises ValueError.
     """
     targets, ids, mirror = book.snapshot(iteration)
+    if ids.size == 0:
+        raise ValueError(f"iteration {iteration} has no beams in the ROI")
     tx, ty = targets.T
     orders = (np.arange(ids.size), mirror)
     px = np.asarray(px, dtype=float)

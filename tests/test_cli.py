@@ -9,6 +9,8 @@ from leobeams import cli
 from leobeams.config import SceneConfig, build_scene
 
 FAST = ["--set", "grid_step_m=25000", "--set", "handover_grid_step_m=25000"]
+# a region smaller than the lattice spacing: only hex iteration 0 has a beam
+SMALL = ["--set", "roi_semi_x_m=1000", "--set", "roi_semi_y_m=1000"]
 PHASES_SHA256 = (
     "43fae1a89945d72cccc92845769297345d26e800b05586644f26ffe1b59f1c30")
 CYCLE_SHA256 = (
@@ -236,11 +238,42 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     (["map", "--set", "grid_step_m=1"], "grid_step_m"),
     (["cdf", "--grid-step", "1"], "grid_step_m"),
     (["handover", "--set", "handover_grid_step_m=1"], "handover_grid_step_m"),
+    # an iteration with no beams; the dynamic runs need iteration -1
+    (["map", "--iter", "1", "--grid-step", "500", *SMALL], "iteration 1 "),
+    (["cdf", "--iter", "2", "--grid-step", "500", *SMALL], "iteration 2 "),
+    (["handover", "--mode", "dynamic", "--grid-step", "500", *SMALL],
+     "iteration -1 "),
+    (["timeseries", "--x", "0", "--y", "0", "--t-start=-0.1", *SMALL],
+     "iteration -1 "),
+    # more lattice nodes than one codebook enumeration may hold
+    (["map", "--set", "cycle_len=1000000"], "cycle_len"),
+    (["map", "--set", "oversampling=1e300"], "oversampling"),
+    (["map", "--set", "oversampling=1.7e308"], "oversampling"),
 ])
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
     assert _run(argv[:1] + ["--out", tmp_path / "o"] + argv[1:]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err and key in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "--iter", "0", "--grid-step", "500"],
+    ["timeseries", "--x", "0", "--y", "0"],
+])
+def test_small_region_serves_its_one_beam(tmp_path, argv):
+    assert _run(argv[:1] + ["--out", tmp_path / "o"] + argv[1:] + SMALL) == 0
+
+
+@pytest.mark.parametrize("g", [99999999999999999999, -99999999999999999999])
+def test_iteration_beyond_int64_matches_its_reduction(tmp_path, scene, g):
+    # snapshots repeat every K * n_beams iterations
+    period = scene.hex.cycle_len * scene.hex.n_beams
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, it in ((a, g), (b, g % period)):
+        assert _run(["map", "--metric", "cell", f"--iter={it}", "--out", out]
+                    + FAST) == 0
+    for name in ("map_hex_cell.csv", "map_hex_cell.ppm"):
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
 @pytest.mark.parametrize("argv, name", [

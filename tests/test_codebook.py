@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -159,6 +160,33 @@ def test_precoders_point_at_targets(cycle):
 def test_overflow_names_offending_iteration(spec, roi):
     geom = satellite_array(9, (12, 24), 0.5)
     with pytest.raises(ValueError, match=r"iteration 0.*13.*9"):
+        cb.build_cycle(geom, spec, roi)
+
+
+@pytest.mark.parametrize("cycle_len, oversampling",
+                         [(1_000_000, 1.4), (4, 1e3), (4, 1e300)])
+def test_oversized_lattice_refused_before_allocating(roi, cycle_len,
+                                                     oversampling):
+    geom = satellite_array(13, (12, 24), 0.5)
+    big = cb.make_lattice_spec(H, oversampling, (12, 24), cycle_len,
+                               ground_track_speed(H))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"cycle_len = .* oversampling"):
+            cb.build_cycle(geom, big, roi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_lattice_node_cap_counts_the_whole_box(spec, roi, monkeypatch):
+    # the default box: 2 sub-lattices x 13 x 7 indices x K = 4 shifts
+    geom = satellite_array(13, (12, 24), 0.5)
+    monkeypatch.setattr(cb, "MAX_LATTICE_NODES", 728)
+    assert cb.build_cycle(geom, spec, roi).n_beams == 13
+    monkeypatch.setattr(cb, "MAX_LATTICE_NODES", 727)
+    with pytest.raises(ValueError, match="need 728 lattice nodes"):
         cb.build_cycle(geom, spec, roi)
 
 

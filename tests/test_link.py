@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobeams import link
-from leobeams.antenna import satellite_array
-from leobeams.geometry import slant_range
+from leobeams.antenna import satellite_array, steering_vector, upa_positions
+from leobeams.codebook import beam_precoder
+from leobeams.config import SceneConfig, build_scene
+from leobeams.geometry import direction_to, slant_range
+from leobeams.kernels import gain_matrix
+from leobeams.simulate import codebook_for
 
 H = 1.3e6
 
@@ -103,30 +109,38 @@ def small_geome():
     return satellite_array(2, (4, 6), 0.5)
 
 
+def _parts(sample):
+    """Dense H and its LoS and scattered parts, each col outer conj(a_sat)."""
+    cols = (sample.los_col + sample.scatter_col, sample.los_col,
+            sample.scatter_col)
+    return [np.outer(c, np.conj(sample.a_sat)) for c in cols]
+
+
 def test_rician_deterministic_under_seed(small_geome, params):
     a = link.rician_sample((1e5, 2e4), small_geome, H, params,
                            np.random.default_rng(42))
     b = link.rician_sample((1e5, 2e4), small_geome, H, params,
                            np.random.default_rng(42))
-    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(_parts(a)[0], _parts(b)[0])
     c = link.rician_sample((1e5, 2e4), small_geome, H, params,
                            np.random.default_rng(43))
-    assert not np.array_equal(a.matrix, c.matrix)
+    assert not np.array_equal(_parts(a)[0], _parts(c)[0])
 
 
 def test_rician_structure(small_geome, params):
     s = link.rician_sample((5e4, -3e4), small_geome, H, params,
                            np.random.default_rng(0))
+    matrix, los, scatter = _parts(s)
     n_ut = params.ut_dims[0] * params.ut_dims[1]
-    assert s.matrix.shape == (n_ut, small_geome.n_elements)
-    assert np.allclose(s.matrix, s.los_part + s.rician_part)
+    assert matrix.shape == (n_ut, small_geome.n_elements)
+    assert np.allclose(matrix, los + scatter)
     # rank one: the matrix equals the outer product rebuilt from its first
     # row and column
-    rebuilt = np.outer(s.matrix[:, 0], s.matrix[0, :]) / s.matrix[0, 0]
-    assert np.allclose(s.matrix, rebuilt)
+    rebuilt = np.outer(matrix[:, 0], matrix[0, :]) / matrix[0, 0]
+    assert np.allclose(matrix, rebuilt)
     # LoS entries all share the aggregate loss magnitude
-    gamma = np.abs(s.los_part[0, 0])
-    assert np.abs(s.los_part) == pytest.approx(gamma, rel=1e-9)
+    gamma = np.abs(los[0, 0])
+    assert np.abs(los) == pytest.approx(gamma, rel=1e-9)
 
 
 def test_rician_infinite_factor_drops_scatter(small_geome):
@@ -135,8 +149,9 @@ def test_rician_infinite_factor_drops_scatter(small_geome):
                         k_rician=math.inf, ut_dims=(8, 8))
     s = link.rician_sample((0.0, 0.0), small_geome, H, p,
                            np.random.default_rng(1))
-    assert np.all(s.rician_part == 0.0)
-    assert np.array_equal(s.matrix, s.los_part)
+    matrix, los, scatter = _parts(s)
+    assert np.all(scatter == 0.0)
+    assert np.array_equal(matrix, los)
 
 
 @pytest.mark.parametrize("k_rician", [10.0, 0.5, math.inf])
@@ -147,14 +162,97 @@ def test_fro_norms_match_dense_parts(small_geome, k_rician, seed):
                         k_rician=k_rician, ut_dims=(24, 24))
     s = link.rician_sample((7e4, -2e4), small_geome, H, p,
                            np.random.default_rng(seed))
-    dense = [float(np.linalg.norm(m))
-             for m in (s.matrix, s.los_part, s.rician_part)]
+    parts = _parts(s)
+    dense = [float(np.linalg.norm(m)) for m in parts]
     # a sum of n squares carries a relative rounding error of at most n * eps
-    n = s.matrix.size
+    n = parts[0].size
     assert s.fro_norms() == pytest.approx(dense, rel=n * np.finfo(float).eps,
                                           abs=0.0)
     if k_rician == math.inf:
         assert s.fro_norms()[2] == 0.0
+
+
+def _matched_combiner(point, h_sat, ut_dims):
+    """w = a_ut / ||a_ut||, the terminal's combiner matched to the LoS
+    direction, built from the geometry rather than from a channel sample."""
+    v_down = direction_to(point[0], point[1], h_sat)
+    a_ut = steering_vector(upa_positions(ut_dims[0], ut_dims[1], 0.5), -v_down)
+    return a_ut / np.linalg.norm(a_ut)
+
+
+@pytest.fixture(scope="module")
+def los_scene():
+    # pure line of sight, with both loss terms of gamma nonzero
+    return build_scene(SceneConfig(rician_factor=math.inf, cable_loss_db=1.7,
+                                   atmos_loss_db=0.3))
+
+
+@st.composite
+def _roi_beam_case(draw):
+    """A codebook mode, one of its iterations, and a point in the ROI ellipse."""
+    mode = draw(st.sampled_from(["hex", "dft"]))
+    k = draw(st.integers(0, 3)) if mode == "hex" else 0
+    r = draw(st.floats(0.0, 1.0))
+    phi = draw(st.floats(-math.pi, math.pi))
+    return mode, k, r, phi
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=_roi_beam_case())
+def test_budget_equals_rank1_channel_response(los_scene, case):
+    # at K = inf, H = gamma * a_ut a_sat^H, so beam b reaches the matched
+    # combiner with power P_tx |w^H los_col|^2 |a_sat^H f_b|^2: the budget's
+    # SNR and SINR, built from gain_matrix, snr_db, noise_rel and sinr_db,
+    # must equal those powers over the thermal noise
+    mode, k, r, phi = case
+    sc, lp = los_scene, los_scene.link
+    x, y = r * sc.roi.semi_x * math.cos(phi), r * sc.roi.semi_y * math.sin(phi)
+    book = codebook_for(sc, mode)
+    targets, rf = book.targets[k], book.rf[k]
+    s = link.rician_sample((x, y), sc.geometry, sc.h_sat, lp,
+                           np.random.default_rng(0))
+    w = _matched_combiner((x, y), sc.h_sat, lp.ut_dims)
+    ut = abs(np.vdot(w, s.los_col + s.scatter_col)) ** 2
+    sat = np.array([abs(np.vdot(s.a_sat, beam_precoder(
+        t, sc.geometry, c, sc.h_sat).coeffs)) ** 2 for t, c in zip(targets, rf)])
+    powers = link.db_to_linear(lp.p_tx_dbw) * ut * sat
+    noise = link.db_to_linear(link.noise_power(lp.noise_temp_dbk, lp.bandwidth,
+                                               lp.k_boltz_dbw))
+
+    g = gain_matrix([x], [y], targets[:, 0], targets[:, 1], sc.h_sat,
+                    sc.geometry.subarray_nx, sc.geometry.subarray_ny,
+                    sc.geometry.spacing)[0]
+    b = int(np.argmax(g))
+    d = slant_range(x, y, sc.h_sat)
+    assert link.snr_db(g[b], d, lp) == pytest.approx(
+        link.linear_to_db(powers[b] / noise), rel=0.0, abs=1e-9)
+    sinr = link.sinr_db(g[b], g.sum() - g[b], link.noise_rel(d, lp))
+    interf = np.delete(powers, b).sum()
+    assert sinr == pytest.approx(
+        link.linear_to_db(powers[b] / (interf + noise)), rel=0.0, abs=1e-9)
+
+
+def test_mean_combining_gain_is_g_rx(small_geome):
+    # with w matched to a_ut, |w^H (los_col + scatter_col)|^2 / gamma^2 is
+    # |sqrt(N) + sqrt(1/K) z|^2 with z ~ CN(0, 1): mean N + 1/K, which g_rx
+    # assumes, and variance 2N/K + 1/K^2, which sets the bound on the mean
+    # of n seeded draws at five standard errors
+    n_ut, k, n = 4, 0.5, 4000
+    p = link.LinkParams(f_carrier=11.45e9, bandwidth=250e6, p_tx_dbw=15.0,
+                        lp_cable_db=1.7, lp_at_db=0.3, noise_temp_dbk=24.1,
+                        k_rician=k, ut_dims=(2, 2))
+    point = (6e4, -2.5e4)
+    gamma_sq = link.db_to_linear(-(link.fspl(slant_range(*point, H),
+                                             p.f_carrier) + 0.3 + 1.7))
+    w = _matched_combiner(point, H, p.ut_dims)
+    rng = np.random.default_rng(2024)
+    gains = []
+    for _ in range(n):
+        s = link.rician_sample(point, small_geome, H, p, rng)
+        gains.append(abs(np.vdot(w, s.los_col + s.scatter_col)) ** 2)
+    mean = np.mean(gains) / gamma_sq
+    bound = 5.0 * math.sqrt((2.0 * n_ut / k + 1.0 / k**2) / n)
+    assert abs(mean - link.db_to_linear(link.g_rx(p.ut_dims, k))) < bound
 
 
 def test_scatter_trace_normalization():
