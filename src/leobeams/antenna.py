@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_ELEMENTS = 2**20  # elements of one satellite panel, all sub-arrays
+
 
 def upa_positions(n_x: int, n_y: int, spacing: float) -> np.ndarray:
     """Element positions of an n_x by n_y uniform planar array in the z = 0 plane.
@@ -58,21 +60,26 @@ class ArrayGeometry:
 
 def satellite_array(n_rf: int, subarray_dims: tuple[int, int],
                     spacing: float) -> ArrayGeometry:
-    """Build the satellite panel: sub-arrays side by side along x, one aperture apart."""
+    """Build the satellite panel: sub-arrays side by side along x, one aperture apart.
+
+    A panel of more than MAX_ELEMENTS elements is refused, naming its sizes,
+    before anything is allocated.
+    """
     if n_rf < 1:
         raise ValueError("n_rf must be at least 1")
     n_x, n_y = subarray_dims
+    if not n_rf * n_x * n_y <= MAX_ELEMENTS:
+        raise ValueError(f"n_rf x subarray_nx x subarray_ny = {n_rf} x {n_x} x "
+                         f"{n_y} elements, more than the {MAX_ELEMENTS} one "
+                         f"panel may hold")
     base = upa_positions(n_x, n_y, spacing)
     pitch = 2.0 * n_x * spacing  # aperture plus one-aperture gap
-    blocks, rf = [], []
-    for s in range(n_rf):
-        block = base.copy()
-        block[:, 0] += (s - (n_rf - 1) / 2.0) * pitch
-        blocks.append(block)
-        rf.append(np.full(base.shape[0], s, dtype=np.int64))
+    positions = np.tile(base, (n_rf, 1))
+    positions[:, 0] += np.repeat((np.arange(n_rf) - (n_rf - 1) / 2.0) * pitch,
+                                 base.shape[0])
     return ArrayGeometry(
-        positions=np.vstack(blocks),
-        rf_map=np.concatenate(rf),
+        positions=positions,
+        rf_map=np.repeat(np.arange(n_rf, dtype=np.int64), base.shape[0]),
         n_rf=n_rf,
         subarray_nx=n_x,
         subarray_ny=n_y,

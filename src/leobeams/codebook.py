@@ -49,9 +49,15 @@ def lattice_scaling(h_sat: float, oversampling: float,
 def make_lattice_spec(h_sat: float, oversampling: float,
                       subarray_dims: tuple[int, int], cycle_len: int,
                       v_ground: float) -> LatticeSpec:
+    """Lattice scalings and update period. A cycle_len over MAX_LATTICE_NODES
+    is refused here, before it meets a float: one enumeration holds at least
+    one node per iteration."""
     c_x, c_y = lattice_scaling(h_sat, oversampling, subarray_dims)
     if cycle_len < 1:
         raise ValueError("cycle_len must be at least 1")
+    if cycle_len > MAX_LATTICE_NODES:
+        raise ValueError(f"cycle_len needs more lattice nodes than the "
+                         f"{MAX_LATTICE_NODES} one enumeration may hold")
     return LatticeSpec(c_x=c_x, c_y=c_y, cycle_len=cycle_len,
                        t_c=c_x / (cycle_len * v_ground))
 
@@ -122,6 +128,19 @@ def _mirror_order(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     return m
 
 
+def _xmirror_order(tx: np.ndarray, ty: np.ndarray, to_x: np.ndarray,
+                   to_y: np.ndarray) -> np.ndarray | None:
+    """X with X[j] the position in (to_x, to_y) of the target (-tx[j], ty[j]),
+    or None unless every target has such a partner exactly."""
+    if tx.size != to_x.size:
+        return None
+    x = np.empty(tx.size, dtype=np.intp)
+    x[np.lexsort((-tx, ty))] = np.lexsort((to_x, to_y))
+    if not (np.array_equal(to_x[x], -tx) and np.array_equal(to_y[x], ty)):
+        return None
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """A K-iteration cycle of beams as read-only arrays.
@@ -130,7 +149,14 @@ class Codebook:
     and RF chains, in ascending base-ID order. Targets repeat every cycle;
     IDs advance by `advance` (mod n_beams) per full cycle: 1 for the hex
     cycle, so each ground node keeps its ID for the whole pass, and 0 for
-    the DFT grid. Each iteration's y-mirror order is computed once, here.
+    the DFT grid. Each iteration's y-mirror order is computed once, here,
+    and so is its x-mirror order: `xmirror[k]` gives, for every beam of
+    iteration -k mod K, the position in iteration k of its target's mirror
+    (-x, y), or is None where any of those targets is not matched exactly.
+    Iteration k's lattice shift -k/K mirrors to k/K, so the x-mirror of
+    iteration k is iteration -k mod K wherever the shifts round alike: every
+    k at K = 2, 4 and 8 (k/K is exact in binary), but only k = 0 at K = 3.
+    The DFT grid pairs with itself.
     """
 
     targets: tuple[np.ndarray, ...]
@@ -139,30 +165,53 @@ class Codebook:
     n_beams: int
     advance: int
     mirror: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    xmirror: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         mirror = tuple(_mirror_order(t[:, 0], t[:, 1]) for t in self.targets)
+        xmirror = tuple(_xmirror_order(*self.targets[-k].T, *t.T)
+                        for k, t in enumerate(self.targets))
         object.__setattr__(self, "mirror", mirror)
-        for a in (*self.targets, *self.ids, *self.rf, *mirror):
+        object.__setattr__(self, "xmirror", xmirror)
+        for a in (*self.targets, *self.ids, *self.rf, *mirror,
+                  *(x for x in xmirror if x is not None)):
             a.flags.writeable = False
 
     @property
     def cycle_len(self) -> int:
         return len(self.targets)
 
-    def snapshot(self, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Targets, stable IDs and y-mirror order M of global iteration g (any
-        integer; snapshots repeat every K * n_beams), in ascending-ID order.
-
-        IDs wrap mod n_beams past a cycle, so the base order is re-sorted and
-        M, built in base order, is mapped into the sorted one: M[j] is the
-        sorted position of the mirror of sorted beam j.
-        """
+    def _ascending(self, g: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Base iteration k of global iteration g, its IDs, and the base
+        positions of its beams in ascending-ID order."""
         m, k = divmod(g, self.cycle_len)
         ids = (self.ids[k] + self.advance * m % self.n_beams) % self.n_beams
-        asc = np.argsort(ids, kind="stable")
+        return k, ids, np.argsort(ids, kind="stable")
+
+    def snapshot(self, g: int, rows: int = None) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Targets, stable IDs, y-mirror order M and x-mirror order X of
+        global iteration g (any integer; snapshots repeat every K * n_beams),
+        in ascending-ID order.
+
+        X[j] is the position in the snapshot of global iteration rows
+        (default g) of the target (-x, y) of beam j's target (x, y); X is None
+        unless rows = -g mod K and the stored x-mirror order is exact, so it
+        exists for rows = g only where iteration g pairs with itself.
+
+        IDs wrap mod n_beams past a cycle, so the base order is re-sorted and
+        M and X, built in base order, are mapped into the sorted ones: M[j] is
+        the sorted position of the mirror of sorted beam j.
+        """
+        k, ids, asc = self._ascending(g)
         inv = np.argsort(asc)  # the inverse permutation
-        return self.targets[k][asc], ids[asc], inv[self.mirror[k][asc]]
+        mirror = inv[self.mirror[k][asc]]
+        r = g if rows is None else rows
+        x = self.xmirror[r % self.cycle_len] if (g + r) % self.cycle_len == 0 \
+            else None
+        if x is not None:
+            x = np.argsort(self._ascending(r)[2])[x[asc]]
+        return self.targets[k][asc], ids[asc], mirror, x
 
 
 def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec,
@@ -186,9 +235,11 @@ def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec,
 
 
 def _grid_shape(n_beams: int, aspect: float) -> tuple[int, int]:
-    # factor pair closest in log-aspect to the ROI
-    return min(((cols, n_beams // cols) for cols in range(1, n_beams + 1)
-                if n_beams % cols == 0),
+    # factor pair closest in log-aspect to the ROI, fewest columns on a tie;
+    # divisors come in pairs about sqrt(n_beams)
+    low = [c for c in range(1, math.isqrt(n_beams) + 1) if n_beams % c == 0]
+    cols = sorted({*low, *(n_beams // c for c in low)})
+    return min(((c, n_beams // c) for c in cols),
                key=lambda cr: abs(math.log((cr[0] / cr[1]) / aspect)))
 
 
@@ -199,13 +250,21 @@ def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int = 15,
 
     The grid is centered on the ROI with spacings shrink * (2*semi_x / cols,
     2*semi_y / rows); the construction is rejected unless exactly n_beams
-    lattice points fall inside the ellipse.
+    lattice points fall inside the ellipse. A count whose grid would hold
+    more than MAX_LATTICE_NODES nodes is refused before the grid is laid out.
     """
     if n_beams < 1:
         raise ValueError("n_beams must be at least 1")
     if shrink <= 0:
         raise ValueError("shrink must be positive")
+    if n_beams > MAX_LATTICE_NODES:
+        raise ValueError(f"dft_n_beams = {n_beams} is more than the "
+                         f"{MAX_LATTICE_NODES} grid nodes one codebook may hold")
     cols, rows = _grid_shape(n_beams, roi.semi_x / roi.semi_y)
+    nodes = (2 * (cols // 2) + 5) * (2 * (rows // 2) + 5)
+    if nodes > MAX_LATTICE_NODES:
+        raise ValueError(f"dft_n_beams = {n_beams} lays out a {cols} x {rows} "
+                         f"grid of {nodes} nodes, more than {MAX_LATTICE_NODES}")
     s_x = shrink * 2.0 * roi.semi_x / cols
     s_y = shrink * 2.0 * roi.semi_y / rows
     # centered grid: integer multiples for odd counts, half-offsets for even;

@@ -23,12 +23,13 @@ serving-beam reduction over beams, runs along rows of thousands of
 contiguous values instead of rows of 10 to 15. Multiplication commutes in
 IEEE arithmetic, so every value is bit-identical to the other layout's.
 
-The kernel is odd-symmetric in y: negating py and ty together negates every
-y-axis angle exactly, np.sin is odd and np.cos even, and IEEE rounding
+The kernel is odd-symmetric in x and in y: negating py and ty together
+negates every y-axis angle exactly (and px and tx every x-axis angle; the
+radii see only squares), np.sin is odd and np.cos even, and IEEE rounding
 commutes with negation, so each sine difference flips sign bit for bit and
-its square, and so the gain, is unchanged. With points on y = 0 (+0.0 or
--0.0) the differences of equal terms may differ only in the sign of a zero,
-which the _EPS branch maps to the same limit.
+its square, and so the gain, is unchanged. With points or targets on an
+axis (+0.0 or -0.0) the differences of equal terms may differ only in the
+sign of a zero, which the _EPS branch maps to the same limit.
 """
 
 from __future__ import annotations

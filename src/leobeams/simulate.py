@@ -26,6 +26,16 @@ IEEE negation commutes with every rounding), so the gain of beam j at
 therefore evaluates the kernel once per mirror pair of points and answers
 for both: maps fill the rows y >= 0 and write rows y and -y, sweeps run the
 rows y >= 0, and a single point takes the side matching the sign of its y.
+
+The kernel is odd in x as well, and the grid is closed under x -> -x. The
+x-mirror of hex iteration k is iteration -k mod K wherever the codebook
+found every target's partner exactly (`Codebook.xmirror`); the DFT grid is
+its own. So where a map's iteration pairs with itself, `_serve` answers all
+four points (+-x, +-y) from one kernel call and the map fills one quadrant;
+elsewhere it keeps the two-sided y-pairing. The dynamic handover map pairs
+point x at update index g with -x at -g, whose satellite-frame positions
+are negatives of each other, in one association loop over the whole map.
+The static and DFT sweeps start at +x_b and are not x-symmetric.
 """
 
 from __future__ import annotations
@@ -112,11 +122,15 @@ def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
                        g.subarray_ny, g.spacing)
 
 
-def _serve(scene: Scene, px, py, book: Codebook,
-           iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _serve(scene: Scene, px, py, book: Codebook, iteration: int,
+           x_iteration: int = None) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
     """Serving ID, serving gain and summed interferer gain of book's global
     iteration at (px, |py|) and at its mirror (px, -|py|): each of shape
     (2, n points), row 0 for the point at +|py| and row 1 for the one at -|py|.
+    With x_iteration, an iteration whose snapshot has an x-mirror order onto
+    this one (see `Codebook.snapshot`), rows 2 and 3 add the points
+    (-px, |py|) and (-px, -|py|) served by x_iteration: shape (4, n points).
 
     Max gain wins, exact ties go to the lowest ID. One kernel call per slice
     of CHUNK points, at (px, |py|); its transpose has one contiguous row per
@@ -132,21 +146,28 @@ def _serve(scene: Scene, px, py, book: Codebook,
     ascending-ID order. Walking the rows in their own order and mapping the
     winner through M instead would break ties, and add the floating-point
     sum, in another order, and so could change a serving ID or the last bit
-    of an interferer sum. An iteration with no beams raises ValueError.
+    of an interferer sum. The kernel is odd in x too, so at (-px, |py|) beam
+    j of x_iteration sees row X[j] (its x-mirror order) and at (-px, -|py|)
+    row X[M'[j]], with M' its own mirror order; those walks take x_iteration's
+    IDs in their ascending order the same way. An iteration with no beams
+    raises ValueError.
     """
-    targets, ids, mirror = book.snapshot(iteration)
+    targets, ids, mirror, _ = book.snapshot(iteration)
     if ids.size == 0:
         raise ValueError(f"iteration {iteration} has no beams in the ROI")
     tx, ty = targets.T
-    orders = (np.arange(ids.size), mirror)
+    walks = [(np.arange(ids.size), ids), (mirror, ids)]
+    if x_iteration is not None:
+        _, x_ids, x_mirror, x = book.snapshot(x_iteration, iteration)
+        walks += [(x, x_ids), (x[x_mirror], x_ids)]
     px = np.asarray(px, dtype=float)
     py = np.abs(np.asarray(py, dtype=float))
-    sid = np.empty((2, px.size), dtype=np.int64)
-    g_serve, interf = np.empty((2, px.size)), np.empty((2, px.size))
+    sid = np.empty((len(walks), px.size), dtype=np.int64)
+    g_serve, interf = np.empty(sid.shape), np.empty(sid.shape)
     for a in range(0, px.size, CHUNK):
         s = slice(a, a + CHUNK)
         rows = _gains(scene, px[s], py[s], tx, ty).T
-        for side, order in enumerate(orders):
+        for side, (order, side_ids) in enumerate(walks):
             k = np.zeros(rows.shape[1], dtype=np.intp)
             best, total = rows[order[0]].copy(), rows[order[0]].copy()
             for b in range(1, order.size):
@@ -154,7 +175,7 @@ def _serve(scene: Scene, px, py, book: Codebook,
                 k[row > best] = b
                 np.maximum(best, row, out=best)
                 total += row
-            sid[side, s] = ids[k]
+            sid[side, s] = side_ids[k]
             g_serve[side, s], interf[side, s] = best, total - best
     return sid, g_serve, interf
 
@@ -168,32 +189,40 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
     return int(sid[side, 0]), float(g[side, 0])
 
 
-def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
+def _roi_field(roi: Roi, step: float, key: str, fill, quadrant: bool = False,
+               whole: bool = False) -> FieldMap:
     """Grid over the ROI box holding fill's values at in-ROI nodes, NaN elsewhere.
 
-    The grid and the ellipse are symmetric about y = 0 bit for bit
-    (ys[-1 - i] == -ys[i]), so fill(px, py) is called only on the nodes with
-    y >= 0 and returns shape (2, n): its values at (px, py) and at (px, -py).
-    Row y takes the first and row -y the second; the row y = 0 takes the
-    first. The mask is built row by row, so no full-box coordinate grid is
-    made, and fill is called once per block of whole rows of about
-    8 * CHUNK nodes a side, so its per-point arrays, both sides together,
-    do not grow with the grid. fill must treat each point, or each row, on
-    its own.
+    The grid and the ellipse are symmetric about y = 0 and about x = 0 bit
+    for bit (ys[-1 - i] == -ys[i], and the same for xs), so fill(px, py) is
+    called only on the nodes with y >= 0 and returns shape (2, n): its values
+    at (px, py) and at (px, -py). With quadrant, only on the nodes with
+    x >= 0 and y >= 0, returning shape (4, n): its values at (px, py),
+    (px, -py), (-px, py) and (-px, -py). Row y takes the first and row -y the
+    second, column -x the last two; the row y = 0 and the column x = 0 take
+    the first. The mask is built row by row, so no full-box coordinate grid
+    is made, and fill is called once per block of whole rows holding about
+    16 * CHUNK values, all sides together, so its per-point arrays do not
+    grow with the grid; with whole, once on the whole map. fill must treat
+    each point, or each row, on its own.
     """
     xs, ys = roi_grid(roi, step, key)
     mask = np.empty((ys.size, xs.size), dtype=bool)
     for iy, y in enumerate(ys):
         mask[iy] = roi.contains(xs, y)
     vals = np.full(mask.shape, np.nan)
-    rows = max(1, 8 * CHUNK // xs.size)
+    # row i of vals[::-1] is row -y, column i of vals[:, ::-1] column -x
+    sides = (vals, vals[::-1], vals[:, ::-1], vals[::-1, ::-1])
+    n = 4 if quadrant else 2
+    c = xs.size // 2 if quadrant else 0
+    rows = ys.size if whole else max(1, 16 * CHUNK // n // (xs.size - c))
     for r in range(ys.size // 2, ys.size, rows):
-        m = mask[r:r + rows]
+        m = mask[r:r + rows, c:]
         counts = np.count_nonzero(m, axis=1)
-        up, down = fill(np.broadcast_to(xs, m.shape)[m],
-                        np.repeat(ys[r:r + rows], counts))
-        vals[::-1][r:r + rows][m] = down  # row i of vals[::-1] is row -y
-        vals[r:r + rows][m] = up
+        out = fill(np.broadcast_to(xs[c:], m.shape)[m],
+                   np.repeat(ys[r:r + rows], counts))
+        for side in reversed(range(n)):  # side 0 last: the axes take it
+            sides[side][r:r + rows, c:][m] = out[side]
     return FieldMap(xs=xs, ys=ys, values=vals)
 
 
@@ -213,16 +242,19 @@ def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
     if metric not in ("snr", "sinr", "cell"):
         raise ValueError(f"unknown metric {metric!r}")
     book = codebook_for(scene, mode)
+    # an iteration that pairs with itself answers (-x, y) from (x, y) as well
+    x_it = iteration if book.snapshot(iteration)[3] is not None else None
 
     def at(px, py):
-        sid, g_serve, interf = _serve(scene, px, py, book, iteration)
+        sid, g_serve, interf = _serve(scene, px, py, book, iteration, x_it)
         if metric == "cell":
             return sid
         dist = slant_range(px, py, scene.h_sat)
         if metric == "snr":
             return snr_db(g_serve, dist, scene.link)
         return sinr_db(g_serve, interf, noise_rel(dist, scene.link))
-    return _roi_field(scene.roi, step, "grid_step_m", at)
+    return _roi_field(scene.roi, step, "grid_step_m", at,
+                      quadrant=x_it is not None)
 
 
 def cdf_from_map(fmap: FieldMap, thresholds_db: np.ndarray,
@@ -260,19 +292,64 @@ def _iteration(scene: Scene, t) -> np.ndarray:
 
 
 def _dynamic_associations(scene: Scene, px: np.ndarray, py: np.ndarray,
-                          t_in: np.ndarray, t_out: np.ndarray):
+                          t_in: np.ndarray, t_out: np.ndarray,
+                          x_mirror: bool = False):
     """Dynamic-codebook associations: point i at t_in[i], then at each update
     instant tau = g * t_c in (t_in[i], t_out[i]]. Yields (g, points, ids) per
-    iteration g: the associating point indices and their serving beam IDs,
-    shape (2, points), at (x, |y|) and at (x, -|y|). The window, and so every
-    association instant, is the same for both signs of y.
+    loop index g that has any: the associating point indices and their
+    serving beam IDs, shape (2, points), at (x, |y|) and at (x, -|y|). The
+    window, and so every association instant, is the same for both signs
+    of y.
+
+    With x_mirror, point n + i (n = px.size) is the x-mirror (-px[i], py[i]),
+    whose window is (-t_out[i], -t_in[i]). At index g it associates under
+    iteration -g, where its update position negates point i's at g, so it
+    meets its events in reverse time order, entry last. Where iteration -g
+    has an x-mirror order onto g (`Codebook.snapshot`), one `_serve` call at
+    g answers both: it evaluates once each point that either side updates at
+    that index (the half-open window and the 1e-9 s tolerance of `_iteration`
+    make the two sets differ), and each side's entries (at its own t_in) as
+    points of their own, a mirror's negated. Elsewhere the mirrors are
+    evaluated where they are, in a second call at -g.
     """
+    v, t_c, n = scene.v_ground, scene.lattice.t_c, px.size
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
-    for g in range(int(g_in.min()), int(g_out.max()) + 1):
-        pts = np.flatnonzero((g_in <= g) & (g <= g_out))
-        t = np.where(g_in[pts] == g, t_in[pts], g * scene.lattice.t_c)
-        yield g, pts, _serve(scene, px[pts] - scene.v_ground * t, py[pts],
-                             scene.hex, g)[0]
+    lo, hi = int(g_in.min()), int(g_out.max())
+    if x_mirror:
+        m_in = -t_out  # the mirrors' entry times
+        h_in, h_out = _iteration(scene, m_in), _iteration(scene, -t_in)
+        lo, hi = min(lo, -int(h_out.max())), max(hi, -int(h_in.min()))
+    for g in range(lo, hi + 1):
+        on, entry = (g_in <= g) & (g <= g_out), g_in == g
+        if x_mirror:
+            x_on, x_entry = (h_in <= -g) & (-g <= h_out), h_in == -g
+        if x_mirror and scene.hex.snapshot(-g, g)[3] is not None:
+            upd, x_upd = on & ~entry, x_on & ~x_entry
+            both = np.flatnonzero(upd | x_upd)
+            ea, eb = np.flatnonzero(on & entry), np.flatnonzero(x_on & x_entry)
+            if both.size + ea.size + eb.size == 0:
+                continue
+            sx = np.concatenate([px[both] - v * (g * t_c), px[ea] - v * t_in[ea],
+                                 -(-px[eb] - v * m_in[eb])])
+            sid = _serve(scene, sx, py[np.concatenate([both, ea, eb])],
+                         scene.hex, g, -g)[0]
+            s_both, s_ea, s_eb = np.split(sid, [both.size, both.size + ea.size],
+                                          axis=1)
+            u, xu = upd[both], x_upd[both]
+            yield g, np.concatenate([both[u], ea, n + both[xu], n + eb]), \
+                np.concatenate([s_both[:2, u], s_ea[:2], s_both[2:, xu],
+                                s_eb[2:]], axis=1)
+            continue
+        pts = np.flatnonzero(on)
+        t = np.where(entry[pts], t_in[pts], g * t_c)
+        events = [(pts, px[pts] - v * t, g)]
+        if x_mirror:
+            pts = np.flatnonzero(x_on)
+            t = np.where(x_entry[pts], m_in[pts], -g * t_c)
+            events.append((n + pts, -px[pts] - v * t, -g))
+        for pts, sx, it in events:
+            if pts.size:
+                yield g, pts, _serve(scene, sx, py[pts % n], scene.hex, it)[0]
 
 
 def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
@@ -326,7 +403,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         for g, _, held in _dynamic_associations(
                 scene, np.array([x_g]), np.array([y]), ts[:1], ts[-1:]):
             at = np.flatnonzero(g_s == g)
-            targets, ids, _ = book.snapshot(g)
+            targets, ids, _, _ = book.snapshot(g)
             tx, ty = targets[ids == held[side, 0]].T
             sid[at] = held[side, 0]
             for a in range(0, at.size, CHUNK):  # the held beam, not an argmax
@@ -380,14 +457,18 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
                              py: np.ndarray) -> np.ndarray:
     """Dynamic-codebook handovers: ID changes across the association events,
-    at (px, |py|) and (px, -|py|), shape (2, n)."""
+    at (px, |py|), (px, -|py|), (-px, |py|) and (-px, -|py|), shape (4, n).
+    A mirror meets its events in reverse order, which counts the same
+    changes."""
     t_in, t_out = pass_window(scene, (px, py))
-    prev = np.full((2, px.size), -1, dtype=np.int64)
-    counts = np.full((2, px.size), -1, dtype=np.int64)  # entry is no handover
-    for _, pts, sid in _dynamic_associations(scene, px, py, t_in, t_out):
-        counts[:, pts] += sid != prev[:, pts]
-        prev[:, pts] = sid
-    return counts
+    prev = np.full((2, 2 * px.size), -1, dtype=np.int64)
+    counts = np.full((2, 2 * px.size), -1, dtype=np.int64)  # entry: no handover
+    for _, pts, sid in _dynamic_associations(scene, px, py, t_in, t_out,
+                                             x_mirror=True):
+        for c, p, s in zip(counts, prev, sid):  # 1-D indexing, row by row
+            c[pts] += s != p[pts]
+            p[pts] = s
+    return np.concatenate(np.split(counts, 2, axis=1))
 
 
 def handover_map(scene: Scene, mode: str = "dynamic",
@@ -397,9 +478,12 @@ def handover_map(scene: Scene, mode: str = "dynamic",
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
         dt = scene.default_dt
-    return _roi_field(scene.roi, step, "handover_grid_step_m", lambda px, py: (
-        _dynamic_handover_counts(scene, px, py) if mode == "dynamic"
-        else _swept_handover_counts(scene, py, book, dt)))
+    if mode == "dynamic":  # one association loop over the whole quadrant
+        return _roi_field(scene.roi, step, "handover_grid_step_m",
+                          lambda px, py: _dynamic_handover_counts(scene, px, py),
+                          quadrant=True, whole=True)
+    return _roi_field(scene.roi, step, "handover_grid_step_m",
+                      lambda px, py: _swept_handover_counts(scene, py, book, dt))
 
 
 def dominance_violations(dynamic_map: FieldMap,

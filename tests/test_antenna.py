@@ -38,6 +38,23 @@ def test_satellite_array_layout():
     assert geom.positions.mean(axis=0) == pytest.approx([0, 0, 0], abs=1e-9)
 
 
+@pytest.mark.parametrize("n_rf, dims", [(1, (1, 1)), (2, (4, 3)), (13, (12, 24)),
+                                         (6, (5, 2))])
+def test_satellite_array_matches_block_by_block_layout(n_rf, dims):
+    # the panel is laid out at once; block s is the sub-array shifted along x
+    # by (s - (n_rf - 1) / 2) pitches, bit for bit
+    geom = ant.satellite_array(n_rf, dims, 0.5)
+    base = ant.upa_positions(*dims, 0.5)
+    for s in range(n_rf):
+        block = base.copy()
+        block[:, 0] += (s - (n_rf - 1) / 2.0) * (2.0 * dims[0] * 0.5)
+        on = geom.rf_map == s
+        assert np.flatnonzero(on).tolist() == list(range(s * len(base),
+                                                         (s + 1) * len(base)))
+        assert geom.positions[on].tobytes() == block.tobytes()
+    assert geom.rf_map.dtype == np.int64
+
+
 def test_steering_vector_unit_modulus():
     geom = ant.satellite_array(2, (4, 3), 0.5)
     v = direction_to(1e5, -2e5, H)

@@ -249,6 +249,13 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     (["map", "--set", "cycle_len=1000000"], "cycle_len"),
     (["map", "--set", "oversampling=1e300"], "oversampling"),
     (["map", "--set", "oversampling=1.7e308"], "oversampling"),
+    # an iteration count beyond float range, before any float meets it
+    (["map", "--set", "cycle_len=1" + "0" * 400], "cycle_len"),
+    # a DFT grid or a panel too large to lay out
+    (["codebook", "--set", "dft_n_beams=10000000"], "dft_n_beams"),
+    (["map", "--set", "dft_n_beams=" + "9" * 400], "dft_n_beams"),
+    (["codebook", "--set", "n_rf=100000000"], "n_rf"),
+    (["map", "--set", "subarray_ny=" + "9" * 400], "subarray_ny"),
 ])
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
     assert _run(argv[:1] + ["--out", tmp_path / "o"] + argv[1:]) == 2

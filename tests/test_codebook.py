@@ -72,8 +72,8 @@ def test_iteration_counts_match_enumeration_oracle(spec, cycle):
 def test_iterations_are_k_periodic(cycle):
     # a full cycle later every target recurs exactly, its ID one higher
     for k in range(4):
-        t0, ids0, _ = cycle.snapshot(k)
-        t1, ids1, _ = cycle.snapshot(k + 4)
+        t0, ids0, _, _ = cycle.snapshot(k)
+        t1, ids1, _, _ = cycle.snapshot(k + 4)
         assert np.array_equal(t1[np.searchsorted(ids1, (ids0 + 1) % 13)], t0)
 
 
@@ -129,9 +129,9 @@ def test_build_cycle_structure(cycle):
 def test_beam_ids_advance_per_cycle(cycle):
     # the same iteration one cycle later or earlier: the same targets with
     # IDs one up or down, re-sorted into ascending-ID order
-    t1, base, _ = cycle.snapshot(1)
+    t1, base, _, _ = cycle.snapshot(1)
     for g, step in ((5, 1), (9, 2), (-3, -1)):
-        t, ids, _ = cycle.snapshot(g)
+        t, ids, _, _ = cycle.snapshot(g)
         assert np.all(np.diff(ids) > 0)
         assert np.array_equal(t[np.searchsorted(ids, (base + step) % 13)], t1)
 
@@ -140,10 +140,10 @@ def test_node_keeps_id_one_cycle_later(cycle, spec):
     # ground node at the base lattice origin, observed at iteration 0 and a
     # full cycle later: by then it has drifted one x period in the satellite
     # frame and must carry the same stable ID
-    t0, ids0, _ = cycle.snapshot(0)
+    t0, ids0, _, _ = cycle.snapshot(0)
     col0 = int(np.argmin(np.hypot(t0[:, 0], t0[:, 1])))
     assert t0[col0] == pytest.approx([0.0, 0.0], abs=1e-6)
-    t4, ids4, _ = cycle.snapshot(4)
+    t4, ids4, _, _ = cycle.snapshot(4)
     col4 = int(np.argmin(np.hypot(t4[:, 0] + spec.c_x, t4[:, 1])))
     assert t4[col4] == pytest.approx([-spec.c_x, 0.0], abs=1e-6)
     assert ids4[col4] == ids0[col0]
@@ -295,7 +295,7 @@ def _mirror_order_oracle(tx, ty):
 def _assert_snapshot_matches_oracle(book, g):
     tx, ty, ids = _id_sorted_oracle(book, g)
     want = (tx, ty, ids, _mirror_order_oracle(tx, ty))
-    targets, ids, m = book.snapshot(g)
+    targets, ids, m, _ = book.snapshot(g)
     got = (targets[:, 0], targets[:, 1], ids, m)
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype
@@ -334,6 +334,85 @@ def test_dft_baseline_is_closed_under_y_mirror(n_beams, shrink, semi_x, semi_y,
     assert book.cycle_len == 1 and book.advance == 0
     assert np.array_equal(book.snapshot(g)[1], np.arange(n_beams))
     _assert_snapshot_matches_oracle(book, g)
+
+
+@st.composite
+def _xmirror_cases(draw):
+    h = draw(st.floats(0.5e6, 2e6))
+    return cb.make_lattice_spec(h, draw(st.floats(1.2, 1.7)), (12, 24),
+                                draw(st.sampled_from([2, 3, 4, 5, 8])),
+                                ground_track_speed(h))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lattice=_xmirror_cases())
+def test_stored_x_mirror_orders_are_exact_or_none(roi, lattice):
+    # xmirror[k] pairs each beam of iteration -k mod K with its target's
+    # mirror (-x, y) in iteration k exactly, or is None when a set-based
+    # oracle finds some mirror missing; k/K is exact in binary at K = 2, 4
+    # and 8, so every iteration pairs, and at K = 3 only k = 0 does (in
+    # float64, 1 - 2/3 != 1/3)
+    K = lattice.cycle_len
+    cyc = cb.build_cycle(SimpleNamespace(n_rf=10**6), lattice, roi)
+    for k in range(K):
+        src, dst = cyc.targets[-k % K], cyc.targets[k]
+        exact = (len(src) == len(dst) and {(-x, y) for x, y in src.tolist()}
+                 == set(map(tuple, dst.tolist())))
+        x = cyc.xmirror[k]
+        assert (x is not None) == exact
+        if x is not None:
+            assert np.array_equal(np.sort(x), np.arange(len(dst)))
+            assert np.array_equal(dst[x, 0], -src[:, 0])
+            assert np.array_equal(dst[x, 1], src[:, 1])
+    assert cyc.xmirror[0] is not None
+    if K in (2, 4, 8):
+        assert all(x is not None for x in cyc.xmirror)
+    if K == 3:
+        assert cyc.xmirror[1] is None and cyc.xmirror[2] is None
+    # the snapshot maps X into ascending-ID order, for any global g and any
+    # rows iteration; it exists only where rows = -g mod K
+    for g in range(-K - 1, 2 * K + 2):
+        targets = cyc.snapshot(g)[0]
+        for rows in (g, -g, -g + K, 1 - g):
+            x = cyc.snapshot(g, rows)[3]
+            paired = (g + rows) % K == 0 and cyc.xmirror[rows % K] is not None
+            assert (x is not None) == paired
+            if paired:
+                to = cyc.snapshot(rows)[0]
+                assert np.array_equal(to[x, 0], -targets[:, 0])
+                assert np.array_equal(to[x, 1], targets[:, 1])
+
+
+def test_dft_grid_pairs_with_itself_under_x_mirror(roi):
+    book = cb.dft_baseline(SimpleNamespace(n_rf=13), roi, 15, 0.88)
+    targets, _, _, x = book.snapshot(0)
+    assert np.array_equal(targets[x, 0], -targets[:, 0])
+    assert np.array_equal(targets[x, 1], targets[:, 1])
+
+
+@pytest.mark.parametrize("n_beams", [2**20 + 1, 10**8, 10**400])
+def test_oversized_dft_grid_refused_before_allocating(roi, n_beams):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^dft_n_beams = "):
+            cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_dft_grid_of_too_many_nodes_refused_before_allocating(roi):
+    # a prime count lays out one row of n_beams columns: (n + 4) x 5 nodes
+    n_beams = 262147
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^dft_n_beams = 262147 lays out"):
+            cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_mirror_order_rejects_an_unpaired_beam():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -98,3 +99,24 @@ def test_removed_constellation_keys_rejected():
     for key in ("n_planes", "n_sats_per_plane", "min_elevation_deg"):
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             parse_config(f"{key} = 53\n")
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("n_rf", 10**8, "n_rf x subarray_nx x subarray_ny"),
+    ("subarray_nx", 10**8, "n_rf x subarray_nx x subarray_ny"),
+    ("subarray_ny", 10**400, "n_rf x subarray_nx x subarray_ny"),
+    ("dft_n_beams", 10**7, "dft_n_beams"),
+    ("cycle_len", 10**400, "cycle_len"),
+])
+def test_oversized_counts_refused_before_allocating(key, value, match):
+    # the panel, the DFT grid and the lattice enumeration are sized by
+    # unbounded integers; each is refused, naming its key, at a cost that
+    # does not grow with the value
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            build_scene(SceneConfig(**{key: value}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from leobeams import antenna as ant
 from leobeams import kernels
-from leobeams.codebook import _mirror_order, beam_precoder
+from leobeams.codebook import _mirror_order, _xmirror_order, beam_precoder
 from leobeams.geometry import direction_to
 
 H = 1.3e6
@@ -204,3 +204,29 @@ def test_kernel_is_odd_symmetric_in_y(case, zeros, zero_target):
     up = kernels.gain_matrix(px, py, tx2, ty2, *rest)
     down = kernels.gain_matrix(px, -py, tx2, ty2, *rest)
     assert np.ascontiguousarray(up[:, m]).tobytes() == down.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_kernel_case(), st.lists(st.sampled_from([0.0, -0.0]), min_size=1,
+                                max_size=4), st.booleans())
+def test_kernel_is_odd_symmetric_in_x(case, zeros, zero_target):
+    # the same holds on the x axis: negating px and tx together leaves each
+    # gain bit for bit; points sit on beam targets and on x = +0.0 and -0.0,
+    # and a target may sit on x = +0.0 or -0.0
+    _, _, (px, py, tx, ty, h_sat, n_x, n_y, spacing) = case
+    if zero_target:
+        tx = tx.copy()
+        tx[0] = zeros[0]
+    zeros = np.array(zeros)
+    px = np.concatenate([px, tx, zeros])
+    py = np.concatenate([py, ty, np.resize(ty, zeros.size)])
+    rest = (h_sat, n_x, n_y, spacing)
+    g = kernels.gain_matrix(px, py, tx, ty, *rest)
+    assert g.tobytes() == kernels.gain_matrix(-px, py, -tx, ty, *rest).tobytes()
+    # on a beam set closed under x -> -x, the x-mirrored points see the same
+    # gains with the beams permuted by the x-mirror order X
+    tx2, ty2 = np.concatenate([tx, -tx]), np.concatenate([ty, ty])
+    x = _xmirror_order(tx2, ty2, tx2, ty2)
+    right = kernels.gain_matrix(px, py, tx2, ty2, *rest)
+    left = kernels.gain_matrix(-px, py, tx2, ty2, *rest)
+    assert np.ascontiguousarray(right[:, x]).tobytes() == left.tobytes()

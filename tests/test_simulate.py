@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from leobeams import simulate as sim
 from leobeams.codebook import Codebook
+from leobeams.config import SceneConfig, build_scene
 from leobeams.fields import FieldMap
 from leobeams.geometry import slant_range
 from leobeams.kernels import gain_matrix
-from leobeams.link import snr_db
+from leobeams.link import noise_rel, sinr_db, snr_db
 
 
 def _grid_points(scene, step):
@@ -31,7 +32,7 @@ def test_roi_grid_centered(scene):
 
 def test_serving_beam_at_targets(scene):
     # a beam's own target is served by that beam
-    targets, ids, _ = scene.hex.snapshot(0)
+    targets, ids, _, _ = scene.hex.snapshot(0)
     for t, i in zip(targets, ids):
         sid, gain = sim.serving_beam(scene, t)
         assert sid == i
@@ -41,7 +42,7 @@ def test_serving_beam_at_targets(scene):
 def test_serving_beam_tie_takes_lower_id(scene):
     # (0, 80 km) sits exactly between the two x-mirrored beams of the upper
     # lattice row; their gains agree bit for bit, so the tie rule decides
-    targets, ids, _ = scene.hex.snapshot(0)
+    targets, ids, _, _ = scene.hex.snapshot(0)
     gains = gain_matrix(np.array([0.0]), np.array([80e3]),
                         targets[:, 0], targets[:, 1], scene.h_sat,
                         12, 24, scene.geometry.spacing)[0]
@@ -54,7 +55,7 @@ def test_serving_beam_tie_takes_lower_id(scene):
 def _lowest_tied_id(scene, book, px, py, g):
     """The tie rule spelled out with no walk over the beams: among the beams
     at the row's max gain, the lowest ID, whatever their column order."""
-    targets, ids, _ = book.snapshot(g)
+    targets, ids, _, _ = book.snapshot(g)
     targets, ids = targets[::-1], ids[::-1]
     geom = scene.geometry
     gains = gain_matrix(px, py, targets[:, 0], targets[:, 1], scene.h_sat,
@@ -71,7 +72,7 @@ def test_serve_ids_follow_lowest_tied_id_rule(scene, mode, g):
     # are not in ID order; at g = 8 the (0, 80 km) tie is between IDs 12
     # and 0, with 0 in the later column
     book = sim.codebook_for(scene, mode)
-    _, ids, _ = book.snapshot(g)
+    _, ids, _, _ = book.snapshot(g)
     assert np.all(np.diff(ids) > 0)
     px, py = _grid_points(scene, 10e3)
     px, py = np.append(px, 0.0), np.append(py, 80e3)
@@ -90,7 +91,7 @@ def test_serving_matches_nearest_lattice_point(scene):
     # active lattice point in the beam-width metric (y weighted by the
     # footprint aspect c_x/c_y)
     px, py = _grid_points(scene, 25e3)
-    targets, ids, _ = scene.hex.snapshot(0)
+    targets, ids, _, _ = scene.hex.snapshot(0)
     w = scene.lattice.c_x / scene.lattice.c_y
     d2 = ((px[:, None] - targets[None, :, 0]) ** 2
           + (w * (py[:, None] - targets[None, :, 1])) ** 2)
@@ -210,7 +211,7 @@ def test_serve_running_max_matches_argmax_oracle(scene, case):
 def _direct_serve(scene, px, py, book, g):
     """The evaluator before y-mirrored points shared a kernel call: the
     kernel at the points themselves, one ascending-ID running max."""
-    targets, ids, _ = book.snapshot(g)
+    targets, ids, _, _ = book.snapshot(g)
     tx, ty = targets[:, 0], targets[:, 1]
     sid = np.empty(px.size, dtype=np.int64)
     g_serve, interf = np.empty(px.size), np.empty(px.size)
@@ -231,46 +232,185 @@ def _direct_serve(scene, px, py, book, g):
 @st.composite
 def _mirror_case(draw, scene):
     """A codebook snapshot (hex at g = -5..20, so IDs wrap from g = 4 on, or
-    dft), 1 to 30 points of either sign of y, a CHUNK of 1 to 9, and a
-    kernel that is exact or quantized to steps of 16 so exact ties are
-    common. Points are drawn on a 5 km grid, on beam targets, on y = +-0.0
-    and at (0, +-80 km), where x-mirrored beams tie."""
+    dft), an x-mirror iteration h = -g + K m, 1 to 30 points of any signs, a
+    CHUNK of 1 to 9, and a kernel that is exact or quantized to steps of 16
+    so exact ties are common. The points come from a seeded generator, so an
+    example costs a handful of draws: on a 5 km grid, on beam targets and
+    their mirrors, on y = +-0.0, on x = +-0.0 and at (0, +-80 km), where
+    x-mirrored beams tie."""
     mode = draw(st.sampled_from(["hex", "hex", "dft"]))
+    book = sim.codebook_for(scene, mode)
     g = draw(st.integers(-5, 20)) if mode == "hex" else 0
-    targets, _, _ = sim.codebook_for(scene, mode).snapshot(g)
-    tx, ty = targets[:, 0], targets[:, 1]
-    sign = st.sampled_from([1.0, -1.0])
-    point = st.one_of(
-        st.tuples(st.integers(-110, 110).map(lambda i: 5e3 * i),
-                  st.integers(-36, 36).map(lambda j: 5e3 * j)),
-        st.integers(0, tx.size - 1).flatmap(
-            lambda j: sign.map(lambda s: (tx[j], s * ty[j]))),
-        st.tuples(st.floats(-5.5e5, 5.5e5), st.sampled_from([0.0, -0.0])),
-        sign.map(lambda s: (0.0, s * 80e3)))
-    pts = np.array(draw(st.lists(point, min_size=1, max_size=30)))
-    return (mode, g, pts[:, 0], pts[:, 1], draw(st.integers(1, 9)),
-            draw(st.booleans()))
+    h = -g + book.cycle_len * draw(st.integers(-3, 3))
+    targets = book.snapshot(g)[0]
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = rng.integers(0, 5, n)
+    kind = [kind == k for k in range(5)]
+    sign = rng.choice([1.0, -1.0], (2, n))
+    zero = rng.choice([0.0, -0.0], n)
+    on = targets[rng.integers(0, len(targets), n)].T * sign
+    px = np.select(kind, [5e3 * rng.integers(-110, 111, n), on[0],
+                          rng.uniform(-5.5e5, 5.5e5, n), zero, 0.0])
+    py = np.select(kind, [5e3 * rng.integers(-36, 37, n), on[1], zero,
+                          rng.uniform(-1.8e5, 1.8e5, n), 80e3 * sign[1]])
+    return (mode, g, h, px, py, draw(st.integers(1, 9)), draw(st.booleans()))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(data=st.data())
 def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
-    # row 0 of _serve is the direct evaluator at (px, |py|) and row 1 at
-    # (px, -|py|), bit for bit: IDs, serving gains and interferer sums
-    mode, g, px, py, chunk, quantized = data.draw(_mirror_case(scene))
+    # rows 0 and 1 of _serve are the direct evaluator at (px, |py|) and
+    # (px, -|py|); with an x-mirror iteration h, rows 2 and 3 are the direct
+    # evaluator under h at (-px, |py|) and (-px, -|py|), bit for bit: IDs,
+    # serving gains and interferer sums
+    mode, g, h, px, py, chunk, quantized = data.draw(_mirror_case(scene))
     kernel = sim.gain_matrix
+    book = sim.codebook_for(scene, mode)
+    assert book.snapshot(h, g)[3] is not None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "CHUNK", chunk)
         if quantized:
             mp.setattr(sim, "gain_matrix",
                        lambda *a: np.floor(kernel(*a) / 16) * 16)
-        book = sim.codebook_for(scene, mode)
-        paired = sim._serve(scene, px, py, book, g)
-        up = _direct_serve(scene, px, np.abs(py), book, g)
-        down = _direct_serve(scene, px, -np.abs(py), book, g)
-    for got, want_up, want_down in zip(paired, up, down, strict=True):
-        assert np.array_equal(got[0], want_up)
-        assert np.array_equal(got[1], want_down)
+        # the oracle in one slice; the evaluator in slices of CHUNK points
+        want = [_direct_serve(scene, x, y, book, it)
+                for x, y, it in ((px, np.abs(py), g), (px, -np.abs(py), g),
+                                 (-px, np.abs(py), h), (-px, -np.abs(py), h))]
+        mp.setattr(sim, "CHUNK", chunk)
+        paired = sim._serve(scene, px, py, book, g, h)
+        halves = sim._serve(scene, px, py, book, g)
+    for got, half, *sides in zip(paired, halves, *want, strict=True):
+        assert got.shape == (4, px.size)
+        assert np.array_equal(half, got[:2])
+        for row, direct in zip(got, sides, strict=True):
+            assert np.array_equal(row, direct)
+
+
+@pytest.fixture(scope="module")
+def scenes_by_cycle_len(scene):
+    # every iteration has its x-mirror order at K = 4; at K = 3 only
+    # iteration 0 does, at K = 5 iterations 0, 2 and 3
+    return {3: build_scene(SceneConfig(cycle_len=3)), 4: scene,
+            5: build_scene(SceneConfig(cycle_len=5))}
+
+
+def _direct_map(scene, metric, mode, g, step):
+    """A map as computed before any mirror shared a kernel call: the direct
+    evaluator and the link budget at every in-ROI node."""
+    xs, ys = sim.roi_grid(scene.roi, step)
+    gx, gy = np.meshgrid(xs, ys)
+    m = scene.roi.contains(gx, gy)
+    px, py = gx[m], gy[m]
+    sid, g_serve, interf = _direct_serve(scene, px, py,
+                                         sim.codebook_for(scene, mode), g)
+    dist = slant_range(px, py, scene.h_sat)
+    vals = np.full(m.shape, np.nan)
+    vals[m] = {"cell": lambda: sid,
+               "snr": lambda: snr_db(g_serve, dist, scene.link),
+               "sinr": lambda: sinr_db(g_serve, interf,
+                                       noise_rel(dist, scene.link))}[metric]()
+    return FieldMap(xs=xs, ys=ys, values=vals)
+
+
+def _direct_dynamic_counts(scene, px, py):
+    """The dynamic handover loop as it was before mirrors shared a kernel
+    call: each point's own events, entry then updates, in time order, from
+    the direct evaluator."""
+    t_in, t_out = sim.pass_window(scene, (px, py))
+    g_in, g_out = sim._iteration(scene, t_in), sim._iteration(scene, t_out)
+    prev = np.full(px.size, -1, dtype=np.int64)
+    counts = np.full(px.size, -1, dtype=np.int64)  # entry is no handover
+    for g in range(int(g_in.min()), int(g_out.max()) + 1):
+        pts = np.flatnonzero((g_in <= g) & (g <= g_out))
+        t = np.where(g_in[pts] == g, t_in[pts], g * scene.lattice.t_c)
+        sid = _direct_serve(scene, px[pts] - scene.v_ground * t, py[pts],
+                            scene.hex, g)[0]
+        counts[pts] += sid != prev[pts]
+        prev[pts] = sid
+    return counts
+
+
+@pytest.mark.parametrize("cycle_len", [3, 4, 5])
+def test_maps_and_cdfs_match_direct_evaluation(scenes_by_cycle_len, cycle_len):
+    # quadrant maps (self-paired iterations, and the DFT grid) and half-plane
+    # maps alike are the direct evaluation, byte for byte
+    scene = scenes_by_cycle_len[cycle_len]
+    for g in sorted({-1, 0, 1, 2, cycle_len, cycle_len + 2}):
+        for mode in ("hex", "dft") if g == 0 else ("hex",):
+            for metric in ("snr", "sinr", "cell"):
+                got = sim.coverage_map(scene, metric, mode, g, step=10e3)
+                want = _direct_map(scene, metric, mode, g, 10e3)
+                assert got.values.tobytes() == want.values.tobytes(), (
+                    mode, metric, g)
+        curves = sim.sinr_cdf(scene, iteration=g, step=10e3)
+        for curve, mode in zip(curves, sim.MAP_MODES, strict=True):
+            want = sim.cdf_from_map(_direct_map(scene, "sinr", mode, g, 10e3),
+                                    sim.CDF_THRESHOLDS_DB)
+            assert curve.probs.tobytes() == want.probs.tobytes()
+
+
+@pytest.mark.parametrize("cycle_len", [3, 4, 5])
+def test_dynamic_handover_map_matches_direct_loop(scenes_by_cycle_len,
+                                                  cycle_len):
+    # the quadrant loop, x-mirrors paired wherever iteration -g mirrors g,
+    # counts what each point's own direct loop counts
+    scene = scenes_by_cycle_len[cycle_len]
+    for step in (13e3, 20e3):
+        got = sim.handover_map(scene, "dynamic", step=step).values
+        xs, ys = sim.roi_grid(scene.roi, step)
+        gx, gy = np.meshgrid(xs, ys)
+        m = scene.roi.contains(gx, gy)
+        want = np.full(m.shape, np.nan)
+        want[m] = _direct_dynamic_counts(scene, gx[m], gy[m])
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_dynamic_counts_at_window_edges_match_direct_loop(scenes_by_cycle_len,
+                                                          data):
+    # windows that open or close within the 1e-9 s tolerance of an update
+    # instant, where a point and its x-mirror need different event sets:
+    # each of the four sides counts what the direct loop counts there
+    scene = scenes_by_cycle_len[data.draw(st.sampled_from([3, 4, 5]))]
+    t_c, v = scene.lattice.t_c, scene.v_ground
+    pts = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        y = scene.roi.semi_y * data.draw(st.floats(0.0, 0.99))
+        x_b = float(scene.roi.x_extent(y))
+        off = data.draw(st.sampled_from([-5e-10, 0.0, 5e-10, 2e-9]))
+        j = data.draw(st.integers(0, math.floor(2 * x_b / (v * t_c))))
+        edge = data.draw(st.sampled_from([-1.0, 1.0]))  # entry or exit
+        pts.append((edge * (x_b - v * (j * t_c + off)), y))
+    px, py = np.abs(np.array(pts)).T
+    got = sim._dynamic_handover_counts(scene, px, py)
+    for row, (sx, sy) in zip(got, [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                             strict=True):
+        assert np.array_equal(row, _direct_dynamic_counts(scene, sx * px,
+                                                          sy * py))
+
+
+def test_dynamic_map_runs_one_association_loop(scene, monkeypatch):
+    # a map of several row blocks still runs the association loop once:
+    # one _serve call per update index, and memory within a fixed number of
+    # bytes per in-ROI node (about 100 B measured)
+    monkeypatch.setattr(sim, "CHUNK", 64)
+    xs, ys = sim.roi_grid(scene.roi, 10e3)
+    assert ys.size // 2 + 1 >= 3 * max(1, 8 * sim.CHUNK // xs.size)
+    calls, serve = [], sim._serve
+
+    def probe(scene, px, py, book, g, *rest):
+        calls.append(g)
+        return serve(scene, px, py, book, g, *rest)
+    monkeypatch.setattr(sim, "_serve", probe)
+    tracemalloc.start()
+    try:
+        hmap = sim.handover_map(scene, "dynamic", step=10e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == len(set(calls)) > 10
+    assert peak < 160 * np.count_nonzero(np.isfinite(hmap.values)) + 2**16
 
 
 def _chunk_probe_outputs(scene):
