@@ -13,7 +13,7 @@ whose IDs never advance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,32 +115,6 @@ def beam_precoder(point: np.ndarray, geometry: ArrayGeometry, rf_chain: int,
     return Precoder(coeffs=coeffs, rf_chain=rf_chain)
 
 
-def _mirror_order(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """M with M[j] the position of the beam whose target is (tx[j], -ty[j]).
-
-    Every codebook is closed under y -> -y, so a beam without an exact
-    mirror partner is a programming error and raises RuntimeError.
-    """
-    m = np.empty(tx.size, dtype=np.intp)
-    m[np.lexsort((-ty, tx))] = np.lexsort((ty, tx))
-    if not (np.array_equal(tx[m], tx) and np.array_equal(ty[m], -ty)):
-        raise RuntimeError("beam targets are not symmetric about y = 0")
-    return m
-
-
-def _xmirror_order(tx: np.ndarray, ty: np.ndarray, to_x: np.ndarray,
-                   to_y: np.ndarray) -> np.ndarray | None:
-    """X with X[j] the position in (to_x, to_y) of the target (-tx[j], ty[j]),
-    or None unless every target has such a partner exactly."""
-    if tx.size != to_x.size:
-        return None
-    x = np.empty(tx.size, dtype=np.intp)
-    x[np.lexsort((-tx, ty))] = np.lexsort((to_x, to_y))
-    if not (np.array_equal(to_x[x], -tx) and np.array_equal(to_y[x], ty)):
-        return None
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """A K-iteration cycle of beams as read-only arrays.
@@ -149,14 +123,8 @@ class Codebook:
     and RF chains, in ascending base-ID order. Targets repeat every cycle;
     IDs advance by `advance` (mod n_beams) per full cycle: 1 for the hex
     cycle, so each ground node keeps its ID for the whole pass, and 0 for
-    the DFT grid. Each iteration's y-mirror order is computed once, here,
-    and so is its x-mirror order: `xmirror[k]` gives, for every beam of
-    iteration -k mod K, the position in iteration k of its target's mirror
-    (-x, y), or is None where any of those targets is not matched exactly.
-    Iteration k's lattice shift -k/K mirrors to k/K, so the x-mirror of
-    iteration k is iteration -k mod K wherever the shifts round alike: every
-    k at K = 2, 4 and 8 (k/K is exact in binary), but only k = 0 at K = 3.
-    The DFT grid pairs with itself.
+    the DFT grid. No mirror pairing is stored: the evaluator finds a mirrored
+    target's row by exact comparison of target values on each call.
     """
 
     targets: tuple[np.ndarray, ...]
@@ -164,54 +132,23 @@ class Codebook:
     rf: tuple[np.ndarray, ...]
     n_beams: int
     advance: int
-    mirror: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    xmirror: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mirror = tuple(_mirror_order(t[:, 0], t[:, 1]) for t in self.targets)
-        xmirror = tuple(_xmirror_order(*self.targets[-k].T, *t.T)
-                        for k, t in enumerate(self.targets))
-        object.__setattr__(self, "mirror", mirror)
-        object.__setattr__(self, "xmirror", xmirror)
-        for a in (*self.targets, *self.ids, *self.rf, *mirror,
-                  *(x for x in xmirror if x is not None)):
+        for a in (*self.targets, *self.ids, *self.rf):
             a.flags.writeable = False
 
     @property
     def cycle_len(self) -> int:
         return len(self.targets)
 
-    def _ascending(self, g: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Base iteration k of global iteration g, its IDs, and the base
-        positions of its beams in ascending-ID order."""
+    def snapshot(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Targets and stable IDs of global iteration g (any integer;
+        snapshots repeat every K * n_beams), in ascending-ID order. IDs wrap
+        mod n_beams past a cycle, so the base order is re-sorted."""
         m, k = divmod(g, self.cycle_len)
         ids = (self.ids[k] + self.advance * m % self.n_beams) % self.n_beams
-        return k, ids, np.argsort(ids, kind="stable")
-
-    def snapshot(self, g: int, rows: int = None) -> tuple[
-            np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """Targets, stable IDs, y-mirror order M and x-mirror order X of
-        global iteration g (any integer; snapshots repeat every K * n_beams),
-        in ascending-ID order.
-
-        X[j] is the position in the snapshot of global iteration rows
-        (default g) of the target (-x, y) of beam j's target (x, y); X is None
-        unless rows = -g mod K and the stored x-mirror order is exact, so it
-        exists for rows = g only where iteration g pairs with itself.
-
-        IDs wrap mod n_beams past a cycle, so the base order is re-sorted and
-        M and X, built in base order, are mapped into the sorted ones: M[j] is
-        the sorted position of the mirror of sorted beam j.
-        """
-        k, ids, asc = self._ascending(g)
-        inv = np.argsort(asc)  # the inverse permutation
-        mirror = inv[self.mirror[k][asc]]
-        r = g if rows is None else rows
-        x = self.xmirror[r % self.cycle_len] if (g + r) % self.cycle_len == 0 \
-            else None
-        if x is not None:
-            x = np.argsort(self._ascending(r)[2])[x[asc]]
-        return self.targets[k][asc], ids[asc], mirror, x
+        asc = np.argsort(ids, kind="stable")
+        return self.targets[k][asc], ids[asc]
 
 
 def build_cycle(geometry: ArrayGeometry, spec: LatticeSpec,

@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .antenna import satellite_array
+from .antenna import MAX_ELEMENTS, satellite_array
 from .codebook import build_cycle, dft_baseline, make_lattice_spec
 from .geometry import (EARTH_MASS, EARTH_RADIUS, GRAV_CONST, LIGHT_SPEED, Roi,
                        ground_track_speed)
@@ -84,6 +84,10 @@ class SceneConfig:
         for key in at_least_one:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
+        if not self.ut_nx * self.ut_ny <= MAX_ELEMENTS:
+            raise ValueError(f"ut_nx x ut_ny = {self.ut_nx} x {self.ut_ny} "
+                             f"elements, more than the {MAX_ELEMENTS} one "
+                             f"terminal array may hold")
         if self.dt_s < 0:
             raise ValueError("dt_s must be non-negative (0 selects the default)")
         if self.seed < 0:

@@ -14,28 +14,22 @@ The scene holds two `Codebook`s: `Scene.hex`, the K-iteration hex cycle, and
 `Scene.dft`, the DFT grid as one iteration whose IDs never advance.
 `codebook_for` maps every mode name to one of them.
 
-Every serving decision goes through one evaluator, `_serve`, which walks the
-points in slices of CHUNK, so the gain matrix of one kernel call, and the
-memory of any evaluation, is bounded by CHUNK x n_beams whatever the grid size.
+Every serving decision goes through one evaluator, `_serve`, which calls
+the kernel on at most KERNEL_EVALS point x beam pairs at a time, so the
+memory of any evaluation is bounded whatever the grid and codebook sizes.
 
-The scene is symmetric about the ground track y = 0, bit for bit: the grid
-axes, every hex iteration's targets and the DFT grid are closed under
-y -> -y, and the kernel is odd-symmetric (np.sin is odd, np.cos even, and
-IEEE negation commutes with every rounding), so the gain of beam j at
-(x, -y) is the gain of its mirror beam M[j] at (x, y) exactly. `_serve`
-therefore evaluates the kernel once per mirror pair of points and answers
-for both: maps fill the rows y >= 0 and write rows y and -y, sweeps run the
-rows y >= 0, and a single point takes the side matching the sign of its y.
-
-The kernel is odd in x as well, and the grid is closed under x -> -x. The
-x-mirror of hex iteration k is iteration -k mod K wherever the codebook
-found every target's partner exactly (`Codebook.xmirror`); the DFT grid is
-its own. So where a map's iteration pairs with itself, `_serve` answers all
-four points (+-x, +-y) from one kernel call and the map fills one quadrant;
-elsewhere it keeps the two-sided y-pairing. The dynamic handover map pairs
-point x at update index g with -x at -g, whose satellite-frame positions
-are negatives of each other, in one association loop over the whole map.
-The static and DFT sweeps start at +x_b and are not x-symmetric.
+The scene is symmetric about both axes, bit for bit: the grid axes are
+closed under x -> -x and y -> -y, and the kernel is odd in x and in y
+(np.sin is odd, np.cos even, and IEEE negation commutes with every
+rounding). So a beam's gain at a mirrored point is the kernel's value at the
+point itself toward the beam's mirrored target. `_serve` applies this one
+rule: it answers the mirror images of (px, |py|) from one kernel call over
+the distinct signed targets they need, which for a codebook closed under a
+flip are its own targets. Maps fill the quadrant x >= 0, y >= 0 and write
+all four images, sweeps run the rows y >= 0, a single point takes the side
+matching the sign of its y, and the dynamic handover map pairs point x at
+update index g with -x at -g, whose satellite-frame positions are negatives
+of each other, in one association loop over the whole map.
 """
 
 from __future__ import annotations
@@ -55,7 +49,8 @@ from .link import LinkParams, noise_rel, sinr_db, snr_db
 DEFAULT_GRID_STEP = 2000.0      # coverage-map spacing [m]
 DEFAULT_HANDOVER_STEP = 5000.0  # handover-map spacing [m]
 UPDATE_SUBSTEPS = 20            # time samples per codebook update period
-CHUNK = 8192                    # points per gain-kernel call
+CHUNK = 8192                    # points: the unit of map and sweep blocks
+KERNEL_EVALS = 10 * CHUNK       # point x beam evaluations per gain-kernel call
 MAX_SAMPLES = 2**22             # time samples of one pass series or sweep row
 SWEEP_BLOCK = 16 * CHUNK        # handover-sweep samples per _serve call
 MAX_CELLS = 2**23               # grid nodes of one map's ROI box
@@ -122,60 +117,62 @@ def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
                        g.subarray_ny, g.spacing)
 
 
-def _serve(scene: Scene, px, py, book: Codebook, iteration: int,
-           x_iteration: int = None) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
+def _serve(scene: Scene, px, py, book: Codebook, g: int,
+           h: int = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Serving ID, serving gain and summed interferer gain of book's global
-    iteration at (px, |py|) and at its mirror (px, -|py|): each of shape
-    (2, n points), row 0 for the point at +|py| and row 1 for the one at -|py|.
-    With x_iteration, an iteration whose snapshot has an x-mirror order onto
-    this one (see `Codebook.snapshot`), rows 2 and 3 add the points
-    (-px, |py|) and (-px, -|py|) served by x_iteration: shape (4, n points).
+    iteration g at (px, |py|) and (px, -|py|), and with h, of iteration h at
+    (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
+    points) with h, one row per side in that order.
 
-    Max gain wins, exact ties go to the lowest ID. One kernel call per slice
-    of CHUNK points, at (px, |py|); its transpose has one contiguous row per
-    beam, in ascending-ID order. A running max walks those rows: a later row
-    takes the point only with a strictly larger gain, so ties stay on the
-    lowest ID. The summed gain adds the rows in the same ascending-ID order,
-    one sequential sum per point, and the interferer sum is that total less
-    the serving gain. None of it depends on the slicing.
+    Max gain wins, exact ties go to the lowest ID. The kernel is odd in x and
+    in y bit for bit, so beam j seen from (sx * px, sy * |py|) has the
+    kernel's value at (px, |py|) toward the signed target (sx * tx_j,
+    sy * ty_j). Every side's beams become such targets, and exact duplicates
+    share one kernel row ((x, 0.0) and (x, -0.0) too, which the kernel gives
+    the same bits). A flip the codebook is closed under adds no row: y -> -y
+    always, and x -> -x for the DFT grid, hex k with 2k = 0 mod K, and h = -g
+    at K = 2, 4 and 8. Otherwise a call carries up to twice the rows, as many
+    evaluations as serving the mirrored points directly.
 
-    The mirrored point's gain for beam j is row M[j] (the snapshot's mirror
-    order) bit for bit, so the second walk takes rows M[0], M[1], ...: it
-    replays the walk a direct evaluation at (px, -|py|) would make, in
-    ascending-ID order. Walking the rows in their own order and mapping the
-    winner through M instead would break ties, and add the floating-point
-    sum, in another order, and so could change a serving ID or the last bit
-    of an interferer sum. The kernel is odd in x too, so at (-px, |py|) beam
-    j of x_iteration sees row X[j] (its x-mirror order) and at (-px, -|py|)
-    row X[M'[j]], with M' its own mirror order; those walks take x_iteration's
-    IDs in their ascending order the same way. An iteration with no beams
-    raises ValueError.
+    The kernel is called on the distinct rows for slices of KERNEL_EVALS //
+    rows points (at least one); its transpose has one contiguous row per
+    target. Each side walks its own beams in ascending-ID order, reading
+    each beam's row: a later beam takes the point only with a strictly
+    larger gain, so ties stay on the lowest ID, and the summed gain adds the
+    rows in that same order, one sequential sum per point; the interferer
+    sum is that total less the serving gain. So each side replays, bit for
+    bit, the walk a direct evaluation at its points would make, whatever the
+    slicing. Walking the rows in their own order and mapping the winner back
+    would break ties, and add the sum, in another order. An iteration with
+    no beams raises ValueError.
     """
-    targets, ids, mirror, _ = book.snapshot(iteration)
-    if ids.size == 0:
-        raise ValueError(f"iteration {iteration} has no beams in the ROI")
-    tx, ty = targets.T
-    walks = [(np.arange(ids.size), ids), (mirror, ids)]
-    if x_iteration is not None:
-        _, x_ids, x_mirror, x = book.snapshot(x_iteration, iteration)
-        walks += [(x, x_ids), (x[x_mirror], x_ids)]
+    walks, rows = [], {}  # rows: signed target (x, y) -> kernel row
+    for sx, it in ((1.0, g),) if h is None else ((1.0, g), (-1.0, h)):
+        targets, ids = book.snapshot(it)
+        if ids.size == 0:
+            raise ValueError(f"iteration {it} has no beams in the ROI")
+        tx = (sx * targets[:, 0]).tolist()
+        for ty in (targets[:, 1].tolist(), (-targets[:, 1]).tolist()):
+            walks.append(([rows.setdefault(t, len(rows)) for t in zip(tx, ty)],
+                          ids))
+    tx, ty = np.array(list(rows)).T
     px = np.asarray(px, dtype=float)
     py = np.abs(np.asarray(py, dtype=float))
     sid = np.empty((len(walks), px.size), dtype=np.int64)
     g_serve, interf = np.empty(sid.shape), np.empty(sid.shape)
-    for a in range(0, px.size, CHUNK):
-        s = slice(a, a + CHUNK)
-        rows = _gains(scene, px[s], py[s], tx, ty).T
-        for side, (order, side_ids) in enumerate(walks):
-            k = np.zeros(rows.shape[1], dtype=np.intp)
-            best, total = rows[order[0]].copy(), rows[order[0]].copy()
-            for b in range(1, order.size):
-                row = rows[order[b]]
+    step = max(1, KERNEL_EVALS // tx.size)
+    for a in range(0, px.size, step):
+        s = slice(a, a + step)
+        gains = _gains(scene, px[s], py[s], tx, ty).T
+        for side, (order, ids) in enumerate(walks):
+            k = np.zeros(gains.shape[1], dtype=np.intp)
+            best, total = gains[order[0]].copy(), gains[order[0]].copy()
+            for b in range(1, len(order)):
+                row = gains[order[b]]
                 k[row > best] = b
                 np.maximum(best, row, out=best)
                 total += row
-            sid[side, s] = side_ids[k]
+            sid[side, s] = ids[k]
             g_serve[side, s], interf[side, s] = best, total - best
     return sid, g_serve, interf
 
@@ -189,22 +186,21 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
     return int(sid[side, 0]), float(g[side, 0])
 
 
-def _roi_field(roi: Roi, step: float, key: str, fill, quadrant: bool = False,
+def _roi_field(roi: Roi, step: float, key: str, fill,
                whole: bool = False) -> FieldMap:
     """Grid over the ROI box holding fill's values at in-ROI nodes, NaN elsewhere.
 
     The grid and the ellipse are symmetric about y = 0 and about x = 0 bit
     for bit (ys[-1 - i] == -ys[i], and the same for xs), so fill(px, py) is
-    called only on the nodes with y >= 0 and returns shape (2, n): its values
-    at (px, py) and at (px, -py). With quadrant, only on the nodes with
-    x >= 0 and y >= 0, returning shape (4, n): its values at (px, py),
-    (px, -py), (-px, py) and (-px, -py). Row y takes the first and row -y the
-    second, column -x the last two; the row y = 0 and the column x = 0 take
-    the first. The mask is built row by row, so no full-box coordinate grid
-    is made, and fill is called once per block of whole rows holding about
-    16 * CHUNK values, all sides together, so its per-point arrays do not
-    grow with the grid; with whole, once on the whole map. fill must treat
-    each point, or each row, on its own.
+    called only on the nodes with x >= 0 and y >= 0 and returns the four
+    sides of `_serve`, shape (4, n): its values at (px, py), (px, -py),
+    (-px, py) and (-px, -py). Row -y takes the second, column -x the last
+    two; the row y = 0 and the column x = 0 take the first. The mask is built
+    row by row, so no full-box coordinate grid is made, and fill is called
+    once per block of whole rows holding about 16 * CHUNK values, all sides
+    together, so its per-point arrays do not grow with the grid; with whole,
+    once on the whole map. fill must treat each point, or each row, on its
+    own.
     """
     xs, ys = roi_grid(roi, step, key)
     mask = np.empty((ys.size, xs.size), dtype=bool)
@@ -213,15 +209,14 @@ def _roi_field(roi: Roi, step: float, key: str, fill, quadrant: bool = False,
     vals = np.full(mask.shape, np.nan)
     # row i of vals[::-1] is row -y, column i of vals[:, ::-1] column -x
     sides = (vals, vals[::-1], vals[:, ::-1], vals[::-1, ::-1])
-    n = 4 if quadrant else 2
-    c = xs.size // 2 if quadrant else 0
-    rows = ys.size if whole else max(1, 16 * CHUNK // n // (xs.size - c))
+    c = xs.size // 2
+    rows = ys.size if whole else max(1, 4 * CHUNK // (xs.size - c))
     for r in range(ys.size // 2, ys.size, rows):
         m = mask[r:r + rows, c:]
         counts = np.count_nonzero(m, axis=1)
         out = fill(np.broadcast_to(xs[c:], m.shape)[m],
                    np.repeat(ys[r:r + rows], counts))
-        for side in reversed(range(n)):  # side 0 last: the axes take it
+        for side in (3, 2, 1, 0):  # side 0 last: the axes take it
             sides[side][r:r + rows, c:][m] = out[side]
     return FieldMap(xs=xs, ys=ys, values=vals)
 
@@ -242,19 +237,17 @@ def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
     if metric not in ("snr", "sinr", "cell"):
         raise ValueError(f"unknown metric {metric!r}")
     book = codebook_for(scene, mode)
-    # an iteration that pairs with itself answers (-x, y) from (x, y) as well
-    x_it = iteration if book.snapshot(iteration)[3] is not None else None
 
     def at(px, py):
-        sid, g_serve, interf = _serve(scene, px, py, book, iteration, x_it)
+        sid, g_serve, interf = _serve(scene, px, py, book, iteration,
+                                      iteration)
         if metric == "cell":
             return sid
         dist = slant_range(px, py, scene.h_sat)
         if metric == "snr":
             return snr_db(g_serve, dist, scene.link)
         return sinr_db(g_serve, interf, noise_rel(dist, scene.link))
-    return _roi_field(scene.roi, step, "grid_step_m", at,
-                      quadrant=x_it is not None)
+    return _roi_field(scene.roi, step, "grid_step_m", at)
 
 
 def cdf_from_map(fmap: FieldMap, thresholds_db: np.ndarray,
@@ -304,13 +297,11 @@ def _dynamic_associations(scene: Scene, px: np.ndarray, py: np.ndarray,
     With x_mirror, point n + i (n = px.size) is the x-mirror (-px[i], py[i]),
     whose window is (-t_out[i], -t_in[i]). At index g it associates under
     iteration -g, where its update position negates point i's at g, so it
-    meets its events in reverse time order, entry last. Where iteration -g
-    has an x-mirror order onto g (`Codebook.snapshot`), one `_serve` call at
-    g answers both: it evaluates once each point that either side updates at
-    that index (the half-open window and the 1e-9 s tolerance of `_iteration`
-    make the two sets differ), and each side's entries (at its own t_in) as
-    points of their own, a mirror's negated. Elsewhere the mirrors are
-    evaluated where they are, in a second call at -g.
+    meets its events in reverse time order, entry last. One `_serve` call at
+    g, with h = -g, answers both: it evaluates once each point that either
+    side updates at that index (the half-open window and the 1e-9 s
+    tolerance of `_iteration` make the two sets differ), and each side's
+    entries (at its own t_in) as points of their own, a mirror's negated.
     """
     v, t_c, n = scene.v_ground, scene.lattice.t_c, px.size
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
@@ -321,35 +312,29 @@ def _dynamic_associations(scene: Scene, px: np.ndarray, py: np.ndarray,
         lo, hi = min(lo, -int(h_out.max())), max(hi, -int(h_in.min()))
     for g in range(lo, hi + 1):
         on, entry = (g_in <= g) & (g <= g_out), g_in == g
-        if x_mirror:
-            x_on, x_entry = (h_in <= -g) & (-g <= h_out), h_in == -g
-        if x_mirror and scene.hex.snapshot(-g, g)[3] is not None:
-            upd, x_upd = on & ~entry, x_on & ~x_entry
-            both = np.flatnonzero(upd | x_upd)
-            ea, eb = np.flatnonzero(on & entry), np.flatnonzero(x_on & x_entry)
-            if both.size + ea.size + eb.size == 0:
-                continue
-            sx = np.concatenate([px[both] - v * (g * t_c), px[ea] - v * t_in[ea],
-                                 -(-px[eb] - v * m_in[eb])])
-            sid = _serve(scene, sx, py[np.concatenate([both, ea, eb])],
-                         scene.hex, g, -g)[0]
-            s_both, s_ea, s_eb = np.split(sid, [both.size, both.size + ea.size],
-                                          axis=1)
-            u, xu = upd[both], x_upd[both]
-            yield g, np.concatenate([both[u], ea, n + both[xu], n + eb]), \
-                np.concatenate([s_both[:2, u], s_ea[:2], s_both[2:, xu],
-                                s_eb[2:]], axis=1)
-            continue
-        pts = np.flatnonzero(on)
-        t = np.where(entry[pts], t_in[pts], g * t_c)
-        events = [(pts, px[pts] - v * t, g)]
-        if x_mirror:
-            pts = np.flatnonzero(x_on)
-            t = np.where(x_entry[pts], m_in[pts], -g * t_c)
-            events.append((n + pts, -px[pts] - v * t, -g))
-        for pts, sx, it in events:
+        if not x_mirror:
+            pts = np.flatnonzero(on)
             if pts.size:
-                yield g, pts, _serve(scene, sx, py[pts % n], scene.hex, it)[0]
+                t = np.where(entry[pts], t_in[pts], g * t_c)
+                yield g, pts, _serve(scene, px[pts] - v * t, py[pts],
+                                     scene.hex, g)[0]
+            continue
+        x_on, x_entry = (h_in <= -g) & (-g <= h_out), h_in == -g
+        upd, x_upd = on & ~entry, x_on & ~x_entry
+        both = np.flatnonzero(upd | x_upd)
+        ea, eb = np.flatnonzero(on & entry), np.flatnonzero(x_on & x_entry)
+        if both.size + ea.size + eb.size == 0:
+            continue
+        sx = np.concatenate([px[both] - v * (g * t_c), px[ea] - v * t_in[ea],
+                             -(-px[eb] - v * m_in[eb])])
+        sid = _serve(scene, sx, py[np.concatenate([both, ea, eb])],
+                     scene.hex, g, -g)[0]
+        s_both, s_ea, s_eb = np.split(sid, [both.size, both.size + ea.size],
+                                      axis=1)
+        u, xu = upd[both], x_upd[both]
+        yield g, np.concatenate([both[u], ea, n + both[xu], n + eb]), \
+            np.concatenate([s_both[:2, u], s_ea[:2], s_both[2:, xu],
+                            s_eb[2:]], axis=1)
 
 
 def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
@@ -403,11 +388,11 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         for g, _, held in _dynamic_associations(
                 scene, np.array([x_g]), np.array([y]), ts[:1], ts[-1:]):
             at = np.flatnonzero(g_s == g)
-            targets, ids, _, _ = book.snapshot(g)
+            targets, ids = book.snapshot(g)
             tx, ty = targets[ids == held[side, 0]].T
             sid[at] = held[side, 0]
-            for a in range(0, at.size, CHUNK):  # the held beam, not an argmax
-                i = at[a:a + CHUNK]
+            for a in range(0, at.size, KERNEL_EVALS):  # the held beam alone
+                i = at[a:a + KERNEL_EVALS]
                 g_serve[i] = _gains(scene, sx[i], sy[i], tx, ty)[:, 0]
 
     metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
@@ -420,14 +405,16 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 
 def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
                            dt: float) -> np.ndarray:
-    """Static-codebook handovers at (x, py) and (x, -py), py >= 0, shape (2, n).
+    """Static-codebook handovers at the four sides of (x, py), py >= 0, shape
+    (4, n): at (x, py), (x, -py), (-x, py) and (-x, -py).
 
     Every point of a row sees the same sweep, and row -y sees it mirrored,
-    so each row y >= 0 is swept once for both signs. The rows' samples go
-    through _serve together, SWEEP_BLOCK samples per call, and a row counts
-    the ID changes between its own consecutive samples. Rows are built a
-    group at a time, the rows whose first sample falls in one SWEEP_BLOCK of
-    the running sample count, so a group holds at most a block and a row.
+    so each row y >= 0 is swept once for both signs, and column -x repeats
+    column x. The rows' samples go through _serve together, SWEEP_BLOCK
+    samples per call, and a row counts the ID changes between its own
+    consecutive samples. Rows are built a group at a time, the rows whose
+    first sample falls in one SWEEP_BLOCK of the running sample count, so a
+    group holds at most a block and a row.
     """
     ys = np.unique(py)
     x_b = scene.roi.x_extent(ys)
@@ -451,7 +438,7 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
         for r, a, b in zip(rows, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
             counts[:, r] = np.count_nonzero(sid[:, a + 1:b] != sid[:, a:b - 1],
                                             axis=1)
-    return counts[:, np.searchsorted(ys, py)]
+    return np.tile(counts[:, np.searchsorted(ys, py)], (2, 1))
 
 
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
@@ -481,7 +468,7 @@ def handover_map(scene: Scene, mode: str = "dynamic",
     if mode == "dynamic":  # one association loop over the whole quadrant
         return _roi_field(scene.roi, step, "handover_grid_step_m",
                           lambda px, py: _dynamic_handover_counts(scene, px, py),
-                          quadrant=True, whole=True)
+                          whole=True)
     return _roi_field(scene.roi, step, "handover_grid_step_m",
                       lambda px, py: _swept_handover_counts(scene, py, book, dt))
 

@@ -157,8 +157,8 @@ def test_criterion_7_property_suite(scene, tmp_path):
     # with its ID one higher
     periodic = True
     for k in range(4):
-        now, ids_now, _, _ = scene.hex.snapshot(k)
-        later, ids_later, _, _ = scene.hex.snapshot(k + 4)
+        now, ids_now = scene.hex.snapshot(k)
+        later, ids_later = scene.hex.snapshot(k + 4)
         col = np.searchsorted(ids_later, (ids_now + 1) % scene.hex.n_beams)
         periodic &= np.array_equal(later[col], now)
 
@@ -184,7 +184,7 @@ def test_criterion_7_property_suite(scene, tmp_path):
     for node_idx, p in enumerate(labels):
         for g in range(8):
             q = p - np.array([(g / 4.0) * spec.c_x, 0.0])
-            tg, ids, _, _ = scene.hex.snapshot(g)
+            tg, ids = scene.hex.snapshot(g)
             d = np.hypot(tg[:, 0] - q[0], tg[:, 1] - q[1])
             col = int(np.argmin(d))
             if d[col] < 1.0:

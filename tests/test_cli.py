@@ -256,6 +256,9 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     (["map", "--set", "dft_n_beams=" + "9" * 400], "dft_n_beams"),
     (["codebook", "--set", "n_rf=100000000"], "n_rf"),
     (["map", "--set", "subarray_ny=" + "9" * 400], "subarray_ny"),
+    # a terminal array too large for its gain or its channel draw
+    (["map", "--grid-step", "50000", "--set", "ut_nx=1" + "0" * 400], "ut_nx"),
+    (["codebook", "--channel-check", "--set", "ut_ny=2000000"], "ut_ny"),
 ])
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
     assert _run(argv[:1] + ["--out", tmp_path / "o"] + argv[1:]) == 2

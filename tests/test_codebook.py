@@ -72,8 +72,8 @@ def test_iteration_counts_match_enumeration_oracle(spec, cycle):
 def test_iterations_are_k_periodic(cycle):
     # a full cycle later every target recurs exactly, its ID one higher
     for k in range(4):
-        t0, ids0, _, _ = cycle.snapshot(k)
-        t1, ids1, _, _ = cycle.snapshot(k + 4)
+        t0, ids0 = cycle.snapshot(k)
+        t1, ids1 = cycle.snapshot(k + 4)
         assert np.array_equal(t1[np.searchsorted(ids1, (ids0 + 1) % 13)], t0)
 
 
@@ -129,9 +129,9 @@ def test_build_cycle_structure(cycle):
 def test_beam_ids_advance_per_cycle(cycle):
     # the same iteration one cycle later or earlier: the same targets with
     # IDs one up or down, re-sorted into ascending-ID order
-    t1, base, _, _ = cycle.snapshot(1)
+    t1, base = cycle.snapshot(1)
     for g, step in ((5, 1), (9, 2), (-3, -1)):
-        t, ids, _, _ = cycle.snapshot(g)
+        t, ids = cycle.snapshot(g)
         assert np.all(np.diff(ids) > 0)
         assert np.array_equal(t[np.searchsorted(ids, (base + step) % 13)], t1)
 
@@ -140,10 +140,10 @@ def test_node_keeps_id_one_cycle_later(cycle, spec):
     # ground node at the base lattice origin, observed at iteration 0 and a
     # full cycle later: by then it has drifted one x period in the satellite
     # frame and must carry the same stable ID
-    t0, ids0, _, _ = cycle.snapshot(0)
+    t0, ids0 = cycle.snapshot(0)
     col0 = int(np.argmin(np.hypot(t0[:, 0], t0[:, 1])))
     assert t0[col0] == pytest.approx([0.0, 0.0], abs=1e-6)
-    t4, ids4, _, _ = cycle.snapshot(4)
+    t4, ids4 = cycle.snapshot(4)
     col4 = int(np.argmin(np.hypot(t4[:, 0] + spec.c_x, t4[:, 1])))
     assert t4[col4] == pytest.approx([-spec.c_x, 0.0], abs=1e-6)
     assert ids4[col4] == ids0[col0]
@@ -282,27 +282,21 @@ def _id_sorted_oracle(book, g):
     return targets[order, 0], targets[order, 1], ids[order]
 
 
-def _mirror_order_oracle(tx, ty):
-    """The y-mirror order as the evaluator used to compute it on every call,
-    from the ID-sorted targets."""
-    m = np.empty(tx.size, dtype=np.intp)
-    m[np.lexsort((-ty, tx))] = np.lexsort((ty, tx))
-    if not (np.array_equal(tx[m], tx) and np.array_equal(ty[m], -ty)):
-        raise RuntimeError("beam targets are not symmetric about y = 0")
-    return m
+def _flipped(targets, sx, sy):
+    """The set of targets (sx * x, sy * y); +0.0 and -0.0 compare equal."""
+    return {(sx * x, sy * y) for x, y in targets.tolist()}
 
 
 def _assert_snapshot_matches_oracle(book, g):
-    tx, ty, ids = _id_sorted_oracle(book, g)
-    want = (tx, ty, ids, _mirror_order_oracle(tx, ty))
-    targets, ids, m, _ = book.snapshot(g)
-    got = (targets[:, 0], targets[:, 1], ids, m)
+    want = _id_sorted_oracle(book, g)
+    targets, ids = book.snapshot(g)
+    got = (targets[:, 0], targets[:, 1], ids)
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype
         assert np.ascontiguousarray(a).tobytes() == b.tobytes()
-    # the mirror order pairs every target (x, y) with (x, -y)
-    assert np.array_equal(targets[m, 0], targets[:, 0])
-    assert np.array_equal(targets[m, 1], -targets[:, 1])
+    # the targets are closed under (x, y) -> (x, -y): the evaluator's y-flip
+    # then adds no kernel rows
+    assert _flipped(targets, 1.0, -1.0) == _flipped(targets, 1.0, 1.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -310,8 +304,7 @@ def _assert_snapshot_matches_oracle(book, g):
 def test_every_iteration_is_closed_under_y_mirror(case):
     # each beam's target (x, y) has a partner at (x, -y) exactly, also for
     # global iterations before and past the first cycle, whose IDs wrap; the
-    # snapshot, its ID order and its mirror order match the per-call oracle
-    # bit for bit
+    # snapshot and its ID order match the per-call oracle bit for bit
     spec, roi = case
     cyc = cb.build_cycle(SimpleNamespace(n_rf=10**6), spec, roi)
     for g in range(-5, 21):
@@ -346,48 +339,36 @@ def _xmirror_cases(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(lattice=_xmirror_cases())
-def test_stored_x_mirror_orders_are_exact_or_none(roi, lattice):
-    # xmirror[k] pairs each beam of iteration -k mod K with its target's
-    # mirror (-x, y) in iteration k exactly, or is None when a set-based
-    # oracle finds some mirror missing; k/K is exact in binary at K = 2, 4
-    # and 8, so every iteration pairs, and at K = 3 only k = 0 does (in
-    # float64, 1 - 2/3 != 1/3)
+def test_x_mirror_closure_by_cycle_len(roi, lattice):
+    # iteration k's lattice shift -k/K mirrors to k/K, so the x-mirror of
+    # iteration k is iteration -k mod K exactly wherever the shifts round
+    # alike: every k at K = 2, 4 and 8 (k/K is exact in binary), and k = 0
+    # always, but not k = 1 or 2 at K = 3 (in float64, 1 - 2/3 != 1/3);
+    # where the sets are equal the evaluator pairs g with -g at no extra row
     K = lattice.cycle_len
     cyc = cb.build_cycle(SimpleNamespace(n_rf=10**6), lattice, roi)
-    for k in range(K):
-        src, dst = cyc.targets[-k % K], cyc.targets[k]
-        exact = (len(src) == len(dst) and {(-x, y) for x, y in src.tolist()}
-                 == set(map(tuple, dst.tolist())))
-        x = cyc.xmirror[k]
-        assert (x is not None) == exact
-        if x is not None:
-            assert np.array_equal(np.sort(x), np.arange(len(dst)))
-            assert np.array_equal(dst[x, 0], -src[:, 0])
-            assert np.array_equal(dst[x, 1], src[:, 1])
-    assert cyc.xmirror[0] is not None
+    closed = [_flipped(cyc.targets[-k % K], -1.0, 1.0)
+              == _flipped(cyc.targets[k], 1.0, 1.0) for k in range(K)]
+    assert closed[0]
     if K in (2, 4, 8):
-        assert all(x is not None for x in cyc.xmirror)
+        assert all(closed)
     if K == 3:
-        assert cyc.xmirror[1] is None and cyc.xmirror[2] is None
-    # the snapshot maps X into ascending-ID order, for any global g and any
-    # rows iteration; it exists only where rows = -g mod K
+        assert not closed[1] and not closed[2]
+    # snapshots of any global g carry their base iteration's targets, so the
+    # closure holds between g and -g, in ascending-ID order
     for g in range(-K - 1, 2 * K + 2):
         targets = cyc.snapshot(g)[0]
-        for rows in (g, -g, -g + K, 1 - g):
-            x = cyc.snapshot(g, rows)[3]
-            paired = (g + rows) % K == 0 and cyc.xmirror[rows % K] is not None
-            assert (x is not None) == paired
-            if paired:
-                to = cyc.snapshot(rows)[0]
-                assert np.array_equal(to[x, 0], -targets[:, 0])
-                assert np.array_equal(to[x, 1], targets[:, 1])
+        assert (_flipped(cyc.snapshot(-g)[0], -1.0, 1.0)
+                == _flipped(targets, 1.0, 1.0)) == closed[g % K]
+        _assert_snapshot_matches_oracle(cyc, g)
 
 
 def test_dft_grid_pairs_with_itself_under_x_mirror(roi):
     book = cb.dft_baseline(SimpleNamespace(n_rf=13), roi, 15, 0.88)
-    targets, _, _, x = book.snapshot(0)
-    assert np.array_equal(targets[x, 0], -targets[:, 0])
-    assert np.array_equal(targets[x, 1], targets[:, 1])
+    targets = book.snapshot(0)[0]
+    assert _flipped(targets, -1.0, 1.0) == _flipped(targets, 1.0, 1.0)
+    assert _flipped(targets, -1.0, -1.0) == _flipped(targets, 1.0, 1.0)
+    _assert_snapshot_matches_oracle(book, 0)
 
 
 @pytest.mark.parametrize("n_beams", [2**20 + 1, 10**8, 10**400])
@@ -413,16 +394,6 @@ def test_dft_grid_of_too_many_nodes_refused_before_allocating(roi):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_mirror_order_rejects_an_unpaired_beam():
-    with pytest.raises(RuntimeError, match="symmetric"):
-        cb._mirror_order(np.array([0.0, 1.0]), np.array([5.0, -5.0]))
-    # a codebook computes its mirror orders, so runs the guard, when built
-    with pytest.raises(RuntimeError, match="symmetric"):
-        cb.Codebook(targets=(np.array([[0.0, 5.0], [1.0, -5.0]]),),
-                    ids=(np.arange(2),), rf=(np.arange(2),), n_beams=2,
-                    advance=0)
 
 
 def test_dft_baseline_grid(roi):

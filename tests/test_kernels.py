@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from leobeams import antenna as ant
 from leobeams import kernels
-from leobeams.codebook import _mirror_order, _xmirror_order, beam_precoder
+from leobeams.codebook import beam_precoder
 from leobeams.geometry import direction_to
 
 H = 1.3e6
@@ -177,8 +177,15 @@ def test_kernel_within_rounding_bound_of_direct_formula(case):
 
 
 # ---------------------------------------------------------------------------
-# mirror symmetry about y = 0
+# mirror symmetry about y = 0 and x = 0
 # ---------------------------------------------------------------------------
+
+def _matching(tx, ty, to_x, to_y):
+    """P with (to_x[P[j]], to_y[P[j]]) == (tx[j], ty[j]) exactly, matched by
+    value; +0.0 and -0.0 compare equal."""
+    where = {t: i for i, t in enumerate(zip(to_x.tolist(), to_y.tolist()))}
+    return np.array([where[t] for t in zip(tx.tolist(), ty.tolist())])
+
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_kernel_case(), st.lists(st.sampled_from([0.0, -0.0]), min_size=1,
@@ -200,7 +207,7 @@ def test_kernel_is_odd_symmetric_in_y(case, zeros, zero_target):
     # on a beam set closed under y -> -y, the mirrored points see the same
     # gains with the beams permuted by the mirror order M
     tx2, ty2 = np.concatenate([tx, tx]), np.concatenate([ty, -ty])
-    m = _mirror_order(tx2, ty2)
+    m = _matching(tx2, -ty2, tx2, ty2)
     up = kernels.gain_matrix(px, py, tx2, ty2, *rest)
     down = kernels.gain_matrix(px, -py, tx2, ty2, *rest)
     assert np.ascontiguousarray(up[:, m]).tobytes() == down.tobytes()
@@ -226,7 +233,7 @@ def test_kernel_is_odd_symmetric_in_x(case, zeros, zero_target):
     # on a beam set closed under x -> -x, the x-mirrored points see the same
     # gains with the beams permuted by the x-mirror order X
     tx2, ty2 = np.concatenate([tx, -tx]), np.concatenate([ty, ty])
-    x = _xmirror_order(tx2, ty2, tx2, ty2)
+    x = _matching(-tx2, ty2, tx2, ty2)
     right = kernels.gain_matrix(px, py, tx2, ty2, *rest)
     left = kernels.gain_matrix(-px, py, tx2, ty2, *rest)
     assert np.ascontiguousarray(right[:, x]).tobytes() == left.tobytes()

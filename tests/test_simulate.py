@@ -32,7 +32,7 @@ def test_roi_grid_centered(scene):
 
 def test_serving_beam_at_targets(scene):
     # a beam's own target is served by that beam
-    targets, ids, _, _ = scene.hex.snapshot(0)
+    targets, ids = scene.hex.snapshot(0)
     for t, i in zip(targets, ids):
         sid, gain = sim.serving_beam(scene, t)
         assert sid == i
@@ -42,7 +42,7 @@ def test_serving_beam_at_targets(scene):
 def test_serving_beam_tie_takes_lower_id(scene):
     # (0, 80 km) sits exactly between the two x-mirrored beams of the upper
     # lattice row; their gains agree bit for bit, so the tie rule decides
-    targets, ids, _, _ = scene.hex.snapshot(0)
+    targets, ids = scene.hex.snapshot(0)
     gains = gain_matrix(np.array([0.0]), np.array([80e3]),
                         targets[:, 0], targets[:, 1], scene.h_sat,
                         12, 24, scene.geometry.spacing)[0]
@@ -55,7 +55,7 @@ def test_serving_beam_tie_takes_lower_id(scene):
 def _lowest_tied_id(scene, book, px, py, g):
     """The tie rule spelled out with no walk over the beams: among the beams
     at the row's max gain, the lowest ID, whatever their column order."""
-    targets, ids, _, _ = book.snapshot(g)
+    targets, ids = book.snapshot(g)
     targets, ids = targets[::-1], ids[::-1]
     geom = scene.geometry
     gains = gain_matrix(px, py, targets[:, 0], targets[:, 1], scene.h_sat,
@@ -72,7 +72,7 @@ def test_serve_ids_follow_lowest_tied_id_rule(scene, mode, g):
     # are not in ID order; at g = 8 the (0, 80 km) tie is between IDs 12
     # and 0, with 0 in the later column
     book = sim.codebook_for(scene, mode)
-    _, ids, _, _ = book.snapshot(g)
+    ids = book.snapshot(g)[1]
     assert np.all(np.diff(ids) > 0)
     px, py = _grid_points(scene, 10e3)
     px, py = np.append(px, 0.0), np.append(py, 80e3)
@@ -91,7 +91,7 @@ def test_serving_matches_nearest_lattice_point(scene):
     # active lattice point in the beam-width metric (y weighted by the
     # footprint aspect c_x/c_y)
     px, py = _grid_points(scene, 25e3)
-    targets, ids, _, _ = scene.hex.snapshot(0)
+    targets, ids = scene.hex.snapshot(0)
     w = scene.lattice.c_x / scene.lattice.c_y
     d2 = ((px[:, None] - targets[None, :, 0]) ** 2
           + (w * (py[:, None] - targets[None, :, 1])) ** 2)
@@ -161,10 +161,10 @@ def test_cdf_from_map_matches_boolean_mean(vals, thr):
 @st.composite
 def _serve_case(draw):
     """A points x beams gain matrix of 1, 10, 13 or 15 beams, ascending IDs
-    with gaps, and a CHUNK of 1 to 9 points. The matrix and IDs come from a
-    seeded generator, so an example costs a handful of draws whatever its
-    size: a share of the entries (none, half, most or all) takes values from
-    a pool of two or three, so exact ties are common, and the rest are
+    with gaps, and kernel calls of 1 to 9 points. The matrix and IDs come
+    from a seeded generator, so an example costs a handful of draws whatever
+    its size: a share of the entries (none, half, most or all) takes values
+    from a pool of two or three, so exact ties are common, and the rest are
     uniform on [0, 288]."""
     n_beams = draw(st.sampled_from([1, 10, 13, 15]))
     shape = (draw(st.integers(1, 40)), n_beams)
@@ -182,36 +182,40 @@ def _serve_case(draw):
 def test_serve_running_max_matches_argmax_oracle(scene, case):
     gains, ids, chunk = case
     n_points, n_beams = gains.shape
-    # a one-iteration codebook with these IDs; its targets only feed the
-    # mirror order, since the kernel below ignores them
-    book = Codebook(targets=(np.zeros((n_beams, 2)),), ids=(ids,),
+    # a one-iteration codebook with these IDs; beam j targets (j, 1 + j), and
+    # the kernel below gives target (x, +-y) beam x's column of gains, so the
+    # y-flip adds n_beams rows that the mirrored side must find by value
+    targets = np.column_stack([np.arange(n_beams), 1.0 + np.arange(n_beams)])
+    book = Codebook(targets=(targets,), ids=(ids,),
                     rf=(np.arange(n_beams),), n_beams=100, advance=0)
 
-    def kernel(px, *args):  # the kernel's layout: a transposed C array
-        return np.ascontiguousarray(gains[px.astype(int)].T).T
+    def kernel(px, py, tx, *args):  # the kernel's layout: a transposed C array
+        return np.ascontiguousarray(gains[px.astype(int)][:, tx.astype(int)]
+                                    .T).T
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "CHUNK", chunk)
+        mp.setattr(sim, "KERNEL_EVALS", chunk * 2 * n_beams)
         mp.setattr(sim, "gain_matrix", kernel)
         px, py = np.arange(n_points, dtype=float), np.zeros(n_points)
-        sid, g_serve, interf = (a[0] for a in
-                                sim._serve(scene, px, py, book, 0))
-    # the oracle: argmax and row sums over the points x beams matrix
+        served = sim._serve(scene, px, py, book, 0)
+    # the oracle: argmax and row sums over the points x beams matrix, on
+    # both sides
     k = gains.argmax(axis=1)
     best = gains[np.arange(n_points), k]
     total = gains.sum(axis=1)
-    assert np.array_equal(sid, ids[k])
-    assert np.array_equal(g_serve, best)
     # the two sums add the same n_beams non-negative terms in different
     # orders, each within (n_beams - 1) eps/2 total of the exact sum, and
     # subtracting the serving gain rounds each once more, by eps/2 total
     eps = np.finfo(float).eps
-    assert np.all(np.abs(interf - (total - best)) <= n_beams * eps * total)
+    for sid, g_serve, interf in zip(*served, strict=True):
+        assert np.array_equal(sid, ids[k])
+        assert np.array_equal(g_serve, best)
+        assert np.all(np.abs(interf - (total - best)) <= n_beams * eps * total)
 
 
 def _direct_serve(scene, px, py, book, g):
     """The evaluator before y-mirrored points shared a kernel call: the
     kernel at the points themselves, one ascending-ID running max."""
-    targets, ids, _, _ = book.snapshot(g)
+    targets, ids = book.snapshot(g)
     tx, ty = targets[:, 0], targets[:, 1]
     sid = np.empty(px.size, dtype=np.int64)
     g_serve, interf = np.empty(px.size), np.empty(px.size)
@@ -232,16 +236,17 @@ def _direct_serve(scene, px, py, book, g):
 @st.composite
 def _mirror_case(draw, scene):
     """A codebook snapshot (hex at g = -5..20, so IDs wrap from g = 4 on, or
-    dft), an x-mirror iteration h = -g + K m, 1 to 30 points of any signs, a
-    CHUNK of 1 to 9, and a kernel that is exact or quantized to steps of 16
-    so exact ties are common. The points come from a seeded generator, so an
-    example costs a handful of draws: on a 5 km grid, on beam targets and
-    their mirrors, on y = +-0.0, on x = +-0.0 and at (0, +-80 km), where
-    x-mirrored beams tie."""
+    dft), any iteration h = -8..8 for the x-mirrored sides, 1 to 30 points
+    of any signs, a budget of 1 to 150 evaluations per kernel call, and a
+    kernel that is exact or quantized to steps of 16 so exact ties are
+    common. The points come from a seeded generator, so an example costs a
+    handful of draws: on a 5 km grid, on beam targets and their mirrors, on
+    y = +-0.0, on x = +-0.0 and at (0, +-80 km), where x-mirrored beams
+    tie."""
     mode = draw(st.sampled_from(["hex", "hex", "dft"]))
     book = sim.codebook_for(scene, mode)
     g = draw(st.integers(-5, 20)) if mode == "hex" else 0
-    h = -g + book.cycle_len * draw(st.integers(-3, 3))
+    h = draw(st.integers(-8, 8))
     targets = book.snapshot(g)[0]
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -254,29 +259,29 @@ def _mirror_case(draw, scene):
                           rng.uniform(-5.5e5, 5.5e5, n), zero, 0.0])
     py = np.select(kind, [5e3 * rng.integers(-36, 37, n), on[1], zero,
                           rng.uniform(-1.8e5, 1.8e5, n), 80e3 * sign[1]])
-    return (mode, g, h, px, py, draw(st.integers(1, 9)), draw(st.booleans()))
+    return (mode, g, h, px, py, draw(st.integers(1, 150)), draw(st.booleans()))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(data=st.data())
 def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
     # rows 0 and 1 of _serve are the direct evaluator at (px, |py|) and
-    # (px, -|py|); with an x-mirror iteration h, rows 2 and 3 are the direct
-    # evaluator under h at (-px, |py|) and (-px, -|py|), bit for bit: IDs,
-    # serving gains and interferer sums
-    mode, g, h, px, py, chunk, quantized = data.draw(_mirror_case(scene))
+    # (px, -|py|); with any iteration h, whether or not it mirrors g, rows 2
+    # and 3 are the direct evaluator under h at (-px, |py|) and (-px, -|py|),
+    # bit for bit: IDs, serving gains and interferer sums
+    mode, g, h, px, py, evals, quantized = data.draw(_mirror_case(scene))
     kernel = sim.gain_matrix
     book = sim.codebook_for(scene, mode)
-    assert book.snapshot(h, g)[3] is not None
     with pytest.MonkeyPatch.context() as mp:
         if quantized:
             mp.setattr(sim, "gain_matrix",
                        lambda *a: np.floor(kernel(*a) / 16) * 16)
-        # the oracle in one slice; the evaluator in slices of CHUNK points
+        # the oracle in one slice; the evaluator in slices of KERNEL_EVALS
+        # evaluations
         want = [_direct_serve(scene, x, y, book, it)
                 for x, y, it in ((px, np.abs(py), g), (px, -np.abs(py), g),
                                  (-px, np.abs(py), h), (-px, -np.abs(py), h))]
-        mp.setattr(sim, "CHUNK", chunk)
+        mp.setattr(sim, "KERNEL_EVALS", evals)
         paired = sim._serve(scene, px, py, book, g, h)
         halves = sim._serve(scene, px, py, book, g)
     for got, half, *sides in zip(paired, halves, *want, strict=True):
@@ -286,10 +291,49 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
             assert np.array_equal(row, direct)
 
 
+def _kernel_rows_per_serve(monkeypatch):
+    """A list that fills, per _serve call, with [g, rows of each kernel call
+    it makes]."""
+    calls, serve, kernel = [], sim._serve, sim.gain_matrix
+
+    def serve_probe(scene, px, py, book, g, *rest):
+        calls.append([g])
+        return serve(scene, px, py, book, g, *rest)
+
+    def kernel_probe(px, py, tx, *args):
+        calls[-1].append(tx.size)
+        return kernel(px, py, tx, *args)
+    monkeypatch.setattr(sim, "_serve", serve_probe)
+    monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
+    return calls
+
+
+def test_serve_of_a_codebook_open_under_both_mirrors_matches_direct_serve(
+        scene, monkeypatch):
+    # the evaluator relies on no closure: beams with no y- or x-mirror
+    # partner are served on every side bit for bit like the direct
+    # evaluator, from 2n kernel rows with the y-mirror and 4n with both
+    targets = np.array([[1e4, 5e3], [1e5, -5e4], [-2e5, 3e4], [3e5, 1e5]])
+    book = Codebook(targets=(targets,), ids=(np.arange(4),),
+                    rf=(np.arange(4),), n_beams=4, advance=0)
+    px, py = _grid_points(scene, 25e3)
+    want = [_direct_serve(scene, x, y, book, 0)
+            for x, y in ((px, np.abs(py)), (px, -np.abs(py)),
+                         (-px, np.abs(py)), (-px, -np.abs(py)))]
+    calls = _kernel_rows_per_serve(monkeypatch)
+    halves = sim._serve(scene, px, py, book, 0)
+    paired = sim._serve(scene, px, py, book, 0, 0)
+    assert calls == [[0, 8], [0, 16]]
+    for half, got, *sides in zip(halves, paired, *want, strict=True):
+        assert np.array_equal(half, got[:2])
+        for row, direct in zip(got, sides, strict=True):
+            assert np.array_equal(row, direct)
+
+
 @pytest.fixture(scope="module")
 def scenes_by_cycle_len(scene):
-    # every iteration has its x-mirror order at K = 4; at K = 3 only
-    # iteration 0 does, at K = 5 iterations 0, 2 and 3
+    # at K = 4 the x-mirror of every iteration is an iteration of the cycle
+    # exactly; at K = 3 and 5 only some are, and the others cost kernel rows
     return {3: build_scene(SceneConfig(cycle_len=3)), 4: scene,
             5: build_scene(SceneConfig(cycle_len=5))}
 
@@ -332,8 +376,8 @@ def _direct_dynamic_counts(scene, px, py):
 
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
 def test_maps_and_cdfs_match_direct_evaluation(scenes_by_cycle_len, cycle_len):
-    # quadrant maps (self-paired iterations, and the DFT grid) and half-plane
-    # maps alike are the direct evaluation, byte for byte
+    # every map fills one quadrant, whether or not its iteration is closed
+    # under x -> -x, and is the direct evaluation, byte for byte
     scene = scenes_by_cycle_len[cycle_len]
     for g in sorted({-1, 0, 1, 2, cycle_len, cycle_len + 2}):
         for mode in ("hex", "dft") if g == 0 else ("hex",):
@@ -352,8 +396,8 @@ def test_maps_and_cdfs_match_direct_evaluation(scenes_by_cycle_len, cycle_len):
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
 def test_dynamic_handover_map_matches_direct_loop(scenes_by_cycle_len,
                                                   cycle_len):
-    # the quadrant loop, x-mirrors paired wherever iteration -g mirrors g,
-    # counts what each point's own direct loop counts
+    # the quadrant loop, x at g paired with -x at -g at every K, counts what
+    # each point's own direct loop counts
     scene = scenes_by_cycle_len[cycle_len]
     for step in (13e3, 20e3):
         got = sim.handover_map(scene, "dynamic", step=step).values
@@ -390,11 +434,38 @@ def test_dynamic_counts_at_window_edges_match_direct_loop(scenes_by_cycle_len,
                                                           sy * py))
 
 
+def test_mirrored_sides_share_kernel_rows(scenes_by_cycle_len, monkeypatch):
+    # a flip the codebook is closed under adds no kernel row: y always, x for
+    # the DFT grid, hex k with 2k = 0 mod K, and the dynamic pair g, -g at
+    # K = 4; hex k = 1 and 3 at K = 4 need their x-flipped targets as rows
+    # of their own. The dynamic map makes one _serve call per update index,
+    # in index order, also at K = 3 where -g is not the mirror of g
+    scene = scenes_by_cycle_len[4]
+    calls = _kernel_rows_per_serve(monkeypatch)
+    for mode, g in [("dft", 0)] + [("hex", k) for k in range(4)]:
+        calls.clear()
+        sim.coverage_map(scene, "cell", mode, g, step=20e3)
+        n = sim.codebook_for(scene, mode).snapshot(g)[0].shape[0]
+        assert calls and all(len(c) > 1 for c in calls)
+        assert {r for c in calls for r in c[1:]} == {2 * n if g % 2 else n}
+    for cycle_len in (4, 3):
+        scene = scenes_by_cycle_len[cycle_len]
+        calls.clear()
+        sim.handover_map(scene, "dynamic", step=20e3)
+        gs = [c[0] for c in calls]
+        assert gs == list(range(gs[0], gs[-1] + 1))
+        for g, *rows in calls:
+            n = scene.hex.snapshot(g)[0].shape[0]
+            closed = cycle_len == 4 or g % 3 == 0
+            assert rows and set(rows) == {n if closed else 2 * n}
+
+
 def test_dynamic_map_runs_one_association_loop(scene, monkeypatch):
     # a map of several row blocks still runs the association loop once:
     # one _serve call per update index, and memory within a fixed number of
     # bytes per in-ROI node (about 100 B measured)
     monkeypatch.setattr(sim, "CHUNK", 64)
+    monkeypatch.setattr(sim, "KERNEL_EVALS", 10 * 64)
     xs, ys = sim.roi_grid(scene.roi, 10e3)
     assert ys.size // 2 + 1 >= 3 * max(1, 8 * sim.CHUNK // xs.size)
     calls, serve = [], sim._serve
@@ -426,18 +497,19 @@ def _chunk_probe_outputs(scene):
 def test_outputs_independent_of_chunk_size(scene, monkeypatch):
     # row sums and the argmax do not depend on how points are sliced, nor
     # handover sweeps on how their rows' samples are grouped and sliced, and
-    # no kernel call evaluates more than CHUNK points
+    # no kernel call evaluates more than KERNEL_EVALS point x beam pairs
     ref = _chunk_probe_outputs(scene)
-    sizes, kernel = [], sim.gain_matrix
+    evals, kernel = [], sim.gain_matrix
 
-    def probe(px, *args):
-        sizes.append(px.size)
-        return kernel(px, *args)
+    def probe(px, py, tx, *args):
+        evals.append(px.size * tx.size)
+        return kernel(px, py, tx, *args)
     monkeypatch.setattr(sim, "CHUNK", 7)
     monkeypatch.setattr(sim, "SWEEP_BLOCK", 11)
+    monkeypatch.setattr(sim, "KERNEL_EVALS", 91)
     monkeypatch.setattr(sim, "gain_matrix", probe)
     got = _chunk_probe_outputs(scene)
-    assert len(sizes) > 1000 and max(sizes) == 7
+    assert len(evals) > 1000 and max(evals) <= 91
     for a, b in zip(ref, got, strict=True):
         assert np.array_equal(a, b, equal_nan=True)
 
@@ -469,6 +541,23 @@ def test_fine_map_memory_bounded_by_grid_and_block(scene):
     finally:
         tracemalloc.stop()
     assert peak < 9 * xs.size * ys.size + 128 * 16 * sim.CHUNK
+
+
+def test_kernel_call_memory_bounded_whatever_the_codebook_size():
+    # each kernel call is bounded by KERNEL_EVALS point x beam pairs, not by
+    # points, so a map of 864 DFT beams takes a fixed term over the 15-beam
+    # map, not one that grows with the beams (40.7 MiB against 0.62 MiB when
+    # calls were bounded by points)
+    peaks = []
+    for n_beams in (15, 864):
+        scene = build_scene(SceneConfig(dft_n_beams=n_beams))
+        tracemalloc.start()
+        try:
+            sim.coverage_map(scene, "sinr", "dft", step=10e3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * sim.KERNEL_EVALS
 
 
 def test_pass_window(scene):
