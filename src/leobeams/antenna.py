@@ -7,6 +7,7 @@ phase-only and live on a single sub-array (one RF chain drives one beam).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,11 @@ def satellite_array(n_rf: int, subarray_dims: tuple[int, int],
         raise ValueError(f"n_rf x subarray_nx x subarray_ny = {n_rf} x {n_x} x "
                          f"{n_y} elements, more than the {MAX_ELEMENTS} one "
                          f"panel may hold")
-    base = upa_positions(n_x, n_y, spacing)
     pitch = 2.0 * n_x * spacing  # aperture plus one-aperture gap
+    if not math.isfinite(2.0 * math.pi * n_rf * pitch):  # the widest phase
+        raise ValueError(f"element_spacing_wl = {spacing} puts the panel's "
+                         f"element phases out of float range")
+    base = upa_positions(n_x, n_y, spacing)
     positions = np.tile(base, (n_rf, 1))
     positions[:, 0] += np.repeat((np.arange(n_rf) - (n_rf - 1) / 2.0) * pitch,
                                  base.shape[0])

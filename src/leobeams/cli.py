@@ -241,13 +241,20 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        scene = build_scene(cfg)
-        emit = _Emitter(args.out, cfg)
-        _RUNNERS[args.command](args, cfg, scene, emit)
-        emit.write_manifest()
+        # a float that still leaves its range raises, as numpy's
+        # FloatingPointError or Python's ArithmeticError, instead of
+        # printing a warning and writing inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = _resolve_config(args)
+            scene = build_scene(cfg)
+            emit = _Emitter(args.out, cfg)
+            _RUNNERS[args.command](args, cfg, scene, emit)
+            emit.write_manifest()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: a value left float range ({exc})", file=sys.stderr)
         return 2
     return 0
 

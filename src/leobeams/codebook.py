@@ -197,13 +197,20 @@ def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int = 15,
     if n_beams > MAX_LATTICE_NODES:
         raise ValueError(f"dft_n_beams = {n_beams} is more than the "
                          f"{MAX_LATTICE_NODES} grid nodes one codebook may hold")
-    cols, rows = _grid_shape(n_beams, roi.semi_x / roi.semi_y)
+    aspect = roi.semi_x / roi.semi_y
+    if not 0.0 < aspect < math.inf:
+        raise ValueError(f"roi_semi_x_m / roi_semi_y_m = {roi.semi_x} / "
+                         f"{roi.semi_y} leaves float range")
+    cols, rows = _grid_shape(n_beams, aspect)
     nodes = (2 * (cols // 2) + 5) * (2 * (rows // 2) + 5)
     if nodes > MAX_LATTICE_NODES:
         raise ValueError(f"dft_n_beams = {n_beams} lays out a {cols} x {rows} "
                          f"grid of {nodes} nodes, more than {MAX_LATTICE_NODES}")
     s_x = shrink * 2.0 * roi.semi_x / cols
     s_y = shrink * 2.0 * roi.semi_y / rows
+    if not max((cols // 2 + 3) * s_x, (rows // 2 + 3) * s_y) < math.inf:
+        raise ValueError(f"dft_shrink = {shrink} puts the DFT grid out of "
+                         f"float range")
     # centered grid: integer multiples for odd counts, half-offsets for even;
     # counted over an extended range so "exactly n_beams inside" is honest
     half_x = 0.5 * ((cols + 1) % 2)

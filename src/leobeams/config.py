@@ -12,11 +12,13 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .antenna import MAX_ELEMENTS, satellite_array
 from .codebook import build_cycle, dft_baseline, make_lattice_spec
 from .geometry import (EARTH_MASS, EARTH_RADIUS, GRAV_CONST, LIGHT_SPEED, Roi,
-                       ground_track_speed)
-from .link import BOLTZMANN_DBW, LinkParams
+                       ground_track_speed, slant_range)
+from .link import BOLTZMANN_DBW, LinkParams, fspl, noise_rel
 from .simulate import Scene
 
 
@@ -167,6 +169,11 @@ def build_scene(cfg: SceneConfig) -> Scene:
         raise ValueError(f"h_sat_m = {cfg.h_sat_m} (earth_radius_m = "
                          f"{cfg.earth_radius_m}) overflows the slant range or "
                          f"the update period, or stalls the ground track")
+    if not lattice.t_c > 1e-9:  # the time tolerance of the iteration index
+        raise ValueError(f"h_sat_m, oversampling, subarray_nx, cycle_len, "
+                         f"grav_const, earth_mass_kg and earth_radius_m give "
+                         f"an update period of {lattice.t_c:.4g} s, not above "
+                         f"the 1e-9 s tolerance of the iteration index")
     roi = Roi(cfg.roi_semi_x_m, cfg.roi_semi_y_m)
     link = LinkParams(
         f_carrier=cfg.carrier_hz,
@@ -180,7 +187,34 @@ def build_scene(cfg: SceneConfig) -> Scene:
         k_boltz_dbw=cfg.boltzmann_dbw,
         light_speed=cfg.light_speed_m_s,
     )
-    return Scene(geometry=geometry, lattice=lattice, roi=roi, h_sat=cfg.h_sat_m,
-                 link=link, hex=build_cycle(geometry, lattice, roi),
-                 dft=dft_baseline(geometry, roi, cfg.dft_n_beams,
-                                  cfg.dft_shrink), v_ground=v_ground)
+    scene = Scene(geometry=geometry, lattice=lattice, roi=roi,
+                  h_sat=cfg.h_sat_m, link=link,
+                  hex=build_cycle(geometry, lattice, roi),
+                  dft=dft_baseline(geometry, roi, cfg.dft_n_beams,
+                                   cfg.dft_shrink), v_ground=v_ground)
+    _check_link_range(cfg, link)
+    return scene
+
+
+def _check_link_range(cfg: SceneConfig, link: LinkParams) -> None:
+    """Refuse a link budget that leaves float range anywhere in the ROI: the
+    farthest in-ROI slant range, and from the nearest range to the farthest
+    the channel's path gain and the noise floor in beam-gain units (both
+    monotone in the range; the floor takes 1 / rician_factor in). Each must
+    be finite and non-zero."""
+    far = max(cfg.roi_semi_x_m, cfg.roi_semi_y_m)
+    with np.errstate(all="ignore"):
+        dist = slant_range(np.array([0.0, far]), 0.0, cfg.h_sat_m)
+        loss = (fspl(dist, link.f_carrier, link.light_speed) + link.lp_at_db
+                + link.lp_cable_db)
+        checks = (
+            ("roi_semi_x_m and roi_semi_y_m", "farthest slant range", dist),
+            ("carrier_hz, light_speed_m_s, atmos_loss_db and cable_loss_db",
+             "path gain", 10.0 ** (-loss / 10.0)),
+            ("tx_power_dbw, noise_temp_dbk, bandwidth_hz, boltzmann_dbw and "
+             "rician_factor, with the path gain,", "noise floor",
+             noise_rel(dist, link)))
+    for keys, name, value in checks:
+        if not np.all((value > 0.0) & (value < math.inf)):
+            raise ValueError(f"{keys} put the {name} at {value.tolist()} over "
+                             f"the ROI, out of float range")

@@ -73,11 +73,15 @@ class Roi:
             raise ValueError("Roi semi-radii must be positive")
 
     def contains(self, x, y):
-        """Ellipse inequality, boundary points (to 1e-9 of the norm) included."""
-        return (np.square(np.asarray(x) / self.semi_x)
-                + np.square(np.asarray(y) / self.semi_y)) <= 1.0 + 1e-9
+        """Ellipse inequality, boundary points (to 1e-9 of the norm) included.
+        A point far enough outside overflows the norm to inf, still outside."""
+        with np.errstate(over="ignore"):
+            return (np.square(np.asarray(x) / self.semi_x)
+                    + np.square(np.asarray(y) / self.semi_y)) <= 1.0 + 1e-9
 
     def x_extent(self, y):
-        """Half-width of the ellipse along x at height y (0 outside)."""
-        s = 1.0 - np.square(np.asarray(y, dtype=float) / self.semi_y)
+        """Half-width of the ellipse along x at height y (0 outside, where
+        the norm may overflow to inf)."""
+        with np.errstate(over="ignore"):
+            s = 1.0 - np.square(np.asarray(y, dtype=float) / self.semi_y)
         return self.semi_x * np.sqrt(np.maximum(s, 0.0))

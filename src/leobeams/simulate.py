@@ -15,8 +15,9 @@ The scene holds two `Codebook`s: `Scene.hex`, the K-iteration hex cycle, and
 `codebook_for` maps every mode name to one of them.
 
 Every serving decision goes through one evaluator, `_serve`, which calls
-the kernel on at most KERNEL_EVALS point x beam pairs at a time, so the
-memory of any evaluation is bounded whatever the grid and codebook sizes.
+the kernel on at most KERNEL_EVALS point x beam pairs at a time; every map
+block and sweep call hands it at most BLOCK points, so memory is bounded
+whatever the grid and codebook sizes.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
@@ -29,7 +30,8 @@ flip are its own targets. Maps fill the quadrant x >= 0, y >= 0 and write
 all four images, sweeps run the rows y >= 0, a single point takes the side
 matching the sign of its y, and the dynamic handover map pairs point x at
 update index g with -x at -g, whose satellite-frame positions are negatives
-of each other, in one association loop over the whole map.
+of each other, in one `_serve` call per update index of a block; the
+dynamic series runs a loop of its own, held to the same counts by tests.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ from .link import LinkParams, noise_rel, sinr_db, snr_db
 DEFAULT_GRID_STEP = 2000.0      # coverage-map spacing [m]
 DEFAULT_HANDOVER_STEP = 5000.0  # handover-map spacing [m]
 UPDATE_SUBSTEPS = 20            # time samples per codebook update period
-CHUNK = 8192                    # points: the unit of map and sweep blocks
-KERNEL_EVALS = 10 * CHUNK       # point x beam evaluations per gain-kernel call
+BLOCK = 2**15                   # points per _serve call of a map or sweep
+KERNEL_EVALS = 81920            # point x beam evaluations per gain-kernel call
 MAX_SAMPLES = 2**22             # time samples of one pass series or sweep row
-SWEEP_BLOCK = 16 * CHUNK        # handover-sweep samples per _serve call
 MAX_CELLS = 2**23               # grid nodes of one map's ROI box
 CDF_THRESHOLDS_DB = np.arange(-10.0, 20.0001, 0.25)  # SINR CDF abscissae [dB]
 CDF_THRESHOLDS_DB.flags.writeable = False            # shared by every curve
@@ -186,8 +187,7 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
     return int(sid[side, 0]), float(g[side, 0])
 
 
-def _roi_field(roi: Roi, step: float, key: str, fill,
-               whole: bool = False) -> FieldMap:
+def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
     """Grid over the ROI box holding fill's values at in-ROI nodes, NaN elsewhere.
 
     The grid and the ellipse are symmetric about y = 0 and about x = 0 bit
@@ -197,10 +197,9 @@ def _roi_field(roi: Roi, step: float, key: str, fill,
     (-px, py) and (-px, -py). Row -y takes the second, column -x the last
     two; the row y = 0 and the column x = 0 take the first. The mask is built
     row by row, so no full-box coordinate grid is made, and fill is called
-    once per block of whole rows holding about 16 * CHUNK values, all sides
-    together, so its per-point arrays do not grow with the grid; with whole,
-    once on the whole map. fill must treat each point, or each row, on its
-    own.
+    once per block of whole rows holding about BLOCK quadrant nodes, so its
+    per-point arrays do not grow with the grid. fill must treat each point,
+    or each row, on its own.
     """
     xs, ys = roi_grid(roi, step, key)
     mask = np.empty((ys.size, xs.size), dtype=bool)
@@ -210,7 +209,7 @@ def _roi_field(roi: Roi, step: float, key: str, fill,
     # row i of vals[::-1] is row -y, column i of vals[:, ::-1] column -x
     sides = (vals, vals[::-1], vals[:, ::-1], vals[::-1, ::-1])
     c = xs.size // 2
-    rows = ys.size if whole else max(1, 4 * CHUNK // (xs.size - c))
+    rows = max(1, BLOCK // (xs.size - c))
     for r in range(ys.size // 2, ys.size, rows):
         m = mask[r:r + rows, c:]
         counts = np.count_nonzero(m, axis=1)
@@ -284,59 +283,6 @@ def _iteration(scene: Scene, t) -> np.ndarray:
     return np.floor((np.asarray(t) + 1e-9) / scene.lattice.t_c).astype(np.int64)
 
 
-def _dynamic_associations(scene: Scene, px: np.ndarray, py: np.ndarray,
-                          t_in: np.ndarray, t_out: np.ndarray,
-                          x_mirror: bool = False):
-    """Dynamic-codebook associations: point i at t_in[i], then at each update
-    instant tau = g * t_c in (t_in[i], t_out[i]]. Yields (g, points, ids) per
-    loop index g that has any: the associating point indices and their
-    serving beam IDs, shape (2, points), at (x, |y|) and at (x, -|y|). The
-    window, and so every association instant, is the same for both signs
-    of y.
-
-    With x_mirror, point n + i (n = px.size) is the x-mirror (-px[i], py[i]),
-    whose window is (-t_out[i], -t_in[i]). At index g it associates under
-    iteration -g, where its update position negates point i's at g, so it
-    meets its events in reverse time order, entry last. One `_serve` call at
-    g, with h = -g, answers both: it evaluates once each point that either
-    side updates at that index (the half-open window and the 1e-9 s
-    tolerance of `_iteration` make the two sets differ), and each side's
-    entries (at its own t_in) as points of their own, a mirror's negated.
-    """
-    v, t_c, n = scene.v_ground, scene.lattice.t_c, px.size
-    g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
-    lo, hi = int(g_in.min()), int(g_out.max())
-    if x_mirror:
-        m_in = -t_out  # the mirrors' entry times
-        h_in, h_out = _iteration(scene, m_in), _iteration(scene, -t_in)
-        lo, hi = min(lo, -int(h_out.max())), max(hi, -int(h_in.min()))
-    for g in range(lo, hi + 1):
-        on, entry = (g_in <= g) & (g <= g_out), g_in == g
-        if not x_mirror:
-            pts = np.flatnonzero(on)
-            if pts.size:
-                t = np.where(entry[pts], t_in[pts], g * t_c)
-                yield g, pts, _serve(scene, px[pts] - v * t, py[pts],
-                                     scene.hex, g)[0]
-            continue
-        x_on, x_entry = (h_in <= -g) & (-g <= h_out), h_in == -g
-        upd, x_upd = on & ~entry, x_on & ~x_entry
-        both = np.flatnonzero(upd | x_upd)
-        ea, eb = np.flatnonzero(on & entry), np.flatnonzero(x_on & x_entry)
-        if both.size + ea.size + eb.size == 0:
-            continue
-        sx = np.concatenate([px[both] - v * (g * t_c), px[ea] - v * t_in[ea],
-                             -(-px[eb] - v * m_in[eb])])
-        sid = _serve(scene, sx, py[np.concatenate([both, ea, eb])],
-                     scene.hex, g, -g)[0]
-        s_both, s_ea, s_eb = np.split(sid, [both.size, both.size + ea.size],
-                                      axis=1)
-        u, xu = upd[both], x_upd[both]
-        yield g, np.concatenate([both[u], ea, n + both[xu], n + eb]), \
-            np.concatenate([s_both[:2, u], s_ea[:2], s_both[2:, xu],
-                            s_eb[2:]], axis=1)
-
-
 def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
                     duration: float = None, dt: float = None,
                     t_start: float = 0.0) -> TimeSeries:
@@ -346,8 +292,9 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     update period) while the point is inside the ROI, up to its exit or the
     end of duration. Dynamic mode associates at the first sample and at each
     update instant tau = g * t_c up to the last, and a sample reports the beam
-    held since then; a series ending before the window's final tau can thus
-    show one change fewer than `handover_map`.
+    held since then: the handover map's event rule, with the first and last
+    samples as the window, so a series ending before the window's final tau
+    can show one change fewer than `handover_map`.
     """
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
@@ -385,12 +332,14 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         # so every sample is written by the event of its own iteration
         g_s = _iteration(scene, ts)
         sid, g_serve = np.empty(ts.size, dtype=np.int64), np.empty(ts.size)
-        for g, _, held in _dynamic_associations(
-                scene, np.array([x_g]), np.array([y]), ts[:1], ts[-1:]):
+        for g in range(int(g_s[0]), int(g_s[-1]) + 1):
+            t = ts[0] if g == g_s[0] else g * scene.lattice.t_c
+            held = _serve(scene, [x_g - scene.v_ground * t], [y], book,
+                          g)[0][side, 0]
             at = np.flatnonzero(g_s == g)
             targets, ids = book.snapshot(g)
-            tx, ty = targets[ids == held[side, 0]].T
-            sid[at] = held[side, 0]
+            tx, ty = targets[ids == held].T
+            sid[at] = held
             for a in range(0, at.size, KERNEL_EVALS):  # the held beam alone
                 i = at[a:a + KERNEL_EVALS]
                 g_serve[i] = _gains(scene, sx[i], sy[i], tx, ty)[:, 0]
@@ -410,19 +359,22 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
 
     Every point of a row sees the same sweep, and row -y sees it mirrored,
     so each row y >= 0 is swept once for both signs, and column -x repeats
-    column x. The rows' samples go through _serve together, SWEEP_BLOCK
-    samples per call, and a row counts the ID changes between its own
-    consecutive samples. Rows are built a group at a time, the rows whose
-    first sample falls in one SWEEP_BLOCK of the running sample count, so a
-    group holds at most a block and a row.
+    column x. The rows' samples go through _serve together, BLOCK samples
+    per call, and a row counts the ID changes between its own consecutive
+    samples. Rows are built a group at a time, the rows whose first sample
+    falls in one BLOCK of the running sample count, so a group holds at most
+    a block and a row.
     """
     ys = np.unique(py)
     x_b = scene.roi.x_extent(ys)
-    n = 2.0 * x_b / (scene.v_ground * dt) + 1e-9
+    if not math.isfinite(scene.v_ground * dt):
+        raise ValueError(f"dt = {dt} s overflows the ground step")
+    with np.errstate(over="ignore"):  # an overflowing count is refused
+        n = 2.0 * x_b / (scene.v_ground * dt) + 1e-9
     _check_samples(n.max(), dt)
     n = np.floor(n).astype(np.int64) + 1
     counts = np.empty((2, ys.size), dtype=np.int64)
-    group = (np.cumsum(n) - n) // SWEEP_BLOCK
+    group = (np.cumsum(n) - n) // BLOCK
     for c in np.unique(group):
         rows = np.flatnonzero(group == c)
         sweeps = []
@@ -432,8 +384,8 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
         sizes = np.array([sx.size for sx in sweeps])
         sx, sy = np.concatenate(sweeps), np.repeat(ys[rows], sizes)
         sid = np.empty((2, sx.size), dtype=np.int64)
-        for a in range(0, sx.size, SWEEP_BLOCK):
-            s = slice(a, a + SWEEP_BLOCK)
+        for a in range(0, sx.size, BLOCK):
+            s = slice(a, a + BLOCK)
             sid[:, s] = _serve(scene, sx[s], sy[s], book, 0)[0]
         for r, a, b in zip(rows, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
             counts[:, r] = np.count_nonzero(sid[:, a + 1:b] != sid[:, a:b - 1],
@@ -445,17 +397,46 @@ def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
                              py: np.ndarray) -> np.ndarray:
     """Dynamic-codebook handovers: ID changes across the association events,
     at (px, |py|), (px, -|py|), (-px, |py|) and (-px, -|py|), shape (4, n).
-    A mirror meets its events in reverse order, which counts the same
-    changes."""
+
+    Point i associates at its entry t_in[i], then at each update instant
+    tau = g * t_c in (t_in[i], t_out[i]], for both signs of y. Its x-mirror
+    (-px[i], py[i]) has the window (-t_out[i], -t_in[i]): at loop index g it
+    associates under iteration -g, where its update position negates point
+    i's at g, so it meets its events in reverse time order, entry last, which
+    counts the same changes. One `_serve` call at g, with h = -g, answers
+    both: it evaluates once each point that either side updates at that
+    index (the half-open window and the 1e-9 s tolerance of `_iteration`
+    make the two sets differ), and each side's entries (at its own entry
+    time) as points of their own, a mirror's negated.
+    """
+    v, t_c = scene.v_ground, scene.lattice.t_c
     t_in, t_out = pass_window(scene, (px, py))
-    prev = np.full((2, 2 * px.size), -1, dtype=np.int64)
-    counts = np.full((2, 2 * px.size), -1, dtype=np.int64)  # entry: no handover
-    for _, pts, sid in _dynamic_associations(scene, px, py, t_in, t_out,
-                                             x_mirror=True):
-        for c, p, s in zip(counts, prev, sid):  # 1-D indexing, row by row
-            c[pts] += s != p[pts]
-            p[pts] = s
-    return np.concatenate(np.split(counts, 2, axis=1))
+    m_in = -t_out  # the mirrors' entry times
+    g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
+    h_in, h_out = _iteration(scene, m_in), _iteration(scene, -t_in)
+    prev = np.full((4, px.size), -1, dtype=np.int64)
+    counts = np.full((4, px.size), -1, dtype=np.int64)  # entry: no handover
+    for g in range(min(int(g_in.min()), -int(h_out.max())),
+                   max(int(g_out.max()), -int(h_in.min())) + 1):
+        on, entry = (g_in <= g) & (g <= g_out), g_in == g
+        x_on, x_entry = (h_in <= -g) & (-g <= h_out), h_in == -g
+        upd, x_upd = on & ~entry, x_on & ~x_entry
+        both = np.flatnonzero(upd | x_upd)
+        ea, eb = np.flatnonzero(on & entry), np.flatnonzero(x_on & x_entry)
+        if both.size + ea.size + eb.size == 0:
+            continue
+        sx = np.concatenate([px[both] - v * (g * t_c), px[ea] - v * t_in[ea],
+                             -(-px[eb] - v * m_in[eb])])
+        pts = np.concatenate([both, ea, eb])
+        sid = _serve(scene, sx, py[pts], scene.hex, g, -g)[0]
+        # the columns each side associates at: its updates and its entries
+        sec = np.repeat([0, 1, 2], [both.size, ea.size, eb.size])
+        own = np.stack([sec == 1, sec == 2])
+        own[:, :both.size] = upd[both], x_upd[both]
+        for c, p, s, k in zip(counts, prev, sid, own[[0, 0, 1, 1]]):
+            c[pts[k]] += s[k] != p[pts[k]]  # 1-D indexing, row by row
+            p[pts[k]] = s[k]
+    return counts
 
 
 def handover_map(scene: Scene, mode: str = "dynamic",
@@ -465,10 +446,9 @@ def handover_map(scene: Scene, mode: str = "dynamic",
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
         dt = scene.default_dt
-    if mode == "dynamic":  # one association loop over the whole quadrant
+    if mode == "dynamic":
         return _roi_field(scene.roi, step, "handover_grid_step_m",
-                          lambda px, py: _dynamic_handover_counts(scene, px, py),
-                          whole=True)
+                          lambda px, py: _dynamic_handover_counts(scene, px, py))
     return _roi_field(scene.roi, step, "handover_grid_step_m",
                       lambda px, py: _swept_handover_counts(scene, py, book, dt))
 

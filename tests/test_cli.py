@@ -1,12 +1,22 @@
+import contextlib
+import dataclasses
 import filecmp
 import hashlib
+import io
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from leobeams import cli
-from leobeams.config import SceneConfig, build_scene
+from leobeams.config import SceneConfig, build_scene, load_config
+from leobeams.geometry import Roi
+from leobeams.simulate import roi_grid
 
 FAST = ["--set", "grid_step_m=25000", "--set", "handover_grid_step_m=25000"]
 # a region smaller than the lattice spacing: only hex iteration 0 has a beam
@@ -259,7 +269,37 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     # a terminal array too large for its gain or its channel draw
     (["map", "--grid-step", "50000", "--set", "ut_nx=1" + "0" * 400], "ut_nx"),
     (["codebook", "--channel-check", "--set", "ut_ny=2000000"], "ut_ny"),
+    # finite values whose derived quantities leave float range: the DFT
+    # grid's aspect, 1 / rician_factor, the path gain and the update period
+    (["cdf", "--grid-step", "40000", "--set", "roi_semi_x_m=5e-324"],
+     "roi_semi_x_m"),
+    (["map", "--grid-step", "50000", "--metric", "snr",
+      "--set", "rician_factor=1e-320"], "rician_factor"),
+    (["map", "--grid-step", "50000", "--set", "light_speed_m_s=1e-300"],
+     "light_speed_m_s"),
+    (["codebook", "--set", "oversampling=1e-300", "--set",
+      "roi_semi_x_m=5.341e302", "--set", "roi_semi_y_m=1.705e302"],
+     "roi_semi_x_m and roi_semi_y_m put the farthest slant range"),
+    (["codebook", "--channel-check", "--set", "carrier_hz=1e-300"],
+     "carrier_hz"),
+    (["codebook", "--channel-check", "--set", "rician_factor=1e-320"],
+     "rician_factor"),
+    (["timeseries", "--x", "1000", "--y", "2000",
+      "--set", "earth_mass_kg=1e300"], "earth_mass_kg"),
+    # the ellipse test of points far outside overflows without a warning
+    (["cdf", "--grid-step", "40000", "--set", "dft_shrink=1e300"], "shrink"),
+    (["timeseries", "--x", "0", "--y", "1e300"], "inside"),
+    # the panel's phases, the DFT grid and the sweep's ground step overflow
+    (["map", "--grid-step", "50000", "--set", "element_spacing_wl=1.7e308"],
+     "element_spacing_wl"),
+    (["cdf", "--grid-step", "40000", "--set", "dft_shrink=1.7e308"],
+     "dft_shrink"),
+    (["handover", "--grid-step", "60000", "--set", "dt_s=1.7e308"], "dt"),
+    # the channel draw's norms overflow: the last guard in main refuses it
+    (["codebook", "--channel-check", "--set", "carrier_hz=1e-3",
+      "--set", "rician_factor=1e-300"], "float range"),
 ])
+@pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
     assert _run(argv[:1] + ["--out", tmp_path / "o"] + argv[1:]) == 2
     err = capsys.readouterr().err.strip()
@@ -301,6 +341,85 @@ def test_bad_timeseries_flag_exits_nonzero_naming_it(tmp_path, capsys, argv,
     assert _run(["timeseries", "--out", tmp_path / "o"] + argv) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {name} ") and "\n" not in err
+
+
+FUZZ_VALUES = {
+    float: ("5e-324", "1e-300", "1e-3", "0", "-1", "3", "1e30", "1e300",
+            "1.7e308"),
+    int: ("1", "2", "7", "64", "1000", "100000"),
+}
+FUZZ_JOBS = {
+    "codebook": ["codebook", "--channel-check"],
+    "map": ["map", "--metric", "sinr"],
+    "cdf": ["cdf"],
+    "timeseries": ["timeseries", "--x", "1000", "--y", "-2000"],
+    "handover": ["handover"],
+}
+
+
+@st.composite
+def _fuzz_case(draw):
+    """A subcommand on a 40-60 km grid with one or two --set pairs, each
+    key from the config and each value from its type's edge values."""
+    argv = list(FUZZ_JOBS[draw(st.sampled_from(sorted(FUZZ_JOBS)))])
+    if argv[0] in ("map", "cdf", "handover"):
+        argv += ["--grid-step", draw(st.sampled_from(["40000", "50000",
+                                                      "60000"]))]
+    fields = draw(st.lists(st.sampled_from(dataclasses.fields(SceneConfig)),
+                           min_size=1, max_size=2, unique_by=lambda f: f.name))
+    for f in fields:
+        # cycle_len = 1000 is valid, but its dynamic handover map walks about
+        # 4000 update indices (3 s); every other value runs in under 0.2 s
+        value = draw(st.sampled_from([
+            v for v in FUZZ_VALUES[type(f.default)]
+            if (f.name, v) != ("cycle_len", "1000")]))
+        argv += ["--set", f"{f.name}={value}"]
+    return argv
+
+
+def _assert_outputs_finite_in_roi(out):
+    # no inf anywhere; nan only at map nodes outside the ellipse, which the
+    # resolved config in the manifest reproduces
+    cfg = load_config(out / "manifest.txt")
+    roi = Roi(cfg.roi_semi_x_m, cfg.roi_semi_y_m)
+    for path in out.glob("*.csv"):
+        text = path.read_text()
+        assert "inf" not in text, path.name
+        if not path.name.startswith(("map_", "handover_")):
+            assert "nan" not in text, path.name
+            continue
+        step = (cfg.handover_grid_step_m if path.name.startswith("handover_")
+                else cfg.grid_step_m)
+        xs, ys = roi_grid(roi, step)
+        vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2,
+                          ndmin=1).reshape(ys.size, xs.size)
+        for y, row in zip(ys, vals):
+            assert np.array_equal(np.isfinite(row), roi.contains(xs, y)), (
+                path.name, y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fuzz_case())
+def test_fuzzed_config_values_keep_the_cli_contract(tmp_path, argv):
+    # edge values of every key, alone or in pairs, end in exit 0 with finite
+    # in-ROI outputs and no stderr but the dominance warning, or in exit 2
+    # with one error line; values that would allocate near MAX_CELLS or
+    # MAX_SAMPLES are refused by the rows above before allocating
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # each would be a line on stderr
+        code = _run(argv[:1] + ["--out", out] + argv[1:])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return
+    assert code == 0
+    assert all(line.startswith("warning: ") and "dominance_violations.csv"
+               in line for line in lines), lines
+    _assert_outputs_finite_in_roi(out)
 
 
 def test_unknown_key_exits_nonzero(tmp_path, capsys):

@@ -214,23 +214,17 @@ def test_serve_running_max_matches_argmax_oracle(scene, case):
 
 def _direct_serve(scene, px, py, book, g):
     """The evaluator before y-mirrored points shared a kernel call: the
-    kernel at the points themselves, one ascending-ID running max."""
+    kernel at the points themselves, in one call, one ascending-ID running
+    max."""
     targets, ids = book.snapshot(g)
-    tx, ty = targets[:, 0], targets[:, 1]
-    sid = np.empty(px.size, dtype=np.int64)
-    g_serve, interf = np.empty(px.size), np.empty(px.size)
-    for a in range(0, px.size, sim.CHUNK):
-        s = slice(a, a + sim.CHUNK)
-        rows = sim._gains(scene, px[s], py[s], tx, ty).T
-        k = np.zeros(rows.shape[1], dtype=np.intp)
-        best, total = rows[0].copy(), rows[0].copy()
-        for b in range(1, rows.shape[0]):
-            k[rows[b] > best] = b
-            np.maximum(best, rows[b], out=best)
-            total += rows[b]
-        sid[s] = ids[k]
-        g_serve[s], interf[s] = best, total - best
-    return sid, g_serve, interf
+    rows = sim._gains(scene, px, py, targets[:, 0], targets[:, 1]).T
+    k = np.zeros(rows.shape[1], dtype=np.intp)
+    best, total = rows[0].copy(), rows[0].copy()
+    for b in range(1, rows.shape[0]):
+        k[rows[b] > best] = b
+        np.maximum(best, rows[b], out=best)
+        total += rows[b]
+    return ids[k], best, total - best
 
 
 @st.composite
@@ -460,28 +454,21 @@ def test_mirrored_sides_share_kernel_rows(scenes_by_cycle_len, monkeypatch):
             assert rows and set(rows) == {n if closed else 2 * n}
 
 
-def test_dynamic_map_runs_one_association_loop(scene, monkeypatch):
-    # a map of several row blocks still runs the association loop once:
-    # one _serve call per update index, and memory within a fixed number of
-    # bytes per in-ROI node (about 100 B measured)
-    monkeypatch.setattr(sim, "CHUNK", 64)
-    monkeypatch.setattr(sim, "KERNEL_EVALS", 10 * 64)
-    xs, ys = sim.roi_grid(scene.roi, 10e3)
-    assert ys.size // 2 + 1 >= 3 * max(1, 8 * sim.CHUNK // xs.size)
-    calls, serve = [], sim._serve
-
-    def probe(scene, px, py, book, g, *rest):
-        calls.append(g)
-        return serve(scene, px, py, book, g, *rest)
-    monkeypatch.setattr(sim, "_serve", probe)
+def test_dynamic_map_memory_bounded_by_grid_and_block(scene, monkeypatch):
+    # the dynamic map is filled one block of rows at a time like every other
+    # map: its value grid and mask (9 B per node) plus a block term (about
+    # 850 B per block node measured, mostly kernel temporaries); one
+    # association loop over the whole map held about 160 B per node here
+    monkeypatch.setattr(sim, "BLOCK", 512)
+    xs, ys = sim.roi_grid(scene.roi, 5e3)
+    assert ys.size // 2 + 1 >= 8 * (sim.BLOCK // (xs.size // 2 + 1))
     tracemalloc.start()
     try:
-        hmap = sim.handover_map(scene, "dynamic", step=10e3)
+        sim.handover_map(scene, "dynamic", step=5e3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) == len(set(calls)) > 10
-    assert peak < 160 * np.count_nonzero(np.isfinite(hmap.values)) + 2**16
+    assert peak < 9 * xs.size * ys.size + 2048 * sim.BLOCK
 
 
 def _chunk_probe_outputs(scene):
@@ -496,16 +483,17 @@ def _chunk_probe_outputs(scene):
 
 def test_outputs_independent_of_chunk_size(scene, monkeypatch):
     # row sums and the argmax do not depend on how points are sliced, nor
-    # handover sweeps on how their rows' samples are grouped and sliced, and
-    # no kernel call evaluates more than KERNEL_EVALS point x beam pairs
+    # handover sweeps on how their rows' samples are grouped and sliced, nor
+    # any map, the dynamic handover map too, on its row blocks (one row
+    # each here), and no kernel call evaluates more than KERNEL_EVALS point
+    # x beam pairs
     ref = _chunk_probe_outputs(scene)
     evals, kernel = [], sim.gain_matrix
 
     def probe(px, py, tx, *args):
         evals.append(px.size * tx.size)
         return kernel(px, py, tx, *args)
-    monkeypatch.setattr(sim, "CHUNK", 7)
-    monkeypatch.setattr(sim, "SWEEP_BLOCK", 11)
+    monkeypatch.setattr(sim, "BLOCK", 11)
     monkeypatch.setattr(sim, "KERNEL_EVALS", 91)
     monkeypatch.setattr(sim, "gain_matrix", probe)
     got = _chunk_probe_outputs(scene)
@@ -529,10 +517,10 @@ def test_coverage_map_memory_bounded_by_chunk(scene):
 
 
 def test_fine_map_memory_bounded_by_grid_and_block(scene):
-    # fill runs on one block of whole rows (about 16 * CHUNK nodes) at a
-    # time, so a fine map peaks at its value grid (8 B per node) and mask
-    # (1 B per node) plus a block term that does not grow with the grid;
-    # one fill over every in-ROI node took about 72 B per node
+    # fill runs on one block of whole rows (about BLOCK quadrant nodes, 4 x
+    # BLOCK values) at a time, so a fine map peaks at its value grid (8 B
+    # per node) and mask (1 B per node) plus a block term that does not grow
+    # with the grid; one fill over every in-ROI node took about 72 B per node
     xs, ys = sim.roi_grid(scene.roi, 500.0)
     tracemalloc.start()
     try:
@@ -540,7 +528,7 @@ def test_fine_map_memory_bounded_by_grid_and_block(scene):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * xs.size * ys.size + 128 * 16 * sim.CHUNK
+    assert peak < 9 * xs.size * ys.size + 512 * sim.BLOCK
 
 
 def test_kernel_call_memory_bounded_whatever_the_codebook_size():
@@ -627,19 +615,26 @@ def test_handover_map_matches_pass_counts(scene):
 
 
 @pytest.fixture(scope="module")
-def coarse_handover_maps(scene):
-    return {m: sim.handover_map(scene, m, step=20e3) for m in sim.PASS_MODES}
+def coarse_handover_maps(scenes_by_cycle_len):
+    return {(k, m): sim.handover_map(scene, m, step=20e3)
+            for k, scene in scenes_by_cycle_len.items()
+            for m in sim.PASS_MODES}
 
 
 @pytest.mark.parametrize("mode", sim.PASS_MODES)
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(data=st.data())
-def test_handover_map_count_equals_series_count(scene, coarse_handover_maps,
+def test_handover_map_count_equals_series_count(scenes_by_cycle_len,
+                                                coarse_handover_maps,
                                                 mode, data):
     # one serving policy per mode: a series sampled over a cell's whole
     # window, at least twice per update period for the dynamic codebook,
-    # counts exactly the map's handovers
-    hmap = coarse_handover_maps[mode]
+    # counts exactly the map's handovers; the dynamic series and map run
+    # loops of their own, and at K = 3 and 5 the map's pairing of g with -g
+    # is not an x-mirror of the codebook
+    cycle_len = data.draw(st.sampled_from([3, 4, 5]))
+    scene = scenes_by_cycle_len[cycle_len]
+    hmap = coarse_handover_maps[cycle_len, mode]
     cells = np.argwhere(np.isfinite(hmap.values))
     iy, ix = cells[data.draw(st.integers(0, len(cells) - 1))]
     pt = (hmap.xs[ix], hmap.ys[iy])
