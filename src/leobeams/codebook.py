@@ -80,8 +80,9 @@ def _lattice(spec: LatticeSpec, roi: Roi) -> tuple[np.ndarray, np.ndarray]:
                   ((roi.semi_x + spec.c_x) / spec.c_x, roi.semi_y / ny))
     nodes = 2.0 * (2 * i_hi + 1) * (2 * j_hi + 1) * spec.cycle_len
     if not nodes <= MAX_LATTICE_NODES:
-        raise ValueError(f"cycle_len = {spec.cycle_len} and oversampling need "
-                         f"{nodes:.4g} lattice nodes, over {MAX_LATTICE_NODES}")
+        raise ValueError(f"cycle_len = {spec.cycle_len}, oversampling, "
+                         f"roi_semi_x_m and roi_semi_y_m need {nodes:.4g} "
+                         f"lattice nodes, over {MAX_LATTICE_NODES}")
     gi, gj = np.meshgrid(np.arange(-i_hi, i_hi + 1, dtype=float),
                          np.arange(-j_hi, j_hi + 1, dtype=float), indexing="ij")
     i = np.concatenate([gi.ravel(), gi.ravel() + 0.5])

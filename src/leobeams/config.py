@@ -101,7 +101,7 @@ _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SceneConfig)
 
 def _coerce(key: str, raw: str, where: str = ""):
     if key not in _FIELD_TYPES:
-        raise ValueError(f"{where}unknown config key '{key}'")
+        raise ValueError(f"{where}unknown config key {key!r}")
     kind = _FIELD_TYPES[key]
     try:
         return kind(raw) if kind is not int else int(raw, 10)

@@ -195,26 +195,22 @@ def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
     called only on the nodes with x >= 0 and y >= 0 and returns the four
     sides of `_serve`, shape (4, n): its values at (px, py), (px, -py),
     (-px, py) and (-px, -py). Row -y takes the second, column -x the last
-    two; the row y = 0 and the column x = 0 take the first. The mask is built
-    row by row, so no full-box coordinate grid is made, and fill is called
-    once per block of whole rows holding about BLOCK quadrant nodes, so its
-    per-point arrays do not grow with the grid. fill must treat each point,
-    or each row, on its own.
+    two; the row y = 0 and the column x = 0 take the first. fill is called
+    once per block of whole rows holding about BLOCK quadrant nodes, and the
+    block's quadrant is tested against the ROI as it is filled, so nothing
+    but the value grid grows with the grid. fill must treat each point, or
+    each row, on its own.
     """
     xs, ys = roi_grid(roi, step, key)
-    mask = np.empty((ys.size, xs.size), dtype=bool)
-    for iy, y in enumerate(ys):
-        mask[iy] = roi.contains(xs, y)
-    vals = np.full(mask.shape, np.nan)
+    vals = np.full((ys.size, xs.size), np.nan)
     # row i of vals[::-1] is row -y, column i of vals[:, ::-1] column -x
     sides = (vals, vals[::-1], vals[:, ::-1], vals[::-1, ::-1])
     c = xs.size // 2
     rows = max(1, BLOCK // (xs.size - c))
     for r in range(ys.size // 2, ys.size, rows):
-        m = mask[r:r + rows, c:]
-        counts = np.count_nonzero(m, axis=1)
+        m = roi.contains(xs[c:], ys[r:r + rows, None])
         out = fill(np.broadcast_to(xs[c:], m.shape)[m],
-                   np.repeat(ys[r:r + rows], counts))
+                   np.broadcast_to(ys[r:r + rows, None], m.shape)[m])
         for side in (3, 2, 1, 0):  # side 0 last: the axes take it
             sides[side][r:r + rows, c:][m] = out[side]
     return FieldMap(xs=xs, ys=ys, values=vals)
@@ -252,7 +248,8 @@ def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
 def cdf_from_map(fmap: FieldMap, thresholds_db: np.ndarray,
                  label: str = "") -> CdfCurve:
     """Complementary CDF prob(value > threshold) over a map's in-ROI cells."""
-    vals = np.sort(fmap.values[np.isfinite(fmap.values)])
+    vals = fmap.values[np.isfinite(fmap.values)]  # a copy: sort it in place
+    vals.sort()
     if vals.size == 0:
         raise ValueError("map has no in-ROI cells")
     above = vals.size - np.searchsorted(vals, thresholds_db, side="right")
@@ -359,11 +356,11 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
 
     Every point of a row sees the same sweep, and row -y sees it mirrored,
     so each row y >= 0 is swept once for both signs, and column -x repeats
-    column x. The rows' samples go through _serve together, BLOCK samples
-    per call, and a row counts the ID changes between its own consecutive
-    samples. Rows are built a group at a time, the rows whose first sample
-    falls in one BLOCK of the running sample count, so a group holds at most
-    a block and a row.
+    column x. The rows' samples run one after another under one running
+    sample index, BLOCK indices per _serve call; a row counts the ID changes
+    between its own consecutive in-ROI samples, and each call carries the
+    previous call's last sample, so a row split between two calls counts the
+    change at the split.
     """
     ys = np.unique(py)
     x_b = scene.roi.x_extent(ys)
@@ -373,23 +370,20 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
         n = 2.0 * x_b / (scene.v_ground * dt) + 1e-9
     _check_samples(n.max(), dt)
     n = np.floor(n).astype(np.int64) + 1
-    counts = np.empty((2, ys.size), dtype=np.int64)
-    group = (np.cumsum(n) - n) // BLOCK
-    for c in np.unique(group):
-        rows = np.flatnonzero(group == c)
-        sweeps = []
-        for r in rows:
-            sx = x_b[r] - scene.v_ground * dt * np.arange(n[r])
-            sweeps.append(sx[scene.roi.contains(sx, ys[r])])
-        sizes = np.array([sx.size for sx in sweeps])
-        sx, sy = np.concatenate(sweeps), np.repeat(ys[rows], sizes)
-        sid = np.empty((2, sx.size), dtype=np.int64)
-        for a in range(0, sx.size, BLOCK):
-            s = slice(a, a + BLOCK)
-            sid[:, s] = _serve(scene, sx[s], sy[s], book, 0)[0]
-        for r, a, b in zip(rows, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
-            counts[:, r] = np.count_nonzero(sid[:, a + 1:b] != sid[:, a:b - 1],
-                                            axis=1)
+    first = np.cumsum(n) - n  # each row's first running sample index
+    counts = np.zeros((2, ys.size), dtype=np.int64)
+    row, sid = np.array([-1]), np.zeros((2, 1), dtype=np.int64)
+    for a in range(0, n.sum(), BLOCK):
+        s = np.arange(a, min(a + BLOCK, n.sum()))
+        r = np.searchsorted(first, s, side="right") - 1
+        sx = x_b[r] - scene.v_ground * dt * (s - first[r])
+        keep = scene.roi.contains(sx, ys[r])
+        row = np.append(row[-1], r[keep])
+        sid = np.hstack([sid[:, -1:],
+                         _serve(scene, sx[keep], ys[row[1:]], book, 0)[0]])
+        changed = (sid[:, 1:] != sid[:, :-1]) & (row[1:] == row[:-1])
+        for c, k in zip(counts, changed):
+            c += np.bincount(row[1:][k], minlength=ys.size)
     return np.tile(counts[:, np.searchsorted(ys, py)], (2, 1))
 
 

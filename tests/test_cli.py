@@ -298,6 +298,11 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     # the channel draw's norms overflow: the last guard in main refuses it
     (["codebook", "--channel-check", "--set", "carrier_hz=1e-3",
       "--set", "rician_factor=1e-300"], "float range"),
+    # an ROI too large for the lattice enumeration
+    (["map", "--grid-step", "50000", "--set", "roi_semi_x_m=1e300"],
+     "roi_semi_x_m"),
+    (["map", "--grid-step", "50000", "--set", "roi_semi_y_m=1e300"],
+     "roi_semi_y_m"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
@@ -426,6 +431,45 @@ def test_unknown_key_exits_nonzero(tmp_path, capsys):
     assert _run(["map", "--set", "warp=1", "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err.strip()
     assert "unknown config key 'warp'" in err
+
+
+@pytest.mark.parametrize("text, code, want", [
+    (b"\xef\xbb\xbfh_sat_m = 1.3e6\n", 2,
+     r"unknown config key '\ufeffh_sat_m'"),
+    (b"h_sat_m = 1.3e6\r\nseed = 1\r\n", 0, "seed = 1\n"),
+    (b"h_sat_m = 1.3e6  # inline\n", 2, "h_sat_m expects a number"),
+    (b"seed = 1\n# \xff\n", 2, "can't decode byte 0xff"),
+    (b" = 5\n", 2, "unknown config key ''"),
+    (b"h_sat_m =\n", 2, "h_sat_m expects a number, got ''"),
+    (b"seed = 1\nseed = 2\n", 0, "seed = 2\n"),
+    (b"h_sat_m = 1_300_000\n", 0, "h_sat_m = 1300000.0\n"),
+    ("seed = \u0663\n".encode(), 0, "seed = 3\n"),  # an Arabic-Indic 3
+    (b"seed = 12345678901234567890123\n", 0,
+     "seed = 12345678901234567890123\n"),
+    ("directory as --config", 2, "c.txt"),
+    ("file as --out", 2, "o"),
+], ids=["bom", "crlf", "inline-comment", "invalid-utf8", "empty-key",
+        "empty-value", "repeated-key", "underscores", "arabic-indic-digit",
+        "23-digit-seed", "config-dir", "out-file"])
+def test_config_file_text_keeps_the_cli_contract(tmp_path, capsys, text,
+                                                 code, want):
+    # each probe runs, recording the value it read in the manifest, or
+    # exits 2 with one error line; a key's invisible characters are escaped
+    conf, out = tmp_path / "c.txt", tmp_path / "o"
+    if text == "directory as --config":
+        conf.mkdir()
+    elif text == "file as --out":
+        conf.write_text("seed = 1\n")
+        out.write_text("a file, not a directory")
+    else:
+        conf.write_bytes(text)
+    assert _run(["codebook", "--config", conf, "--out", out]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and want in (out / "manifest.txt").read_text()
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert want in err
 
 
 def test_overflow_config_exits_nonzero(tmp_path, capsys):

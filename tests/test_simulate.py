@@ -456,9 +456,9 @@ def test_mirrored_sides_share_kernel_rows(scenes_by_cycle_len, monkeypatch):
 
 def test_dynamic_map_memory_bounded_by_grid_and_block(scene, monkeypatch):
     # the dynamic map is filled one block of rows at a time like every other
-    # map: its value grid and mask (9 B per node) plus a block term (about
-    # 850 B per block node measured, mostly kernel temporaries); one
-    # association loop over the whole map held about 160 B per node here
+    # map: its value grid (8 B per node) plus a block term (about 870 B per
+    # block node measured, mostly kernel temporaries); one association loop
+    # over the whole map held about 160 B per node here
     monkeypatch.setattr(sim, "BLOCK", 512)
     xs, ys = sim.roi_grid(scene.roi, 5e3)
     assert ys.size // 2 + 1 >= 8 * (sim.BLOCK // (xs.size // 2 + 1))
@@ -483,10 +483,10 @@ def _chunk_probe_outputs(scene):
 
 def test_outputs_independent_of_chunk_size(scene, monkeypatch):
     # row sums and the argmax do not depend on how points are sliced, nor
-    # handover sweeps on how their rows' samples are grouped and sliced, nor
-    # any map, the dynamic handover map too, on its row blocks (one row
-    # each here), and no kernel call evaluates more than KERNEL_EVALS point
-    # x beam pairs
+    # handover sweeps on where the slices of their running sample index
+    # split a row (each row spans 12 or more calls here), nor any map, the
+    # dynamic handover map too, on its row blocks (one row each here), and
+    # no kernel call evaluates more than KERNEL_EVALS point x beam pairs
     ref = _chunk_probe_outputs(scene)
     evals, kernel = [], sim.gain_matrix
 
@@ -519,8 +519,8 @@ def test_coverage_map_memory_bounded_by_chunk(scene):
 def test_fine_map_memory_bounded_by_grid_and_block(scene):
     # fill runs on one block of whole rows (about BLOCK quadrant nodes, 4 x
     # BLOCK values) at a time, so a fine map peaks at its value grid (8 B
-    # per node) and mask (1 B per node) plus a block term that does not grow
-    # with the grid; one fill over every in-ROI node took about 72 B per node
+    # per node) plus a block term that does not grow with the grid; one fill
+    # over every in-ROI node took about 72 B per node
     xs, ys = sim.roi_grid(scene.roi, 500.0)
     tracemalloc.start()
     try:
@@ -529,6 +529,37 @@ def test_fine_map_memory_bounded_by_grid_and_block(scene):
     finally:
         tracemalloc.stop()
     assert peak < 9 * xs.size * ys.size + 512 * sim.BLOCK
+
+
+def test_map_block_holds_only_its_own_quadrant(scene, monkeypatch):
+    # each block tests its own quadrant against the ROI as it fills it, so a
+    # map holds its value grid (8 B per node) and no full-box mask; at
+    # BLOCK = 512 a 500 m DFT cell map's block term measured about 1.7 kB
+    # per block node, and 4.6 kB with a full-box mask and per-row counts
+    monkeypatch.setattr(sim, "BLOCK", 512)
+    xs, ys = sim.roi_grid(scene.roi, 500.0)
+    tracemalloc.start()
+    try:
+        sim.coverage_map(scene, "cell", "dft", step=500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * xs.size * ys.size + 3072 * sim.BLOCK
+
+
+def test_cdf_sorts_its_one_copy_of_the_map_values(scene):
+    # the in-ROI values are gathered once and sorted in place: about 9.3 B
+    # per value (8 B and the isfinite mask), where a sorted second copy
+    # took 16 B
+    fmap = sim.coverage_map(scene, step=1000.0)
+    n = np.count_nonzero(np.isfinite(fmap.values))
+    tracemalloc.start()
+    try:
+        sim.cdf_from_map(fmap, sim.CDF_THRESHOLDS_DB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n
 
 
 def test_kernel_call_memory_bounded_whatever_the_codebook_size():
