@@ -18,8 +18,7 @@ from .config import (SceneConfig, apply_overrides, build_scene, format_config,
                      load_config, parse_config)
 from .fields import CdfCurve, FieldMap, TimeSeries
 from .geometry import (EARTH_MASS, EARTH_RADIUS, GRAV_CONST, LIGHT_SPEED, Roi,
-                       angular_speed, direction_to, ground_track_speed,
-                       orbital_speed, slant_range)
+                       direction_to, ground_track_speed, slant_range)
 from .kernels import gain_matrix
 from .link import (ChannelSample, LinkParams, fspl, g_rx, noise_power,
                    rician_sample, sinr_db, snr_db)
@@ -31,13 +30,12 @@ __all__ = [
     "ArrayGeometry", "CdfCurve", "ChannelSample", "Codebook", "EARTH_MASS",
     "EARTH_RADIUS", "FieldMap", "GRAV_CONST", "LIGHT_SPEED", "LatticeSpec",
     "LinkParams", "Precoder", "Roi", "Scene", "SceneConfig", "TimeSeries",
-    "angular_speed", "apply_overrides", "beam_gain", "build_cycle",
-    "build_scene", "cdf_from_map", "coverage_map", "dft_baseline",
-    "direction_to", "dominance_violations", "eventually_active_points",
-    "format_config", "fspl", "g_rx", "gain_matrix", "ground_track_speed",
-    "handover_map", "lattice_scaling", "load_config", "make_lattice_spec",
-    "noise_power", "orbital_speed", "parse_config", "pass_timeseries",
-    "pass_window", "rician_sample", "satellite_array", "serving_beam",
-    "sinr_cdf", "sinr_db", "slant_range", "snr_db", "steering_vector",
-    "upa_positions",
+    "apply_overrides", "beam_gain", "build_cycle", "build_scene",
+    "cdf_from_map", "coverage_map", "dft_baseline", "direction_to",
+    "dominance_violations", "eventually_active_points", "format_config",
+    "fspl", "g_rx", "gain_matrix", "ground_track_speed", "handover_map",
+    "lattice_scaling", "load_config", "make_lattice_spec", "noise_power",
+    "parse_config", "pass_timeseries", "pass_window", "rician_sample",
+    "satellite_array", "serving_beam", "sinr_cdf", "sinr_db", "slant_range",
+    "snr_db", "steering_vector", "upa_positions",
 ]

@@ -22,11 +22,12 @@ import numpy as np
 from . import __version__
 from .codebook import phase_table
 from .config import (SceneConfig, apply_overrides, build_scene, format_config,
-                     load_config, resolve_dt)
+                     load_config)
 from .fields import write_cdf_set, write_csv
 from .link import rician_sample
-from .simulate import (codebook_for, coverage_map, dominance_violations,
-                       handover_map, pass_timeseries, sinr_cdf)
+from .simulate import (MAP_MODES, METRICS, PASS_MODES, codebook_for,
+                       coverage_map, dominance_violations, handover_map,
+                       pass_timeseries, sinr_cdf)
 
 HASH_BLOCK = 2**20  # bytes read per sha256 update
 
@@ -59,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="write a coverage map (CSV + PPM)")
     _common(p)
-    p.add_argument("--metric", choices=("snr", "sinr", "cell"), default="sinr")
-    p.add_argument("--mode", choices=("hex", "dft"), default="hex")
+    p.add_argument("--metric", choices=METRICS, default="sinr")
+    p.add_argument("--mode", choices=MAP_MODES, default="hex")
     p.add_argument("--iter", dest="iteration", type=int, default=0)
     p.add_argument("--grid-step", type=float, default=None,
                    metavar="M", help="override grid_step_m")
@@ -77,8 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--x", type=float, required=True, help="ground x [m]")
     p.add_argument("--y", type=float, required=True, help="ground y [m]")
-    p.add_argument("--mode", choices=("static", "dynamic", "dft"),
-                   default="dynamic")
+    p.add_argument("--mode", choices=PASS_MODES, default="dynamic")
     p.add_argument("--duration", type=float, default=None, help="seconds")
     p.add_argument("--t-start", type=float, default=0.0, help="seconds")
     p.add_argument("--dt", type=float, default=None,
@@ -86,8 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("handover", help="write a handover-count map")
     _common(p)
-    p.add_argument("--mode", choices=("static", "dynamic", "dft"),
-                   default="dynamic")
+    p.add_argument("--mode", choices=PASS_MODES, default="dynamic")
     p.add_argument("--grid-step", type=float, default=None,
                    metavar="M", help="override handover_grid_step_m")
     return parser
@@ -202,8 +201,7 @@ def _run_cdf(args, cfg, scene, emit: _Emitter) -> None:
 
 def _run_timeseries(args, cfg, scene, emit: _Emitter) -> None:
     series = pass_timeseries(scene, (args.x, args.y), mode=args.mode,
-                             duration=args.duration, dt=resolve_dt(cfg, scene),
-                             t_start=args.t_start)
+                             duration=args.duration, t_start=args.t_start)
     name = f"timeseries_{args.mode}.csv"
     series.to_csv(emit.path(name))
     emit.done(name)
@@ -211,11 +209,10 @@ def _run_timeseries(args, cfg, scene, emit: _Emitter) -> None:
 
 def _run_handover(args, cfg, scene, emit: _Emitter) -> None:
     step = cfg.handover_grid_step_m
-    dt = resolve_dt(cfg, scene)
-    hmap = handover_map(scene, mode=args.mode, step=step, dt=dt)
+    hmap = handover_map(scene, mode=args.mode, step=step)
     emit.field_map(f"handover_{args.mode}", hmap)
     if args.mode == "dynamic":
-        smap = handover_map(scene, mode="static", step=step, dt=dt)
+        smap = handover_map(scene, mode="static", step=step)
         emit.field_map("handover_static", smap)
         bad = dominance_violations(hmap, smap)
         write_csv(emit.path("dominance_violations.csv"),

@@ -181,8 +181,8 @@ def _grid_shape(n_beams: int, aspect: float) -> tuple[int, int]:
                key=lambda cr: abs(math.log((cr[0] / cr[1]) / aspect)))
 
 
-def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int = 15,
-                 shrink: float = 0.88) -> Codebook:
+def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int,
+                 shrink: float) -> Codebook:
     """Static rectangular-grid codebook used as the fixed-beam baseline: one
     iteration whose IDs, the beams' (y, x) ranks, never advance.
 

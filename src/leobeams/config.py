@@ -1,9 +1,10 @@
 """Flat key = value scene configuration, validation, and scene assembly.
 
-The format is plain text: one `key = value` per line, `#` starts a comment,
-blank lines are ignored, later keys win. Every key has a default, so an empty
-file is a valid configuration. Unknown keys are rejected by name. Physical
-constants are ordinary keys so tests and what-if runs can pin them.
+The format is plain text: one `key = value` per line, `#` starts a comment
+that runs to the end of the line, blank lines are ignored, later keys win.
+Every key has a default, so an empty file is a valid configuration. Unknown
+keys are rejected by name. The physical constants are module constants of
+`geometry` and `link`, not keys.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 
 from .antenna import MAX_ELEMENTS, satellite_array
 from .codebook import build_cycle, dft_baseline, make_lattice_spec
-from .geometry import (EARTH_MASS, EARTH_RADIUS, GRAV_CONST, LIGHT_SPEED, Roi,
-                       ground_track_speed, slant_range)
-from .link import BOLTZMANN_DBW, LinkParams, fspl, noise_rel
-from .simulate import Scene
+from .geometry import Roi, ground_track_speed, slant_range
+from .link import LinkParams, fspl, noise_rel
+from .simulate import (DEFAULT_GRID_STEP, DEFAULT_HANDOVER_STEP, TIME_TOL,
+                       UPDATE_SUBSTEPS, Scene)
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,10 @@ class SceneConfig:
     noise_temp_dbk: float = 24.1
     rician_factor: float = 10.0
     # experiment sampling
-    grid_step_m: float = 2000.0
-    handover_grid_step_m: float = 5000.0
-    dt_s: float = 0.0  # 0 selects one twentieth of the update period
+    grid_step_m: float = DEFAULT_GRID_STEP
+    handover_grid_step_m: float = DEFAULT_HANDOVER_STEP
+    dt_s: float = 0.0  # 0 selects t_c / UPDATE_SUBSTEPS
     seed: int = 0
-    # physical constants
-    grav_const: float = GRAV_CONST
-    earth_mass_kg: float = EARTH_MASS
-    earth_radius_m: float = EARTH_RADIUS
-    light_speed_m_s: float = LIGHT_SPEED
-    boltzmann_dbw: float = BOLTZMANN_DBW
 
     def validate(self) -> None:
         """Raise ValueError naming the first offending key."""
@@ -76,7 +71,6 @@ class SceneConfig:
             "h_sat_m", "roi_semi_x_m", "roi_semi_y_m", "element_spacing_wl",
             "oversampling", "dft_shrink", "carrier_hz", "bandwidth_hz",
             "rician_factor", "grid_step_m", "handover_grid_step_m",
-            "grav_const", "earth_mass_kg", "earth_radius_m", "light_speed_m_s",
         ]
         for key in positive:
             if not getattr(self, key) > 0:
@@ -114,8 +108,8 @@ def parse_config(text: str) -> SceneConfig:
     """Parse flat key = value text; errors carry the line number and key."""
     values = {}
     for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ValueError(f"line {ln}: expected 'key = value', got '{stripped}'")
@@ -149,31 +143,25 @@ def format_config(cfg: SceneConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_dt(cfg: SceneConfig, scene: Scene) -> float:
-    return cfg.dt_s if cfg.dt_s > 0 else scene.default_dt
-
-
 def build_scene(cfg: SceneConfig) -> Scene:
     """Assemble the runtime scene; codebook overflow errors name the iteration."""
     cfg.validate()
     geometry = satellite_array(cfg.n_rf, (cfg.subarray_nx, cfg.subarray_ny),
                                cfg.element_spacing_wl)
-    v_ground = ground_track_speed(cfg.h_sat_m, cfg.grav_const,
-                                  cfg.earth_mass_kg, cfg.earth_radius_m)
+    v_ground = ground_track_speed(cfg.h_sat_m)
     lattice = None
     if v_ground > 0 and math.isfinite(cfg.h_sat_m * cfg.h_sat_m):
         lattice = make_lattice_spec(cfg.h_sat_m, cfg.oversampling,
                                     (cfg.subarray_nx, cfg.subarray_ny),
                                     cfg.cycle_len, v_ground)
     if lattice is None or not math.isfinite(lattice.t_c):
-        raise ValueError(f"h_sat_m = {cfg.h_sat_m} (earth_radius_m = "
-                         f"{cfg.earth_radius_m}) overflows the slant range or "
-                         f"the update period, or stalls the ground track")
-    if not lattice.t_c > 1e-9:  # the time tolerance of the iteration index
-        raise ValueError(f"h_sat_m, oversampling, subarray_nx, cycle_len, "
-                         f"grav_const, earth_mass_kg and earth_radius_m give "
-                         f"an update period of {lattice.t_c:.4g} s, not above "
-                         f"the 1e-9 s tolerance of the iteration index")
+        raise ValueError(f"h_sat_m = {cfg.h_sat_m} overflows the slant range "
+                         f"or the update period, or stalls the ground track")
+    if not lattice.t_c > TIME_TOL:
+        raise ValueError(f"h_sat_m, oversampling, subarray_nx and cycle_len "
+                         f"give an update period of {lattice.t_c:.4g} s, not "
+                         f"above the {TIME_TOL:g} s tolerance of the iteration "
+                         f"index")
     roi = Roi(cfg.roi_semi_x_m, cfg.roi_semi_y_m)
     link = LinkParams(
         f_carrier=cfg.carrier_hz,
@@ -184,14 +172,13 @@ def build_scene(cfg: SceneConfig) -> Scene:
         noise_temp_dbk=cfg.noise_temp_dbk,
         k_rician=cfg.rician_factor,
         ut_dims=(cfg.ut_nx, cfg.ut_ny),
-        k_boltz_dbw=cfg.boltzmann_dbw,
-        light_speed=cfg.light_speed_m_s,
     )
     scene = Scene(geometry=geometry, lattice=lattice, roi=roi,
                   h_sat=cfg.h_sat_m, link=link,
                   hex=build_cycle(geometry, lattice, roi),
                   dft=dft_baseline(geometry, roi, cfg.dft_n_beams,
-                                   cfg.dft_shrink), v_ground=v_ground)
+                                   cfg.dft_shrink), v_ground=v_ground,
+                  dt=cfg.dt_s or lattice.t_c / UPDATE_SUBSTEPS)
     _check_link_range(cfg, link)
     return scene
 
@@ -205,14 +192,13 @@ def _check_link_range(cfg: SceneConfig, link: LinkParams) -> None:
     far = max(cfg.roi_semi_x_m, cfg.roi_semi_y_m)
     with np.errstate(all="ignore"):
         dist = slant_range(np.array([0.0, far]), 0.0, cfg.h_sat_m)
-        loss = (fspl(dist, link.f_carrier, link.light_speed) + link.lp_at_db
-                + link.lp_cable_db)
+        loss = fspl(dist, link.f_carrier) + link.lp_at_db + link.lp_cable_db
         checks = (
             ("roi_semi_x_m and roi_semi_y_m", "farthest slant range", dist),
-            ("carrier_hz, light_speed_m_s, atmos_loss_db and cable_loss_db",
-             "path gain", 10.0 ** (-loss / 10.0)),
-            ("tx_power_dbw, noise_temp_dbk, bandwidth_hz, boltzmann_dbw and "
-             "rician_factor, with the path gain,", "noise floor",
+            ("carrier_hz, atmos_loss_db and cable_loss_db", "path gain",
+             10.0 ** (-loss / 10.0)),
+            ("tx_power_dbw, noise_temp_dbk, bandwidth_hz and rician_factor, "
+             "with the path gain,", "noise floor",
              noise_rel(dist, link)))
     for keys, name, value in checks:
         if not np.all((value > 0.0) & (value < math.inf)):

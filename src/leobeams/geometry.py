@@ -14,32 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default physical constants. All overridable through SceneConfig.
+# Physical constants of the model; no configuration key overrides them.
 GRAV_CONST = 6.674e-11        # gravitational constant [m^3 kg^-1 s^-2]
 EARTH_MASS = 5.972e24         # [kg]
 EARTH_RADIUS = 6.371e6        # mean radius [m]
 LIGHT_SPEED = 299792458.0     # exact [m/s]
 
 
-def orbital_speed(h_sat: float, grav_const: float = GRAV_CONST,
-                  earth_mass: float = EARTH_MASS,
-                  earth_radius: float = EARTH_RADIUS) -> float:
-    """Circular-orbit speed at altitude h_sat [m/s]."""
-    return float(np.sqrt(grav_const * earth_mass / (earth_radius + h_sat)))
-
-
-def angular_speed(h_sat: float, grav_const: float = GRAV_CONST,
-                  earth_mass: float = EARTH_MASS,
-                  earth_radius: float = EARTH_RADIUS) -> float:
-    """Orbital angular rate seen from the Earth's center [rad/s]."""
-    return orbital_speed(h_sat, grav_const, earth_mass, earth_radius) / (earth_radius + h_sat)
-
-
-def ground_track_speed(h_sat: float, grav_const: float = GRAV_CONST,
-                       earth_mass: float = EARTH_MASS,
-                       earth_radius: float = EARTH_RADIUS) -> float:
-    """Speed of the sub-satellite point over the ground [m/s]."""
-    return angular_speed(h_sat, grav_const, earth_mass, earth_radius) * earth_radius
+def ground_track_speed(h_sat: float) -> float:
+    """Speed of the sub-satellite point over the ground [m/s]: the circular
+    orbit's angular rate sqrt(G M / r) / r at radius r = R + h_sat, times R."""
+    r = EARTH_RADIUS + h_sat
+    return float(np.sqrt(GRAV_CONST * EARTH_MASS / r)) / r * EARTH_RADIUS
 
 
 def slant_range(x, y, h_sat: float):

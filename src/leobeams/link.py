@@ -40,8 +40,6 @@ class LinkParams:
     noise_temp_dbk: float     # system noise temperature [dBK]
     k_rician: float           # Rician factor (linear)
     ut_dims: tuple[int, int]  # user-terminal array size
-    k_boltz_dbw: float = BOLTZMANN_DBW
-    light_speed: float = LIGHT_SPEED
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -50,18 +48,17 @@ class LinkParams:
             raise ValueError("k_rician must be positive")
 
 
-def fspl(distance, f_carrier: float, light_speed: float = LIGHT_SPEED):
+def fspl(distance, f_carrier: float):
     """Free-space path loss [dB] at the given distance [m] and carrier [Hz]."""
     return 20.0 * np.log10(4.0 * np.pi * np.asarray(distance, dtype=float)
-                           * f_carrier / light_speed)
+                           * f_carrier / LIGHT_SPEED)
 
 
-def noise_power(noise_temp_dbk: float, bandwidth: float,
-                k_boltz_dbw: float = BOLTZMANN_DBW) -> float:
+def noise_power(noise_temp_dbk: float, bandwidth: float) -> float:
     """Thermal noise power [dBW] over the signal bandwidth."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    return noise_temp_dbk + k_boltz_dbw + 10.0 * math.log10(bandwidth)
+    return noise_temp_dbk + BOLTZMANN_DBW + 10.0 * math.log10(bandwidth)
 
 
 def g_rx(ut_dims: tuple[int, int], k_rician: float) -> float:
@@ -77,9 +74,9 @@ def g_rx(ut_dims: tuple[int, int], k_rician: float) -> float:
 def snr_db(gain, distance, params: LinkParams):
     """Link-budget SNR [dB] for linear beam gain(s) at slant distance(s)."""
     return (params.p_tx_dbw - params.lp_cable_db + linear_to_db(gain)
-            - params.lp_at_db - fspl(distance, params.f_carrier, params.light_speed)
+            - params.lp_at_db - fspl(distance, params.f_carrier)
             + g_rx(params.ut_dims, params.k_rician)
-            - noise_power(params.noise_temp_dbk, params.bandwidth, params.k_boltz_dbw))
+            - noise_power(params.noise_temp_dbk, params.bandwidth))
 
 
 def noise_rel(distance, params: LinkParams):
@@ -139,8 +136,8 @@ def rician_sample(point_xy, sat_geometry: ArrayGeometry, h_sat: float,
     x, y = float(point_xy[0]), float(point_xy[1])
     v_down = direction_to(x, y, h_sat)
     r = slant_range(x, y, h_sat)
-    gamma = 10.0 ** (-(fspl(r, params.f_carrier, params.light_speed)
-                       + params.lp_at_db + params.lp_cable_db) / 20.0)
+    gamma = 10.0 ** (-(fspl(r, params.f_carrier) + params.lp_at_db
+                       + params.lp_cable_db) / 20.0)
     a_sat = steering_vector(sat_geometry.positions, v_down)
     ut_pos = upa_positions(params.ut_dims[0], params.ut_dims[1], 0.5)
     a_ut = steering_vector(ut_pos, -v_down)

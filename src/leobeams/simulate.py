@@ -51,6 +51,7 @@ from .link import LinkParams, noise_rel, sinr_db, snr_db
 DEFAULT_GRID_STEP = 2000.0      # coverage-map spacing [m]
 DEFAULT_HANDOVER_STEP = 5000.0  # handover-map spacing [m]
 UPDATE_SUBSTEPS = 20            # time samples per codebook update period
+TIME_TOL = 1e-9                 # [s] before g * t_c that still counts as g
 BLOCK = 2**15                   # points per _serve call of a map or sweep
 KERNEL_EVALS = 81920            # point x beam evaluations per gain-kernel call
 MAX_SAMPLES = 2**22             # time samples of one pass series or sweep row
@@ -60,6 +61,7 @@ CDF_THRESHOLDS_DB.flags.writeable = False            # shared by every curve
 
 MAP_MODES = ("hex", "dft")
 PASS_MODES = ("static", "dynamic", "dft")
+METRICS = ("snr", "sinr", "cell")
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,7 @@ class Scene:
     hex: Codebook
     dft: Codebook
     v_ground: float
-
-    @property
-    def default_dt(self) -> float:
-        return self.lattice.t_c / UPDATE_SUBSTEPS
+    dt: float  # default time step of pass series and handover sweeps [s]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,7 @@ def _check_samples(n: float, dt: float) -> None:
 def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
                  iteration: int = 0, step: float = DEFAULT_GRID_STEP) -> FieldMap:
     """Satellite-frame map of SNR, SINR, or serving-cell ID over the ROI."""
-    if metric not in ("snr", "sinr", "cell"):
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     book = codebook_for(scene, mode)
 
@@ -276,8 +275,10 @@ def pass_window(scene: Scene, ut_xy):
 
 
 def _iteration(scene: Scene, t) -> np.ndarray:
-    """Dynamic iteration g at time(s) t; up to 1e-9 s before g * t_c counts as g."""
-    return np.floor((np.asarray(t) + 1e-9) / scene.lattice.t_c).astype(np.int64)
+    """Dynamic iteration g at time(s) t; up to TIME_TOL before g * t_c counts
+    as g."""
+    return np.floor((np.asarray(t) + TIME_TOL)
+                    / scene.lattice.t_c).astype(np.int64)
 
 
 def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
@@ -285,17 +286,17 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
                     t_start: float = 0.0) -> TimeSeries:
     """Serving ID and SNR for a fixed ground point while it crosses the ROI.
 
-    Samples run from t_start at spacing dt (default one twentieth of the
-    update period) while the point is inside the ROI, up to its exit or the
-    end of duration. Dynamic mode associates at the first sample and at each
-    update instant tau = g * t_c up to the last, and a sample reports the beam
-    held since then: the handover map's event rule, with the first and last
-    samples as the window, so a series ending before the window's final tau
-    can show one change fewer than `handover_map`.
+    Samples run from t_start at spacing dt (default scene.dt) while the point
+    is inside the ROI, up to its exit or the end of duration. Dynamic mode
+    associates at the first sample and at each update instant tau = g * t_c
+    up to the last, and a sample reports the beam held since then: the
+    handover map's event rule, with the first and last samples as the window,
+    so a series ending before the window's final tau can show one change
+    fewer than `handover_map`.
     """
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
-        dt = scene.default_dt
+        dt = scene.dt
     x_g, y = float(ut_xy[0]), float(ut_xy[1])
     for name, value in dict(x=x_g, y=y, t_start=t_start, duration=duration,
                             dt=dt).items():
@@ -399,7 +400,7 @@ def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
     i's at g, so it meets its events in reverse time order, entry last, which
     counts the same changes. One `_serve` call at g, with h = -g, answers
     both: it evaluates once each point that either side updates at that
-    index (the half-open window and the 1e-9 s tolerance of `_iteration`
+    index (the half-open window and the TIME_TOL tolerance of `_iteration`
     make the two sets differ), and each side's entries (at its own entry
     time) as points of their own, a mirror's negated.
     """
@@ -439,7 +440,7 @@ def handover_map(scene: Scene, mode: str = "dynamic",
     """Serving-ID changes over each ground point's full in-ROI window."""
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
-        dt = scene.default_dt
+        dt = scene.dt
     if mode == "dynamic":
         return _roi_field(scene.roi, step, "handover_grid_step_m",
                           lambda px, py: _dynamic_handover_counts(scene, px, py))

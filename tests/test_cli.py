@@ -234,10 +234,11 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     (["map", "--set", "grid_step_m=inf"], "grid_step_m"),
     (["map", "--seed", "-1"], "seed"),
     (["map", "--set", "seed=-1"], "seed"),
-    # finite but overflowing: the slant range, then the ground-track speed
+    # finite but overflowing: the slant range, then the ground-track speed,
+    # then (with a finite square) the update period, all by one guard
     (["map", "--set", "h_sat_m=1e300"], "h_sat_m"),
     (["map", "--set", "h_sat_m=1e200"], "h_sat_m"),
-    (["map", "--set", "earth_radius_m=1e300"], "earth_radius_m"),
+    (["map", "--set", "h_sat_m=1e150"], "h_sat_m = 1e+150 overflows"),
     # finite, but the update period overflows
     (["handover", "--set", "h_sat_m=1e130"], "h_sat_m"),
     (["timeseries", "--x", "0", "--y", "0", "--set", "h_sat_m=1e130"],
@@ -275,8 +276,8 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
      "roi_semi_x_m"),
     (["map", "--grid-step", "50000", "--metric", "snr",
       "--set", "rician_factor=1e-320"], "rician_factor"),
-    (["map", "--grid-step", "50000", "--set", "light_speed_m_s=1e-300"],
-     "light_speed_m_s"),
+    (["map", "--grid-step", "50000", "--set", "carrier_hz=1e-300"],
+     "cable_loss_db put the path gain"),
     (["codebook", "--set", "oversampling=1e-300", "--set",
       "roi_semi_x_m=5.341e302", "--set", "roi_semi_y_m=1.705e302"],
      "roi_semi_x_m and roi_semi_y_m put the farthest slant range"),
@@ -284,8 +285,8 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
      "carrier_hz"),
     (["codebook", "--channel-check", "--set", "rician_factor=1e-320"],
      "rician_factor"),
-    (["timeseries", "--x", "1000", "--y", "2000",
-      "--set", "earth_mass_kg=1e300"], "earth_mass_kg"),
+    # an update period within the iteration index's time tolerance
+    (["map", "--set", "h_sat_m=1e-4"], "cycle_len give an update period"),
     # the ellipse test of points far outside overflows without a warning
     (["cdf", "--grid-step", "40000", "--set", "dft_shrink=1e300"], "shrink"),
     (["timeseries", "--x", "0", "--y", "1e300"], "inside"),
@@ -437,7 +438,7 @@ def test_unknown_key_exits_nonzero(tmp_path, capsys):
     (b"\xef\xbb\xbfh_sat_m = 1.3e6\n", 2,
      r"unknown config key '\ufeffh_sat_m'"),
     (b"h_sat_m = 1.3e6\r\nseed = 1\r\n", 0, "seed = 1\n"),
-    (b"h_sat_m = 1.3e6  # inline\n", 2, "h_sat_m expects a number"),
+    (b"h_sat_m = 1.3e6  # inline\n", 0, "h_sat_m = 1300000.0\n"),
     (b"seed = 1\n# \xff\n", 2, "can't decode byte 0xff"),
     (b" = 5\n", 2, "unknown config key ''"),
     (b"h_sat_m =\n", 2, "h_sat_m expects a number, got ''"),
@@ -448,9 +449,12 @@ def test_unknown_key_exits_nonzero(tmp_path, capsys):
      "seed = 12345678901234567890123\n"),
     ("directory as --config", 2, "c.txt"),
     ("file as --out", 2, "o"),
+    # physical constants are not keys: an older manifest listing one is refused
+    (b"seed = 1\ngrav_const = 6.674e-11\n", 2,
+     "line 2: unknown config key 'grav_const'"),
 ], ids=["bom", "crlf", "inline-comment", "invalid-utf8", "empty-key",
         "empty-value", "repeated-key", "underscores", "arabic-indic-digit",
-        "23-digit-seed", "config-dir", "out-file"])
+        "23-digit-seed", "config-dir", "out-file", "constant-key"])
 def test_config_file_text_keeps_the_cli_contract(tmp_path, capsys, text,
                                                  code, want):
     # each probe runs, recording the value it read in the manifest, or

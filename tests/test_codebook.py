@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from leobeams import codebook as cb
 from leobeams.antenna import beam_gain, satellite_array
-from leobeams.geometry import (EARTH_RADIUS, Roi, angular_speed, direction_to,
-                               ground_track_speed)
+from leobeams.geometry import (EARTH_MASS, EARTH_RADIUS, GRAV_CONST, Roi,
+                               direction_to, ground_track_speed)
 
 H = 1.3e6
 RX, RY = 534.1e3, 170.5e3
@@ -57,9 +57,12 @@ def test_cycle_period_oracles(spec):
     assert spec.t_c == pytest.approx(10.1518, abs=2e-4)
     one = cb.make_lattice_spec(H, 1.4, (12, 24), 1, vg)
     assert one.t_c == pytest.approx(40.607, abs=1e-3)
-    # the closed form pi h / (L w R_e O n_x): the lattice advances one x
+    # the closed form pi h / (L w R_e O n_x), with the orbit's angular rate
+    # w = sqrt(G M / r) / r at r = R_e + h: the lattice advances one x
     # period per full cycle of L updates
-    direct = math.pi * H / (4 * angular_speed(H) * EARTH_RADIUS * 1.4 * 12)
+    r = EARTH_RADIUS + H
+    w = math.sqrt(GRAV_CONST * EARTH_MASS / r) / r
+    direct = math.pi * H / (4 * w * EARTH_RADIUS * 1.4 * 12)
     assert direct == pytest.approx(spec.t_c, rel=1e-12)
 
 
@@ -376,7 +379,7 @@ def test_oversized_dft_grid_refused_before_allocating(roi, n_beams):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^dft_n_beams = "):
-            cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams)
+            cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams, 0.88)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -389,7 +392,7 @@ def test_dft_grid_of_too_many_nodes_refused_before_allocating(roi):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^dft_n_beams = 262147 lays out"):
-            cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams)
+            cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams, 0.88)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,7 +401,7 @@ def test_dft_grid_of_too_many_nodes_refused_before_allocating(roi):
 
 def test_dft_baseline_grid(roi):
     geom = satellite_array(13, (12, 24), 0.5)
-    book = cb.dft_baseline(geom, roi)
+    book = cb.dft_baseline(geom, roi, 15, 0.88)
     assert book.n_beams == 15 and book.cycle_len == 1
     pts, ids, rf = book.targets[0], book.ids[0], book.rf[0]
     assert len(pts) == 15
@@ -418,9 +421,9 @@ def test_dft_baseline_grid(roi):
 def test_dft_baseline_rejects_bad_shrink(roi):
     geom = satellite_array(13, (12, 24), 0.5)
     with pytest.raises(ValueError, match="beams"):
-        cb.dft_baseline(geom, roi, shrink=0.5)
+        cb.dft_baseline(geom, roi, 15, 0.5)
     with pytest.raises(ValueError, match="beams"):
-        cb.dft_baseline(geom, roi, shrink=1.2)
+        cb.dft_baseline(geom, roi, 15, 1.2)
 
 
 def test_tables(cycle):

@@ -88,11 +88,11 @@ def test_load_config(tmp_path):
     assert cfgmod.load_config(p).seed == 3
 
 
-def test_resolve_dt(scene):
-    assert cfgmod.resolve_dt(SceneConfig(), scene) == pytest.approx(
-        scene.lattice.t_c / 20)
-    assert cfgmod.resolve_dt(
-        dataclasses.replace(SceneConfig(), dt_s=0.25), scene) == 0.25
+def test_scene_dt_resolves_dt_s(scene):
+    # dt_s = 0 selects one twentieth of the update period; any other value
+    # is the scene's time step as given
+    assert scene.dt == pytest.approx(scene.lattice.t_c / 20)
+    assert build_scene(dataclasses.replace(SceneConfig(), dt_s=0.25)).dt == 0.25
 
 
 def test_removed_constellation_keys_rejected():

@@ -216,8 +216,8 @@ def test_budget_equals_rank1_channel_response(los_scene, case):
     sat = np.array([abs(np.vdot(s.a_sat, beam_precoder(
         t, sc.geometry, c, sc.h_sat).coeffs)) ** 2 for t, c in zip(targets, rf)])
     powers = link.db_to_linear(lp.p_tx_dbw) * ut * sat
-    noise = link.db_to_linear(link.noise_power(lp.noise_temp_dbk, lp.bandwidth,
-                                               lp.k_boltz_dbw))
+    noise = link.db_to_linear(lp.noise_temp_dbk + link.BOLTZMANN_DBW
+                              + 10.0 * math.log10(lp.bandwidth))
 
     g = gain_matrix([x], [y], targets[:, 0], targets[:, 1], sc.h_sat,
                     sc.geometry.subarray_nx, sc.geometry.subarray_ny,

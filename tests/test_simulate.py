@@ -723,7 +723,7 @@ def test_pass_timeseries_clips_far_range_to_window(scene):
     t_in, t_out = sim.pass_window(scene, (0.0, 0.0))
     early = sim.pass_timeseries(scene, (0.0, 0.0), t_start=-1e12)
     assert t_in - 1e-3 <= early.t_s[0] and early.t_s[-1] <= t_out + 1e-3
-    assert abs(early.t_s.size - (t_out - t_in) / scene.default_dt) <= 1
+    assert abs(early.t_s.size - (t_out - t_in) / scene.dt) <= 1
 
 
 def test_pass_timeseries_rejects_non_finite_dt(scene):
