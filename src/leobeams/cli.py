@@ -23,7 +23,7 @@ from . import __version__
 from .codebook import phase_table
 from .config import (SceneConfig, apply_overrides, build_scene, format_config,
                      load_config)
-from .fields import write_cdf_set, write_csv
+from .fields import column_blocks, write_cdf_set, write_csv
 from .link import rician_sample
 from .simulate import (MAP_MODES, METRICS, PASS_MODES, codebook_for,
                        coverage_map, dominance_violations, handover_map,
@@ -110,7 +110,7 @@ def _resolve_config(args) -> SceneConfig:
 
 
 class _Emitter:
-    """Tracks written outputs and finishes with the manifest."""
+    """Writes and records outputs and finishes with the manifest."""
 
     def __init__(self, out_dir: str, cfg: SceneConfig):
         self.out_dir = out_dir
@@ -118,67 +118,55 @@ class _Emitter:
         self.records: list[tuple[str, str]] = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
-
-    def done(self, name: str) -> None:
+    def write(self, name: str, writer, *args) -> None:
+        """Write output `name` by writer(path, *args), then record the sha256
+        of the bytes on disk, read back HASH_BLOCK at a time."""
+        path = os.path.join(self.out_dir, name)
+        writer(path, *args)
         digest = hashlib.sha256()
-        with open(self.path(name), "rb") as fh:
+        with open(path, "rb") as fh:
             for block in iter(lambda: fh.read(HASH_BLOCK), b""):
                 digest.update(block)
         self.records.append((name, digest.hexdigest()))
 
     def field_map(self, stem: str, fmap) -> None:
         """Write a map as <stem>.csv and <stem>.ppm and record both."""
-        fmap.to_csv(self.path(stem + ".csv"))
-        self.done(stem + ".csv")
-        fmap.to_ppm(self.path(stem + ".ppm"))
-        self.done(stem + ".ppm")
+        self.write(stem + ".csv", fmap.to_csv)
+        self.write(stem + ".ppm", fmap.to_ppm)
 
     def write_manifest(self) -> None:
-        with open(self.path("manifest.txt"), "w") as fh:
+        with open(os.path.join(self.out_dir, "manifest.txt"), "w") as fh:
             fh.write(f"# leobeams {__version__} resolved configuration\n")
             fh.write(format_config(self.cfg))
             for name, digest in self.records:
                 fh.write(f"# output {name} sha256={digest}\n")
 
 
-def _beams(book):
-    """(iteration, beam_id, rf_chain, (x, y)) of every beam of one cycle, in
-    iteration then ascending-ID order, as Python numbers."""
-    for k, (ts, ids, rf) in enumerate(zip(book.targets, book.ids, book.rf)):
-        yield from ((k, b, c, t) for b, c, t in
-                    zip(ids.tolist(), rf.tolist(), ts.tolist()))
-
-
 def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
-    write_csv(emit.path("cycle.csv"),
-              "iteration,beam_id,rf_chain,target_x_m,target_y_m",
-              (f"{k},{b},{c},{x:.3f},{y:.3f}\n"
-               for k, b, c, (x, y) in _beams(scene.hex)))
-    emit.done("cycle.csv")
-    write_csv(emit.path("dft_grid.csv"),
-              "beam_id,rf_chain,target_x_m,target_y_m",
-              (f"{b},{c},{x:.3f},{y:.3f}\n"
-               for _, b, c, (x, y) in _beams(scene.dft)))
-    emit.done("dft_grid.csv")
+    # (iteration, beam_id, rf_chain, target_x_m, target_y_m) columns of every
+    # beam of one cycle, in iteration then ascending-ID order
+    cycle, dft = ((np.repeat(np.arange(b.cycle_len), [i.size for i in b.ids]),
+                   np.concatenate(b.ids), np.concatenate(b.rf),
+                   *np.concatenate(b.targets).T) for b in (scene.hex, scene.dft))
+    emit.write("cycle.csv", write_csv,
+               "iteration,beam_id,rf_chain,target_x_m,target_y_m",
+               "%d,%d,%d,%.3f,%.3f\n", column_blocks(*cycle))
+    emit.write("dft_grid.csv", write_csv, "beam_id,rf_chain,target_x_m,target_y_m",
+               "%d,%d,%.3f,%.3f\n", column_blocks(*dft[1:]))
     if args.phases:
-        write_csv(emit.path("phases.csv"),
-                  "iteration,beam_id,element_index,phase_radians",
-                  (f"{k},{b},{idx},{phase:.9f}\n"
-                   for k, b, c, t in _beams(scene.hex)
-                   for idx, phase in phase_table(t, scene.geometry, c,
-                                                 scene.h_sat)))
-        emit.done("phases.csv")
+        # one block per beam: the (element_index, phase) rows of its chain
+        tables = ((k, b, phase_table([x, y], scene.geometry, c, scene.h_sat))
+                  for k, b, c, x, y in zip(*(a.tolist() for a in cycle)))
+        emit.write("phases.csv", write_csv,
+                   "iteration,beam_id,element_index,phase_radians", "%d,%d,%d,%.9f\n",
+                   (([k] * len(t), [b] * len(t), *zip(*t)) for k, b, t in tables))
     if args.channel_check:
         rng = np.random.default_rng(cfg.seed)
         sample = rician_sample((0.0, 0.0), scene.geometry, scene.h_sat,
                                scene.link, rng)
-        matrix, los, scatter = sample.fro_norms()
-        write_csv(emit.path("channel_check.csv"),
-                  "seed,matrix_fro,los_fro,scatter_fro",
-                  [f"{cfg.seed},{matrix:.9e},{los:.9e},{scatter:.9e}\n"])
-        emit.done("channel_check.csv")
+        emit.write("channel_check.csv", write_csv,
+                   "seed,matrix_fro,los_fro,scatter_fro", "%d,%.9e,%.9e,%.9e\n",
+                   [[[cfg.seed], *([v] for v in sample.fro_norms())]])
 
 
 def _run_map(args, cfg, scene, emit: _Emitter) -> None:
@@ -189,22 +177,21 @@ def _run_map(args, cfg, scene, emit: _Emitter) -> None:
 
 def _run_cdf(args, cfg, scene, emit: _Emitter) -> None:
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    for m in modes:  # reject every bad mode before any map is computed
+    for i, m in enumerate(modes):  # reject every bad mode before any map
         codebook_for(scene, m)
+        if m in modes[:i]:
+            raise ValueError(f"--modes repeats {m!r}")
     if not modes:
         raise ValueError("--modes needs at least one of hex, dft")
     curves = sinr_cdf(scene, modes=modes, iteration=args.iteration,
                       step=cfg.grid_step_m)
-    write_cdf_set(emit.path("cdf.csv"), curves)
-    emit.done("cdf.csv")
+    emit.write("cdf.csv", write_cdf_set, curves)
 
 
 def _run_timeseries(args, cfg, scene, emit: _Emitter) -> None:
     series = pass_timeseries(scene, (args.x, args.y), mode=args.mode,
                              duration=args.duration, t_start=args.t_start)
-    name = f"timeseries_{args.mode}.csv"
-    series.to_csv(emit.path(name))
-    emit.done(name)
+    emit.write(f"timeseries_{args.mode}.csv", series.to_csv)
 
 
 def _run_handover(args, cfg, scene, emit: _Emitter) -> None:
@@ -215,11 +202,10 @@ def _run_handover(args, cfg, scene, emit: _Emitter) -> None:
         smap = handover_map(scene, mode="static", step=step)
         emit.field_map("handover_static", smap)
         bad = dominance_violations(hmap, smap)
-        write_csv(emit.path("dominance_violations.csv"),
-                  "x_m,y_m,dynamic,static",
-                  (f"{x:.3f},{y:.3f},{int(d)},{int(s)}\n"
-                   for x, y, d, s in bad.tolist()))
-        emit.done("dominance_violations.csv")
+        # %d truncates the float counts as int() does
+        emit.write("dominance_violations.csv", write_csv,
+                   "x_m,y_m,dynamic,static", "%.3f,%.3f,%d,%d\n",
+                   column_blocks(*bad.T))
         if len(bad):
             print(f"warning: {len(bad)} grid cells hand over more often "
                   f"dynamically than statically (see dominance_violations.csv)",

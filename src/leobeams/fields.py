@@ -1,12 +1,13 @@
 """Output containers: gridded maps, pass time series, CDF curves.
 
 Every CSV the package writes goes through one writer, `write_csv(path,
-header, lines)`. Callers hand it an iterable of finished `"...\n"` lines,
-formatted with fixed f-string specs from `.tolist()` columns, so identical
-inputs produce byte-identical files. The writer joins `BLOCK_LINES` lines
-at a time into one `write`, so its transient memory is one block however
-large the map or series. Maps can also render to binary PPM (P6), an
-uncompressed raster any image viewer opens.
+header, fmt, blocks)`. Callers hand it blocks of equal-length columns of
+Python values, never lines; the writer formats each block with one fixed
+`%` row format and writes it at once, so identical inputs produce
+byte-identical files. `column_blocks` cuts arrays into blocks of
+`BLOCK_LINES` rows, so transient memory is one block however large the map
+or series. Maps can also render to binary PPM (P6), an uncompressed raster
+any image viewer opens.
 
 Color ramp (fixed, linear between anchors on the normalized value t):
     t=0.00 -> ( 20,  20, 120)   deep blue
@@ -20,11 +21,11 @@ NaN cells (points outside the region of interest) render mid-gray (80,80,80).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
-BLOCK_LINES = 4096  # lines joined into one write by write_csv
+BLOCK_LINES = 4096  # rows per block handed to write_csv
 
 _RAMP_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _RAMP_RGB = np.array([
@@ -38,16 +39,24 @@ _RAMP_RGB = np.array([
 NODATA_RGB = (80, 80, 80)
 
 
-def write_csv(path, header: str, lines) -> None:
-    """Write `header` and then `lines` (each ending in a newline) to path.
+def write_csv(path, header: str, fmt: str, blocks) -> None:
+    """Write `header` and then every block to path, one row per index.
 
-    Lines are consumed in blocks of `BLOCK_LINES`, each written as one join.
+    A block is a sequence of equal-length columns of Python values; its rows
+    are formatted by the row format `fmt` (ending in a newline) in one `%`
+    call and written at once.
     """
-    lines = iter(lines)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        while block := list(islice(lines, BLOCK_LINES)):
-            fh.write("".join(block))
+        for cols in blocks:
+            fh.write((fmt * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))
+
+
+def column_blocks(*arrays):
+    """The equal-length arrays as write_csv blocks of `BLOCK_LINES` rows,
+    each column slice converted by `.tolist()`."""
+    for i in range(0, len(arrays[0]), BLOCK_LINES):
+        yield [a[i:i + BLOCK_LINES].tolist() for a in arrays]
 
 
 def color_ramp(t) -> np.ndarray:
@@ -75,15 +84,17 @@ class FieldMap:
             raise ValueError("values must have shape (len(ys), len(xs))")
 
     def to_csv(self, path) -> None:
-        """Write rows x_m,y_m,value (y outer, x inner); no-data cells as nan."""
-        write_csv(path, "x_m,y_m,value", self._csv_lines())
+        """Write rows x_m,y_m,value (y outer, x inner); no-data cells as nan.
 
-    def _csv_lines(self):
-        x_strs = [f"{x:.3f}," for x in self.xs.tolist()]
-        for y, row in zip(self.ys.tolist(), self.values):
-            y_str = f"{y:.3f},"
-            for x, v in zip(x_strs, row.tolist()):
-                yield f"{x}{y_str}{v:.6f}\n"
+        Each x and y is formatted once; a block is whole grid rows.
+        """
+        xs = ["%.3f" % x for x in self.xs.tolist()]
+        ys = ["%.3f" % y for y in self.ys.tolist()]
+        step = max(1, BLOCK_LINES // max(1, len(xs)))
+        write_csv(path, "x_m,y_m,value", "%s,%s,%.6f\n",
+                  ((xs * len(rows), [y for y in rows for _ in xs],
+                    self.values[i:i + step].ravel().tolist())
+                   for i in range(0, len(ys), step) for rows in [ys[i:i + step]]))
 
     def to_ppm(self, path) -> None:
         """Render to binary PPM; +y is the top image row, +x the right column.
@@ -122,17 +133,8 @@ class TimeSeries:
         return int(np.count_nonzero(ids[1:] != ids[:-1]))
 
     def to_csv(self, path) -> None:
-        write_csv(path, "t_s,serving_id,snr_db", self._csv_lines())
-
-    def _csv_lines(self):
-        # columns go to Python lists one block at a time, so memory stays
-        # O(BLOCK_LINES) for a series of up to MAX_SAMPLES rows
-        for i in range(0, self.t_s.size, BLOCK_LINES):
-            block = slice(i, i + BLOCK_LINES)
-            for t, sid, m in zip(self.t_s[block].tolist(),
-                                 self.serving_id[block].astype(np.int64).tolist(),
-                                 self.metric_db[block].tolist()):
-                yield f"{t:.6f},{sid},{m:.6f}\n"
+        write_csv(path, "t_s,serving_id,snr_db", "%.6f,%d,%.6f\n",
+                  column_blocks(self.t_s, self.serving_id, self.metric_db))
 
 
 @dataclass(frozen=True)
@@ -158,10 +160,8 @@ def write_cdf_set(path, curves: list[CdfCurve]) -> None:
     if not curves:
         raise ValueError("need at least one curve")
     base = curves[0].thresholds_db
-    for c in curves[1:]:
-        if c.thresholds_db.size != base.size or not np.allclose(c.thresholds_db, base):
-            raise ValueError("curves must share the same threshold grid")
-    rows = zip(base.tolist(), *(c.probs.tolist() for c in curves))
+    if not all(np.array_equal(c.thresholds_db, base) for c in curves[1:]):
+        raise ValueError("curves must share the same threshold grid")
     write_csv(path, "threshold_db," + ",".join(f"prob_{c.label}" for c in curves),
-              (f"{th:.6f}," + ",".join(f"{p:.6f}" for p in ps) + "\n"
-               for th, *ps in rows))
+              "%.6f" + ",%.6f" * len(curves) + "\n",
+              column_blocks(base, *(c.probs for c in curves)))

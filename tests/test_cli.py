@@ -27,6 +27,9 @@ CYCLE_SHA256 = (
     "220fecbf8e471f44016c0798edc05768e578c8ef2e2ec7bad1a159444d655855")
 DFT_GRID_SHA256 = (
     "84f910d94bb3b05be6d6c8e4c1178c07da9bf816aad93ca84a1d3491a828e025")
+# the seed-0 channel draw's norms, recorded before the column-block writer
+CHANNEL_CHECK_SHA256 = (
+    "38f2fb3cdb73bf3776a105aea80ef7454a31d0149b93ed76e522aaebdcb881b1")
 # default-config output bytes, recorded before the chunked serving evaluator
 DEFAULT_SHA256 = {
     "map": (["map", "--metric", "sinr", "--mode", "hex"], {
@@ -89,18 +92,22 @@ def _run(argv):
 
 def test_codebook_outputs(tmp_path):
     out = tmp_path / "run"
-    assert _run(["codebook", "--out", out, "--phases"]) == 0
+    assert _run(["codebook", "--out", out, "--phases", "--channel-check",
+                 "--seed", "0"]) == 0
     names = {p.name for p in out.iterdir()}
-    assert names == {"cycle.csv", "dft_grid.csv", "phases.csv", "manifest.txt"}
+    assert names == {"cycle.csv", "dft_grid.csv", "phases.csv",
+                     "channel_check.csv", "manifest.txt"}
     lines = (out / "cycle.csv").read_text().splitlines()
     assert lines[0] == "iteration,beam_id,rf_chain,target_x_m,target_y_m"
     assert len(lines) == 1 + 43
     assert len((out / "dft_grid.csv").read_text().splitlines()) == 1 + 15
-    # byte guards on the codebook tables and the precoder phases; the same
-    # digests are recorded in perfbench/references.json
+    # byte guards on the codebook tables, the precoder phases and the
+    # channel check; the first three digests are also recorded in
+    # perfbench/references.json
     for name, want in (("cycle.csv", CYCLE_SHA256),
                        ("dft_grid.csv", DFT_GRID_SHA256),
-                       ("phases.csv", PHASES_SHA256)):
+                       ("phases.csv", PHASES_SHA256),
+                       ("channel_check.csv", CHANNEL_CHECK_SHA256)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
 
 
@@ -123,7 +130,7 @@ def test_channel_check_memory_stays_below_one_dense_matrix(tmp_path):
 
 def test_output_hashing_is_bounded_by_one_block(tmp_path):
     # a file of several blocks plus a partial one hashes to the digest of
-    # its bytes, while done() holds no more than a couple of blocks
+    # its bytes, while write() holds no more than a couple of blocks
     data = np.random.default_rng(0).bytes(6 * cli.HASH_BLOCK + 12345)
     (tmp_path / "big.bin").write_bytes(data)
     want = hashlib.sha256(data).hexdigest()
@@ -131,7 +138,7 @@ def test_output_hashing_is_bounded_by_one_block(tmp_path):
     emit = cli._Emitter(str(tmp_path), SceneConfig())
     tracemalloc.start()
     try:
-        emit.done("big.bin")
+        emit.write("big.bin", lambda path: None)  # already on disk
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,6 +311,8 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
      "roi_semi_x_m"),
     (["map", "--grid-step", "50000", "--set", "roi_semi_y_m=1e300"],
      "roi_semi_y_m"),
+    # a repeated mode would compute and write the same curve twice
+    (["cdf", "--modes", "hex,dft,hex"], "--modes repeats 'hex'"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):

@@ -99,6 +99,12 @@ def test_cdf_set_requires_common_grid(tmp_path):
     b = fields.CdfCurve(np.array([0.0, 2.0]), np.array([1.0, 0.5]), "dft")
     with pytest.raises(ValueError):
         fields.write_cdf_set(tmp_path / "x.csv", [a, b])
+    # a grid that only nearly matches would print under the first grid's
+    # thresholds
+    near = fields.CdfCurve(np.array([0.0, 1.0 + 1e-6]), np.array([1.0, 0.5]),
+                           "dft")
+    with pytest.raises(ValueError):
+        fields.write_cdf_set(tmp_path / "x.csv", [a, near])
     with pytest.raises(ValueError):
         fields.write_cdf_set(tmp_path / "x.csv", [])
     ok = fields.CdfCurve(np.array([0.0, 1.0]), np.array([1.0, 0.25]), "dft")
@@ -148,10 +154,11 @@ def _column(draw, n):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_writers_match_per_cell_oracle(tmp_path_factory, data):
-    # sizes straddle the (shrunk) block length: 1x1 maps up to several blocks
+    # sizes straddle the (shrunk) block length: empty maps, 1x1 maps, and
+    # rows wider than a block up to several blocks
     tmp_path = tmp_path_factory.mktemp("csv")
     draw = data.draw
-    ny, nx = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    ny, nx = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     vals = _column(draw, 2 * ny * nx).reshape(ny, 2 * nx)
     layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
     if layout == "strided":
@@ -187,19 +194,25 @@ def test_writers_match_per_cell_oracle(tmp_path_factory, data):
 
 def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch):
     # a whole-file join, or whole-column lists, would hold every row at once;
-    # the writer holds one block of lines (each line, its share of the join
-    # and its encoded bytes) and one block of column values: well under
-    # 512 B per line
+    # the writer holds one block of rows (its column values, their tuple, the
+    # formatted text and its encoded bytes), and a map also its formatted x
+    # and y labels: well under 512 B per line
     monkeypatch.setattr(fields, "BLOCK_LINES", 256)
     n = 2**16
     ts = fields.TimeSeries(t_s=np.arange(n) * 0.05,
                            serving_id=np.arange(n) % 13,
                            metric_db=np.sin(np.arange(n)) * 20.0)
-    tracemalloc.start()
-    try:
-        ts.to_csv(tmp_path / "ts.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = (tmp_path / "ts.csv").stat().st_size
-    assert peak < 512 * fields.BLOCK_LINES < size / 8
+    # 100 cells a grid row: a block is two whole rows
+    fmap = fields.FieldMap(xs=np.arange(100) * 2000.0,
+                           ys=np.arange(n // 100) * -2000.0,
+                           values=np.sin(np.arange(n // 100 * 100)).reshape(
+                               n // 100, 100) * 20.0)
+    for name, out in (("ts.csv", ts), ("map.csv", fmap)):
+        tracemalloc.start()
+        try:
+            out.to_csv(tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / name).stat().st_size
+        assert peak < 512 * fields.BLOCK_LINES < size / 8, name
