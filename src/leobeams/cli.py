@@ -7,11 +7,17 @@ plus a sha256 digest comment per output file. The manifest is itself a valid
 config file, so re-feeding it reproduces the run byte for byte.
 
 Exit code 0 on success; nonzero with a single-line `error: ...` on stderr.
+
+`main` fixes the C heap's mmap and trim thresholds once per process (see
+`_fix_heap_thresholds`), so the evaluator's per-call temporaries reuse heap
+pages instead of being mapped, faulted in and unmapped on every call. It
+is done here, not on import, so library users keep their allocator as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import os
@@ -30,6 +36,9 @@ from .simulate import (MAP_MODES, METRICS, PASS_MODES, codebook_for,
                        pass_timeseries, sinr_cdf)
 
 HASH_BLOCK = 2**20  # bytes read per sha256 update
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+MMAP_THRESHOLD = 2**25  # bytes: smaller blocks are carved from the heap
+TRIM_THRESHOLD = 2**28  # bytes of free heap top kept before returning it
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
@@ -221,7 +230,30 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _fix_heap_thresholds() -> bool:
+    """Fix the C heap's mmap and trim thresholds, once per process; False
+    where the C library has no mallopt.
+
+    glibc serves a block over its mmap threshold by mmap and returns it to
+    the kernel when freed, and trims the free top of the heap; both
+    thresholds start low and rise only after a large block is freed. A run
+    that frees no large array, as a streamed CDF does not, so maps and
+    unmaps the evaluator's kernel temporaries on every `_serve` call and
+    faults their pages back in each time. Fixed thresholds keep those
+    blocks in the heap and reuse their pages.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+                mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)])
+
+
 def main(argv=None) -> int:
+    _fix_heap_thresholds()
     args = _build_parser().parse_args(argv)
     try:
         # a float that still leaves its range raises, as numpy's

@@ -17,7 +17,9 @@ The scene holds two `Codebook`s: `Scene.hex`, the K-iteration hex cycle, and
 Every serving decision goes through one evaluator, `_serve`, which calls
 the kernel on at most KERNEL_EVALS point x beam pairs at a time; every map
 block and sweep call hands it at most BLOCK points, so memory is bounded
-whatever the grid and codebook sizes.
+whatever the grid and codebook sizes. Maps and CDFs share one block loop,
+`_roi_blocks`: a map holds its value grid plus one block, and a CDF counts
+each block's values as they come, so it holds one block and no grid.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
@@ -186,32 +188,42 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
     return int(sid[side, 0]), float(g[side, 0])
 
 
-def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
-    """Grid over the ROI box holding fill's values at in-ROI nodes, NaN elsewhere.
+def _roi_blocks(roi: Roi, xs: np.ndarray, ys: np.ndarray, fill):
+    """The one block loop over a grid's quadrant: yields (r, m, out) per block
+    of whole rows r, r + 1, ... holding about BLOCK quadrant nodes, with m the
+    block's quadrant ROI mask, shape (rows, xs.size - xs.size // 2), and out
+    fill's values at m's nodes, shape (4, n).
 
     The grid and the ellipse are symmetric about y = 0 and about x = 0 bit
     for bit (ys[-1 - i] == -ys[i], and the same for xs), so fill(px, py) is
     called only on the nodes with x >= 0 and y >= 0 and returns the four
-    sides of `_serve`, shape (4, n): its values at (px, py), (px, -py),
-    (-px, py) and (-px, -py). Row -y takes the second, column -x the last
-    two; the row y = 0 and the column x = 0 take the first. fill is called
-    once per block of whole rows holding about BLOCK quadrant nodes, and the
-    block's quadrant is tested against the ROI as it is filled, so nothing
-    but the value grid grows with the grid. fill must treat each point, or
-    each row, on its own.
+    sides of `_serve`: its values at (px, py), (px, -py), (-px, py) and
+    (-px, -py). Each block's quadrant is tested against the ROI as it is
+    filled, so a consumer that keeps no grid holds one block. fill must
+    treat each point, or each row, on its own.
+    """
+    c = xs.size // 2
+    rows = max(1, BLOCK // (xs.size - c))
+    for r in range(ys.size // 2, ys.size, rows):
+        m = roi.contains(xs[c:], ys[r:r + rows, None])
+        yield r, m, fill(np.broadcast_to(xs[c:], m.shape)[m],
+                         np.broadcast_to(ys[r:r + rows, None], m.shape)[m])
+
+
+def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
+    """Grid over the ROI box holding fill's values at in-ROI nodes, NaN
+    elsewhere, assembled from `_roi_blocks`: row -y takes the second side,
+    column -x the last two; the row y = 0 and the column x = 0 take the
+    first, so nothing but the value grid grows with the grid.
     """
     xs, ys = roi_grid(roi, step, key)
     vals = np.full((ys.size, xs.size), np.nan)
     # row i of vals[::-1] is row -y, column i of vals[:, ::-1] column -x
     sides = (vals, vals[::-1], vals[:, ::-1], vals[::-1, ::-1])
     c = xs.size // 2
-    rows = max(1, BLOCK // (xs.size - c))
-    for r in range(ys.size // 2, ys.size, rows):
-        m = roi.contains(xs[c:], ys[r:r + rows, None])
-        out = fill(np.broadcast_to(xs[c:], m.shape)[m],
-                   np.broadcast_to(ys[r:r + rows, None], m.shape)[m])
+    for r, m, out in _roi_blocks(roi, xs, ys, fill):
         for side in (3, 2, 1, 0):  # side 0 last: the axes take it
-            sides[side][r:r + rows, c:][m] = out[side]
+            sides[side][r:r + m.shape[0], c:][m] = out[side]
     return FieldMap(xs=xs, ys=ys, values=vals)
 
 
@@ -225,9 +237,8 @@ def _check_samples(n: float, dt: float) -> None:
 # maps and CDFs
 # ---------------------------------------------------------------------------
 
-def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
-                 iteration: int = 0, step: float = DEFAULT_GRID_STEP) -> FieldMap:
-    """Satellite-frame map of SNR, SINR, or serving-cell ID over the ROI."""
+def _metric_fill(scene: Scene, metric: str, mode: str, iteration: int):
+    """The `_roi_blocks` fill of a coverage map: metric at the four sides."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     book = codebook_for(scene, mode)
@@ -241,27 +252,65 @@ def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
         if metric == "snr":
             return snr_db(g_serve, dist, scene.link)
         return sinr_db(g_serve, interf, noise_rel(dist, scene.link))
-    return _roi_field(scene.roi, step, "grid_step_m", at)
+    return at
+
+
+def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
+                 iteration: int = 0, step: float = DEFAULT_GRID_STEP) -> FieldMap:
+    """Satellite-frame map of SNR, SINR, or serving-cell ID over the ROI."""
+    return _roi_field(scene.roi, step, "grid_step_m",
+                      _metric_fill(scene, metric, mode, iteration))
+
+
+def _count_above(values: np.ndarray, thresholds_db: np.ndarray):
+    """Number of finite values, and how many of them exceed each threshold:
+    the finite values are gathered once and that copy is sorted in place."""
+    vals = values[np.isfinite(values)]
+    vals.sort()
+    return vals.size, vals.size - np.searchsorted(vals, thresholds_db,
+                                                  side="right")
+
+
+def _cdf(n: int, above: np.ndarray, thresholds_db: np.ndarray,
+         label: str) -> CdfCurve:
+    if n == 0:
+        raise ValueError("map has no in-ROI cells")
+    return CdfCurve(thresholds_db=thresholds_db, probs=above / n, label=label)
 
 
 def cdf_from_map(fmap: FieldMap, thresholds_db: np.ndarray,
                  label: str = "") -> CdfCurve:
     """Complementary CDF prob(value > threshold) over a map's in-ROI cells."""
-    vals = fmap.values[np.isfinite(fmap.values)]  # a copy: sort it in place
-    vals.sort()
-    if vals.size == 0:
-        raise ValueError("map has no in-ROI cells")
-    above = vals.size - np.searchsorted(vals, thresholds_db, side="right")
-    probs = above / vals.size
-    return CdfCurve(thresholds_db=thresholds_db, probs=probs, label=label)
+    return _cdf(*_count_above(fmap.values, thresholds_db), thresholds_db, label)
 
 
 def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
              step: float = DEFAULT_GRID_STEP) -> list[CdfCurve]:
     """Coverage curves prob(SINR > threshold), one per mode, over the in-ROI
-    grid at the thresholds CDF_THRESHOLDS_DB."""
-    return [cdf_from_map(coverage_map(scene, "sinr", mode, iteration, step),
-                         CDF_THRESHOLDS_DB, label=mode) for mode in modes]
+    grid at the thresholds CDF_THRESHOLDS_DB.
+
+    The values are counted block by block as `_roi_blocks` yields them, so
+    no map is built: each grid node is counted once, from the side the map
+    would write there (the row y = 0 and the column x = 0 are not mirrored
+    onto themselves), and the integer counts, so the curves, are those of
+    `cdf_from_map` over `coverage_map`.
+    """
+    curves = []
+    for mode in modes:
+        fill = _metric_fill(scene, "sinr", mode, iteration)
+        xs, ys = roi_grid(scene.roi, step, "grid_step_m")
+        n, above = 0, np.zeros(CDF_THRESHOLDS_DB.size, dtype=np.int64)
+        for r, m, out in _roi_blocks(scene.roi, xs, ys, fill):
+            # the sides that land on nodes of their own: y != 0, x != 0, both
+            y_off = np.broadcast_to((np.arange(r, r + m.shape[0])
+                                     != ys.size // 2)[:, None], m.shape)[m]
+            x_off = np.broadcast_to(np.arange(m.shape[1]) != 0, m.shape)[m]
+            own = np.stack([np.ones_like(y_off), y_off, x_off, y_off & x_off])
+            n_b, above_b = _count_above(out[own], CDF_THRESHOLDS_DB)
+            n += n_b
+            above += above_b
+        curves.append(_cdf(n, above, CDF_THRESHOLDS_DB, mode))
+    return curves
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ import dataclasses
 import filecmp
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -515,6 +518,36 @@ def test_cached_parser_keeps_each_calls_overrides(tmp_path):
     y = parser.parse_args(["map", "--set", "seed=2"])
     assert x.overrides == ["seed=1"] and y.overrides == ["seed=2"]
     assert parser.parse_args(["map"]).overrides == []
+
+
+# a fresh interpreter runs `cdf` three times in-process and prints whether
+# the heap thresholds were fixed, then the minor page faults of each call
+CHURN_PROBE = """
+import resource, sys
+from leobeams import cli
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["cdf", "--grid-step", "2000", "--out", sys.argv[1]]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(cli._fix_heap_thresholds(), *faults)
+"""
+
+
+def test_repeated_runs_reuse_heap_pages(tmp_path):
+    # with glibc's default thresholds each repeated cdf call mapped and
+    # faulted in its kernel temporaries afresh (about 3,900 minor faults per
+    # call at 2 km); with the thresholds fixed the 2nd and 3rd calls took 0
+    pytest.importorskip("resource")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    out = subprocess.run([sys.executable, "-c", CHURN_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True).stdout.split()
+    fixed, faults = out[0] == "True", [int(f) for f in out[1:]]
+    if not fixed or faults[0] == 0:
+        pytest.skip("no mallopt, or no minor-fault count, on this platform")
+    assert max(faults[1:]) < 300, faults
 
 
 def test_unknown_subcommand_rejected(capsys):

@@ -369,9 +369,11 @@ def _direct_dynamic_counts(scene, px, py):
 
 
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
-def test_maps_and_cdfs_match_direct_evaluation(scenes_by_cycle_len, cycle_len):
+def test_maps_and_cdfs_match_direct_evaluation(scenes_by_cycle_len, cycle_len,
+                                               monkeypatch):
     # every map fills one quadrant, whether or not its iteration is closed
-    # under x -> -x, and is the direct evaluation, byte for byte
+    # under x -> -x, and is the direct evaluation, byte for byte; so is every
+    # streamed CDF, also when the quadrant spans many blocks of two rows
     scene = scenes_by_cycle_len[cycle_len]
     for g in sorted({-1, 0, 1, 2, cycle_len, cycle_len + 2}):
         for mode in ("hex", "dft") if g == 0 else ("hex",):
@@ -385,6 +387,15 @@ def test_maps_and_cdfs_match_direct_evaluation(scenes_by_cycle_len, cycle_len):
             want = sim.cdf_from_map(_direct_map(scene, "sinr", mode, g, 10e3),
                                     sim.CDF_THRESHOLDS_DB)
             assert curve.probs.tobytes() == want.probs.tobytes()
+    xs, ys = sim.roi_grid(scene.roi, 10e3)
+    monkeypatch.setattr(sim, "BLOCK", 2 * (xs.size - xs.size // 2) + 1)
+    assert ys.size // 2 + 1 >= 9 * 2  # nine blocks of two rows
+    for g in (0, 1):  # g = 1 is open under x -> -x at every K here
+        curves = sim.sinr_cdf(scene, iteration=g, step=10e3)
+        for curve, mode in zip(curves, sim.MAP_MODES, strict=True):
+            want = sim.cdf_from_map(_direct_map(scene, "sinr", mode, g, 10e3),
+                                    sim.CDF_THRESHOLDS_DB)
+            assert curve.probs.tobytes() == want.probs.tobytes(), (mode, g)
 
 
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
@@ -545,6 +556,23 @@ def test_map_block_holds_only_its_own_quadrant(scene, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * xs.size * ys.size + 3072 * sim.BLOCK
+
+
+def test_cdf_memory_bounded_by_block(scene, monkeypatch):
+    # the CDF counts each block's values as the block loop yields them and
+    # keeps no value grid: at BLOCK = 512 a block is one grid row (535
+    # quadrant nodes at 1 km, 1069 at 500 m) and the traced peak measured
+    # about 1.0 and 1.7 kB per BLOCK, where building the map and sorting a
+    # copy of its values took 5.6 and 22 MB
+    monkeypatch.setattr(sim, "BLOCK", 512)
+    for step in (1000.0, 500.0):
+        tracemalloc.start()
+        try:
+            sim.sinr_cdf(scene, step=step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3072 * sim.BLOCK, step
 
 
 def test_cdf_sorts_its_one_copy_of_the_map_values(scene):
