@@ -8,13 +8,18 @@ is exact for the full panel.
 
 The offset angle a = a_p - a_t splits into a per-point and a per-beam part,
 so angle addition, sin(a_p - a_t) = sin a_p cos a_t - cos a_p sin a_t (and
-the same for n a), takes every sin and cos once per point and once per beam
-on each axis; the point-beam matrix sees only multiplies and adds. The
-difference of products carries a rounding error of a few ulp of 1, so the
-Dirichlet ratio's relative error grows as 1 / |sin a| where sin a -> 0: at
-the beam's own target (below _EPS the exact limit n^2 is used) and at its
-grating lobes |a| -> pi. Relative to the peak gain it stays within a few
-ulp / |sin a| on each axis.
+the same for n a), takes every sin and cos once per point on each axis and
+once per distinct beam cosine a_t. A beam's x factor depends on it only
+through its x cosine tx / rt, and its y factor only through ty / rt, so each
+axis factor is evaluated once per distinct cosine and shared by every row
+that has it: the mirrored rows of a call, (tx, +-ty) on x and (+-tx, ty) on
+y, have equal radii and so equal cosines bit for bit. A row is then one
+product of its two factors, and the point-beam matrix sees only multiplies
+and adds. The difference of products carries a rounding error of a few ulp
+of 1, so the Dirichlet ratio's relative error grows as 1 / |sin a| where
+sin a -> 0: at the beam's own target (below _EPS the exact limit n^2 is
+used) and at its grating lobes |a| -> pi. Relative to the peak gain it
+stays within a few ulp / |sin a| on each axis.
 
 The matrix is computed as a C-ordered (beams x points) array and returned
 as its (points x beams) transpose. A scene has 10 to 15 beams and thousands
@@ -47,6 +52,12 @@ def gain_matrix(px, py, tx, ty, h_sat, n_x, n_y, spacing):
     Returns shape (n_points, n_beams), values in [0, n_x * n_y]: the
     transpose of a C-ordered (n_beams, n_points) array, whose `.T` has one
     contiguous row per beam.
+
+    Each axis factor is evaluated once per distinct direction cosine and a
+    row is the product of its x and y factors, so every gain is the bits a
+    factor pair evaluated for that row alone would give: equal cosines give
+    equal factors, and a +0.0 and a -0.0 cosine differ at most in the sign
+    of a zero sine difference, which the _EPS branch maps to the same limit.
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
@@ -55,10 +66,24 @@ def gain_matrix(px, py, tx, ty, h_sat, n_x, n_y, spacing):
     rp = np.sqrt(px * px + py * py + h_sat * h_sat)
     rt = np.sqrt(tx * tx + ty * ty + h_sat * h_sat)
     k = np.pi * spacing
-    g = _dirichlet_sq(k * (px / rp), k * (tx / rt), n_x)
-    g *= _dirichlet_sq(k * (py / rp), k * (ty / rt), n_y)
+    ux, ix = _distinct(k * (tx / rt))
+    uy, iy = _distinct(k * (ty / rt))
+    fx = _dirichlet_sq(k * (px / rp), ux, n_x)
+    fy = _dirichlet_sq(k * (py / rp), uy, n_y)
+    g = np.empty((tx.size, px.size))
+    for row, i, j in zip(g, ix, iy):
+        np.multiply(fx[i], fy[j], out=row)
     g /= n_x * n_y
     return g.T
+
+
+def _distinct(a):
+    """The distinct values of a (+0.0 and -0.0 are one) and, for each entry,
+    its index among them. A dict over a short list: a call has at most a few
+    dozen rows, often one, where np.unique's sort costs more."""
+    where = {}
+    index = [where.setdefault(v, len(where)) for v in a.tolist()]
+    return np.array(list(where)), index
 
 
 def _sin_diff(u, v):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from leobeams import antenna as ant
 from leobeams import kernels
+from leobeams import simulate as sim
 from leobeams.codebook import beam_precoder
 from leobeams.geometry import direction_to
 
@@ -237,3 +238,111 @@ def test_kernel_is_odd_symmetric_in_x(case, zeros, zero_target):
     right = kernels.gain_matrix(px, py, tx2, ty2, *rest)
     left = kernels.gain_matrix(-px, py, tx2, ty2, *rest)
     assert np.ascontiguousarray(right[:, x]).tobytes() == left.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one axis factor per distinct direction cosine, against one per row
+# ---------------------------------------------------------------------------
+
+def _per_row_gain_matrix(px, py, tx, ty, h_sat, n_x, n_y, spacing):
+    """The kernel with both Dirichlet factors evaluated once per row, in the
+    same float operations: the oracle for the shared factors, bit for bit."""
+    px, py, tx, ty = (np.asarray(a, dtype=float) for a in (px, py, tx, ty))
+    rp = np.sqrt(px * px + py * py + h_sat * h_sat)
+    rt = np.sqrt(tx * tx + ty * ty + h_sat * h_sat)
+    k = np.pi * spacing
+
+    def sin_diff(u, v):
+        s = np.multiply.outer(np.cos(v), np.sin(u))
+        s -= np.multiply.outer(np.sin(v), np.cos(u))
+        return s
+
+    def dirichlet_sq(ap, at, n):
+        s = sin_diff(ap, at)
+        small = np.abs(s) < kernels._EPS
+        s[small] = 1.0
+        ratio = sin_diff(n * ap, n * at)
+        ratio /= s
+        ratio *= ratio
+        ratio[small] = float(n) ** 2
+        return ratio
+    g = dirichlet_sq(k * (px / rp), k * (tx / rt), n_x)
+    g *= dirichlet_sq(k * (py / rp), k * (ty / rt), n_y)
+    g /= n_x * n_y
+    return g.T
+
+
+def _assert_same_bits(args):
+    fast = kernels.gain_matrix(*args)
+    ref = _per_row_gain_matrix(*args)
+    assert fast.shape == ref.shape and fast.T.flags.c_contiguous
+    assert fast.tobytes() == ref.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_kernel_case(), st.sampled_from([0.0, -0.0]),
+       st.sampled_from([0.0, -0.0]), st.booleans())
+def test_shared_axis_factors_match_per_row_kernel_bit_for_bit(case, zx, zy,
+                                                              single):
+    # the rows _serve hands the kernel: every beam with its y-, x- and
+    # xy-mirror, and targets on x = +0.0 / -0.0 and y = +0.0 / -0.0 in the
+    # same call; points sit on every target (the _EPS branch) and on the
+    # axes, so +0.0 and -0.0 cosines share one factor
+    _, _, (px, py, tx, ty, *rest) = case
+    if single:
+        tx, ty = tx[:1], ty[:1]
+    else:
+        tx = np.concatenate([tx, tx, -tx, -tx, [zx, -zx, tx[0], tx[0]]])
+        ty = np.concatenate([ty, -ty, ty, -ty, [ty[0], ty[0], zy, -zy]])
+    px = np.concatenate([px, tx, [zx, -zx, px[0]]])
+    py = np.concatenate([py, ty, [py[0], py[0], zy]])
+    _assert_same_bits((px, py, tx, ty, *rest))
+
+
+@pytest.mark.parametrize("n_pts, n_rows", [(0, 0), (0, 3), (5, 0), (1, 1)])
+def test_shared_axis_factors_keep_empty_and_single_shapes(n_pts, n_rows):
+    rng = np.random.default_rng(7)
+    px, py, tx, ty = _random_case(rng, n_pts, n_rows)
+    _assert_same_bits((px, py, tx, ty, H, 12, 24, 0.5))
+    assert kernels.gain_matrix(px, py, tx, ty, H, 12, 24, 0.5).shape == (
+        n_pts, n_rows)
+
+
+def _served_kernel_calls(monkeypatch, scene, mode, g, px, py):
+    """Per kernel call of one _serve(g, h = g) at (px, py): its arguments and
+    the number of cosines each axis factor was evaluated at, x then y."""
+    calls, kernel, factor = [], sim.gain_matrix, kernels._dirichlet_sq
+
+    def kernel_probe(*args):
+        calls.append((args, []))
+        return kernel(*args)
+
+    def factor_probe(ap, at, n):
+        calls[-1][1].append(at.size)
+        return factor(ap, at, n)
+    monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
+    monkeypatch.setattr(kernels, "_dirichlet_sq", factor_probe)
+    sim._serve(scene, px, py, sim.codebook_for(scene, mode), g, g)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("mode, g, rows, n_cos", [
+    ("hex", 0, 13, [9, 5]), ("hex", 1, 20, [14, 7]), ("hex", 2, 10, [7, 5]),
+    ("hex", 3, 20, [14, 7]), ("dft", 0, 15, [9, 7])])
+def test_served_calls_share_axis_factors(scene, monkeypatch, mode, g, rows,
+                                         n_cos):
+    # the default scene's mirrored calls, rows as _serve builds them: each
+    # axis factor is evaluated once per distinct cosine, not once per row,
+    # and every gain keeps the per-row kernel's bits
+    xs = np.arange(-5.5e5, 5.6e5, 2.5e4)
+    ys = np.arange(0.0, 1.9e5, 2.5e4)
+    px, py = (a.ravel() for a in np.meshgrid(xs, ys))
+    calls = _served_kernel_calls(monkeypatch, scene, mode, g, px, py)
+    assert len(calls) == 1
+    (args, evaluated), = calls
+    assert args[2].size == rows
+    assert evaluated == n_cos
+    _assert_same_bits(args)
+    targets = sim.codebook_for(scene, mode).snapshot(g)[0]
+    _assert_same_bits((targets[:, 0], targets[:, 1], *args[2:]))
