@@ -22,6 +22,7 @@ import functools
 import hashlib
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -159,23 +160,25 @@ def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
                    *np.concatenate(b.targets).T) for b in (scene.hex, scene.dft))
     emit.write("cycle.csv", write_csv,
                "iteration,beam_id,rf_chain,target_x_m,target_y_m",
-               "%d,%d,%d,%.3f,%.3f\n", column_blocks(*cycle))
+               column_blocks("%d,%d,%d,%.3f,%.3f\n", *cycle))
     emit.write("dft_grid.csv", write_csv, "beam_id,rf_chain,target_x_m,target_y_m",
-               "%d,%d,%.3f,%.3f\n", column_blocks(*dft[1:]))
+               column_blocks("%d,%d,%.3f,%.3f\n", *dft[1:]))
     if args.phases:
-        # one block per beam: the (element_index, phase) rows of its chain
+        # one block per beam: the (element_index, phase) rows of its chain,
+        # with the beam's iteration and ID baked into the row format
         tables = ((k, b, phase_table([x, y], scene.geometry, c, scene.h_sat))
                   for k, b, c, x, y in zip(*(a.tolist() for a in cycle)))
         emit.write("phases.csv", write_csv,
-                   "iteration,beam_id,element_index,phase_radians", "%d,%d,%d,%.9f\n",
-                   (([k] * len(t), [b] * len(t), *zip(*t)) for k, b, t in tables))
+                   "iteration,beam_id,element_index,phase_radians",
+                   ((("%d,%d," % (k, b) + "%d,%.9f\n") * len(t),
+                     tuple(chain.from_iterable(t))) for k, b, t in tables))
     if args.channel_check:
         rng = np.random.default_rng(cfg.seed)
         sample = rician_sample((0.0, 0.0), scene.geometry, scene.h_sat,
                                scene.link, rng)
         emit.write("channel_check.csv", write_csv,
-                   "seed,matrix_fro,los_fro,scatter_fro", "%d,%.9e,%.9e,%.9e\n",
-                   [[[cfg.seed], *([v] for v in sample.fro_norms())]])
+                   "seed,matrix_fro,los_fro,scatter_fro",
+                   [("%d,%.9e,%.9e,%.9e\n", (cfg.seed, *sample.fro_norms()))])
 
 
 def _run_map(args, cfg, scene, emit: _Emitter) -> None:
@@ -213,8 +216,8 @@ def _run_handover(args, cfg, scene, emit: _Emitter) -> None:
         bad = dominance_violations(hmap, smap)
         # %d truncates the float counts as int() does
         emit.write("dominance_violations.csv", write_csv,
-                   "x_m,y_m,dynamic,static", "%.3f,%.3f,%d,%d\n",
-                   column_blocks(*bad.T))
+                   "x_m,y_m,dynamic,static",
+                   column_blocks("%.3f,%.3f,%d,%d\n", *bad.T))
         if len(bad):
             print(f"warning: {len(bad)} grid cells hand over more often "
                   f"dynamically than statically (see dominance_violations.csv)",

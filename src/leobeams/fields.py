@@ -1,13 +1,14 @@
 """Output containers: gridded maps, pass time series, CDF curves.
 
 Every CSV the package writes goes through one writer, `write_csv(path,
-header, fmt, blocks)`. Callers hand it blocks of equal-length columns of
-Python values, never lines; the writer formats each block with one fixed
-`%` row format and writes it at once, so identical inputs produce
-byte-identical files. `column_blocks` cuts arrays into blocks of
-`BLOCK_LINES` rows, so transient memory is one block however large the map
-or series. Maps can also render to binary PPM (P6), an uncompressed raster
-any image viewer opens.
+header, blocks)`. A block is a row format plus a flat tuple of Python
+values, never lines; the writer formats it with one `%` call and writes it
+at once, so identical inputs produce byte-identical files. A column that
+repeats across a block's rows is baked into its format instead of passed as
+values: a map's x and y labels, a phase table's iteration and beam.
+`column_blocks` cuts arrays into blocks of `BLOCK_LINES` rows, so transient
+memory is one block however large the map or series. Maps can also render
+to binary PPM (P6), an uncompressed raster any image viewer opens.
 
 Color ramp (fixed, linear between anchors on the normalized value t):
     t=0.00 -> ( 20,  20, 120)   deep blue
@@ -39,24 +40,25 @@ _RAMP_RGB = np.array([
 NODATA_RGB = (80, 80, 80)
 
 
-def write_csv(path, header: str, fmt: str, blocks) -> None:
-    """Write `header` and then every block to path, one row per index.
+def write_csv(path, header: str, blocks) -> None:
+    """Write `header` and then every block to path.
 
-    A block is a sequence of equal-length columns of Python values; its rows
-    are formatted by the row format `fmt` (ending in a newline) in one `%`
-    call and written at once.
+    A block is a pair (fmt, values): `fmt` holds the block's rows, each
+    ending in a newline, and is written as `fmt % values` in one call.
     """
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for cols in blocks:
-            fh.write((fmt * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))
+        for fmt, values in blocks:
+            fh.write(fmt % values)
 
 
-def column_blocks(*arrays):
-    """The equal-length arrays as write_csv blocks of `BLOCK_LINES` rows,
-    each column slice converted by `.tolist()`."""
+def column_blocks(row_fmt: str, *arrays):
+    """The equal-length arrays as write_csv blocks of `BLOCK_LINES` rows:
+    `row_fmt` repeated once per row over the rows' values in order, each
+    column slice converted by `.tolist()`."""
     for i in range(0, len(arrays[0]), BLOCK_LINES):
-        yield [a[i:i + BLOCK_LINES].tolist() for a in arrays]
+        cols = [a[i:i + BLOCK_LINES].tolist() for a in arrays]
+        yield row_fmt * len(cols[0]), tuple(chain.from_iterable(zip(*cols)))
 
 
 def color_ramp(t) -> np.ndarray:
@@ -86,15 +88,18 @@ class FieldMap:
     def to_csv(self, path) -> None:
         """Write rows x_m,y_m,value (y outer, x inner); no-data cells as nan.
 
-        Each x and y is formatted once; a block is whole grid rows.
+        A block is whole grid rows. One row template holds the x labels and
+        a `Y` where each row's y label goes, so only the values are
+        formatted per cell. `Y` never occurs in a "%.3f" label (digits,
+        `.`, `-`, `inf`, `nan`) nor in `%.6f`.
         """
-        xs = ["%.3f" % x for x in self.xs.tolist()]
+        row = "".join("%.3f,Y,%%.6f\n" % x for x in self.xs.tolist())
         ys = ["%.3f" % y for y in self.ys.tolist()]
-        step = max(1, BLOCK_LINES // max(1, len(xs)))
-        write_csv(path, "x_m,y_m,value", "%s,%s,%.6f\n",
-                  ((xs * len(rows), [y for y in rows for _ in xs],
-                    self.values[i:i + step].ravel().tolist())
-                   for i in range(0, len(ys), step) for rows in [ys[i:i + step]]))
+        step = max(1, BLOCK_LINES // max(1, self.xs.size))
+        write_csv(path, "x_m,y_m,value",
+                  (("".join([row.replace("Y", y) for y in ys[i:i + step]]),
+                    tuple(self.values[i:i + step].ravel().tolist()))
+                   for i in range(0, len(ys), step)))
 
     def to_ppm(self, path) -> None:
         """Render to binary PPM; +y is the top image row, +x the right column.
@@ -133,8 +138,9 @@ class TimeSeries:
         return int(np.count_nonzero(ids[1:] != ids[:-1]))
 
     def to_csv(self, path) -> None:
-        write_csv(path, "t_s,serving_id,snr_db", "%.6f,%d,%.6f\n",
-                  column_blocks(self.t_s, self.serving_id, self.metric_db))
+        write_csv(path, "t_s,serving_id,snr_db",
+                  column_blocks("%.6f,%d,%.6f\n", self.t_s, self.serving_id,
+                                self.metric_db))
 
 
 @dataclass(frozen=True)
@@ -163,5 +169,5 @@ def write_cdf_set(path, curves: list[CdfCurve]) -> None:
     if not all(np.array_equal(c.thresholds_db, base) for c in curves[1:]):
         raise ValueError("curves must share the same threshold grid")
     write_csv(path, "threshold_db," + ",".join(f"prob_{c.label}" for c in curves),
-              "%.6f" + ",%.6f" * len(curves) + "\n",
-              column_blocks(base, *(c.probs for c in curves)))
+              column_blocks("%.6f" + ",%.6f" * len(curves) + "\n",
+                            base, *(c.probs for c in curves)))

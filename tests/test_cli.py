@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from leobeams import cli
-from leobeams.config import SceneConfig, build_scene, load_config
+from leobeams.codebook import phase_table
+from leobeams.config import SceneConfig, apply_overrides, build_scene, load_config
 from leobeams.geometry import Roi
 from leobeams.simulate import roi_grid
 
@@ -112,6 +113,28 @@ def test_codebook_outputs(tmp_path):
                        ("phases.csv", PHASES_SHA256),
                        ("channel_check.csv", CHANNEL_CHECK_SHA256)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+
+
+def _phases_oracle(scene):
+    # one f-string per line over phase_table's rows, in the CLI's beam order:
+    # iteration, then ascending beam ID
+    out = ["iteration,beam_id,element_index,phase_radians\n"]
+    cb = scene.hex
+    for k in range(cb.cycle_len):
+        for b, c, target in zip(cb.ids[k].tolist(), cb.rf[k].tolist(),
+                                cb.targets[k].tolist()):
+            for e, phase in phase_table(target, scene.geometry, c, scene.h_sat):
+                out.append(f"{k},{b},{e},{phase:.9f}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("overrides", [
+    [], ["subarray_nx=8", "subarray_ny=12", "n_rf=14"]])
+def test_phases_match_per_line_oracle(tmp_path, overrides):
+    argv = ["codebook", "--phases", "--out", tmp_path]
+    assert _run(argv + [a for kv in overrides for a in ("--set", kv)]) == 0
+    want = _phases_oracle(build_scene(apply_overrides(SceneConfig(), overrides)))
+    assert (tmp_path / "phases.csv").read_bytes() == want.encode()
 
 
 def test_channel_check_memory_stays_below_one_dense_matrix(tmp_path):

@@ -194,20 +194,26 @@ def test_writers_match_per_cell_oracle(tmp_path_factory, data):
 
 def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch):
     # a whole-file join, or whole-column lists, would hold every row at once;
-    # the writer holds one block of rows (its column values, their tuple, the
-    # formatted text and its encoded bytes), and a map also its formatted x
-    # and y labels: well under 512 B per line
+    # the writer holds one block of rows (its values, their tuple, the
+    # formatted text and its encoded bytes), and a map also its row
+    # template: well under 512 B per line of a block
     monkeypatch.setattr(fields, "BLOCK_LINES", 256)
     n = 2**16
     ts = fields.TimeSeries(t_s=np.arange(n) * 0.05,
                            serving_id=np.arange(n) % 13,
                            metric_db=np.sin(np.arange(n)) * 20.0)
-    # 100 cells a grid row: a block is two whole rows
-    fmap = fields.FieldMap(xs=np.arange(100) * 2000.0,
-                           ys=np.arange(n // 100) * -2000.0,
-                           values=np.sin(np.arange(n // 100 * 100)).reshape(
-                               n // 100, 100) * 20.0)
-    for name, out in (("ts.csv", ts), ("map.csv", fmap)):
+
+    def grid(nx):
+        ny = n // nx
+        return fields.FieldMap(xs=np.arange(nx) * 2000.0,
+                               ys=np.arange(ny) * -2000.0,
+                               values=np.sin(np.arange(ny * nx)).reshape(
+                                   ny, nx) * 20.0)
+
+    # 100 cells a grid row: a block is two whole rows, 200 lines; 300 cells
+    # a row is wider than a block, so a block is one row of 300 lines
+    for name, out, lines in (("ts.csv", ts, 256), ("map.csv", grid(100), 200),
+                             ("wide.csv", grid(300), 300)):
         tracemalloc.start()
         try:
             out.to_csv(tmp_path / name)
@@ -215,4 +221,4 @@ def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         size = (tmp_path / name).stat().st_size
-        assert peak < 512 * fields.BLOCK_LINES < size / 8, name
+        assert peak < 512 * lines < size / 8, name
