@@ -170,15 +170,17 @@ def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
                   for k, b, c, x, y in zip(*(a.tolist() for a in cycle)))
         emit.write("phases.csv", write_csv,
                    "iteration,beam_id,element_index,phase_radians",
-                   ((("%d,%d," % (k, b) + "%d,%.9f\n") * len(t),
-                     tuple(chain.from_iterable(t))) for k, b, t in tables))
+                   ((("%d,%d," % (k, b) + "%d,%.9f\n") * len(t)
+                     % tuple(chain.from_iterable(t))).encode("ascii")
+                    for k, b, t in tables))
     if args.channel_check:
         rng = np.random.default_rng(cfg.seed)
         sample = rician_sample((0.0, 0.0), scene.geometry, scene.h_sat,
                                scene.link, rng)
         emit.write("channel_check.csv", write_csv,
                    "seed,matrix_fro,los_fro,scatter_fro",
-                   [("%d,%.9e,%.9e,%.9e\n", (cfg.seed, *sample.fro_norms()))])
+                   [("%d,%.9e,%.9e,%.9e\n"
+                     % (cfg.seed, *sample.fro_norms())).encode("ascii")])
 
 
 def _run_map(args, cfg, scene, emit: _Emitter) -> None:

@@ -1,14 +1,19 @@
 """Output containers: gridded maps, pass time series, CDF curves.
 
 Every CSV the package writes goes through one writer, `write_csv(path,
-header, blocks)`. A block is a row format plus a flat tuple of Python
-values, never lines; the writer formats it with one `%` call and writes it
-at once, so identical inputs produce byte-identical files. A column that
-repeats across a block's rows is baked into its format instead of passed as
-values: a map's x and y labels, a phase table's iteration and beam.
-`column_blocks` cuts arrays into blocks of `BLOCK_LINES` rows, so transient
-memory is one block however large the map or series. Maps can also render
-to binary PPM (P6), an uncompressed raster any image viewer opens.
+header, blocks)`, and each block is whole lines of rendered ASCII bytes, so
+identical inputs produce byte-identical files. `column_blocks` renders the
+series, CDF and codebook CSVs with one `%` call per block of `BLOCK_LINES`
+rows: at a few hundred rows each, numpy's per-call cost would not pay. A
+map's values are rendered in numpy instead, by `fixed6_lines`, which gives
+exactly the bytes of `"%.6f" % v`: the integer part and the fraction of |v|
+are both exact, the fraction times 10**6 is rounded half to even with the
+exact error of that product deciding the rare rounded halves, a rounded
+fraction of 10**6 carries into the integer part, and the sign is the sign
+bit, so -0.0 prints as -0.000000. Only finite |v| >= 2**53 go through `%`,
+one value at a time. Transient memory is one block however large the map
+or series. Maps can also render to binary PPM (P6), an uncompressed raster
+any image viewer opens.
 
 Color ramp (fixed, linear between anchors on the normalized value t):
     t=0.00 -> ( 20,  20, 120)   deep blue
@@ -41,24 +46,135 @@ NODATA_RGB = (80, 80, 80)
 
 
 def write_csv(path, header: str, blocks) -> None:
-    """Write `header` and then every block to path.
-
-    A block is a pair (fmt, values): `fmt` holds the block's rows, each
-    ending in a newline, and is written as `fmt % values` in one call.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for fmt, values in blocks:
-            fh.write(fmt % values)
+    """Write `header` and then every block to path; a block is ASCII bytes
+    of whole lines, each ending in a newline."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def column_blocks(row_fmt: str, *arrays):
     """The equal-length arrays as write_csv blocks of `BLOCK_LINES` rows:
-    `row_fmt` repeated once per row over the rows' values in order, each
-    column slice converted by `.tolist()`."""
+    `row_fmt` repeated once per row, formatted by one `%` over the rows'
+    values in order, each column slice converted by `.tolist()`."""
     for i in range(0, len(arrays[0]), BLOCK_LINES):
         cols = [a[i:i + BLOCK_LINES].tolist() for a in arrays]
-        yield row_fmt * len(cols[0]), tuple(chain.from_iterable(zip(*cols)))
+        yield (row_fmt * len(cols[0])
+               % tuple(chain.from_iterable(zip(*cols)))).encode("ascii")
+
+
+def _ascii_words(text: str) -> np.ndarray:
+    """ASCII text, a multiple of 4 bytes long, as uint32 words."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint32)
+
+
+# Digit tables as 4-byte ASCII words, indexed by value. A NUL byte pads a
+# field and is dropped when a block is written.
+_DIGIT_BYTES = np.uint8(ord("0")) + np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T)
+_DIGITS = _DIGIT_BYTES.view(np.uint32).ravel()            # "0042"
+# the same without leading zeros ("\0\042"), 0 as four NULs ...
+_LEADING = (_DIGIT_BYTES * (np.arange(10**4)[:, None] >= [1000, 100, 10, 1])
+            ).view(np.uint32).ravel()
+# ... and for the units group, where 0 prints as "0"
+_UNITS = _LEADING.copy()
+_UNITS[0] = _ascii_words("\0\0\0" "0")[0]
+# the six fraction digits as two words, ".ddd" and "ddd\n"
+_FRAC_HI = _DIGIT_BYTES[:1000].copy()
+_FRAC_HI[:, 0] = ord(".")
+_FRAC_LO = np.roll(_DIGIT_BYTES[:1000], -1, axis=1)
+_FRAC_LO[:, 3] = ord("\n")
+_FRAC_HI, _FRAC_LO = (t.view(np.uint32).ravel() for t in (_FRAC_HI, _FRAC_LO))
+_MINUS = _ascii_words("\0\0\0-")
+_NAN, _INF, _NEWLINE = _ascii_words("\0nan" "\0inf" "\0\0\0\n")
+_TWO53 = 2.0**53
+_SPLIT = 2.0**27 + 1.0  # Veltkamp: x * _SPLIT splits x into two 26-bit halves
+
+
+def _label_words(values) -> np.ndarray:
+    """Each value as `"%.3f,"`, NUL-padded to whole uint32 words, one row
+    per value."""
+    labels = np.array(["%.3f," % v for v in values.tolist()], dtype=bytes)
+    width = -(-labels.itemsize // 4) * 4
+    return labels.astype(f"S{width}").view(np.uint32).reshape(
+        len(labels), width // 4)
+
+
+def fixed6_lines(values, *labels) -> bytes:
+    """The line `<labels> + "%.6f" % v + "\n"` of each value, in C order, as
+    ASCII bytes.
+
+    Each label array is uint32 words of NUL-padded ASCII that broadcast,
+    with their own last axis, over `values`' shape. A line is assembled as
+    words: the labels, a sign, the integer part in groups of four digits
+    and the fraction in two words; the NUL padding is dropped at the end.
+    Never computes on NaN or inf, so it runs under
+    `np.errstate(invalid="raise")`.
+    """
+    values = np.asarray(values, dtype=float)
+    shape, values = values.shape, values.ravel()
+    finite = np.isfinite(values)
+    mag = np.where(finite, np.abs(values), 0.0)
+    big = np.flatnonzero(mag >= _TWO53)  # may hold more than 2**53 digits
+    mag[big] = 0.0
+    whole = np.floor(mag)
+    frac = mag - whole                   # exact, as is whole
+    prod = frac * 1e6
+    micros = np.rint(prod)               # half to even on the rounded product
+    # The product's error is under half an ulp, and a rounded product that
+    # is not a half is at least an ulp from one, so it rounds as the exact
+    # product does. Where it is a half, the exact product may not be:
+    # Dekker's two-product gives its error exactly (numpy has no fma;
+    # 10**6 = 999424 + 576 is already split), and the error's sign decides.
+    half = np.flatnonzero(np.abs(prod - micros) == 0.5)
+    if half.size:
+        f, p = frac[half], prod[half]
+        t = f * _SPLIT
+        hi = t - (t - f)
+        lo = f - hi
+        err = ((hi * 999424.0 - p) + hi * 576.0 + lo * 999424.0) + lo * 576.0
+        up = np.sign(p - micros[half]) == np.sign(err)
+        micros[half] += np.where(up, np.sign(err), 0.0)
+    carry = micros == 1e6
+    whole += carry
+    micros[carry] = 0.0
+
+    whole = whole.astype(np.int64)
+    groups = 1 + int(np.count_nonzero(
+        whole.max(initial=0) >= np.array([10**4, 10**8, 10**12])))
+    w = sum(lab.shape[-1] for lab in labels)
+    lines = np.empty(shape + (w + groups + 3,), dtype=np.uint32)
+    col = 0
+    for lab in labels:
+        lines[..., col:col + lab.shape[-1]] = lab
+        col += lab.shape[-1]
+    lines = lines.reshape(values.size, lines.shape[-1])
+    lines[:, w] = np.signbit(values) * _MINUS
+    lead = True  # no nonzero digit group yet
+    for g in range(groups - 1, 0, -1):
+        digits, whole = np.divmod(whole, 10**(4 * g))
+        lines[:, -3 - g] = np.where(lead, _LEADING[digits], _DIGITS[digits])
+        lead = lead & (digits == 0)
+    lines[:, -3] = (_UNITS[whole] if groups == 1
+                    else np.where(lead, _UNITS[whole], _DIGITS[whole]))
+    fhi, flo = np.divmod(micros.astype(np.intp), 1000)
+    lines[:, -2] = _FRAC_HI[fhi]
+    lines[:, -1] = _FRAC_LO[flo]
+    # a NaN or inf was rendered as 0.000000, signed by its sign bit
+    odd = np.flatnonzero(~finite)
+    inf = np.isinf(values[odd])
+    lines[odd, w] *= inf                 # nan prints unsigned
+    lines[odd, -3] = np.where(inf, _INF, _NAN)
+    lines[odd, -2] = 0
+    lines[odd, -1] = _NEWLINE
+    out, start = [], 0
+    for i in big.tolist():
+        out += [lines[start:i].tobytes(), lines[i, :w].tobytes(),
+                b"%.6f\n" % values[i]]
+        start = i + 1
+    out.append(lines[start:].tobytes())
+    return b"".join(out).translate(None, b"\0")
 
 
 def color_ramp(t) -> np.ndarray:
@@ -88,18 +204,14 @@ class FieldMap:
     def to_csv(self, path) -> None:
         """Write rows x_m,y_m,value (y outer, x inner); no-data cells as nan.
 
-        A block is whole grid rows. One row template holds the x labels and
-        a `Y` where each row's y label goes, so only the values are
-        formatted per cell. `Y` never occurs in a "%.3f" label (digits,
-        `.`, `-`, `inf`, `nan`) nor in `%.6f`.
+        A block is whole grid rows. The x and y labels are rendered once
+        per map, the values per block by `fixed6_lines`.
         """
-        row = "".join("%.3f,Y,%%.6f\n" % x for x in self.xs.tolist())
-        ys = ["%.3f" % y for y in self.ys.tolist()]
+        xw, yw = _label_words(self.xs), _label_words(self.ys)[:, None]
         step = max(1, BLOCK_LINES // max(1, self.xs.size))
         write_csv(path, "x_m,y_m,value",
-                  (("".join([row.replace("Y", y) for y in ys[i:i + step]]),
-                    tuple(self.values[i:i + step].ravel().tolist()))
-                   for i in range(0, len(ys), step)))
+                  (fixed6_lines(self.values[i:i + step], xw, yw[i:i + step])
+                   for i in range(0, self.ys.size, step)))
 
     def to_ppm(self, path) -> None:
         """Render to binary PPM; +y is the top image row, +x the right column.

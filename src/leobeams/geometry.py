@@ -55,7 +55,8 @@ class Roi:
     semi_y: float
 
     def __post_init__(self):
-        if self.semi_x <= 0 or self.semi_y <= 0:
+        # `not > 0` also refuses NaN, which no point would be inside
+        if not (self.semi_x > 0 and self.semi_y > 0):
             raise ValueError("Roi semi-radii must be positive")
 
     def contains(self, x, y):

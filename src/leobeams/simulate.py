@@ -506,8 +506,8 @@ def dominance_violations(dynamic_map: FieldMap,
     slightly while a point crosses. Rows are (x_m, y_m, dynamic, static) so
     callers can report rather than silently tolerate them.
     """
-    if (dynamic_map.xs.size != static_map.xs.size
-            or dynamic_map.ys.size != static_map.ys.size):
+    if not (np.array_equal(dynamic_map.xs, static_map.xs)
+            and np.array_equal(dynamic_map.ys, static_map.ys)):
         raise ValueError("maps must share the same grid")
     d, s = dynamic_map.values, static_map.values
     iy, ix = np.nonzero(np.isfinite(d) & np.isfinite(s) & (d > s))

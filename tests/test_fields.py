@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -138,9 +139,13 @@ def _cdf_set_oracle(curves):
     return "".join(out)
 
 
-# -4e-7 prints as -0.000000; 5e-324 and 1e-310 are subnormal
+# -4e-7 prints as -0.000000; 5e-324 and 1e-310 are subnormal; 0.0078125
+# and -0.0234375 are exact binary ties at the sixth decimal; 2.5e-6 and
+# 1.0000005 are decimal halves that are not binary ties; 0.9999995 carries
 _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -4e-7, 4e-7, 1e300,
-            -1e300, 5e-324, -1e-310, 3.0, -17.0, 2.0**53, 0.0005, -0.0005]
+            -1e300, 5e-324, -1e-310, 3.0, -17.0, 2.0**53, 0.0005, -0.0005,
+            0.0078125, -0.0234375, 2.5e-6, 0.9999995, 1.0000005,
+            2.0**53 - 1]
 _values = st.one_of(st.sampled_from(_SPECIAL),
                     st.floats(allow_nan=True, allow_infinity=True),
                     st.integers(-10**6, 10**6).map(float))
@@ -194,9 +199,10 @@ def test_writers_match_per_cell_oracle(tmp_path_factory, data):
 
 def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch):
     # a whole-file join, or whole-column lists, would hold every row at once;
-    # the writer holds one block of rows (its values, their tuple, the
-    # formatted text and its encoded bytes), and a map also its row
-    # template: well under 512 B per line of a block
+    # the writer holds one block of rows (a series its values, their tuple,
+    # the formatted text and its bytes; a map its values' numpy temporaries,
+    # the block's line words and their bytes), and a map also its x and y
+    # labels: well under 512 B per line of a block
     monkeypatch.setattr(fields, "BLOCK_LINES", 256)
     n = 2**16
     ts = fields.TimeSeries(t_s=np.arange(n) * 0.05,
@@ -222,3 +228,38 @@ def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch):
             tracemalloc.stop()
         size = (tmp_path / name).stat().st_size
         assert peak < 512 * lines < size / 8, name
+
+
+def test_fixed6_lines_match_percent_format():
+    # a million values in one pass, against "%.6f" one value at a time
+    rng = np.random.default_rng(20261019)
+    n = 200_000
+    sign = rng.choice([-1.0, 1.0], n)
+    values = np.concatenate([
+        rng.uniform(-40.0, 40.0, n),
+        sign * 10.0 ** rng.uniform(-12.0, 15.0, n),
+        # decimal halves at the seventh decimal, such as 1.2345675, with
+        # 1 to 12 digits: the correctly rounded quotient is float() of the
+        # decimal string
+        sign * (np.floor(10.0 ** rng.uniform(0.0, 12.0, n)) + 0.5) / 1e6,
+        # binary ties and near-ties j / 2**k (k = 7 ties at 10**-6)
+        sign * (rng.integers(1, 2**20, n) * 2 + 1)
+        / 2.0 ** rng.integers(1, 41, n),
+        # just below n + 1, where the rounded fraction carries (or not)
+        rng.integers(0, 10**9, n) + 1.0 - rng.choice(
+            [5e-7, 4.99999e-7, 5.00001e-7, 1e-7, 2.0**-30, 1e-16], n),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 2.0**53 - 1,
+         -(2.0**53 - 1), 2.0**53, -(2.0**53), 1e300, -1e300, math.nan,
+         math.inf, -math.inf, 0.9999995, 1.0000005, float("1.2345675")],
+    ])
+    want = ("%.6f\n" * values.size % tuple(values.tolist())).encode()
+    t0 = time.perf_counter()
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = fields.fixed6_lines(values)
+    elapsed = time.perf_counter() - t0
+    if got != want:
+        wrong = [(v, g, w) for v, g, w in zip(
+            values.tolist(), got.split(b"\n"), want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(wrong)} values render wrong, e.g. {wrong[:5]}")
+    assert elapsed < 2.0
+

@@ -73,3 +73,6 @@ def test_roi_rejects_bad_radii():
         geo.Roi(-1.0, 1.0)
     with pytest.raises(ValueError):
         geo.Roi(1.0, 0.0)
+    for semi in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            geo.Roi(*semi)

@@ -778,6 +778,12 @@ def test_dominance_requires_matching_grids(scene):
     b = FieldMap(xs=np.arange(4.0), ys=np.arange(2.0), values=np.zeros((2, 4)))
     with pytest.raises(ValueError):
         sim.dominance_violations(a, b)
+    # same shape on other axes: each cell would be compared with another
+    # point's count and reported at the first map's coordinates
+    c = FieldMap(xs=np.arange(3.0) * 10.0, ys=np.arange(2.0) + 7.0,
+                 values=np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        sim.dominance_violations(c, a)
 
 
 def test_maps_are_deterministic(scene):
