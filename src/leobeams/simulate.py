@@ -28,12 +28,14 @@ rounding). So a beam's gain at a mirrored point is the kernel's value at the
 point itself toward the beam's mirrored target. `_serve` applies this one
 rule: it answers the mirror images of (px, |py|) from one kernel call over
 the distinct signed targets they need, which for a codebook closed under a
-flip are its own targets. Maps fill the quadrant x >= 0, y >= 0 and write
-all four images, sweeps run the rows y >= 0, a single point takes the side
-matching the sign of its y, and the dynamic handover map pairs point x at
-update index g with -x at -g, whose satellite-frame positions are negatives
-of each other, in one `_serve` call per update index of a block; the
-dynamic series runs a loop of its own, held to the same counts by tests.
+flip are its own targets, and the sides that read the same rows share one
+max walk over them; only the SINR fill asks it for the interferer sums.
+Maps fill the quadrant x >= 0, y >= 0 and write all four images, sweeps run
+the rows y >= 0, a single point takes the side matching the sign of its y,
+and the dynamic handover map pairs point x at update index g with -x at -g,
+whose satellite-frame positions are negatives of each other, in one
+`_serve` call per update index of a block; the dynamic series runs a loop
+of its own, held to the same counts by tests.
 """
 
 from __future__ import annotations
@@ -119,12 +121,31 @@ def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
                        g.subarray_ny, g.spacing)
 
 
-def _serve(scene: Scene, px, py, book: Codebook, g: int,
-           h: int = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _max_walk(gains: np.ndarray,
+              rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running max over gains' rows in the order listed: the max at each
+    point, the position in rows of its first maximal row, and a mask of the
+    points where a row equalled the running max at its turn, which holds
+    every point where two rows tie at the max (and may hold a few more)."""
+    k = np.zeros(gains.shape[1], dtype=np.intp)
+    best = gains[rows[0]].copy()
+    tie = np.zeros(best.shape, dtype=bool)
+    for b in range(1, len(rows)):
+        row = gains[rows[b]]
+        tie |= row == best
+        k[row > best] = b
+        np.maximum(best, row, out=best)
+    return best, k, tie
+
+
+def _serve(scene: Scene, px, py, book: Codebook, g: int, h: int = None,
+           interference: bool = True) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray | None]:
     """Serving ID, serving gain and summed interferer gain of book's global
     iteration g at (px, |py|) and (px, -|py|), and with h, of iteration h at
     (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
-    points) with h, one row per side in that order.
+    points) with h, one row per side in that order. With interference False
+    the interferer sums are not formed and None takes their place.
 
     Max gain wins, exact ties go to the lowest ID. The kernel is odd in x and
     in y bit for bit, so beam j seen from (sx * px, sy * |py|) has the
@@ -138,44 +159,60 @@ def _serve(scene: Scene, px, py, book: Codebook, g: int,
 
     The kernel is called on the distinct rows for slices of KERNEL_EVALS //
     rows points (at least one); its transpose has one contiguous row per
-    target. Each side walks its own beams in ascending-ID order, reading
-    each beam's row: a later beam takes the point only with a strictly
-    larger gain, so ties stay on the lowest ID, and the summed gain adds the
-    rows in that same order, one sequential sum per point; the interferer
-    sum is that total less the serving gain. So each side replays, bit for
-    bit, the walk a direct evaluation at its points would make, whatever the
-    slicing. Walking the rows in their own order and mapping the winner back
-    would break ties, and add the sum, in another order. An iteration with
-    no beams raises ValueError.
+    target. Sides whose beams read the same set of rows share one
+    `_max_walk` over that set: both y sides always, and all four where the
+    codebook is closed under the x-flip; sets are compared exactly, never
+    by size. The max is exact in any order, so it is every sharing side's
+    serving gain, and each side maps the first maximal row to its lowest ID
+    on that row. At the points the walk marks as possible ties, each side
+    takes instead the lowest of its IDs on the rows equal to the max, so
+    ties go to the lowest ID on every side, wrapped IDs included. The
+    interferer sum adds each side's rows in its own ascending-ID order, one
+    sequential sum per point, less the serving gain. So each side gets, bit
+    for bit, what a direct walk over its beams at its points would give,
+    whatever the slicing. An iteration with no beams raises ValueError.
     """
-    walks, rows = [], {}  # rows: signed target (x, y) -> kernel row
+    sides, rows = [], {}  # rows: signed target (x, y) -> kernel row
     for sx, it in ((1.0, g),) if h is None else ((1.0, g), (-1.0, h)):
         targets, ids = book.snapshot(it)
         if ids.size == 0:
             raise ValueError(f"iteration {it} has no beams in the ROI")
         tx = (sx * targets[:, 0]).tolist()
         for ty in (targets[:, 1].tolist(), (-targets[:, 1]).tolist()):
-            walks.append(([rows.setdefault(t, len(rows)) for t in zip(tx, ty)],
-                          ids))
+            sides.append(([rows.setdefault(t, len(rows)) for t in zip(tx, ty)],
+                          ids.tolist()))
+    walks = {}  # row set -> [its rows, [(side, its lowest ID on each row)]]
+    for side, (order, ids) in enumerate(sides):
+        walk, members = walks.setdefault(frozenset(order),
+                                         [list(dict.fromkeys(order)), []])
+        lowest = dict(zip(reversed(order), reversed(ids)))
+        members.append((side, np.array([lowest[r] for r in walk])))
     tx, ty = np.array(list(rows)).T
     px = np.asarray(px, dtype=float)
     py = np.abs(np.asarray(py, dtype=float))
-    sid = np.empty((len(walks), px.size), dtype=np.int64)
-    g_serve, interf = np.empty(sid.shape), np.empty(sid.shape)
+    sid = np.empty((len(sides), px.size), dtype=np.int64)
+    g_serve = np.empty(sid.shape)
+    interf = np.empty(sid.shape) if interference else None
     step = max(1, KERNEL_EVALS // tx.size)
     for a in range(0, px.size, step):
         s = slice(a, a + step)
         gains = _gains(scene, px[s], py[s], tx, ty).T
-        for side, (order, ids) in enumerate(walks):
-            k = np.zeros(gains.shape[1], dtype=np.intp)
-            best, total = gains[order[0]].copy(), gains[order[0]].copy()
-            for b in range(1, len(order)):
-                row = gains[order[b]]
-                k[row > best] = b
-                np.maximum(best, row, out=best)
-                total += row
-            sid[side, s] = ids[k]
-            g_serve[side, s], interf[side, s] = best, total - best
+        for walk, members in walks.values():
+            best, k, tie = _max_walk(gains, walk)
+            for side, ids in members:
+                sid[side, s], g_serve[side, s] = ids[k], best
+            c = np.flatnonzero(tie)
+            if c.size:  # each side's lowest ID among the rows at the max
+                hit = gains[np.ix_(walk, c)] == best[c]
+                for side, ids in members:
+                    sid[side, a + c] = np.where(hit, ids[:, None],
+                                                ids.max()).min(axis=0)
+        if interference:
+            for side, (order, _) in enumerate(sides):
+                total = gains[order[0]].copy()
+                for r in order[1:]:
+                    total += gains[r]
+                interf[side, s] = total - g_serve[side, s]
     return sid, g_serve, interf
 
 
@@ -183,7 +220,8 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
                  iteration: int = 0) -> tuple[int, float]:
     """Serving beam ID and its linear gain at one satellite-frame point."""
     sid, g, _ = _serve(scene, [point_xy[0]], [point_xy[1]],
-                       codebook_for(scene, mode), iteration)
+                       codebook_for(scene, mode), iteration,
+                       interference=False)
     side = int(point_xy[1] < 0)
     return int(sid[side, 0]), float(g[side, 0])
 
@@ -245,7 +283,8 @@ def _metric_fill(scene: Scene, metric: str, mode: str, iteration: int):
 
     def at(px, py):
         sid, g_serve, interf = _serve(scene, px, py, book, iteration,
-                                      iteration)
+                                      iteration,
+                                      interference=metric == "sinr")
         if metric == "cell":
             return sid
         dist = slant_range(px, py, scene.h_sat)
@@ -296,9 +335,9 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
     `cdf_from_map` over `coverage_map`.
     """
     curves = []
+    xs, ys = roi_grid(scene.roi, step, "grid_step_m")
     for mode in modes:
         fill = _metric_fill(scene, "sinr", mode, iteration)
-        xs, ys = roi_grid(scene.roi, step, "grid_step_m")
         n, above = 0, np.zeros(CDF_THRESHOLDS_DB.size, dtype=np.int64)
         for r, m, out in _roi_blocks(scene.roi, xs, ys, fill):
             # the sides that land on nodes of their own: y != 0, x != 0, both
@@ -373,7 +412,8 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 
     side = int(y < 0)
     if mode in ("static", "dft"):
-        sid, g_serve, _ = (a[side] for a in _serve(scene, sx, sy, book, 0))
+        sid, g_serve = (a[side] for a in _serve(scene, sx, sy, book, 0,
+                                                interference=False)[:2])
     else:
         # one event per iteration from the first sample's to the last one's,
         # so every sample is written by the event of its own iteration
@@ -381,8 +421,8 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         sid, g_serve = np.empty(ts.size, dtype=np.int64), np.empty(ts.size)
         for g in range(int(g_s[0]), int(g_s[-1]) + 1):
             t = ts[0] if g == g_s[0] else g * scene.lattice.t_c
-            held = _serve(scene, [x_g - scene.v_ground * t], [y], book,
-                          g)[0][side, 0]
+            held = _serve(scene, [x_g - scene.v_ground * t], [y], book, g,
+                          interference=False)[0][side, 0]
             at = np.flatnonzero(g_s == g)
             targets, ids = book.snapshot(g)
             tx, ty = targets[ids == held].T
@@ -392,7 +432,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
                 g_serve[i] = _gains(scene, sx[i], sy[i], tx, ty)[:, 0]
 
     metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
-    return TimeSeries(t_s=ts, serving_id=sid.astype(np.int64), metric_db=metric)
+    return TimeSeries(t_s=ts, serving_id=sid, metric_db=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +470,8 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
         keep = scene.roi.contains(sx, ys[r])
         row = np.append(row[-1], r[keep])
         sid = np.hstack([sid[:, -1:],
-                         _serve(scene, sx[keep], ys[row[1:]], book, 0)[0]])
+                         _serve(scene, sx[keep], ys[row[1:]], book, 0,
+                                interference=False)[0]])
         changed = (sid[:, 1:] != sid[:, :-1]) & (row[1:] == row[:-1])
         for c, k in zip(counts, changed):
             c += np.bincount(row[1:][k], minlength=ys.size)
@@ -472,7 +513,8 @@ def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
         sx = np.concatenate([px[both] - v * (g * t_c), px[ea] - v * t_in[ea],
                              -(-px[eb] - v * m_in[eb])])
         pts = np.concatenate([both, ea, eb])
-        sid = _serve(scene, sx, py[pts], scene.hex, g, -g)[0]
+        sid = _serve(scene, sx, py[pts], scene.hex, g, -g,
+                     interference=False)[0]
         # the columns each side associates at: its updates and its entries
         sec = np.repeat([0, 1, 2], [both.size, ea.size, eb.size])
         own = np.stack([sec == 1, sec == 2])

@@ -262,7 +262,8 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
     # rows 0 and 1 of _serve are the direct evaluator at (px, |py|) and
     # (px, -|py|); with any iteration h, whether or not it mirrors g, rows 2
     # and 3 are the direct evaluator under h at (-px, |py|) and (-px, -|py|),
-    # bit for bit: IDs, serving gains and interferer sums
+    # bit for bit: IDs, serving gains and interferer sums. A call that skips
+    # the sums gives the same IDs and gains, and no interferer array
     mode, g, h, px, py, evals, quantized = data.draw(_mirror_case(scene))
     kernel = sim.gain_matrix
     book = sim.codebook_for(scene, mode)
@@ -278,11 +279,17 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
         mp.setattr(sim, "KERNEL_EVALS", evals)
         paired = sim._serve(scene, px, py, book, g, h)
         halves = sim._serve(scene, px, py, book, g)
+        ids_only = [sim._serve(scene, px, py, book, g, mirror,
+                               interference=False) for mirror in (h, None)]
     for got, half, *sides in zip(paired, halves, *want, strict=True):
         assert got.shape == (4, px.size)
         assert np.array_equal(half, got[:2])
         for row, direct in zip(got, sides, strict=True):
             assert np.array_equal(row, direct)
+    for full, (sid, g_serve, interf) in zip((paired, halves), ids_only):
+        assert interf is None
+        assert sid.tobytes() == full[0].tobytes()
+        assert g_serve.tobytes() == full[1].tobytes()
 
 
 def _kernel_rows_per_serve(monkeypatch):
@@ -290,9 +297,9 @@ def _kernel_rows_per_serve(monkeypatch):
     it makes]."""
     calls, serve, kernel = [], sim._serve, sim.gain_matrix
 
-    def serve_probe(scene, px, py, book, g, *rest):
+    def serve_probe(scene, px, py, book, g, *rest, **kw):
         calls.append([g])
-        return serve(scene, px, py, book, g, *rest)
+        return serve(scene, px, py, book, g, *rest, **kw)
 
     def kernel_probe(px, py, tx, *args):
         calls[-1].append(tx.size)
@@ -322,6 +329,47 @@ def test_serve_of_a_codebook_open_under_both_mirrors_matches_direct_serve(
         assert np.array_equal(half, got[:2])
         for row, direct in zip(got, sides, strict=True):
             assert np.array_equal(row, direct)
+
+
+def _walks_per_kernel_call(monkeypatch):
+    """A list that fills, per kernel call, with the number of `_max_walk`
+    calls over its rows."""
+    counts, walk, kernel = [], sim._max_walk, sim.gain_matrix
+
+    def walk_probe(*args):
+        counts[-1] += 1
+        return walk(*args)
+
+    def kernel_probe(*args):
+        counts.append(0)
+        return kernel(*args)
+    monkeypatch.setattr(sim, "_max_walk", walk_probe)
+    monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
+    return counts
+
+
+def test_sides_that_read_one_row_set_share_one_walk(scene, monkeypatch):
+    # sides are grouped by the exact set of kernel rows they read: all four
+    # share one walk for the DFT grid and for hex (g, -g) at K = 4; hex k = 1
+    # with h = 1 has as many rows per side but two sets, and the 4-beam
+    # codebook open under both mirrors has one set per side. Each slice of
+    # points repeats its walks
+    px, py = _grid_points(scene, 25e3)
+    open_book = Codebook(targets=(np.array([[1e4, 5e3], [1e5, -5e4],
+                                            [-2e5, 3e4], [3e5, 1e5]]),),
+                         ids=(np.arange(4),), rf=(np.arange(4),), n_beams=4,
+                         advance=0)
+    cases = ([(scene.dft, 0, 0, 1)]
+             + [(scene.hex, g, -g, 1) for g in range(-4, 9)]
+             + [(scene.hex, 1, 1, 2), (scene.hex, 3, 3, 2),
+                (scene.hex, 1, None, 1), (open_book, 0, None, 2),
+                (open_book, 0, 0, 4)])
+    counts = _walks_per_kernel_call(monkeypatch)
+    monkeypatch.setattr(sim, "KERNEL_EVALS", 20 * px.size // 3)
+    for book, g, h, walks in cases:
+        counts.clear()
+        sim._serve(scene, px, py, book, g, h)
+        assert len(counts) > 1 and counts == [walks] * len(counts), (g, h)
 
 
 @pytest.fixture(scope="module")
