@@ -188,8 +188,10 @@ def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int,
 
     The grid is centered on the ROI with spacings shrink * (2*semi_x / cols,
     2*semi_y / rows); the construction is rejected unless exactly n_beams
-    lattice points fall inside the ellipse. A count whose grid would hold
-    more than MAX_LATTICE_NODES nodes is refused before the grid is laid out.
+    lattice points fall inside the ellipse, counted over a symmetric range
+    that covers the ROI box, so the grid is closed under x -> -x and
+    y -> -y. A count and shrink whose range would hold more than
+    MAX_LATTICE_NODES nodes are refused before the grid is laid out.
     """
     if n_beams < 1:
         raise ValueError("n_beams must be at least 1")
@@ -203,21 +205,23 @@ def dft_baseline(geometry: ArrayGeometry, roi: Roi, n_beams: int,
         raise ValueError(f"roi_semi_x_m / roi_semi_y_m = {roi.semi_x} / "
                          f"{roi.semi_y} leaves float range")
     cols, rows = _grid_shape(n_beams, aspect)
-    nodes = (2 * (cols // 2) + 5) * (2 * (rows // 2) + 5)
-    if nodes > MAX_LATTICE_NODES:
+    # an in-ROI node lies within cols / (2 shrink) spacings of the centre
+    # along x and rows / (2 shrink) along y: the symmetric range reaches one
+    # node past that, so "exactly n_beams inside" counts every in-ROI node
+    n_x, n_y = (float(np.ceil(c / (2.0 * shrink))) + 1 for c in (cols, rows))
+    nodes = (2 * n_x + cols % 2) * (2 * n_y + rows % 2)
+    if not nodes <= MAX_LATTICE_NODES:
         raise ValueError(f"dft_n_beams = {n_beams} lays out a {cols} x {rows} "
-                         f"grid of {nodes} nodes, more than {MAX_LATTICE_NODES}")
+                         f"grid of {nodes:.4g} nodes at dft_shrink = {shrink}, "
+                         f"more than {MAX_LATTICE_NODES}")
     s_x = shrink * 2.0 * roi.semi_x / cols
     s_y = shrink * 2.0 * roi.semi_y / rows
-    if not max((cols // 2 + 3) * s_x, (rows // 2 + 3) * s_y) < math.inf:
+    if not max(n_x * s_x, n_y * s_y) < math.inf:
         raise ValueError(f"dft_shrink = {shrink} puts the DFT grid out of "
                          f"float range")
-    # centered grid: integer multiples for odd counts, half-offsets for even;
-    # counted over an extended range so "exactly n_beams inside" is honest
-    half_x = 0.5 * ((cols + 1) % 2)
-    half_y = 0.5 * ((rows + 1) % 2)
-    i = np.arange(-(cols // 2 + 2), cols // 2 + 3, dtype=float) + half_x
-    j = np.arange(-(rows // 2 + 2), rows // 2 + 3, dtype=float) + half_y
+    # centered grid: integer multiples for odd counts, half-offsets for even
+    i, j = (np.arange(m) - (m - 1) / 2 for m in (int(2 * n_x) + cols % 2,
+                                                   int(2 * n_y) + rows % 2))
     gi, gj = np.meshgrid(i, j, indexing="ij")
     pts = np.column_stack([gi.ravel() * s_x, gj.ravel() * s_y])
     inside = pts[roi.contains(pts[:, 0], pts[:, 1])]

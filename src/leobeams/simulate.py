@@ -31,15 +31,17 @@ the distinct signed targets they need, which for a codebook closed under a
 flip are its own targets, and the sides that read the same rows share one
 max walk over them; only the SINR fill asks it for the interferer sums.
 Maps fill the quadrant x >= 0, y >= 0 and write all four images, sweeps run
-the rows y >= 0, a single point takes the side matching the sign of its y,
-and the dynamic handover map pairs point x at update index g with -x at -g,
-whose satellite-frame positions are negatives of each other, in one
-`_serve` call per update index of a block; the dynamic series runs a loop
-of its own, held to the same counts by tests.
+the rows y >= 0, and a single point takes the side matching the sign of its
+y. The dynamic codebook's association events pair point x at update index g
+with -x at -g, whose satellite-frame positions are negatives of each other,
+in one `_serve` call per update index: `_dynamic_events` is the one schedule
+of that policy, which the handover map runs over a block of points and the
+pass series over its one point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -376,11 +378,11 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 
     Samples run from t_start at spacing dt (default scene.dt) while the point
     is inside the ROI, up to its exit or the end of duration. Dynamic mode
-    associates at the first sample and at each update instant tau = g * t_c
-    up to the last, and a sample reports the beam held since then: the
-    handover map's event rule, with the first and last samples as the window,
-    so a series ending before the window's final tau can show one change
-    fewer than `handover_map`.
+    runs the handover map's `_dynamic_events` with the first and last
+    samples as the window: it associates at the first sample and at each
+    update instant tau = g * t_c up to the last, and a sample reports the
+    beam held since then, so a series ending before the window's final tau
+    can show one change fewer than `handover_map`.
     """
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
@@ -412,23 +414,26 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 
     side = int(y < 0)
     if mode in ("static", "dft"):
-        sid, g_serve = (a[side] for a in _serve(scene, sx, sy, book, 0,
-                                                interference=False)[:2])
+        sid, g_serve, _ = _serve(scene, sx, sy, book, 0, interference=False)
+        sid, g_serve = sid[side].copy(), g_serve[side]  # a row, not a view
     else:
-        # one event per iteration from the first sample's to the last one's,
-        # so every sample is written by the event of its own iteration
+        # the handover map's events for this one point, with its first and
+        # last samples as the window; g_s never decreases, so each index's
+        # samples are one slice of ts. zip takes the next cut before the next
+        # event, and the cuts end at the last sample's index, so the index
+        # past it, where only the x-mirror associates, is never served
         g_s = _iteration(scene, ts)
+        cuts = np.searchsorted(g_s, np.arange(g_s[0], g_s[-1] + 2)).tolist()
+        events = _dynamic_events(scene, np.array([x_g]), sy[:1], ts[:1],
+                                 ts[-1:])
         sid, g_serve = np.empty(ts.size, dtype=np.int64), np.empty(ts.size)
-        for g in range(int(g_s[0]), int(g_s[-1]) + 1):
-            t = ts[0] if g == g_s[0] else g * scene.lattice.t_c
-            held = _serve(scene, [x_g - scene.v_ground * t], [y], book, g,
-                          interference=False)[0][side, 0]
-            at = np.flatnonzero(g_s == g)
-            targets, ids = book.snapshot(g)
-            tx, ty = targets[ids == held].T
-            sid[at] = held
-            for a in range(0, at.size, KERNEL_EVALS):  # the held beam alone
-                i = at[a:a + KERNEL_EVALS]
+        for (a, b), (g, _, ids, own) in zip(itertools.pairwise(cuts), events):
+            held = ids[side][own[0]][0]
+            targets, beam = book.snapshot(g)
+            tx, ty = targets[beam == held].T
+            sid[a:b] = held
+            for c in range(a, b, KERNEL_EVALS):  # the held beam alone
+                i = slice(c, min(c + KERNEL_EVALS, b))
                 g_serve[i] = _gains(scene, sx[i], sy[i], tx, ty)[:, 0]
 
     metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
@@ -478,47 +483,60 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
     return np.tile(counts[:, np.searchsorted(ys, py)], (2, 1))
 
 
-def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
-                             py: np.ndarray) -> np.ndarray:
-    """Dynamic-codebook handovers: ID changes across the association events,
-    at (px, |py|), (px, -|py|), (-px, |py|) and (-px, -|py|), shape (4, n).
+def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
+                    t_in: np.ndarray, t_out: np.ndarray):
+    """The dynamic codebook's association events at the points (px, py) over
+    the windows (t_in, t_out), and at their x-mirrors (-px, py) over
+    (-t_out, -t_in): yields (g, pts, sid, own) per loop index g that has any.
 
     Point i associates at its entry t_in[i], then at each update instant
-    tau = g * t_c in (t_in[i], t_out[i]], for both signs of y. Its x-mirror
-    (-px[i], py[i]) has the window (-t_out[i], -t_in[i]): at loop index g it
+    tau = g * t_c in (t_in[i], t_out[i]]. Its mirror, at loop index g,
     associates under iteration -g, where its update position negates point
-    i's at g, so it meets its events in reverse time order, entry last, which
-    counts the same changes. One `_serve` call at g, with h = -g, answers
-    both: it evaluates once each point that either side updates at that
-    index (the half-open window and the TIME_TOL tolerance of `_iteration`
-    make the two sets differ), and each side's entries (at its own entry
-    time) as points of their own, a mirror's negated.
+    i's at g, so it meets its events in reverse time order, entry last. One
+    `_serve` call at g, with h = -g, answers both: it evaluates once each
+    point that either side updates at that index (the half-open window and
+    the TIME_TOL tolerance of `_iteration` make the two sets differ), and
+    each side's entries (at its own entry time) as points of their own, a
+    mirror's negated. pts holds the point index of each evaluated column,
+    sid the (4, pts.size) IDs of `_serve`'s four sides there, and own, shape
+    (2, pts.size), the columns at which the point (row 0) and its mirror
+    (row 1) associate.
     """
     v, t_c = scene.v_ground, scene.lattice.t_c
-    t_in, t_out = pass_window(scene, (px, py))
     m_in = -t_out  # the mirrors' entry times
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
     h_in, h_out = _iteration(scene, m_in), _iteration(scene, -t_in)
-    prev = np.full((4, px.size), -1, dtype=np.int64)
-    counts = np.full((4, px.size), -1, dtype=np.int64)  # entry: no handover
     for g in range(min(int(g_in.min()), -int(h_out.max())),
                    max(int(g_out.max()), -int(h_in.min())) + 1):
-        on, entry = (g_in <= g) & (g <= g_out), g_in == g
-        x_on, x_entry = (h_in <= -g) & (-g <= h_out), h_in == -g
-        upd, x_upd = on & ~entry, x_on & ~x_entry
-        both = np.flatnonzero(upd | x_upd)
-        ea, eb = np.flatnonzero(on & entry), np.flatnonzero(x_on & x_entry)
-        if both.size + ea.size + eb.size == 0:
+        # g_in <= g_out and h_in <= h_out, so every entry is in its window
+        upd, x_upd = (g_in < g) & (g <= g_out), (h_in < -g) & (-g <= h_out)
+        both = (upd | x_upd).nonzero()[0]
+        ea, eb = (g_in == g).nonzero()[0], (h_in == -g).nonzero()[0]
+        pts = np.concatenate([both, ea, eb])
+        if pts.size == 0:
             continue
         sx = np.concatenate([px[both] - v * (g * t_c), px[ea] - v * t_in[ea],
                              -(-px[eb] - v * m_in[eb])])
-        pts = np.concatenate([both, ea, eb])
         sid = _serve(scene, sx, py[pts], scene.hex, g, -g,
                      interference=False)[0]
-        # the columns each side associates at: its updates and its entries
-        sec = np.repeat([0, 1, 2], [both.size, ea.size, eb.size])
-        own = np.stack([sec == 1, sec == 2])
+        own = np.zeros((2, pts.size), dtype=bool)
         own[:, :both.size] = upd[both], x_upd[both]
+        own[0, both.size:pts.size - eb.size] = True  # the entries
+        own[1, pts.size - eb.size:] = True
+        yield g, pts, sid, own
+
+
+def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
+                             py: np.ndarray) -> np.ndarray:
+    """Dynamic-codebook handovers: ID changes across the `_dynamic_events`
+    of each point's full in-ROI window, at (px, |py|), (px, -|py|),
+    (-px, |py|) and (-px, -|py|), shape (4, n). A mirror meets its events
+    in reverse time order, which counts the same changes.
+    """
+    prev = np.full((4, px.size), -1, dtype=np.int64)
+    counts = np.full((4, px.size), -1, dtype=np.int64)  # entry: no handover
+    t_in, t_out = pass_window(scene, (px, py))
+    for _, pts, sid, own in _dynamic_events(scene, px, py, t_in, t_out):
         for c, p, s, k in zip(counts, prev, sid, own[[0, 0, 1, 1]]):
             c[pts[k]] += s[k] != p[pts[k]]  # 1-D indexing, row by row
             p[pts[k]] = s[k]

@@ -339,6 +339,9 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
      "roi_semi_y_m"),
     # a repeated mode would compute and write the same curve twice
     (["cdf", "--modes", "hex,dft,hex"], "--modes repeats 'hex'"),
+    # a count whose grid holds more in-ROI nodes than it asks for
+    (["codebook", "--set", "dft_n_beams=864"],
+     "872 in-ROI beams, expected 864"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):

@@ -387,7 +387,8 @@ def test_oversized_dft_grid_refused_before_allocating(roi, n_beams):
 
 
 def test_dft_grid_of_too_many_nodes_refused_before_allocating(roi):
-    # a prime count lays out one row of n_beams columns: (n + 4) x 5 nodes
+    # a prime count is one row of n_beams columns, laid out over the ROI box
+    # at shrink 0.88: about n / 0.88 x 5 nodes
     n_beams = 262147
     tracemalloc.start()
     try:
@@ -397,6 +398,31 @@ def test_dft_grid_of_too_many_nodes_refused_before_allocating(roi):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_dft_grid_holds_every_in_roi_node_of_its_lattice(roi):
+    # brute force over the ROI box: an accepted count is the number of all
+    # the in-ROI nodes of its lattice, and its grid is closed under x -> -x
+    # (a range of cols // 2 + 2 nodes each side once let 864 beams pass
+    # with 8 of the lattice's 872 in-ROI nodes left out)
+    accepted = []
+    for n_beams in range(1, 2000):
+        try:
+            book = cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams, 0.88)
+        except ValueError:
+            continue
+        accepted.append(n_beams)
+        cols, rows = cb._grid_shape(n_beams, RX / RY)
+        s_x, s_y = 0.88 * 2.0 * RX / cols, 0.88 * 2.0 * RY / rows
+        # every node offset k + (1 - cols % 2) / 2 with |x| <= RX, |y| <= RY
+        xs = [(k + (1 - cols % 2) / 2) * s_x for k in range(-cols, cols + 1)]
+        ys = [(k + (1 - rows % 2) / 2) * s_y for k in range(-rows, rows + 1)]
+        n_in = sum((x / RX) ** 2 + (y / RY) ** 2 <= 1 + 1e-9
+                   for x in xs if abs(x) <= RX for y in ys if abs(y) <= RY)
+        assert n_in == n_beams
+        targets = book.snapshot(0)[0]
+        assert _flipped(targets, -1.0, 1.0) == _flipped(targets, 1.0, 1.0)
+    assert 15 in accepted and 864 not in accepted and 946 in accepted
 
 
 def test_dft_baseline_grid(roi):

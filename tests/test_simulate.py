@@ -640,11 +640,11 @@ def test_cdf_sorts_its_one_copy_of_the_map_values(scene):
 
 def test_kernel_call_memory_bounded_whatever_the_codebook_size():
     # each kernel call is bounded by KERNEL_EVALS point x beam pairs, not by
-    # points, so a map of 864 DFT beams takes a fixed term over the 15-beam
-    # map, not one that grows with the beams (40.7 MiB against 0.62 MiB when
-    # calls were bounded by points)
+    # points, so a map of 946 DFT beams takes a fixed term over the 15-beam
+    # map, not one that grows with the beams (2.7 MiB against 0.42 MiB; 864
+    # beams took 40.7 MiB when calls were bounded by points)
     peaks = []
-    for n_beams in (15, 864):
+    for n_beams in (15, 946):
         scene = build_scene(SceneConfig(dft_n_beams=n_beams))
         tracemalloc.start()
         try:
@@ -736,9 +736,11 @@ def test_handover_map_count_equals_series_count(scenes_by_cycle_len,
                                                 mode, data):
     # one serving policy per mode: a series sampled over a cell's whole
     # window, at least twice per update period for the dynamic codebook,
-    # counts exactly the map's handovers; the dynamic series and map run
-    # loops of their own, and at K = 3 and 5 the map's pairing of g with -g
-    # is not an x-mirror of the codebook
+    # counts exactly the map's handovers; the dynamic series and map run one
+    # event schedule, the map over a block of points with their windows and
+    # the series over its one point with its first and last samples as the
+    # window, and at K = 3 and 5 its pairing of g with -g is not an x-mirror
+    # of the codebook
     cycle_len = data.draw(st.sampled_from([3, 4, 5]))
     scene = scenes_by_cycle_len[cycle_len]
     hmap = coarse_handover_maps[cycle_len, mode]
@@ -754,10 +756,14 @@ def test_handover_map_count_equals_series_count(scenes_by_cycle_len,
     assert hmap.values[iy, ix] == series.handover_count()
 
 
-def test_pass_timeseries_dynamic_associates_at_entry_and_updates(scene):
+@pytest.mark.parametrize("cycle_len", [3, 4, 5])
+def test_pass_timeseries_dynamic_associates_at_entry_and_updates(
+        scenes_by_cycle_len, cycle_len):
     # oracle: after each association event the series holds the best beam at
     # that exact instant, under that instant's iteration, even when no sample
-    # lands on the update instant
+    # lands on the update instant; at K = 3 and 5 the series' events are
+    # served in calls whose iterations g and -g are open under x -> -x
+    scene = scenes_by_cycle_len[cycle_len]
     t_c, v = scene.lattice.t_c, scene.v_ground
     for x, y in zip(*_grid_points(scene, 40e3)):
         t_in, _ = sim.pass_window(scene, (x, y))
@@ -768,6 +774,39 @@ def test_pass_timeseries_dynamic_associates_at_entry_and_updates(scene):
             for k in range(g[0] + 1, g[-1] + 1)]
         for t, k, sid in events:
             assert sid == sim.serving_beam(scene, (x - v * t, y), "hex", k)[0]
+
+
+@pytest.mark.parametrize("cycle_len", [3, 4, 5])
+def test_dynamic_series_serves_each_of_its_update_indices_once(
+        scenes_by_cycle_len, cycle_len, monkeypatch):
+    # one _serve call per update index of the series' own samples, in order;
+    # the index past the last sample's, where only the x-mirror of the
+    # point's window still associates, is never served
+    scene = scenes_by_cycle_len[cycle_len]
+    calls = _kernel_rows_per_serve(monkeypatch)
+    mirror_ends_later = False
+    for pt in [(0.0, 0.0), (1e3, 2e4), (-2.1e5, -8.8e4), (3e5, 1e5)]:
+        calls.clear()
+        ts = sim.pass_timeseries(scene, pt, "dynamic").t_s
+        g_s = sim._iteration(scene, ts)
+        assert [c[0] for c in calls] == list(range(g_s[0], g_s[-1] + 1))
+        mirror_ends_later |= -sim._iteration(scene, -ts[-1]) > g_s[-1]
+    assert mirror_ends_later
+
+
+@pytest.mark.parametrize("mode", sim.PASS_MODES)
+def test_pass_series_holds_only_its_own_arrays(scene, mode):
+    # the result keeps 24 B per sample: t_s, serving_id and metric_db, each
+    # owning its data (a static serving_id that viewed a row of the
+    # evaluator's (2, n) IDs kept both rows, 32 B per sample)
+    tracemalloc.start()
+    try:
+        series = sim.pass_timeseries(scene, (0.0, 0.0), mode, dt=0.01)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert series.t_s.size > 8000
+    assert held <= 24 * series.t_s.size + 16 * 1024
 
 
 @pytest.mark.parametrize("offset_s", [-5e-10, 0.0, 5e-10])
