@@ -109,10 +109,10 @@ def beam_precoder(point: np.ndarray, geometry: ArrayGeometry, rf_chain: int,
     if not 0 <= rf_chain < geometry.n_rf:
         raise ValueError(f"rf_chain {rf_chain} out of range for {geometry.n_rf} chains")
     v = direction_to(point[0], point[1], h_sat)
-    sv = steering_vector(geometry.positions, v)
-    coeffs = np.zeros(geometry.n_elements, dtype=complex)
     on = geometry.rf_map == rf_chain
-    coeffs[on] = sv[on] / np.sqrt(geometry.n_sub)
+    coeffs = np.zeros(geometry.n_elements, dtype=complex)
+    coeffs[on] = (steering_vector(geometry.positions[on], v)
+                  / np.sqrt(geometry.n_sub))
     return Precoder(coeffs=coeffs, rf_chain=rf_chain)
 
 

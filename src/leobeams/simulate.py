@@ -33,15 +33,17 @@ max walk over them; only the SINR fill asks it for the interferer sums.
 Maps fill the quadrant x >= 0, y >= 0 and write all four images, sweeps run
 the rows y >= 0, and a single point takes the side matching the sign of its
 y. The dynamic codebook's association events pair point x at update index g
-with -x at -g, whose satellite-frame positions are negatives of each other,
-in one `_serve` call per update index: `_dynamic_events` is the one schedule
-of that policy, which the handover map runs over a block of points and the
-pass series over its one point.
+with -x at -g, whose satellite-frame positions are negatives of each other.
+Indices g and g + K share their targets and only the IDs advance, so one
+`_serve` call takes per-point iterations and serves several whole indices of
+one residue class mod K: `_dynamic_events` is the one schedule of that
+policy, which the handover map runs over a block of points, counting the
+changes in a table of each side's events, and the pass series over its one
+point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,7 +142,7 @@ def _max_walk(gains: np.ndarray,
     return best, k, tie
 
 
-def _serve(scene: Scene, px, py, book: Codebook, g: int, h: int = None,
+def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
            interference: bool = True) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray | None]:
     """Serving ID, serving gain and summed interferer gain of book's global
@@ -148,6 +150,12 @@ def _serve(scene: Scene, px, py, book: Codebook, g: int, h: int = None,
     (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
     points) with h, one row per side in that order. With interference False
     the interferer sums are not formed and None takes their place.
+
+    g and h are each one iteration, or one per point, all of one residue mod
+    K, so every point of a side reads the same targets and only its IDs
+    advance: by advance x its cycles past the first point's (mod n_beams).
+    The interferer sums need one iteration per side, and the error for an
+    iteration with no beams names the first point's.
 
     Max gain wins, exact ties go to the lowest ID. The kernel is odd in x and
     in y bit for bit, so beam j seen from (sx * px, sy * |py|) has the
@@ -166,29 +174,37 @@ def _serve(scene: Scene, px, py, book: Codebook, g: int, h: int = None,
     codebook is closed under the x-flip; sets are compared exactly, never
     by size. The max is exact in any order, so it is every sharing side's
     serving gain, and each side maps the first maximal row to its lowest ID
-    on that row. At the points the walk marks as possible ties, each side
-    takes instead the lowest of its IDs on the rows equal to the max, so
-    ties go to the lowest ID on every side, wrapped IDs included. The
-    interferer sum adds each side's rows in its own ascending-ID order, one
-    sequential sum per point, less the serving gain. So each side gets, bit
-    for bit, what a direct walk over its beams at its points would give,
-    whatever the slicing. An iteration with no beams raises ValueError.
+    on that row, advanced at each point. At the points the walk marks as
+    possible ties, each side takes instead the lowest of its advanced IDs on
+    the rows equal to the max, so ties go to the lowest ID on every side,
+    wrapped IDs included. The interferer sum adds each side's rows in its
+    own ascending-ID order, one sequential sum per point, less the serving
+    gain. So each side gets, bit for bit, what a direct walk over its beams
+    at its points would give, whatever the slicing. An iteration with no
+    beams raises ValueError.
     """
+    n_beams = book.n_beams
     sides, rows = [], {}  # rows: signed target (x, y) -> kernel row
     for sx, it in ((1.0, g),) if h is None else ((1.0, g), (-1.0, h)):
-        targets, ids = book.snapshot(it)
+        # shift: each point's ID advance past the first point's, or None
+        first, shift = it, None
+        if np.ndim(it):
+            first = int(it[0])
+            shift = (book.advance * (it // book.cycle_len
+                                     - first // book.cycle_len) % n_beams)
+        targets, ids = book.snapshot(first)
         if ids.size == 0:
-            raise ValueError(f"iteration {it} has no beams in the ROI")
+            raise ValueError(f"iteration {first} has no beams in the ROI")
         tx = (sx * targets[:, 0]).tolist()
         for ty in (targets[:, 1].tolist(), (-targets[:, 1]).tolist()):
             sides.append(([rows.setdefault(t, len(rows)) for t in zip(tx, ty)],
-                          ids.tolist()))
-    walks = {}  # row set -> [its rows, [(side, its lowest ID on each row)]]
-    for side, (order, ids) in enumerate(sides):
+                          ids.tolist(), shift))
+    walks = {}  # row set -> [its rows, [(side, lowest ID on each row, shift)]]
+    for side, (order, ids, shift) in enumerate(sides):
         walk, members = walks.setdefault(frozenset(order),
                                          [list(dict.fromkeys(order)), []])
         lowest = dict(zip(reversed(order), reversed(ids)))
-        members.append((side, np.array([lowest[r] for r in walk])))
+        members.append((side, np.array([lowest[r] for r in walk]), shift))
     tx, ty = np.array(list(rows)).T
     px = np.asarray(px, dtype=float)
     py = np.abs(np.asarray(py, dtype=float))
@@ -201,16 +217,19 @@ def _serve(scene: Scene, px, py, book: Codebook, g: int, h: int = None,
         gains = _gains(scene, px[s], py[s], tx, ty).T
         for walk, members in walks.values():
             best, k, tie = _max_walk(gains, walk)
-            for side, ids in members:
-                sid[side, s], g_serve[side, s] = ids[k], best
+            for side, ids, shift in members:
+                sid[side, s] = (ids[k] if shift is None
+                                else (ids[k] + shift[s]) % n_beams)
+                g_serve[side, s] = best
             c = np.flatnonzero(tie)
             if c.size:  # each side's lowest ID among the rows at the max
                 hit = gains[np.ix_(walk, c)] == best[c]
-                for side, ids in members:
-                    sid[side, a + c] = np.where(hit, ids[:, None],
-                                                ids.max()).min(axis=0)
+                for side, ids, shift in members:
+                    ids = (ids[:, None] if shift is None
+                           else (ids[:, None] + shift[a + c]) % n_beams)
+                    sid[side, a + c] = np.where(hit, ids, n_beams).min(axis=0)
         if interference:
-            for side, (order, _) in enumerate(sides):
+            for side, (order, _, _) in enumerate(sides):
                 total = gains[order[0]].copy()
                 for r in order[1:]:
                     total += gains[r]
@@ -382,7 +401,9 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     samples as the window: it associates at the first sample and at each
     update instant tau = g * t_c up to the last, and a sample reports the
     beam held since then, so a series ending before the window's final tau
-    can show one change fewer than `handover_map`.
+    can show one change fewer than `handover_map`. The held IDs come from
+    the schedule's batches, and the held beams' gains from one kernel pass
+    over the samples and the distinct held targets, KERNEL_EVALS at a time.
     """
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
@@ -418,23 +439,30 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         sid, g_serve = sid[side].copy(), g_serve[side]  # a row, not a view
     else:
         # the handover map's events for this one point, with its first and
-        # last samples as the window; g_s never decreases, so each index's
-        # samples are one slice of ts. zip takes the next cut before the next
-        # event, and the cuts end at the last sample's index, so the index
-        # past it, where only the x-mirror associates, is never served
-        g_s = _iteration(scene, ts)
-        cuts = np.searchsorted(g_s, np.arange(g_s[0], g_s[-1] + 2)).tolist()
-        events = _dynamic_events(scene, np.array([x_g]), sy[:1], ts[:1],
-                                 ts[-1:])
-        sid, g_serve = np.empty(ts.size, dtype=np.int64), np.empty(ts.size)
-        for (a, b), (g, _, ids, own) in zip(itertools.pairwise(cuts), events):
-            held = ids[side][own[0]][0]
-            targets, beam = book.snapshot(g)
-            tx, ty = targets[beam == held].T
-            sid[a:b] = held
-            for c in range(a, b, KERNEL_EVALS):  # the held beam alone
-                i = slice(c, min(c + KERNEL_EVALS, b))
-                g_serve[i] = _gains(scene, sx[i], sy[i], tx, ty)[:, 0]
+        # last samples as the window: its event e is at update index g0 + e,
+        # and each sample holds the beam of its own index's event
+        g0 = int(_iteration(scene, ts[0]))
+        events, batches = _dynamic_events(scene, np.array([x_g]), sy[:1],
+                                          ts[:1], ts[-1:])
+        held = np.empty(events[0, 0], dtype=np.int64)
+        for _, ev, sid, own in batches:
+            held[ev[0, own[0]]] = sid[side, own[0]]
+        # each event's held target: the one of its base ID in its residue
+        cyc, k = np.divmod(np.arange(g0, g0 + held.size), book.cycle_len)
+        base = (held - book.advance * cyc) % book.n_beams
+        rows, col = {}, []  # distinct held target -> its column of the gains
+        for r, b in zip(k.tolist(), base.tolist()):
+            t = book.targets[r][np.searchsorted(book.ids[r], b)]
+            col.append(rows.setdefault(tuple(t.tolist()), len(rows)))
+        e = _iteration(scene, ts) - g0
+        sid, col = held[e], np.array(col)[e]
+        tx, ty = np.array(list(rows)).T
+        g_serve = np.empty(ts.size)
+        step = max(1, KERNEL_EVALS // tx.size)
+        for a in range(0, ts.size, step):
+            s = slice(a, a + step)
+            g_serve[s] = _gains(scene, sx[s], sy[s], tx, ty)[
+                np.arange(col[s].size), col[s]]
 
     metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
     return TimeSeries(t_s=ts, serving_id=sid, metric_db=metric)
@@ -483,64 +511,123 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
     return np.tile(counts[:, np.searchsorted(ys, py)], (2, 1))
 
 
+def _covering(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """How many of the intervals [lo, hi] of 0..n-1 hold each of 0..n-1;
+    an empty interval (lo > hi) holds none."""
+    on = lo <= hi
+    return np.cumsum(np.bincount(lo[on], minlength=n + 1)
+                     - np.bincount(hi[on] + 1, minlength=n + 1))[:n]
+
+
 def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
                     t_in: np.ndarray, t_out: np.ndarray):
     """The dynamic codebook's association events at the points (px, py) over
     the windows (t_in, t_out), and at their x-mirrors (-px, py) over
-    (-t_out, -t_in): yields (g, pts, sid, own) per loop index g that has any.
+    (-t_out, -t_in): returns (events, batches), with events, shape
+    (2, points), the number of events of each point (row 0) and of its
+    mirror (row 1).
 
-    Point i associates at its entry t_in[i], then at each update instant
-    tau = g * t_c in (t_in[i], t_out[i]]. Its mirror, at loop index g,
-    associates under iteration -g, where its update position negates point
-    i's at g, so it meets its events in reverse time order, entry last. One
-    `_serve` call at g, with h = -g, answers both: it evaluates once each
-    point that either side updates at that index (the half-open window and
-    the TIME_TOL tolerance of `_iteration` make the two sets differ), and
-    each side's entries (at its own entry time) as points of their own, a
-    mirror's negated. pts holds the point index of each evaluated column,
-    sid the (4, pts.size) IDs of `_serve`'s four sides there, and own, shape
+    Point i associates at its entry t_in[i] under iteration g_in[i], then at
+    each update instant tau = g * t_c, g in (g_in[i], g_out[i]]: its event
+    g - g_in[i] is at loop index g. Its mirror associates under iteration
+    -g at loop index g, where its update position negates point i's, so it
+    meets its events in reverse time order, from its last at loop index
+    x_end[i] up to its entry at x_in[i]: event x_in[i] - g. The schedule
+    holds only these four indices per point. At each loop index one column
+    evaluates once each point that either side updates there (the half-open
+    window and the TIME_TOL tolerance of `_iteration` make the two sets
+    differ), and each side's entries (at its own entry time) as columns of
+    their own, a mirror's negated.
+
+    batches yields (pts, ev, sid, own) per `_serve` call. A call serves
+    whole loop indices of one residue class mod K, with iterations g on the
+    point's sides and -g on the mirror's, since g and g + K share their
+    targets. Classes are walked from the first loop index with any columns,
+    and each packs its indices in order while they hold at most
+    max(BLOCK // 4, the largest index's columns), so no call is larger than
+    the largest single index. pts holds the point of each column, sid the
+    (4, pts.size) IDs of `_serve`'s four sides there, own, shape
     (2, pts.size), the columns at which the point (row 0) and its mirror
-    (row 1) associate.
+    (row 1) associate, and ev the number of that event for each side.
     """
-    v, t_c = scene.v_ground, scene.lattice.t_c
-    m_in = -t_out  # the mirrors' entry times
+    v, t_c, cycle_len = scene.v_ground, scene.lattice.t_c, scene.hex.cycle_len
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
-    h_in, h_out = _iteration(scene, m_in), _iteration(scene, -t_in)
-    for g in range(min(int(g_in.min()), -int(h_out.max())),
-                   max(int(g_out.max()), -int(h_in.min())) + 1):
-        # g_in <= g_out and h_in <= h_out, so every entry is in its window
-        upd, x_upd = (g_in < g) & (g <= g_out), (h_in < -g) & (-g <= h_out)
+    x_in, x_end = -_iteration(scene, -t_out), -_iteration(scene, -t_in)
+    lo = min(int(g_in.min()), int(x_end.min()))
+    n = max(int(g_out.max()), int(x_in.max())) + 1 - lo
+    # columns per loop index: the update union, then both sides' entries
+    upd, x_upd = (g_in + 1 - lo, g_out - lo), (x_end - lo, x_in - 1 - lo)
+    cols = (_covering(*upd, n) + _covering(*x_upd, n)
+            - _covering(np.maximum(upd[0], x_upd[0]),
+                        np.minimum(upd[1], x_upd[1]), n)
+            + np.bincount(g_in - lo, minlength=n)
+            + np.bincount(x_in - lo, minlength=n))
+    cap = max(BLOCK // 4, int(cols.max()))
+
+    def columns(g):  # point, position and owners of loop index g's columns
+        upd, x_upd = (g_in < g) & (g <= g_out), (x_end <= g) & (g < x_in)
         both = (upd | x_upd).nonzero()[0]
-        ea, eb = (g_in == g).nonzero()[0], (h_in == -g).nonzero()[0]
-        pts = np.concatenate([both, ea, eb])
-        if pts.size == 0:
-            continue
-        sx = np.concatenate([px[both] - v * (g * t_c), px[ea] - v * t_in[ea],
-                             -(-px[eb] - v * m_in[eb])])
+        ea, eb = (g_in == g).nonzero()[0], (x_in == g).nonzero()[0]
+        own = np.zeros((2, both.size + ea.size + eb.size), dtype=bool)
+        own[:, :both.size] = upd[both], x_upd[both]
+        own[0, both.size:own.shape[1] - eb.size] = True  # the entries
+        own[1, own.shape[1] - eb.size:] = True
+        return (np.concatenate([both, ea, eb]),
+                np.concatenate([px[both] - v * (g * t_c),
+                                px[ea] - v * t_in[ea], px[eb] - v * t_out[eb]]),
+                own)
+
+    def serve(batch):
+        g = (lo + batch[0] if len(batch) == 1
+             else np.repeat(lo + np.array(batch), cols[batch]))
+        pts, sx, own = (np.concatenate(a, axis=-1)
+                        for a in zip(*(columns(lo + i) for i in batch)))
         sid = _serve(scene, sx, py[pts], scene.hex, g, -g,
                      interference=False)[0]
-        own = np.zeros((2, pts.size), dtype=bool)
-        own[:, :both.size] = upd[both], x_upd[both]
-        own[0, both.size:pts.size - eb.size] = True  # the entries
-        own[1, pts.size - eb.size:] = True
-        yield g, pts, sid, own
+        return pts, np.stack([g - g_in[pts], x_in[pts] - g]), sid, own
+
+    def batches():
+        sizes = cols.tolist()
+        first = next(i for i, c in enumerate(sizes) if c)
+        for r in range(first, min(first + cycle_len, n)):
+            batch, held = [], 0
+            for i in range(r, n, cycle_len):
+                if not sizes[i]:
+                    continue
+                if held + sizes[i] > cap:
+                    yield serve(batch)
+                    batch, held = [], 0
+                batch.append(i)
+                held += sizes[i]
+            if batch:
+                yield serve(batch)
+    return np.stack([g_out - g_in, x_in - x_end]) + 1, batches()
 
 
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
                              py: np.ndarray) -> np.ndarray:
     """Dynamic-codebook handovers: ID changes across the `_dynamic_events`
     of each point's full in-ROI window, at (px, |py|), (px, -|py|),
-    (-px, |py|) and (-px, -|py|), shape (4, n). A mirror meets its events
-    in reverse time order, which counts the same changes.
+    (-px, |py|) and (-px, -|py|), shape (4, n).
+
+    Each batch's IDs land in one (4, events, points) table in each side's
+    event order, of the smallest integer type that holds n_beams, which
+    fills the slots past a point's last event; the count is the changes
+    along the event axis, less the one into that fill.
     """
-    prev = np.full((4, px.size), -1, dtype=np.int64)
-    counts = np.full((4, px.size), -1, dtype=np.int64)  # entry: no handover
     t_in, t_out = pass_window(scene, (px, py))
-    for _, pts, sid, own in _dynamic_events(scene, px, py, t_in, t_out):
-        for c, p, s, k in zip(counts, prev, sid, own[[0, 0, 1, 1]]):
-            c[pts[k]] += s[k] != p[pts[k]]  # 1-D indexing, row by row
-            p[pts[k]] = s[k]
-    return counts
+    events, batches = _dynamic_events(scene, px, py, t_in, t_out)
+    fill = scene.hex.n_beams
+    table = np.full((4, int(events.max()), px.size), fill,
+                    dtype=np.min_scalar_type(fill))
+    flat = table.reshape(4, -1)
+    for pts, ev, sid, own in batches:
+        for side, e, k in zip((0, 2), ev, own):  # the point's, the mirror's
+            at = (e * px.size + pts)[k]
+            flat[side, at] = sid[side][k]
+            flat[side + 1, at] = sid[side + 1][k]
+    return (np.array([np.count_nonzero(t[1:] != t[:-1], axis=0)
+                      for t in table]) - (table[:, -1] == fill))
 
 
 def handover_map(scene: Scene, mode: str = "dynamic",

@@ -413,7 +413,9 @@ def _fuzz_case(draw):
                            min_size=1, max_size=2, unique_by=lambda f: f.name))
     for f in fields:
         # cycle_len = 1000 is valid, but its dynamic handover map walks about
-        # 4000 update indices (3 s); every other value runs in under 0.2 s
+        # 6,400 update indices in 1000 _serve calls (0.3-0.4 s at 40-60 km,
+        # and its whole handover job 0.4-0.5 s); every other value runs in
+        # under 0.2 s
         value = draw(st.sampled_from([
             v for v in FUZZ_VALUES[type(f.default)]
             if (f.name, v) != ("cycle_len", "1000")]))

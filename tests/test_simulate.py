@@ -380,6 +380,61 @@ def scenes_by_cycle_len(scene):
             5: build_scene(SceneConfig(cycle_len=5))}
 
 
+@pytest.mark.parametrize("cycle_len", [3, 4, 5])
+@pytest.mark.parametrize("quantized", [False, True])
+def test_batched_serve_matches_direct_serve_per_column(
+        scenes_by_cycle_len, cycle_len, quantized, monkeypatch):
+    # one call serves columns of one residue class at many cycle counts,
+    # negative ones too, with -g on the mirror's sides, whose IDs wrap the
+    # other way (at K = 3 and 5, -g is not the x-mirror of g): every column
+    # is, on all four sides, the direct evaluator at its own iteration, ties
+    # included, over many kernel slices. The first column is at cycle 0 and
+    # (0, 80 km) at cycle 2, where at K = 4 and residue 0 the x-mirrored
+    # beams tie as IDs 12 and 0, which are 10 and 11 at the first column
+    scene = scenes_by_cycle_len[cycle_len]
+    kernel = sim.gain_matrix
+    if quantized:  # exact ties everywhere
+        monkeypatch.setattr(sim, "gain_matrix",
+                            lambda *a: np.floor(kernel(*a) / 16) * 16)
+    monkeypatch.setattr(sim, "KERNEL_EVALS", 500)
+    px, py = _grid_points(scene, 40e3)
+    px, py = np.append(px, 0.0), np.append(py, 80e3)
+    rng = np.random.default_rng(cycle_len)
+    for r in range(cycle_len):
+        g = r + cycle_len * rng.integers(-4, 5, px.size)
+        g[0], g[-1] = r, r + 2 * cycle_len
+        sid, g_serve, _ = sim._serve(scene, px, py, scene.hex, g, -g,
+                                     interference=False)
+        for k in np.unique(g).tolist():
+            at = g == k
+            for side, (sx, sy, it) in enumerate([(1, 1, k), (1, -1, k),
+                                                 (-1, 1, -k), (-1, -1, -k)]):
+                want = _direct_serve(scene, sx * px[at], sy * np.abs(py[at]),
+                                     scene.hex, it)
+                assert np.array_equal(sid[side, at], want[0]), (r, k, side)
+                assert np.array_equal(g_serve[side, at], want[1])
+        if (cycle_len, r, quantized) == (4, 0, False):
+            assert sid[0, -1] == 0
+
+
+def test_dynamic_map_of_many_small_classes_matches_direct_loop(monkeypatch):
+    # at K = 1000 a 60 km map's thousands of update indices fall into 1000
+    # residue classes of a few small indices each: each class is one _serve
+    # call whose columns span several cycles, and the counts are still each
+    # point's own direct loop
+    scene = build_scene(SceneConfig(cycle_len=1000))
+    xs, ys = sim.roi_grid(scene.roi, 60e3)
+    gx, gy = np.meshgrid(xs, ys)
+    m = scene.roi.contains(gx, gy)
+    want = np.full(m.shape, np.nan)
+    want[m] = _direct_dynamic_counts(scene, gx[m], gy[m])
+    calls = _kernel_rows_per_serve(monkeypatch)
+    got = sim.handover_map(scene, "dynamic", step=60e3).values
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) <= 1000
+    assert any(np.unique(c[0] // 1000).size > 1 for c in calls)
+
+
 def _direct_map(scene, metric, mode, g, step):
     """A map as computed before any mirror shared a kernel call: the direct
     evaluator and the link budget at every in-ROI node."""
@@ -491,8 +546,11 @@ def test_mirrored_sides_share_kernel_rows(scenes_by_cycle_len, monkeypatch):
     # a flip the codebook is closed under adds no kernel row: y always, x for
     # the DFT grid, hex k with 2k = 0 mod K, and the dynamic pair g, -g at
     # K = 4; hex k = 1 and 3 at K = 4 need their x-flipped targets as rows
-    # of their own. The dynamic map makes one _serve call per update index,
-    # in index order, also at K = 3 where -g is not the mirror of g
+    # of their own. The dynamic map serves whole update indices of one
+    # residue class mod K per _serve call, g on the point's sides and -g on
+    # the mirror's, with the rows of that class's own g and -g, also at K = 3
+    # where -g is not the mirror of g; a map this small makes at most one
+    # call per class
     scene = scenes_by_cycle_len[4]
     calls = _kernel_rows_per_serve(monkeypatch)
     for mode, g in [("dft", 0)] + [("hex", k) for k in range(4)]:
@@ -505,9 +563,12 @@ def test_mirrored_sides_share_kernel_rows(scenes_by_cycle_len, monkeypatch):
         scene = scenes_by_cycle_len[cycle_len]
         calls.clear()
         sim.handover_map(scene, "dynamic", step=20e3)
-        gs = [c[0] for c in calls]
-        assert gs == list(range(gs[0], gs[-1] + 1))
+        classes = [set((np.atleast_1d(c[0]) % cycle_len).tolist())
+                   for c in calls]
+        assert all(len(k) == 1 for k in classes)
+        assert len({k.pop() for k in classes}) == len(calls)
         for g, *rows in calls:
+            g = int(np.atleast_1d(g)[0])
             n = scene.hex.snapshot(g)[0].shape[0]
             closed = cycle_len == 4 or g % 3 == 0
             assert rows and set(rows) == {n if closed else 2 * n}
@@ -776,21 +837,94 @@ def test_pass_timeseries_dynamic_associates_at_entry_and_updates(
             assert sid == sim.serving_beam(scene, (x - v * t, y), "hex", k)[0]
 
 
+SERIES_POINTS = [(0.0, 0.0), (1e3, 2e4), (-2.1e5, -8.8e4), (3e5, 1e5)]
+
+
+def _paired_rows(book, g):
+    """The kernel rows of a call serving iteration g at (px, +-|py|) and -g
+    at (-px, +-|py|): its distinct signed targets."""
+    rows = set()
+    for sx, it in ((1.0, g), (-1.0, -g)):
+        for tx, ty in book.snapshot(it)[0].tolist():
+            rows |= {(sx * tx, ty), (sx * tx, -ty)}
+    return len(rows)
+
+
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
-def test_dynamic_series_serves_each_of_its_update_indices_once(
+def test_dynamic_series_serves_one_call_per_residue_class(
         scenes_by_cycle_len, cycle_len, monkeypatch):
-    # one _serve call per update index of the series' own samples, in order;
-    # the index past the last sample's, where only the x-mirror of the
-    # point's window still associates, is never served
+    # a series serves its update indices in at most one _serve call per
+    # residue class mod K, g on the point's sides and -g on the mirror's,
+    # each kernel call with the rows of that class's own g and -g; the gains
+    # of its held beams come from one more kernel call, over the distinct
+    # held targets, and none per event
     scene = scenes_by_cycle_len[cycle_len]
-    calls = _kernel_rows_per_serve(monkeypatch)
-    mirror_ends_later = False
-    for pt in [(0.0, 0.0), (1e3, 2e4), (-2.1e5, -8.8e4), (3e5, 1e5)]:
+    calls, serve, kernel = [], sim._serve, sim.gain_matrix
+
+    def serve_probe(scene, px, py, book, g, h, **kw):
+        calls.append([np.atleast_1d(g), np.atleast_1d(h)])
+        out = serve(scene, px, py, book, g, h, **kw)
+        calls.append(None)  # a kernel call past here is outside _serve
+        return out
+
+    def kernel_probe(px, py, tx, *args):
+        if calls and calls[-1] is None:
+            calls.append(["held", tx.size])
+        else:
+            calls[-1].append(tx.size)
+        return kernel(px, py, tx, *args)
+    monkeypatch.setattr(sim, "_serve", serve_probe)
+    monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
+    for pt in SERIES_POINTS:
         calls.clear()
         ts = sim.pass_timeseries(scene, pt, "dynamic").t_s
         g_s = sim._iteration(scene, ts)
-        assert [c[0] for c in calls] == list(range(g_s[0], g_s[-1] + 1))
-        mirror_ends_later |= -sim._iteration(scene, -ts[-1]) > g_s[-1]
+        calls = [c for c in calls if c is not None]
+        assert calls[-1][0] == "held" and len(calls[-1]) == 2
+        served = calls[:-1]
+        assert 1 <= len(served) <= cycle_len
+        residues = [set((g % cycle_len).tolist()) for g, *_ in served]
+        assert all(len(r) == 1 for r in residues)
+        assert len({r.pop() for r in residues}) == len(served)
+        indices = np.concatenate([g for g, *_ in served])
+        assert set(range(g_s[0], g_s[-1] + 1)) <= set(indices.tolist())
+        for g, h, *rows in served:
+            assert np.array_equal(h, -g)
+            assert rows and set(rows) == {_paired_rows(scene.hex, int(g[0]))}
+
+
+@pytest.mark.parametrize("cycle_len", [3, 4, 5])
+def test_dynamic_series_samples_match_their_own_events(scenes_by_cycle_len,
+                                                       cycle_len):
+    # oracle, event by event: the samples of update index k hold the beam
+    # the direct evaluator serves at that index's event (the first sample's
+    # time at the first index, k * t_c after it) under iteration k, and the
+    # kernel's gain toward that beam's target in iteration k, bit for bit.
+    # At some points the x-mirror still associates at the index past the
+    # last sample's; the series must not read it
+    scene = scenes_by_cycle_len[cycle_len]
+    t_c, v = scene.lattice.t_c, scene.v_ground
+    mirror_ends_later = False
+    for x, y in SERIES_POINTS:
+        for t_start in (0.0, 1.234):
+            series = sim.pass_timeseries(scene, (x, y), "dynamic",
+                                         t_start=t_start)
+            ts = series.t_s
+            g_s = sim._iteration(scene, ts)
+            mirror_ends_later |= -sim._iteration(scene, -ts[-1]) > g_s[-1]
+            for k in range(g_s[0], g_s[-1] + 1):
+                at = g_s == k
+                t = ts[0] if k == g_s[0] else k * t_c
+                sid = _direct_serve(scene, np.array([x - v * t]),
+                                    np.array([y]), scene.hex, k)[0][0]
+                targets, ids = scene.hex.snapshot(k)
+                tx, ty = targets[ids == sid].T
+                sx = x - v * ts[at]
+                gain = sim._gains(scene, sx, np.full_like(sx, y), tx, ty)
+                want = snr_db(gain[:, 0], slant_range(sx, y, scene.h_sat),
+                              scene.link)
+                assert np.all(series.serving_id[at] == sid), (x, y, k)
+                assert series.metric_db[at].tobytes() == want.tobytes()
     assert mirror_ends_later
 
 
