@@ -91,9 +91,21 @@ def noise_rel(distance, params: LinkParams):
 
 
 def sinr_db(g_serving, g_interference, rel_noise):
-    """SINR [dB] from the serving gain, summed interferer gains, and noise_rel."""
-    return linear_to_db(np.asarray(g_serving, dtype=float)
-                        / (np.asarray(g_interference, dtype=float) + rel_noise))
+    """SINR [dB] from the serving gain, summed interferer gains, and noise_rel.
+
+    One array holds the result and every step before it, in place: the
+    bits of linear_to_db(g_serving / (g_interference + rel_noise)), a
+    scalar when every input is one.
+    """
+    g_serving = np.asarray(g_serving, dtype=float)
+    g_interference = np.asarray(g_interference, dtype=float)
+    out = np.empty(np.broadcast_shapes(g_serving.shape, g_interference.shape,
+                                       np.shape(rel_noise)))
+    np.add(g_interference, rel_noise, out=out)
+    np.divide(g_serving, out, out=out)
+    np.log10(out, out=out)
+    out *= 10.0
+    return out[()]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,11 @@ the kernel on at most KERNEL_EVALS point x beam pairs at a time; every map
 block and sweep call hands it at most BLOCK points, so memory is bounded
 whatever the grid and codebook sizes. Maps and CDFs share one block loop,
 `_roi_blocks`: a map holds its value grid plus one block, and a CDF counts
-each block's values as they come, so it holds one block and no grid.
+each block's values as they come, so it holds one block and no grid. A CDF
+of several modes visits each block once: the kernel's per-point trig
+(`point_terms`), the slant range, the noise and the side masks are computed
+once per block, and each mode in turn is served from them, counted and
+released before the next, so it holds one mode's block at a time.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
@@ -53,7 +57,7 @@ from .antenna import ArrayGeometry
 from .codebook import Codebook, LatticeSpec
 from .fields import CdfCurve, FieldMap, TimeSeries
 from .geometry import Roi, slant_range
-from .kernels import gain_matrix
+from .kernels import gain_matrix, point_terms
 from .link import LinkParams, noise_rel, sinr_db, snr_db
 
 DEFAULT_GRID_STEP = 2000.0      # coverage-map spacing [m]
@@ -100,12 +104,16 @@ def roi_grid(roi: Roi, step: float,
     """
     if step <= 0:
         raise ValueError(f"{key} must be positive")
-    nx, ny = np.floor(roi.semi_x / step), np.floor(roi.semi_y / step)
+    # nodes per half axis: a Python float quotient past float range is inf,
+    # not an error, and Python ints count any finite grid exactly
+    nx, ny = (math.floor(h) if math.isfinite(h) else math.inf
+              for h in (float(roi.semi_x) / float(step),
+                        float(roi.semi_y) / float(step)))
     cells = (2 * nx + 1) * (2 * ny + 1)
-    if not cells <= MAX_CELLS:
-        raise ValueError(f"{key} = {step} m puts {cells:.4g} nodes in one map, "
-                         f"more than the {MAX_CELLS} it may hold")
-    nx, ny = int(nx), int(ny)
+    if cells > MAX_CELLS:
+        from decimal import Decimal  # only this error needs it: not on import
+        raise ValueError(f"{key} = {step} m puts {Decimal(cells):.4g} nodes "
+                         f"in one map, more than the {MAX_CELLS} it may hold")
     return (step * np.arange(-nx, nx + 1, dtype=float),
             step * np.arange(-ny, ny + 1, dtype=float))
 
@@ -119,10 +127,12 @@ def codebook_for(scene: Scene, mode: str, modes=MAP_MODES) -> Codebook:
     return scene.dft if mode == "dft" else scene.hex
 
 
-def _gains(scene: Scene, px, py, tx, ty) -> np.ndarray:
+def _gains(scene: Scene, px, py, tx, ty, *terms) -> np.ndarray:
+    """The kernel at (px, py), taking their `point_terms` when terms holds
+    them."""
     g = scene.geometry
     return gain_matrix(px, py, tx, ty, scene.h_sat, g.subarray_nx,
-                       g.subarray_ny, g.spacing)
+                       g.subarray_ny, g.spacing, *terms)
 
 
 def _max_walk(gains: np.ndarray,
@@ -143,13 +153,16 @@ def _max_walk(gains: np.ndarray,
 
 
 def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
-           interference: bool = True) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray | None]:
+           interference: bool = True,
+           terms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray | None]:
     """Serving ID, serving gain and summed interferer gain of book's global
     iteration g at (px, |py|) and (px, -|py|), and with h, of iteration h at
     (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
     points) with h, one row per side in that order. With interference False
-    the interferer sums are not formed and None takes their place.
+    the interferer sums are not formed and None takes their place. terms,
+    if given, are the `point_terms` of (px, |py|) for the scene's array,
+    which each kernel call takes its slice of instead of computing its own.
 
     g and h are each one iteration, or one per point, all of one residue mod
     K, so every point of a side reads the same targets and only its IDs
@@ -214,7 +227,8 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
     step = max(1, KERNEL_EVALS // tx.size)
     for a in range(0, px.size, step):
         s = slice(a, a + step)
-        gains = _gains(scene, px[s], py[s], tx, ty).T
+        gains = _gains(scene, px[s], py[s], tx, ty,
+                       *(() if terms is None else (terms[:, s],))).T
         for walk, members in walks.values():
             best, k, tie = _max_walk(gains, walk)
             for side, ids, shift in members:
@@ -234,6 +248,7 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
                 for r in order[1:]:
                     total += gains[r]
                 interf[side, s] = total - g_serve[side, s]
+        del gains  # freed before the next slice's kernel call allocates
     return sid, g_serve, interf
 
 
@@ -247,40 +262,42 @@ def serving_beam(scene: Scene, point_xy, mode: str = "hex",
     return int(sid[side, 0]), float(g[side, 0])
 
 
-def _roi_blocks(roi: Roi, xs: np.ndarray, ys: np.ndarray, fill):
-    """The one block loop over a grid's quadrant: yields (r, m, out) per block
-    of whole rows r, r + 1, ... holding about BLOCK quadrant nodes, with m the
-    block's quadrant ROI mask, shape (rows, xs.size - xs.size // 2), and out
-    fill's values at m's nodes, shape (4, n).
+def _roi_blocks(roi: Roi, xs: np.ndarray, ys: np.ndarray):
+    """The one block loop over a grid's quadrant: yields (r, m, px, py) per
+    block of whole rows r, r + 1, ... holding about BLOCK quadrant nodes,
+    with m the block's quadrant ROI mask, shape (rows, xs.size - xs.size //
+    2), and px, py the coordinates of m's nodes, all with x >= 0, y >= 0.
 
     The grid and the ellipse are symmetric about y = 0 and about x = 0 bit
-    for bit (ys[-1 - i] == -ys[i], and the same for xs), so fill(px, py) is
-    called only on the nodes with x >= 0 and y >= 0 and returns the four
-    sides of `_serve`: its values at (px, py), (px, -py), (-px, py) and
-    (-px, -py). Each block's quadrant is tested against the ROI as it is
-    filled, so a consumer that keeps no grid holds one block. fill must
-    treat each point, or each row, on its own.
+    for bit (ys[-1 - i] == -ys[i], and the same for xs), so a consumer
+    evaluates only these nodes and takes the four sides of `_serve`: its
+    values at (px, py), (px, -py), (-px, py) and (-px, -py). Each block's
+    quadrant is tested against the ROI as it is yielded, so a consumer that
+    keeps no grid holds one block.
     """
     c = xs.size // 2
     rows = max(1, BLOCK // (xs.size - c))
     for r in range(ys.size // 2, ys.size, rows):
         m = roi.contains(xs[c:], ys[r:r + rows, None])
-        yield r, m, fill(np.broadcast_to(xs[c:], m.shape)[m],
-                         np.broadcast_to(ys[r:r + rows, None], m.shape)[m])
+        yield (r, m, np.broadcast_to(xs[c:], m.shape)[m],
+               np.broadcast_to(ys[r:r + rows, None], m.shape)[m])
 
 
 def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
     """Grid over the ROI box holding fill's values at in-ROI nodes, NaN
-    elsewhere, assembled from `_roi_blocks`: row -y takes the second side,
-    column -x the last two; the row y = 0 and the column x = 0 take the
-    first, so nothing but the value grid grows with the grid.
+    elsewhere, assembled from `_roi_blocks`: fill(px, py) returns the four
+    sides at a block's nodes, shape (4, n), treating each point, or each
+    row, on its own. Row -y takes the second side, column -x the last two;
+    the row y = 0 and the column x = 0 take the first, so nothing but the
+    value grid grows with the grid.
     """
     xs, ys = roi_grid(roi, step, key)
     vals = np.full((ys.size, xs.size), np.nan)
     # row i of vals[::-1] is row -y, column i of vals[:, ::-1] column -x
     sides = (vals, vals[::-1], vals[:, ::-1], vals[::-1, ::-1])
     c = xs.size // 2
-    for r, m, out in _roi_blocks(roi, xs, ys, fill):
+    for r, m, px, py in _roi_blocks(roi, xs, ys):
+        out = fill(px, py)
         for side in (3, 2, 1, 0):  # side 0 last: the axes take it
             sides[side][r:r + m.shape[0], c:][m] = out[side]
     return FieldMap(xs=xs, ys=ys, values=vals)
@@ -322,10 +339,10 @@ def coverage_map(scene: Scene, metric: str = "sinr", mode: str = "hex",
                       _metric_fill(scene, metric, mode, iteration))
 
 
-def _count_above(values: np.ndarray, thresholds_db: np.ndarray):
-    """Number of finite values, and how many of them exceed each threshold:
-    the finite values are gathered once and that copy is sorted in place."""
-    vals = values[np.isfinite(values)]
+def _count_above(vals: np.ndarray, thresholds_db: np.ndarray):
+    """Number of values, and how many of them exceed each threshold: vals,
+    the caller's one gathered copy of the finite values, is sorted in
+    place."""
     vals.sort()
     return vals.size, vals.size - np.searchsorted(vals, thresholds_db,
                                                   side="right")
@@ -341,7 +358,9 @@ def _cdf(n: int, above: np.ndarray, thresholds_db: np.ndarray,
 def cdf_from_map(fmap: FieldMap, thresholds_db: np.ndarray,
                  label: str = "") -> CdfCurve:
     """Complementary CDF prob(value > threshold) over a map's in-ROI cells."""
-    return _cdf(*_count_above(fmap.values, thresholds_db), thresholds_db, label)
+    vals = fmap.values
+    return _cdf(*_count_above(vals[np.isfinite(vals)], thresholds_db),
+                thresholds_db, label)
 
 
 def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
@@ -354,23 +373,40 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
     would write there (the row y = 0 and the column x = 0 are not mirrored
     onto themselves), and the integer counts, so the curves, are those of
     `cdf_from_map` over `coverage_map`.
+
+    Every mode's codebook is resolved before the first block, and each block
+    is visited once for all modes: its slant ranges, noise and side masks
+    are computed once, and so are its points' kernel terms when more than
+    one mode shares them. Each mode is then served, its SINR formed and
+    counted, and its arrays released before the next mode is served, so the
+    loop holds one mode's block at a time.
     """
-    curves = []
+    books = [codebook_for(scene, mode) for mode in modes]
+    geom = scene.geometry
     xs, ys = roi_grid(scene.roi, step, "grid_step_m")
-    for mode in modes:
-        fill = _metric_fill(scene, "sinr", mode, iteration)
-        n, above = 0, np.zeros(CDF_THRESHOLDS_DB.size, dtype=np.int64)
-        for r, m, out in _roi_blocks(scene.roi, xs, ys, fill):
-            # the sides that land on nodes of their own: y != 0, x != 0, both
-            y_off = np.broadcast_to((np.arange(r, r + m.shape[0])
-                                     != ys.size // 2)[:, None], m.shape)[m]
-            x_off = np.broadcast_to(np.arange(m.shape[1]) != 0, m.shape)[m]
-            own = np.stack([np.ones_like(y_off), y_off, x_off, y_off & x_off])
-            n_b, above_b = _count_above(out[own], CDF_THRESHOLDS_DB)
-            n += n_b
-            above += above_b
-        curves.append(_cdf(n, above, CDF_THRESHOLDS_DB, mode))
-    return curves
+    n = np.zeros(len(books), dtype=np.int64)
+    above = np.zeros((len(books), CDF_THRESHOLDS_DB.size), dtype=np.int64)
+    for r, m, px, py in _roi_blocks(scene.roi, xs, ys):
+        # the sides that land on nodes of their own: y != 0, x != 0, both
+        y_off = np.broadcast_to((np.arange(r, r + m.shape[0])
+                                 != ys.size // 2)[:, None], m.shape)[m]
+        x_off = np.broadcast_to(np.arange(m.shape[1]) != 0, m.shape)[m]
+        own = np.stack([np.ones_like(y_off), y_off, x_off, y_off & x_off])
+        # one mode shares no terms: its kernel calls take their own slices'
+        terms = (point_terms(px, py, scene.h_sat, geom.subarray_nx,
+                             geom.subarray_ny, geom.spacing)
+                 if len(books) > 1 else None)
+        rel = noise_rel(slant_range(px, py, scene.h_sat), scene.link)
+        for i, book in enumerate(books):
+            out = sinr_db(*_serve(scene, px, py, book, iteration, iteration,
+                                  terms=terms)[1:], rel)
+            n_b, above_b = _count_above(out[own & np.isfinite(out)],
+                                        CDF_THRESHOLDS_DB)
+            del out  # before the next mode is served
+            n[i] += n_b
+            above[i] += above_b
+    return [_cdf(n_i, above_i, CDF_THRESHOLDS_DB, mode)
+            for n_i, above_i, mode in zip(n, above, modes)]
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,11 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     # a count whose grid holds more in-ROI nodes than it asks for
     (["codebook", "--set", "dft_n_beams=864"],
      "872 in-ROI beams, expected 864"),
+    # a grid step whose node count would leave float range
+    (["map", "--grid-step", "1e-300"], "grid_step_m = 1e-300 m puts"),
+    (["cdf", "--grid-step", "1e-300"], "grid_step_m = 1e-300 m puts"),
+    (["handover", "--grid-step", "1e-300"],
+     "handover_grid_step_m = 1e-300 m puts"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):

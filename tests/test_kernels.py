@@ -308,6 +308,29 @@ def test_shared_axis_factors_keep_empty_and_single_shapes(n_pts, n_rows):
         n_pts, n_rows)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_kernel_case(), st.sampled_from([0.0, -0.0]),
+       st.sampled_from([0.0, -0.0]), st.integers(-12, 12),
+       st.integers(-12, 12), st.sampled_from([1, 2, 3, -1, -2]))
+def test_kernel_on_sliced_point_terms_matches_sliced_points(case, zx, zy,
+                                                            start, stop, step):
+    # each column of point_terms is its own point's, so any slice of a
+    # larger call's terms gives the sliced points' gains bit for bit; points
+    # sit on every target (the _EPS branch) and on x and y = +0.0 and -0.0
+    _, _, (px, py, tx, ty, *rest) = case
+    px = np.concatenate([px, tx, [zx, -zx, px[0], px[0]]])
+    py = np.concatenate([py, ty, [py[0], py[0], zy, -zy]])
+    terms = kernels.point_terms(px, py, *rest)
+    assert terms.shape == (8, px.size)
+    s = slice(start, stop, step)
+    want = kernels.gain_matrix(px[s], py[s], tx, ty, *rest)
+    got = kernels.gain_matrix(px[s], py[s], tx, ty, *rest, terms[:, s])
+    assert got.shape == want.shape and got.T.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == _per_row_gain_matrix(px[s], py[s], tx, ty,
+                                                 *rest).tobytes()
+
+
 def _served_kernel_calls(monkeypatch, scene, mode, g, px, py):
     """Per kernel call of one _serve(g, h = g) at (px, py): its arguments and
     the number of cosines each axis factor was evaluated at, x then y."""
@@ -317,9 +340,9 @@ def _served_kernel_calls(monkeypatch, scene, mode, g, px, py):
         calls.append((args, []))
         return kernel(*args)
 
-    def factor_probe(ap, at, n):
+    def factor_probe(p, at, n):
         calls[-1][1].append(at.size)
-        return factor(ap, at, n)
+        return factor(p, at, n)
     monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
     monkeypatch.setattr(kernels, "_dirichlet_sq", factor_probe)
     sim._serve(scene, px, py, sim.codebook_for(scene, mode), g, g)
