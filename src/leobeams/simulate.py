@@ -43,7 +43,9 @@ Indices g and g + K share their targets and only the IDs advance, so one
 one residue class mod K: `_dynamic_events` is the one schedule of that
 policy, which the handover map runs over a block of points, counting the
 changes in a table of each side's events, and the pass series over its one
-point.
+point. The schedule starts at its first loop index, which always holds a
+column, walks each class in ascending order, builds each index's columns
+once, and makes a call once its indices hold BLOCK // 4 columns or more.
 """
 
 from __future__ import annotations
@@ -303,6 +305,13 @@ def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
     return FieldMap(xs=xs, ys=ys, values=vals)
 
 
+def _check_dt(dt: float) -> None:
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+
 def _check_samples(n: float, dt: float) -> None:
     if not n <= MAX_SAMPLES:
         raise ValueError(f"dt = {dt} s needs {n:.4g} samples in one pass, "
@@ -445,12 +454,13 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     if dt is None:
         dt = scene.dt
     x_g, y = float(ut_xy[0]), float(ut_xy[1])
-    for name, value in dict(x=x_g, y=y, t_start=t_start, duration=duration,
-                            dt=dt).items():
+    for name, value in dict(x=x_g, y=y, t_start=t_start,
+                            duration=duration).items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
+    if duration is not None and duration < 0:
+        raise ValueError("duration must be non-negative")
     t_in, t_out = pass_window(scene, ut_xy)
     end = t_out if duration is None else min(t_start + duration, t_out)
     # float64 must resolve dt, and t_c for the iteration index, at these times
@@ -547,14 +557,6 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
     return np.tile(counts[:, np.searchsorted(ys, py)], (2, 1))
 
 
-def _covering(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """How many of the intervals [lo, hi] of 0..n-1 hold each of 0..n-1;
-    an empty interval (lo > hi) holds none."""
-    on = lo <= hi
-    return np.cumsum(np.bincount(lo[on], minlength=n + 1)
-                     - np.bincount(hi[on] + 1, minlength=n + 1))[:n]
-
-
 def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
                     t_in: np.ndarray, t_out: np.ndarray):
     """The dynamic codebook's association events at the points (px, py) over
@@ -576,29 +578,23 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
     their own, a mirror's negated.
 
     batches yields (pts, ev, sid, own) per `_serve` call. A call serves
-    whole loop indices of one residue class mod K, with iterations g on the
-    point's sides and -g on the mirror's, since g and g + K share their
-    targets. Classes are walked from the first loop index with any columns,
-    and each packs its indices in order while they hold at most
-    max(BLOCK // 4, the largest index's columns), so no call is larger than
-    the largest single index. pts holds the point of each column, sid the
-    (4, pts.size) IDs of `_serve`'s four sides there, own, shape
-    (2, pts.size), the columns at which the point (row 0) and its mirror
-    (row 1) associate, and ev the number of that event for each side.
+    whole loop indices of one residue class mod K, in ascending order, with
+    iterations g on the point's sides and -g on the mirror's, since g and
+    g + K share their targets. The schedule starts at its first loop index,
+    which always holds a column (an entry of a point, or an update or entry
+    of a mirror). Each class is walked from there: an index's columns are
+    built once, an index with none is skipped, and the call is made once
+    its indices hold BLOCK // 4 columns or more, so a call holds fewer than
+    BLOCK // 4 columns before its last index. pts holds the point of each
+    column, sid the (4, pts.size) IDs of `_serve`'s four sides there, own,
+    shape (2, pts.size), the columns at which the point (row 0) and its
+    mirror (row 1) associate, and ev the number of that event for each side.
     """
     v, t_c, cycle_len = scene.v_ground, scene.lattice.t_c, scene.hex.cycle_len
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
     x_in, x_end = -_iteration(scene, -t_out), -_iteration(scene, -t_in)
     lo = min(int(g_in.min()), int(x_end.min()))
-    n = max(int(g_out.max()), int(x_in.max())) + 1 - lo
-    # columns per loop index: the update union, then both sides' entries
-    upd, x_upd = (g_in + 1 - lo, g_out - lo), (x_end - lo, x_in - 1 - lo)
-    cols = (_covering(*upd, n) + _covering(*x_upd, n)
-            - _covering(np.maximum(upd[0], x_upd[0]),
-                        np.minimum(upd[1], x_upd[1]), n)
-            + np.bincount(g_in - lo, minlength=n)
-            + np.bincount(x_in - lo, minlength=n))
-    cap = max(BLOCK // 4, int(cols.max()))
+    hi = max(int(g_out.max()), int(x_in.max())) + 1
 
     def columns(g):  # point, position and owners of loop index g's columns
         upd, x_upd = (g_in < g) & (g <= g_out), (x_end <= g) & (g < x_in)
@@ -613,30 +609,27 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
                                 px[ea] - v * t_in[ea], px[eb] - v * t_out[eb]]),
                 own)
 
-    def serve(batch):
-        g = (lo + batch[0] if len(batch) == 1
-             else np.repeat(lo + np.array(batch), cols[batch]))
-        pts, sx, own = (np.concatenate(a, axis=-1)
-                        for a in zip(*(columns(lo + i) for i in batch)))
+    def serve(parts):  # one call over whole indices: (g, its columns) each
+        gs, pts, sx, own = zip(*parts)
+        g = gs[0] if len(gs) == 1 else np.repeat(gs, [p.size for p in pts])
+        pts, sx, own = (np.concatenate(a, axis=-1) for a in (pts, sx, own))
         sid = _serve(scene, sx, py[pts], scene.hex, g, -g,
                      interference=False)[0]
         return pts, np.stack([g - g_in[pts], x_in[pts] - g]), sid, own
 
     def batches():
-        sizes = cols.tolist()
-        first = next(i for i, c in enumerate(sizes) if c)
-        for r in range(first, min(first + cycle_len, n)):
-            batch, held = [], 0
-            for i in range(r, n, cycle_len):
-                if not sizes[i]:
-                    continue
-                if held + sizes[i] > cap:
-                    yield serve(batch)
-                    batch, held = [], 0
-                batch.append(i)
-                held += sizes[i]
-            if batch:
-                yield serve(batch)
+        for r in range(lo, min(lo + cycle_len, hi)):
+            parts, held = [], 0
+            for g in range(r, hi, cycle_len):
+                pts, sx, own = columns(g)
+                if pts.size:
+                    parts.append((g, pts, sx, own))
+                    held += pts.size
+                    if held >= BLOCK // 4:
+                        yield serve(parts)
+                        parts, held = [], 0
+            if parts:
+                yield serve(parts)
     return np.stack([g_out - g_in, x_in - x_end]) + 1, batches()
 
 
@@ -669,10 +662,13 @@ def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
 def handover_map(scene: Scene, mode: str = "dynamic",
                  step: float = DEFAULT_HANDOVER_STEP,
                  dt: float = None) -> FieldMap:
-    """Serving-ID changes over each ground point's full in-ROI window."""
+    """Serving-ID changes over each ground point's full in-ROI window. dt,
+    the sweep's sample spacing (default scene.dt), must be finite and
+    positive in every mode."""
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
         dt = scene.dt
+    _check_dt(dt)
     if mode == "dynamic":
         return _roi_field(scene.roi, step, "handover_grid_step_m",
                           lambda px, py: _dynamic_handover_counts(scene, px, py))

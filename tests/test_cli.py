@@ -347,6 +347,9 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     (["cdf", "--grid-step", "1e-300"], "grid_step_m = 1e-300 m puts"),
     (["handover", "--grid-step", "1e-300"],
      "handover_grid_step_m = 1e-300 m puts"),
+    # a negative duration, at a point the window holds
+    (["timeseries", "--x", "0", "--y", "0", "--duration", "-5"],
+     "duration must be non-negative"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):

@@ -436,6 +436,59 @@ def test_dynamic_map_of_many_small_classes_matches_direct_loop(monkeypatch):
     assert any(np.unique(c[0] // 1000).size > 1 for c in calls)
 
 
+def test_dynamic_schedule_packs_whole_indices_below_a_quarter_block(
+        scene, monkeypatch):
+    # at BLOCK = 64 a 20 km map's classes take several calls each: a call
+    # serves whole update indices of one residue class in ascending order
+    # and holds fewer than BLOCK // 4 columns before its last index, every
+    # index that has columns is served once, and the counts are still each
+    # point's own direct loop
+    monkeypatch.setattr(sim, "BLOCK", 64)
+    blocks, events, serve = [], sim._dynamic_events, sim._serve
+
+    def events_probe(scene, px, py, t_in, t_out):
+        blocks.append(([], t_in, t_out))
+        return events(scene, px, py, t_in, t_out)
+
+    def serve_probe(scene, px, py, book, g, h, **kw):
+        blocks[-1][0].append(np.broadcast_to(g, np.shape(px)))
+        return serve(scene, px, py, book, g, h, **kw)
+    monkeypatch.setattr(sim, "_dynamic_events", events_probe)
+    monkeypatch.setattr(sim, "_serve", serve_probe)
+    got = sim.handover_map(scene, "dynamic", step=20e3).values
+    xs, ys = sim.roi_grid(scene.roi, 20e3)
+    gx, gy = np.meshgrid(xs, ys)
+    m = scene.roi.contains(gx, gy)
+    want = np.full(m.shape, np.nan)
+    want[m] = _direct_dynamic_counts(scene, gx[m], gy[m])
+    assert got.tobytes() == want.tobytes()
+
+    K, quarter = scene.hex.cycle_len, sim.BLOCK // 4
+    assert len(blocks) > 1
+    assert sum(len(c) for c, *_ in blocks) > K * len(blocks)
+    for calls, t_in, t_out in blocks:
+        g_in, g_out = sim._iteration(scene, t_in), sim._iteration(scene, t_out)
+        x_in = -sim._iteration(scene, -t_out)
+        x_end = -sim._iteration(scene, -t_in)
+        # each point's columns at g: one if either side updates there, and
+        # one per side that enters there
+        def n_cols(g):
+            upd = ((g_in < g) & (g <= g_out)) | ((x_end <= g) & (g < x_in))
+            return int(np.count_nonzero(upd) + np.count_nonzero(g_in == g)
+                       + np.count_nonzero(x_in == g))
+        indices = range(min(g_in.min(), x_end.min()),
+                        max(g_out.max(), x_in.max()) + 1)
+        served = []
+        for g in calls:
+            assert np.all(np.diff(g) >= 0)
+            k, n = np.unique(g, return_counts=True)
+            assert np.unique(k % K).size == 1
+            assert n.tolist() == [n_cols(i) for i in k.tolist()]
+            assert n[:-1].sum() < quarter
+            served += k.tolist()
+        assert sorted(served) == [i for i in indices if n_cols(i)]
+
+
 def _direct_map(scene, metric, mode, g, step):
     """A map as computed before any mirror shared a kernel call: the direct
     evaluator and the link budget at every in-ROI node."""
@@ -1029,6 +1082,21 @@ def test_pass_timeseries_rejects_non_finite_dt(scene):
     # the CLI takes dt from the validated config; library callers pass it
     with pytest.raises(ValueError, match="^dt must be finite"):
         sim.pass_timeseries(scene, (0.0, 0.0), dt=math.inf)
+
+
+@pytest.mark.parametrize("mode", sim.PASS_MODES)
+@pytest.mark.parametrize("dt, message", [
+    (-1.0, "dt must be positive"),
+    (0.0, "dt must be positive"),
+    (math.nan, "dt must be finite, got nan"),
+    (math.inf, "dt must be finite, got inf"),
+])
+@pytest.mark.filterwarnings("error")  # no numpy warning before the refusal
+def test_handover_map_refuses_bad_dt(scene, mode, dt, message):
+    # every mode refuses dt at entry, as pass_timeseries does, although only
+    # the static and DFT sweeps read it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sim.handover_map(scene, mode, step=60e3, dt=dt)
 
 
 def test_dominance_violations_sparse_and_reported(scene):
