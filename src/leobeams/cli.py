@@ -102,6 +102,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number joined onto the option before it, as
+    --option=value. argparse reads only -1 and -1.5 shaped tokens as values
+    and takes -1e4 or -inf for an unknown option; the CLI has no
+    positionals, so a token float() reads after a bare --option is that
+    option's value, and the value checks see it."""
+    joined = []
+    for arg in argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and arg.startswith("-") and _is_float(arg)):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _resolve_config(args) -> SceneConfig:
     cfg = load_config(args.config) if args.config else SceneConfig()
     cfg = apply_overrides(cfg, args.overrides)
@@ -259,7 +283,8 @@ def _fix_heap_thresholds() -> bool:
 
 def main(argv=None) -> int:
     _fix_heap_thresholds()
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         # a float that still leaves its range raises, as numpy's
         # FloatingPointError or Python's ArithmeticError, instead of

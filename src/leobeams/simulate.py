@@ -14,16 +14,17 @@ The scene holds two `Codebook`s: `Scene.hex`, the K-iteration hex cycle, and
 `Scene.dft`, the DFT grid as one iteration whose IDs never advance.
 `codebook_for` maps every mode name to one of them.
 
-Every serving decision goes through one evaluator, `_serve`, which calls
-the kernel on at most KERNEL_EVALS point x beam pairs at a time; every map
-block and sweep call hands it at most BLOCK points, so memory is bounded
-whatever the grid and codebook sizes. Maps and CDFs share one block loop,
-`_roi_blocks`: a map holds its value grid plus one block, and a CDF counts
-each block's values as they come, so it holds one block and no grid. A CDF
-of several modes visits each block once: the kernel's per-point trig
-(`point_terms`), the slant range, the noise and the side masks are computed
-once per block, and each mode in turn is served from them, counted and
-released before the next, so it holds one mode's block at a time.
+Every kernel call goes through one slice loop, `_gain_slices`, on at most
+KERNEL_EVALS point x target pairs at a time, and every serving decision
+through one evaluator over it, `_serve`; every map block and sweep call
+hands it at most BLOCK points, so memory is bounded whatever the grid and
+codebook sizes. Maps and CDFs share one block loop, `_roi_blocks`: a map
+holds its value grid plus one block, and a CDF counts each block's values
+as they come, so it holds one block and no grid. A CDF of several modes
+visits each block once: the kernel's per-point trig (`point_terms`), the
+slant range, the noise and the side masks are computed once per block, and
+each mode in turn is served from them, counted and released before the
+next, so it holds one mode's block at a time.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
@@ -40,12 +41,13 @@ y. The dynamic codebook's association events pair point x at update index g
 with -x at -g, whose satellite-frame positions are negatives of each other.
 Indices g and g + K share their targets and only the IDs advance, so one
 `_serve` call takes per-point iterations and serves several whole indices of
-one residue class mod K: `_dynamic_events` is the one schedule of that
-policy, which the handover map runs over a block of points, counting the
-changes in a table of each side's events, and the pass series over its one
-point. The schedule starts at its first loop index, which always holds a
-column, walks each class in ascending order, builds each index's columns
-once, and makes a call once its indices hold BLOCK // 4 columns or more.
+one residue class mod K. `_dynamic_events` is the one schedule of that
+policy: it fills one (4, events, points) table of each side's IDs in event
+order, whose changes the handover map counts over a block of points and
+whose one point the pass series reads. The schedule starts at its first
+loop index, which always holds a column, walks each class in ascending
+order, builds each index's columns once, and makes a call once its indices
+hold BLOCK // 4 columns or more.
 """
 
 from __future__ import annotations
@@ -129,12 +131,22 @@ def codebook_for(scene: Scene, mode: str, modes=MAP_MODES) -> Codebook:
     return scene.dft if mode == "dft" else scene.hex
 
 
-def _gains(scene: Scene, px, py, tx, ty, *terms) -> np.ndarray:
-    """The kernel at (px, py), taking their `point_terms` when terms holds
-    them."""
+def _gain_slices(scene: Scene, px: np.ndarray, py: np.ndarray, tx: np.ndarray,
+                 ty: np.ndarray, terms: np.ndarray | None = None):
+    """The one kernel loop: yields (s, gains) per slice s of KERNEL_EVALS //
+    targets points (at least one), gains the kernel at (px[s], py[s]) toward
+    (tx, ty), C-ordered (targets, points). terms, if given, are the points'
+    `point_terms`, which each call slices instead of computing its own. A
+    consumer drops each slice's gains before it asks for the next, so one
+    slice's matrix is held at a time.
+    """
     g = scene.geometry
-    return gain_matrix(px, py, tx, ty, scene.h_sat, g.subarray_nx,
-                       g.subarray_ny, g.spacing, *terms)
+    step = max(1, KERNEL_EVALS // tx.size)
+    for a in range(0, px.size, step):
+        s = slice(a, a + step)
+        yield s, gain_matrix(px[s], py[s], tx, ty, scene.h_sat, g.subarray_nx,
+                             g.subarray_ny, g.spacing,
+                             *(() if terms is None else (terms[:, s],))).T
 
 
 def _max_walk(gains: np.ndarray,
@@ -182,9 +194,8 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
     at K = 2, 4 and 8. Otherwise a call carries up to twice the rows, as many
     evaluations as serving the mirrored points directly.
 
-    The kernel is called on the distinct rows for slices of KERNEL_EVALS //
-    rows points (at least one); its transpose has one contiguous row per
-    target. Sides whose beams read the same set of rows share one
+    `_gain_slices` evaluates the distinct rows, one slice of points at a
+    time. Sides whose beams read the same set of rows share one
     `_max_walk` over that set: both y sides always, and all four where the
     codebook is closed under the x-flip; sets are compared exactly, never
     by size. The max is exact in any order, so it is every sharing side's
@@ -226,11 +237,8 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
     sid = np.empty((len(sides), px.size), dtype=np.int64)
     g_serve = np.empty(sid.shape)
     interf = np.empty(sid.shape) if interference else None
-    step = max(1, KERNEL_EVALS // tx.size)
-    for a in range(0, px.size, step):
-        s = slice(a, a + step)
-        gains = _gains(scene, px[s], py[s], tx, ty,
-                       *(() if terms is None else (terms[:, s],))).T
+    for s, gains in _gain_slices(scene, px, py, tx, ty, terms):
+        a = s.start
         for walk, members in walks.values():
             best, k, tie = _max_walk(gains, walk)
             for side, ids, shift in members:
@@ -390,6 +398,8 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
     counted, and its arrays released before the next mode is served, so the
     loop holds one mode's block at a time.
     """
+    if not modes:
+        raise ValueError("modes must name at least one codebook")
     books = [codebook_for(scene, mode) for mode in modes]
     geom = scene.geometry
     xs, ys = roi_grid(scene.roi, step, "grid_step_m")
@@ -446,9 +456,10 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     samples as the window: it associates at the first sample and at each
     update instant tau = g * t_c up to the last, and a sample reports the
     beam held since then, so a series ending before the window's final tau
-    can show one change fewer than `handover_map`. The held IDs come from
-    the schedule's batches, and the held beams' gains from one kernel pass
-    over the samples and the distinct held targets, KERNEL_EVALS at a time.
+    can show one change fewer than `handover_map`. The held IDs are the
+    point's side of the schedule's table, and the held beams' gains come
+    from one `_gain_slices` pass over the samples and the distinct held
+    targets.
     """
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
@@ -488,27 +499,22 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         # last samples as the window: its event e is at update index g0 + e,
         # and each sample holds the beam of its own index's event
         g0 = int(_iteration(scene, ts[0]))
-        events, batches = _dynamic_events(scene, np.array([x_g]), sy[:1],
-                                          ts[:1], ts[-1:])
-        held = np.empty(events[0, 0], dtype=np.int64)
-        for _, ev, sid, own in batches:
-            held[ev[0, own[0]]] = sid[side, own[0]]
+        e = _iteration(scene, ts) - g0
+        held = _dynamic_events(scene, np.array([x_g]), sy[:1], ts[:1],
+                               ts[-1:])[side, :e[-1] + 1, 0].astype(np.int64)
         # each event's held target: the one of its base ID in its residue
         cyc, k = np.divmod(np.arange(g0, g0 + held.size), book.cycle_len)
         base = (held - book.advance * cyc) % book.n_beams
-        rows, col = {}, []  # distinct held target -> its column of the gains
+        rows, col = {}, []  # distinct held target -> its row of the gains
         for r, b in zip(k.tolist(), base.tolist()):
             t = book.targets[r][np.searchsorted(book.ids[r], b)]
             col.append(rows.setdefault(tuple(t.tolist()), len(rows)))
-        e = _iteration(scene, ts) - g0
         sid, col = held[e], np.array(col)[e]
         tx, ty = np.array(list(rows)).T
         g_serve = np.empty(ts.size)
-        step = max(1, KERNEL_EVALS // tx.size)
-        for a in range(0, ts.size, step):
-            s = slice(a, a + step)
-            g_serve[s] = _gains(scene, sx[s], sy[s], tx, ty)[
-                np.arange(col[s].size), col[s]]
+        for s, gains in _gain_slices(scene, sx, sy, tx, ty):
+            g_serve[s] = gains[col[s], np.arange(gains.shape[1])]
+            del gains
 
     metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
     return TimeSeries(t_s=ts, serving_id=sid, metric_db=metric)
@@ -558,12 +564,14 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
 
 
 def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
-                    t_in: np.ndarray, t_out: np.ndarray):
+                    t_in: np.ndarray, t_out: np.ndarray) -> np.ndarray:
     """The dynamic codebook's association events at the points (px, py) over
     the windows (t_in, t_out), and at their x-mirrors (-px, py) over
-    (-t_out, -t_in): returns (events, batches), with events, shape
-    (2, points), the number of events of each point (row 0) and of its
-    mirror (row 1).
+    (-t_out, -t_in): returns the (4, events, points) table of the IDs of
+    `_serve`'s four sides at their events in time order, of the smallest
+    integer type that holds n_beams, which fills each side's slots past its
+    last event. The sides are (px, |py|), (px, -|py|), (-px, |py|) and
+    (-px, -|py|).
 
     Point i associates at its entry t_in[i] under iteration g_in[i], then at
     each update instant tau = g * t_c, g in (g_in[i], g_out[i]]: its event
@@ -575,26 +583,27 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
     evaluates once each point that either side updates there (the half-open
     window and the TIME_TOL tolerance of `_iteration` make the two sets
     differ), and each side's entries (at its own entry time) as columns of
-    their own, a mirror's negated.
+    their own, a mirror's negated; a column's owners are the sides that
+    associate there, and only they write their IDs into the table.
 
-    batches yields (pts, ev, sid, own) per `_serve` call. A call serves
-    whole loop indices of one residue class mod K, in ascending order, with
-    iterations g on the point's sides and -g on the mirror's, since g and
-    g + K share their targets. The schedule starts at its first loop index,
-    which always holds a column (an entry of a point, or an update or entry
-    of a mirror). Each class is walked from there: an index's columns are
-    built once, an index with none is skipped, and the call is made once
-    its indices hold BLOCK // 4 columns or more, so a call holds fewer than
-    BLOCK // 4 columns before its last index. pts holds the point of each
-    column, sid the (4, pts.size) IDs of `_serve`'s four sides there, own,
-    shape (2, pts.size), the columns at which the point (row 0) and its
-    mirror (row 1) associate, and ev the number of that event for each side.
+    One `_serve` call serves whole loop indices of one residue class mod K,
+    in ascending order, with iterations g on the point's sides and -g on
+    the mirror's, since g and g + K share their targets. The schedule starts
+    at its first loop index, which always holds a column (an entry of a
+    point, or an update or entry of a mirror). Each class is walked from
+    there: an index's columns are built once, an index with none is
+    skipped, and a call is made once its indices hold BLOCK // 4 columns or
+    more, so it holds fewer than BLOCK // 4 before its last index.
     """
     v, t_c, cycle_len = scene.v_ground, scene.lattice.t_c, scene.hex.cycle_len
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
     x_in, x_end = -_iteration(scene, -t_out), -_iteration(scene, -t_in)
     lo = min(int(g_in.min()), int(x_end.min()))
     hi = max(int(g_out.max()), int(x_in.max())) + 1
+    fill = scene.hex.n_beams
+    table = np.full((4, int(np.maximum(g_out - g_in, x_in - x_end).max()) + 1,
+                     px.size), fill, dtype=np.min_scalar_type(fill))
+    flat = table.reshape(4, -1)
 
     def columns(g):  # point, position and owners of loop index g's columns
         upd, x_upd = (g_in < g) & (g <= g_out), (x_end <= g) & (g < x_in)
@@ -615,48 +624,37 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
         pts, sx, own = (np.concatenate(a, axis=-1) for a in (pts, sx, own))
         sid = _serve(scene, sx, py[pts], scene.hex, g, -g,
                      interference=False)[0]
-        return pts, np.stack([g - g_in[pts], x_in[pts] - g]), sid, own
+        # the point's sides at event g - g_in, the mirror's at x_in - g
+        for side, e, k in zip((0, 2), (g - g_in[pts], x_in[pts] - g), own):
+            at = (e * px.size + pts)[k]
+            flat[side, at] = sid[side][k]
+            flat[side + 1, at] = sid[side + 1][k]
 
-    def batches():
-        for r in range(lo, min(lo + cycle_len, hi)):
-            parts, held = [], 0
-            for g in range(r, hi, cycle_len):
-                pts, sx, own = columns(g)
-                if pts.size:
-                    parts.append((g, pts, sx, own))
-                    held += pts.size
-                    if held >= BLOCK // 4:
-                        yield serve(parts)
-                        parts, held = [], 0
-            if parts:
-                yield serve(parts)
-    return np.stack([g_out - g_in, x_in - x_end]) + 1, batches()
+    for r in range(lo, min(lo + cycle_len, hi)):
+        parts, held = [], 0
+        for g in range(r, hi, cycle_len):
+            pts, sx, own = columns(g)
+            if pts.size:
+                parts.append((g, pts, sx, own))
+                held += pts.size
+                if held >= BLOCK // 4:
+                    serve(parts)
+                    parts, held = [], 0
+        if parts:
+            serve(parts)
+    return table
 
 
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
                              py: np.ndarray) -> np.ndarray:
     """Dynamic-codebook handovers: ID changes across the `_dynamic_events`
     of each point's full in-ROI window, at (px, |py|), (px, -|py|),
-    (-px, |py|) and (-px, -|py|), shape (4, n).
-
-    Each batch's IDs land in one (4, events, points) table in each side's
-    event order, of the smallest integer type that holds n_beams, which
-    fills the slots past a point's last event; the count is the changes
-    along the event axis, less the one into that fill.
+    (-px, |py|) and (-px, -|py|), shape (4, n): the changes along the
+    schedule's event axis, less the one into the n_beams fill.
     """
-    t_in, t_out = pass_window(scene, (px, py))
-    events, batches = _dynamic_events(scene, px, py, t_in, t_out)
-    fill = scene.hex.n_beams
-    table = np.full((4, int(events.max()), px.size), fill,
-                    dtype=np.min_scalar_type(fill))
-    flat = table.reshape(4, -1)
-    for pts, ev, sid, own in batches:
-        for side, e, k in zip((0, 2), ev, own):  # the point's, the mirror's
-            at = (e * px.size + pts)[k]
-            flat[side, at] = sid[side][k]
-            flat[side + 1, at] = sid[side + 1][k]
+    table = _dynamic_events(scene, px, py, *pass_window(scene, (px, py)))
     return (np.array([np.count_nonzero(t[1:] != t[:-1], axis=0)
-                      for t in table]) - (table[:, -1] == fill))
+                      for t in table]) - (table[:, -1] == scene.hex.n_beams))
 
 
 def handover_map(scene: Scene, mode: str = "dynamic",

@@ -350,12 +350,28 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     # a negative duration, at a point the window holds
     (["timeseries", "--x", "0", "--y", "0", "--duration", "-5"],
      "duration must be non-negative"),
+    # negative values argparse alone would take for unknown options
+    (["map", "--grid-step", "-1e3"], "grid_step_m"),
+    (["timeseries", "--x", "-inf", "--y", "0"], "x"),
+    (["timeseries", "--x", "0", "--y", "0", "--dt", "-1e-3"], "dt_s"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
     assert _run(argv[:1] + ["--out", tmp_path / "o"] + argv[1:]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err and key in err
+
+
+def test_negative_values_with_exponents_reach_the_run(tmp_path):
+    # argparse takes -1e4 for an option; joined onto its flag, it is the
+    # same value as -10000
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, (x, y, t) in ((a, ("-2.5e5", "-1e4", "-1e1")),
+                           (b, ("-250000", "-10000", "-10"))):
+        assert _run(["timeseries", "--out", out, "--x", x, "--y", y,
+                     "--t-start", t]) == 0
+    for name in ("timeseries_dynamic.csv", "manifest.txt"):
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
 @pytest.mark.parametrize("argv", [

@@ -213,12 +213,21 @@ def test_serve_running_max_matches_argmax_oracle(scene, case):
         assert np.all(np.abs(interf - (total - best)) <= n_beams * eps * total)
 
 
+def _kernel(scene, px, py, tx, ty):
+    """The kernel at (px, py) toward (tx, ty) in one call, shape (points,
+    targets), looked up as `sim.gain_matrix` so a patched kernel reaches
+    the oracles too."""
+    g = scene.geometry
+    return sim.gain_matrix(px, py, tx, ty, scene.h_sat, g.subarray_nx,
+                           g.subarray_ny, g.spacing)
+
+
 def _direct_serve(scene, px, py, book, g):
     """The evaluator before y-mirrored points shared a kernel call: the
     kernel at the points themselves, in one call, one ascending-ID running
     max."""
     targets, ids = book.snapshot(g)
-    rows = sim._gains(scene, px, py, targets[:, 0], targets[:, 1]).T
+    rows = _kernel(scene, px, py, targets[:, 0], targets[:, 1]).T
     k = np.zeros(rows.shape[1], dtype=np.intp)
     best, total = rows[0].copy(), rows[0].copy()
     for b in range(1, rows.shape[0]):
@@ -507,22 +516,57 @@ def _direct_map(scene, metric, mode, g, step):
     return FieldMap(xs=xs, ys=ys, values=vals)
 
 
-def _direct_dynamic_counts(scene, px, py):
-    """The dynamic handover loop as it was before mirrors shared a kernel
-    call: each point's own events, entry then updates, in time order, from
-    the direct evaluator."""
+def _direct_dynamic_ids(scene, px, py):
+    """Each point's own event IDs in time order, entry then updates, from
+    the direct evaluator: shape (events, points), n_beams past a point's
+    last event."""
     t_in, t_out = sim.pass_window(scene, (px, py))
     g_in, g_out = sim._iteration(scene, t_in), sim._iteration(scene, t_out)
-    prev = np.full(px.size, -1, dtype=np.int64)
-    counts = np.full(px.size, -1, dtype=np.int64)  # entry is no handover
+    ids = np.full((int((g_out - g_in).max()) + 1, px.size), scene.hex.n_beams)
     for g in range(int(g_in.min()), int(g_out.max()) + 1):
         pts = np.flatnonzero((g_in <= g) & (g <= g_out))
         t = np.where(g_in[pts] == g, t_in[pts], g * scene.lattice.t_c)
-        sid = _direct_serve(scene, px[pts] - scene.v_ground * t, py[pts],
-                            scene.hex, g)[0]
-        counts[pts] += sid != prev[pts]
-        prev[pts] = sid
-    return counts
+        ids[g - g_in[pts], pts] = _direct_serve(
+            scene, px[pts] - scene.v_ground * t, py[pts], scene.hex, g)[0]
+    return ids
+
+
+def _direct_dynamic_counts(scene, px, py):
+    """The dynamic handover loop as it was before mirrors shared a kernel
+    call: the ID changes between each point's own consecutive events."""
+    ids = _direct_dynamic_ids(scene, px, py)
+    return np.count_nonzero((ids[1:] != ids[:-1])
+                            & (ids[1:] != scene.hex.n_beams), axis=0)
+
+
+@pytest.mark.parametrize("cycle_len", [3, 4, 5])
+def test_dynamic_event_table_is_each_sides_direct_loop(scenes_by_cycle_len,
+                                                       cycle_len):
+    # each row of the schedule's table is the direct loop at its own side's
+    # point (+-x, +-|y|): the IDs of that point's events in time order, the
+    # x-mirror's too, which the schedule meets in reverse, then the n_beams
+    # fill. The points are a grid and points whose window opens or closes
+    # within TIME_TOL of an update instant, where the sides' event sets
+    # differ
+    scene = scenes_by_cycle_len[cycle_len]
+    t_c, v = scene.lattice.t_c, scene.v_ground
+    rng = np.random.default_rng(cycle_len)
+    y = scene.roi.semi_y * rng.uniform(0.0, 0.99, 12)
+    x_b = scene.roi.x_extent(y)
+    j = rng.integers(0, np.floor(2 * x_b / (v * t_c)) + 1)
+    off = rng.choice([-5e-10, 0.0, 5e-10, 2e-9], y.size)
+    edge = rng.choice([-1.0, 1.0], y.size)  # entry or exit
+    px, py = _grid_points(scene, 40e3)
+    px = np.append(px, edge * (x_b - v * (j * t_c + off)))
+    py = np.append(py, y)
+    table = sim._dynamic_events(scene, px, py,
+                                *sim.pass_window(scene, (px, py)))
+    assert table.shape[::2] == (4, px.size)
+    for row, (sx, sy) in zip(table, [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                             strict=True):
+        want = _direct_dynamic_ids(scene, sx * px, sy * np.abs(py))
+        assert np.array_equal(row[:want.shape[0]], want), (sx, sy)
+        assert np.all(row[want.shape[0]:] == scene.hex.n_beams)
 
 
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
@@ -736,6 +780,15 @@ def test_cdf_memory_bounded_by_block(scene, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 3072 * sim.BLOCK, step
+
+
+def test_cdf_of_no_modes_is_refused_before_the_grid(scene, monkeypatch):
+    # an empty modes served every block and then returned no curve
+    def no_grid(*args):
+        raise AssertionError("the grid was laid out")
+    monkeypatch.setattr(sim, "roi_grid", no_grid)
+    with pytest.raises(ValueError, match="modes"):
+        sim.sinr_cdf(scene, modes=())
 
 
 def test_cdf_of_several_modes_visits_each_block_once(scene, monkeypatch):
@@ -1023,7 +1076,7 @@ def test_dynamic_series_samples_match_their_own_events(scenes_by_cycle_len,
                 targets, ids = scene.hex.snapshot(k)
                 tx, ty = targets[ids == sid].T
                 sx = x - v * ts[at]
-                gain = sim._gains(scene, sx, np.full_like(sx, y), tx, ty)
+                gain = _kernel(scene, sx, np.full_like(sx, y), tx, ty)
                 want = snr_db(gain[:, 0], slant_range(sx, y, scene.h_sat),
                               scene.link)
                 assert np.all(series.serving_id[at] == sid), (x, y, k)
