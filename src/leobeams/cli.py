@@ -6,7 +6,8 @@ with manifest.txt: the resolved configuration echoed as key = value lines
 plus a sha256 digest comment per output file. The manifest is itself a valid
 config file, so re-feeding it reproduces the run byte for byte.
 
-Exit code 0 on success; nonzero with a single-line `error: ...` on stderr.
+Exit code 0 on success; nonzero with a single-line `error: ...` on stderr,
+argv that argparse refuses included. --help and --version exit 0.
 
 `main` fixes the C heap's mmap and trim thresholds once per process (see
 `_fix_heap_thresholds`), so the evaluator's per-call temporaries reuse heap
@@ -51,11 +52,20 @@ def _common(parser: argparse.ArgumentParser) -> None:
                         help="seed for the stochastic channel draw")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise ValueError, which `main`
+    reports as its one `error:` line, instead of printing the usage block
+    and exiting; subparsers are made of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: argparse copies a list
     default before appending to it, so calls never share their --set lists."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leobeams",
         description="Moving-satellite beam codebook simulator")
     parser.add_argument("--version", action="version", version=__version__)
@@ -283,9 +293,9 @@ def _fix_heap_thresholds() -> bool:
 
 def main(argv=None) -> int:
     _fix_heap_thresholds()
-    args = _build_parser().parse_args(
-        _join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = _build_parser().parse_args(
+            _join_negative_values(sys.argv[1:] if argv is None else argv))
         # a float that still leaves its range raises, as numpy's
         # FloatingPointError or Python's ArithmeticError, instead of
         # printing a warning and writing inf or nan

@@ -20,11 +20,12 @@ through one evaluator over it, `_serve`; every map block and sweep call
 hands it at most BLOCK points, so memory is bounded whatever the grid and
 codebook sizes. Maps and CDFs share one block loop, `_roi_blocks`: a map
 holds its value grid plus one block, and a CDF counts each block's values
-as they come, so it holds one block and no grid. A CDF of several modes
-visits each block once: the kernel's per-point trig (`point_terms`), the
-slant range, the noise and the side masks are computed once per block, and
-each mode in turn is served from them, counted and released before the
-next, so it holds one mode's block at a time.
+as they come, so it holds one block and no grid. A CDF serves each block
+in chunks of one kernel call per mode, from a `_serve_plan` per mode made
+once: the kernel's per-point trig (`point_terms`), the slant range, the
+noise and the side masks are computed once per chunk, and each mode in
+turn is served from them, counted and released before the next, so it
+holds one block's coordinates and one mode's chunk at a time.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
@@ -34,7 +35,8 @@ point itself toward the beam's mirrored target. `_serve` applies this one
 rule: it answers the mirror images of (px, |py|) from one kernel call over
 the distinct signed targets they need, which for a codebook closed under a
 flip are its own targets, and the sides that read the same rows share one
-max walk over them; only the SINR fill asks it for the interferer sums.
+max walk over them; only the SINR fill and the CDF ask it for the
+interferer sums, and they and the SNR fill ask it for no serving IDs.
 Maps fill the quadrant x >= 0, y >= 0 and write all four images, sweeps run
 the rows y >= 0, and a single point takes the side matching the sign of its
 y. The dynamic codebook's association events pair point x at update index g
@@ -166,48 +168,18 @@ def _max_walk(gains: np.ndarray,
     return best, k, tie
 
 
-def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
-           interference: bool = True,
-           terms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray | None]:
-    """Serving ID, serving gain and summed interferer gain of book's global
-    iteration g at (px, |py|) and (px, -|py|), and with h, of iteration h at
-    (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
-    points) with h, one row per side in that order. With interference False
-    the interferer sums are not formed and None takes their place. terms,
-    if given, are the `point_terms` of (px, |py|) for the scene's array,
-    which each kernel call takes its slice of instead of computing its own.
+def _serve_plan(book: Codebook, g, h=None) -> tuple:
+    """The kernel rows and walks `_serve` takes for book's iteration g, and
+    with h, iteration h on the x-mirrored sides: (tx, ty, orders, walks).
 
-    g and h are each one iteration, or one per point, all of one residue mod
-    K, so every point of a side reads the same targets and only its IDs
-    advance: by advance x its cycles past the first point's (mod n_beams).
-    The interferer sums need one iteration per side, and the error for an
-    iteration with no beams names the first point's.
-
-    Max gain wins, exact ties go to the lowest ID. The kernel is odd in x and
-    in y bit for bit, so beam j seen from (sx * px, sy * |py|) has the
-    kernel's value at (px, |py|) toward the signed target (sx * tx_j,
-    sy * ty_j). Every side's beams become such targets, and exact duplicates
-    share one kernel row ((x, 0.0) and (x, -0.0) too, which the kernel gives
-    the same bits). A flip the codebook is closed under adds no row: y -> -y
-    always, and x -> -x for the DFT grid, hex k with 2k = 0 mod K, and h = -g
-    at K = 2, 4 and 8. Otherwise a call carries up to twice the rows, as many
-    evaluations as serving the mirrored points directly.
-
-    `_gain_slices` evaluates the distinct rows, one slice of points at a
-    time. Sides whose beams read the same set of rows share one
-    `_max_walk` over that set: both y sides always, and all four where the
-    codebook is closed under the x-flip; sets are compared exactly, never
-    by size. The max is exact in any order, so it is every sharing side's
-    serving gain, and each side maps the first maximal row to its lowest ID
-    on that row, advanced at each point. At the points the walk marks as
-    possible ties, each side takes instead the lowest of its advanced IDs on
-    the rows equal to the max, so ties go to the lowest ID on every side,
-    wrapped IDs included. The interferer sum adds each side's rows in its
-    own ascending-ID order, one sequential sum per point, less the serving
-    gain. So each side gets, bit for bit, what a direct walk over its beams
-    at its points would give, whatever the slicing. An iteration with no
-    beams raises ValueError.
+    tx, ty are the distinct signed targets, one kernel row each; orders[side]
+    lists the rows of that side's beams in ascending-ID order; walks holds
+    one [rows, members] per set of rows that some sides read, with rows in
+    first-seen order and members one (side, lowest ID on each row, shift)
+    per such side, shift being each point's ID advance or None. A plan
+    depends on the points only through the shifts of per-point iterations,
+    so one plan of scalar iterations serves any number of calls. An
+    iteration with no beams raises ValueError.
     """
     n_beams = book.n_beams
     sides, rows = [], {}  # rows: signed target (x, y) -> kernel row
@@ -232,28 +204,86 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
         lowest = dict(zip(reversed(order), reversed(ids)))
         members.append((side, np.array([lowest[r] for r in walk]), shift))
     tx, ty = np.array(list(rows)).T
+    return tx, ty, [order for order, _, _ in sides], list(walks.values())
+
+
+def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
+           interference: bool = True, terms: np.ndarray | None = None,
+           ids: bool = True, plan: tuple | None = None) -> tuple[
+               np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Serving ID, serving gain and summed interferer gain of book's global
+    iteration g at (px, |py|) and (px, -|py|), and with h, of iteration h at
+    (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
+    points) with h, one row per side in that order. With interference False
+    the interferer sums are not formed, and with ids False the serving IDs
+    are not; None takes their place. terms, if given, are the `point_terms`
+    of (px, |py|) for the scene's array, which each kernel call takes its
+    slice of instead of computing its own. plan, if given, is
+    `_serve_plan(book, g, h)`, which a caller serving many calls of one
+    iteration builds once.
+
+    g and h are each one iteration, or one per point, all of one residue mod
+    K, so every point of a side reads the same targets and only its IDs
+    advance: by advance x its cycles past the first point's (mod n_beams).
+    The interferer sums need one iteration per side, and the error for an
+    iteration with no beams names the first point's.
+
+    Max gain wins, exact ties go to the lowest ID. The kernel is odd in x and
+    in y bit for bit, so beam j seen from (sx * px, sy * |py|) has the
+    kernel's value at (px, |py|) toward the signed target (sx * tx_j,
+    sy * ty_j). Every side's beams become such targets, and exact duplicates
+    share one kernel row ((x, 0.0) and (x, -0.0) too, which the kernel gives
+    the same bits). A flip the codebook is closed under adds no row: y -> -y
+    always, and x -> -x for the DFT grid, hex k with 2k = 0 mod K, and h = -g
+    at K = 2, 4 and 8. Otherwise a call carries up to twice the rows, as many
+    evaluations as serving the mirrored points directly.
+
+    `_gain_slices` evaluates the distinct rows, one slice of points at a
+    time. Sides whose beams read the same set of rows share one walk over
+    that set: both y sides always, and all four where the codebook is
+    closed under the x-flip; sets are compared exactly, never by size. The
+    max is exact in any order, so it is every sharing side's serving gain;
+    without IDs the walk is a running max and nothing more. With IDs it is
+    `_max_walk`, and each side maps the first maximal row to its lowest ID
+    on that row, advanced at each point. At the points the walk marks as
+    possible ties, each side takes instead the lowest of its advanced IDs on
+    the rows equal to the max, so ties go to the lowest ID on every side,
+    wrapped IDs included. The interferer sum adds each side's rows in its
+    own ascending-ID order, one sequential sum per point, less the serving
+    gain. So each side gets, bit for bit, what a direct walk over its beams
+    at its points would give, whatever the slicing.
+    """
+    n_beams = book.n_beams
+    tx, ty, orders, walks = _serve_plan(book, g, h) if plan is None else plan
     px = np.asarray(px, dtype=float)
     py = np.abs(np.asarray(py, dtype=float))
-    sid = np.empty((len(sides), px.size), dtype=np.int64)
-    g_serve = np.empty(sid.shape)
-    interf = np.empty(sid.shape) if interference else None
+    g_serve = np.empty((len(orders), px.size))
+    sid = np.empty(g_serve.shape, dtype=np.int64) if ids else None
+    interf = np.empty(g_serve.shape) if interference else None
     for s, gains in _gain_slices(scene, px, py, tx, ty, terms):
         a = s.start
-        for walk, members in walks.values():
+        for walk, members in walks:
+            if not ids:  # the max alone: no ID gather, no tie pass
+                best = gains[walk[0]].copy()
+                for r in walk[1:]:
+                    np.maximum(best, gains[r], out=best)
+                for side, _, _ in members:
+                    g_serve[side, s] = best
+                continue
             best, k, tie = _max_walk(gains, walk)
-            for side, ids, shift in members:
-                sid[side, s] = (ids[k] if shift is None
-                                else (ids[k] + shift[s]) % n_beams)
+            for side, lowest, shift in members:
+                sid[side, s] = (lowest[k] if shift is None
+                                else (lowest[k] + shift[s]) % n_beams)
                 g_serve[side, s] = best
             c = np.flatnonzero(tie)
             if c.size:  # each side's lowest ID among the rows at the max
                 hit = gains[np.ix_(walk, c)] == best[c]
-                for side, ids, shift in members:
-                    ids = (ids[:, None] if shift is None
-                           else (ids[:, None] + shift[a + c]) % n_beams)
-                    sid[side, a + c] = np.where(hit, ids, n_beams).min(axis=0)
+                for side, lowest, shift in members:
+                    lowest = (lowest[:, None] if shift is None
+                              else (lowest[:, None] + shift[a + c]) % n_beams)
+                    sid[side, a + c] = np.where(hit, lowest, n_beams).min(axis=0)
         if interference:
-            for side, (order, _, _) in enumerate(sides):
+            for side, order in enumerate(orders):
                 total = gains[order[0]].copy()
                 for r in order[1:]:
                     total += gains[r]
@@ -339,7 +369,8 @@ def _metric_fill(scene: Scene, metric: str, mode: str, iteration: int):
     def at(px, py):
         sid, g_serve, interf = _serve(scene, px, py, book, iteration,
                                       iteration,
-                                      interference=metric == "sinr")
+                                      interference=metric == "sinr",
+                                      ids=metric == "cell")
         if metric == "cell":
             return sid
         dist = slant_range(px, py, scene.h_sat)
@@ -391,39 +422,45 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
     onto themselves), and the integer counts, so the curves, are those of
     `cdf_from_map` over `coverage_map`.
 
-    Every mode's codebook is resolved before the first block, and each block
-    is visited once for all modes: its slant ranges, noise and side masks
-    are computed once, and so are its points' kernel terms when more than
-    one mode shares them. Each mode is then served, its SINR formed and
-    counted, and its arrays released before the next mode is served, so the
-    loop holds one mode's block at a time.
+    Every mode's codebook and `_serve_plan` are made before the first block.
+    Each block is served in chunks of KERNEL_EVALS // r points, r the most
+    kernel rows of any mode's plan, so every mode makes one kernel call per
+    chunk. A chunk's slant ranges, noise and side masks are computed once,
+    and so are its points' kernel terms when more than one mode shares
+    them; each mode is then served without IDs, its SINR formed and
+    counted, and its arrays released before the next mode is served. So
+    the loop holds one block's coordinates and one mode's chunk at a time.
     """
     if not modes:
         raise ValueError("modes must name at least one codebook")
     books = [codebook_for(scene, mode) for mode in modes]
     geom = scene.geometry
     xs, ys = roi_grid(scene.roi, step, "grid_step_m")
+    plans = [_serve_plan(book, iteration, iteration) for book in books]
+    chunk = max(1, KERNEL_EVALS // max(plan[0].size for plan in plans))
     n = np.zeros(len(books), dtype=np.int64)
     above = np.zeros((len(books), CDF_THRESHOLDS_DB.size), dtype=np.int64)
-    for r, m, px, py in _roi_blocks(scene.roi, xs, ys):
-        # the sides that land on nodes of their own: y != 0, x != 0, both
-        y_off = np.broadcast_to((np.arange(r, r + m.shape[0])
-                                 != ys.size // 2)[:, None], m.shape)[m]
-        x_off = np.broadcast_to(np.arange(m.shape[1]) != 0, m.shape)[m]
-        own = np.stack([np.ones_like(y_off), y_off, x_off, y_off & x_off])
-        # one mode shares no terms: its kernel calls take their own slices'
-        terms = (point_terms(px, py, scene.h_sat, geom.subarray_nx,
-                             geom.subarray_ny, geom.spacing)
-                 if len(books) > 1 else None)
-        rel = noise_rel(slant_range(px, py, scene.h_sat), scene.link)
-        for i, book in enumerate(books):
-            out = sinr_db(*_serve(scene, px, py, book, iteration, iteration,
-                                  terms=terms)[1:], rel)
-            n_b, above_b = _count_above(out[own & np.isfinite(out)],
-                                        CDF_THRESHOLDS_DB)
-            del out  # before the next mode is served
-            n[i] += n_b
-            above[i] += above_b
+    for _, _, bx, by in _roi_blocks(scene.roi, xs, ys):
+        for a in range(0, bx.size, chunk):
+            px, py = bx[a:a + chunk], by[a:a + chunk]
+            # the sides that land on nodes of their own: y != 0, x != 0, both
+            # (the axes' nodes are the grid's only zeros: roi_grid's step * 0)
+            y_off, x_off = py != 0.0, px != 0.0
+            own = np.stack([np.ones_like(y_off), y_off, x_off, y_off & x_off])
+            # one mode shares no terms: its kernel call takes its own
+            terms = (point_terms(px, py, scene.h_sat, geom.subarray_nx,
+                                 geom.subarray_ny, geom.spacing)
+                     if len(books) > 1 else None)
+            rel = noise_rel(slant_range(px, py, scene.h_sat), scene.link)
+            for i, (book, plan) in enumerate(zip(books, plans)):
+                out = sinr_db(*_serve(scene, px, py, book, iteration,
+                                      iteration, terms=terms, ids=False,
+                                      plan=plan)[1:], rel)
+                n_b, above_b = _count_above(out[own & np.isfinite(out)],
+                                            CDF_THRESHOLDS_DB)
+                del out  # before the next mode is served
+                n[i] += n_b
+                above[i] += above_b
     return [_cdf(n_i, above_i, CDF_THRESHOLDS_DB, mode)
             for n_i, above_i, mode in zip(n, above, modes)]
 

@@ -354,6 +354,13 @@ def test_bad_config_exits_nonzero_single_line(tmp_path, capsys):
     (["map", "--grid-step", "-1e3"], "grid_step_m"),
     (["timeseries", "--x", "-inf", "--y", "0"], "x"),
     (["timeseries", "--x", "0", "--y", "0", "--dt", "-1e-3"], "dt_s"),
+    # argv that argparse refuses: a bad type, an unknown flag, a bad choice,
+    # a missing required flag and an unknown subcommand
+    (["map", "--iter", "1.5"], "--iter"),
+    (["map", "--bogus", "1"], "--bogus"),
+    (["map", "--mode", "xyz"], "--mode"),
+    (["timeseries", "--y", "1"], "--x"),
+    (["teleport"], "teleport"),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_bad_value_exits_nonzero_naming_key(tmp_path, capsys, argv, key):
@@ -603,9 +610,10 @@ def test_repeated_runs_reuse_heap_pages(tmp_path):
 
 
 def test_unknown_subcommand_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["teleport"])
-    assert exc.value.code == 2
+    assert cli.main(["teleport"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "teleport" in err
 
 
 def test_unwritable_output_dir(tmp_path, capsys):
@@ -613,3 +621,13 @@ def test_unwritable_output_dir(tmp_path, capsys):
     target.write_text("file, not a directory")
     assert _run(["codebook", "--out", target]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["map", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    # only the parser's refusals became error lines; help and version still
+    # print to stdout and exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

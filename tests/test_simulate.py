@@ -273,10 +273,17 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
     # (px, -|py|); with any iteration h, whether or not it mirrors g, rows 2
     # and 3 are the direct evaluator under h at (-px, |py|) and (-px, -|py|),
     # bit for bit: IDs, serving gains and interferer sums. A call that skips
-    # the sums gives the same IDs and gains, and no interferer array
+    # the sums gives the same IDs and gains, and no interferer array; one
+    # that skips the IDs gives the same gains and sums, no ID array, and
+    # makes no _max_walk call
     mode, g, h, px, py, evals, quantized = data.draw(_mirror_case(scene))
-    kernel = sim.gain_matrix
+    kernel, walk = sim.gain_matrix, sim._max_walk
     book = sim.codebook_for(scene, mode)
+    walks = []
+
+    def walk_probe(*args):
+        walks.append(args)
+        return walk(*args)
     with pytest.MonkeyPatch.context() as mp:
         if quantized:
             mp.setattr(sim, "gain_matrix",
@@ -291,6 +298,11 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
         halves = sim._serve(scene, px, py, book, g)
         ids_only = [sim._serve(scene, px, py, book, g, mirror,
                                interference=False) for mirror in (h, None)]
+        mp.setattr(sim, "_max_walk", walk_probe)
+        no_ids = [sim._serve(scene, px, py, book, g, mirror, ids=False,
+                             interference=interference)
+                  for mirror in (h, None) for interference in (True, False)]
+    assert walks == []
     for got, half, *sides in zip(paired, halves, *want, strict=True):
         assert got.shape == (4, px.size)
         assert np.array_equal(half, got[:2])
@@ -300,6 +312,14 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
         assert interf is None
         assert sid.tobytes() == full[0].tobytes()
         assert g_serve.tobytes() == full[1].tobytes()
+    for (sid, g_serve, interf), full, interference in zip(
+            no_ids, (paired, paired, halves, halves), (True, False) * 2):
+        assert sid is None
+        assert g_serve.tobytes() == full[1].tobytes()
+        if interference:
+            assert interf.tobytes() == full[2].tobytes()
+        else:
+            assert interf is None
 
 
 def _kernel_rows_per_serve(monkeypatch):
@@ -695,16 +715,20 @@ def _chunk_probe_outputs(scene):
     maps += [sim.handover_map(scene, mode, step=20e3) for mode in sim.PASS_MODES]
     series = [sim.pass_timeseries(scene, (3e3, 41e3), mode)
               for mode in sim.PASS_MODES]
+    curves = [c for g in (1, 2) for c in sim.sinr_cdf(scene, iteration=g,
+                                                      step=10e3)]
     return ([m.values for m in maps]
-            + [a for s in series for a in (s.serving_id, s.metric_db)])
+            + [a for s in series for a in (s.serving_id, s.metric_db)]
+            + [c.probs for c in curves])
 
 
 def test_outputs_independent_of_chunk_size(scene, monkeypatch):
     # row sums and the argmax do not depend on how points are sliced, nor
     # handover sweeps on where the slices of their running sample index
     # split a row (each row spans 12 or more calls here), nor any map, the
-    # dynamic handover map too, on its row blocks (one row each here), and
-    # no kernel call evaluates more than KERNEL_EVALS point x beam pairs
+    # dynamic handover map too, on its row blocks (one row each here), nor a
+    # CDF on its blocks and their chunks, and no kernel call evaluates more
+    # than KERNEL_EVALS point x beam pairs
     ref = _chunk_probe_outputs(scene)
     evals, kernel = [], sim.gain_matrix
 
@@ -718,6 +742,7 @@ def test_outputs_independent_of_chunk_size(scene, monkeypatch):
     assert len(evals) > 1000 and max(evals) <= 91
     for a, b in zip(ref, got, strict=True):
         assert np.array_equal(a, b, equal_nan=True)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_coverage_map_memory_bounded_by_chunk(scene):
@@ -782,6 +807,22 @@ def test_cdf_memory_bounded_by_block(scene, monkeypatch):
         assert peak < 3072 * sim.BLOCK, step
 
 
+def test_fine_cdf_holds_one_kernel_slice_per_mode(scene):
+    # a 500 m two-mode CDF serves each block in chunks of one kernel call
+    # per mode, so it holds one block's coordinates (16 B per node) and one
+    # chunk's kernel slice and arrays: about 26 B per KERNEL_EVALS measured
+    # over the coordinates, where serving a whole block at a time took 7.6
+    # MiB, 97 B per KERNEL_EVALS
+    for g in (1, 2):
+        tracemalloc.start()
+        try:
+            sim.sinr_cdf(scene, iteration=g, step=500.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * sim.BLOCK + 40 * sim.KERNEL_EVALS, g
+
+
 def test_cdf_of_no_modes_is_refused_before_the_grid(scene, monkeypatch):
     # an empty modes served every block and then returned no curve
     def no_grid(*args):
@@ -792,27 +833,47 @@ def test_cdf_of_no_modes_is_refused_before_the_grid(scene, monkeypatch):
 
 
 def test_cdf_of_several_modes_visits_each_block_once(scene, monkeypatch):
-    # every mode is served from one visit of each block: the point terms are
-    # computed once per block, never by a kernel call, and each mode's curve
-    # is the one it gets alone and the direct map's, over nine or more blocks
+    # every mode is served from one visit of each chunk of each block: each
+    # point's terms are computed once, never by a kernel call, each mode's
+    # plan is made once, and each mode makes one kernel call per chunk of at
+    # most KERNEL_EVALS // r points, r the most rows of any mode. Each
+    # mode's curve is the one it gets alone and the direct map's, over nine
+    # or more blocks of several chunks each
     step = 10e3
     xs, ys = sim.roi_grid(scene.roi, step)
     monkeypatch.setattr(sim, "BLOCK", 2 * (xs.size - xs.size // 2) + 1)
+    monkeypatch.setattr(sim, "KERNEL_EVALS", 1000)
     blocks = len(range(ys.size // 2, ys.size, 2))
     assert blocks >= 9
-    calls, terms = [], kernels.point_terms
+    calls, plans, kernel_calls = [], [], []
+    terms, plan, kernel = kernels.point_terms, sim._serve_plan, sim.gain_matrix
 
     def probe(*args):
         calls.append(np.size(args[0]))
         return terms(*args)
+
+    def plan_probe(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    def kernel_probe(px, py, tx, *args):
+        kernel_calls.append(px.size)
+        return kernel(px, py, tx, *args)
     monkeypatch.setattr(sim, "point_terms", probe)
     monkeypatch.setattr(kernels, "point_terms", probe)
+    monkeypatch.setattr(sim, "_serve_plan", plan_probe)
+    monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
     for g, modes in ((0, ("hex", "dft")), (1, ("dft", "hex"))):
         calls.clear()
+        plans.clear()
+        kernel_calls.clear()
         curves = sim.sinr_cdf(scene, modes, iteration=g, step=step)
-        assert len(calls) == blocks and sum(calls) == np.count_nonzero(
+        chunk = 1000 // max(p[0].size for p in plans)
+        assert len(plans) == len(modes) and max(calls) <= chunk
+        assert len(calls) > blocks and sum(calls) == np.count_nonzero(
             scene.roi.contains(*np.meshgrid(xs[xs.size // 2:],
                                             ys[ys.size // 2:])))
+        assert kernel_calls == [n for n in calls for _ in modes]
         for curve, mode in zip(curves, modes, strict=True):
             alone, = sim.sinr_cdf(scene, (mode,), iteration=g, step=step)
             want = sim.cdf_from_map(_direct_map(scene, "sinr", mode, g, step),
