@@ -7,7 +7,7 @@ plus a sha256 digest comment per output file. The manifest is itself a valid
 config file, so re-feeding it reproduces the run byte for byte.
 
 Exit code 0 on success; nonzero with a single-line `error: ...` on stderr,
-argv that argparse refuses included. --help and --version exit 0.
+argv that argparse refuses included; --help and --version return 0.
 
 `main` fixes the C heap's mmap and trim thresholds once per process (see
 `_fix_heap_thresholds`), so the evaluator's per-call temporaries reuse heap
@@ -305,6 +305,8 @@ def main(argv=None) -> int:
             emit = _Emitter(args.out, cfg)
             _RUNNERS[args.command](args, cfg, scene, emit)
             emit.write_manifest()
+    except SystemExit:  # argparse exits only once --help or --version printed
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,20 +11,19 @@ so angle addition, sin(a_p - a_t) = sin a_p cos a_t - cos a_p sin a_t (and
 the same for n a), takes every sin and cos once per point on each axis and
 once per distinct beam cosine a_t. The per-point half, sin and cos of a_p
 and of n a_p on each axis, is `point_terms`, 8 values per point whose
-columns are independent: a caller that evaluates several beam sets at the
-same points, as the SINR CDF does for its codebooks, computes them once and
-hands each call its column slice, and the kernel computes them itself when
-given none. A beam's x factor depends on it only through its x cosine
-tx / rt, and its y factor only through ty / rt, so each axis factor is
-evaluated once per distinct cosine and shared by every row that has it: the
-mirrored rows of a call, (tx, +-ty) on x and (+-tx, ty) on y, have equal
-radii and so equal cosines bit for bit. A row is then one product of its two
-factors, and the point-beam matrix sees only multiplies and adds. The
-difference of products carries a rounding error of a few ulp of 1, so the
-Dirichlet ratio's relative error grows as 1 / |sin a| where sin a -> 0: at
-the beam's own target (below _EPS the exact limit n^2 is used) and at its
-grating lobes |a| -> pi. Relative to the peak gain it stays within a few
-ulp / |sin a| on each axis.
+columns are independent: the simulator's one slice loop computes them once
+per slice of points and hands them to each call on that slice, one per beam
+set, and the kernel computes them itself when given none. A beam's x factor
+depends on it only through its x cosine tx / rt, and its y factor only
+through ty / rt, so each axis factor is evaluated once per distinct cosine
+and shared by every row that has it: the mirrored rows of a call, (tx,
++-ty) on x and (+-tx, ty) on y, have equal radii and so equal cosines bit
+for bit. A row is then one product of its two factors, and the point-beam
+matrix sees only multiplies and adds. The difference of products carries a
+rounding error of a few ulp of 1, so the Dirichlet ratio's relative error
+grows as 1 / |sin a| where sin a -> 0: at the beam's own target (below _EPS
+the exact limit n^2 is used) and at its grating lobes |a| -> pi. Relative
+to the peak gain it stays within a few ulp / |sin a| on each axis.
 
 The matrix is computed as a C-ordered (beams x points) array and returned
 as its (points x beams) transpose. A scene has 10 to 15 beams and thousands

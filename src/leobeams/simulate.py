@@ -14,42 +14,35 @@ The scene holds two `Codebook`s: `Scene.hex`, the K-iteration hex cycle, and
 `Scene.dft`, the DFT grid as one iteration whose IDs never advance.
 `codebook_for` maps every mode name to one of them.
 
-Every kernel call goes through one slice loop, `_gain_slices`, on at most
-KERNEL_EVALS point x target pairs at a time, and every serving decision
-through one evaluator over it, `_serve`; every map block and sweep call
-hands it at most BLOCK points, so memory is bounded whatever the grid and
-codebook sizes. Maps and CDFs share one block loop, `_roi_blocks`: a map
-holds its value grid plus one block, and a CDF counts each block's values
-as they come, so it holds one block and no grid. A CDF serves each block
-in chunks of one kernel call per mode, from a `_serve_plan` per mode made
-once: the kernel's per-point trig (`point_terms`), the slant range, the
-noise and the side masks are computed once per chunk, and each mode in
-turn is served from them, counted and released before the next, so it
-holds one block's coordinates and one mode's chunk at a time.
+Every kernel call goes through one slice loop, `_gain_slices`: at most
+KERNEL_EVALS point x target pairs per call, each slice's per-point trig
+(`point_terms`) computed once for every target set it serves. Every serving
+decision goes through one per-slice evaluator, `_serve_slice`, which
+`_serve` and the SINR CDF call, and map blocks and sweep calls hold at most
+BLOCK points, so memory is bounded whatever the grid and codebook sizes.
+Maps and CDFs share one block loop, `_roi_blocks`: a map holds its value
+grid plus one block, and a CDF counts each slice's values mode by mode, so
+it holds one block's coordinates and one mode's slice, and no grid.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
 (np.sin is odd, np.cos even, and IEEE negation commutes with every
 rounding). So a beam's gain at a mirrored point is the kernel's value at the
-point itself toward the beam's mirrored target. `_serve` applies this one
-rule: it answers the mirror images of (px, |py|) from one kernel call over
-the distinct signed targets they need, which for a codebook closed under a
-flip are its own targets, and the sides that read the same rows share one
-max walk over them; only the SINR fill and the CDF ask it for the
-interferer sums, and they and the SNR fill ask it for no serving IDs.
-Maps fill the quadrant x >= 0, y >= 0 and write all four images, sweeps run
-the rows y >= 0, and a single point takes the side matching the sign of its
-y. The dynamic codebook's association events pair point x at update index g
-with -x at -g, whose satellite-frame positions are negatives of each other.
+point itself toward the beam's mirrored target. `_serve_plan` applies this
+one rule: the mirror images of (px, |py|) are served from one kernel slice
+over the distinct signed targets they need, which for a codebook closed
+under a flip are its own targets, and the sides that read the same rows
+share one max walk over them. Only the SINR asks for the interferer sums,
+and only the callers that read serving IDs ask for them. Maps fill the
+quadrant x >= 0, y >= 0 and write all four images, sweeps run the rows
+y >= 0, and a single point takes the side matching the sign of its y. The
+dynamic codebook's association events pair point x at update index g with
+-x at -g, whose satellite-frame positions are negatives of each other.
 Indices g and g + K share their targets and only the IDs advance, so one
 `_serve` call takes per-point iterations and serves several whole indices of
 one residue class mod K. `_dynamic_events` is the one schedule of that
-policy: it fills one (4, events, points) table of each side's IDs in event
-order, whose changes the handover map counts over a block of points and
-whose one point the pass series reads. The schedule starts at its first
-loop index, which always holds a column, walks each class in ascending
-order, builds each index's columns once, and makes a call once its indices
-hold BLOCK // 4 columns or more.
+policy: one (4, events, points) table of each side's IDs in event order,
+whose changes the handover map counts and whose one point the series reads.
 """
 
 from __future__ import annotations
@@ -133,22 +126,23 @@ def codebook_for(scene: Scene, mode: str, modes=MAP_MODES) -> Codebook:
     return scene.dft if mode == "dft" else scene.hex
 
 
-def _gain_slices(scene: Scene, px: np.ndarray, py: np.ndarray, tx: np.ndarray,
-                 ty: np.ndarray, terms: np.ndarray | None = None):
-    """The one kernel loop: yields (s, gains) per slice s of KERNEL_EVALS //
-    targets points (at least one), gains the kernel at (px[s], py[s]) toward
-    (tx, ty), C-ordered (targets, points). terms, if given, are the points'
-    `point_terms`, which each call slices instead of computing its own. A
-    consumer drops each slice's gains before it asks for the next, so one
-    slice's matrix is held at a time.
-    """
+def _gain_slices(scene: Scene, px: np.ndarray, py: np.ndarray, *targets):
+    """The one kernel loop: per slice s of KERNEL_EVALS // r points (at least
+    one), r the most rows of any (tx, ty) in targets, computes the points'
+    `point_terms` once and yields (s, i, gains) for each target set i in
+    turn, gains the kernel at (px[s], py[s]) toward targets[i], C-ordered
+    (rows, points). A consumer drops each gains before it asks for the
+    next, so one matrix is held at a time."""
     g = scene.geometry
-    step = max(1, KERNEL_EVALS // tx.size)
+    step = max(1, KERNEL_EVALS // max(tx.size for tx, _ in targets))
     for a in range(0, px.size, step):
         s = slice(a, a + step)
-        yield s, gain_matrix(px[s], py[s], tx, ty, scene.h_sat, g.subarray_nx,
-                             g.subarray_ny, g.spacing,
-                             *(() if terms is None else (terms[:, s],))).T
+        terms = point_terms(px[s], py[s], scene.h_sat, g.subarray_nx,
+                            g.subarray_ny, g.spacing)
+        for i, (tx, ty) in enumerate(targets):
+            yield s, i, gain_matrix(px[s], py[s], tx, ty, scene.h_sat,
+                                    g.subarray_nx, g.subarray_ny, g.spacing,
+                                    terms).T
 
 
 def _max_walk(gains: np.ndarray,
@@ -169,8 +163,8 @@ def _max_walk(gains: np.ndarray,
 
 
 def _serve_plan(book: Codebook, g, h=None) -> tuple:
-    """The kernel rows and walks `_serve` takes for book's iteration g, and
-    with h, iteration h on the x-mirrored sides: (tx, ty, orders, walks).
+    """The kernel rows and walks that serve book's iteration g, and with h,
+    iteration h on the x-mirrored sides: (tx, ty, orders, walks, n_beams).
 
     tx, ty are the distinct signed targets, one kernel row each; orders[side]
     lists the rows of that side's beams in ascending-ID order; walks holds
@@ -178,7 +172,7 @@ def _serve_plan(book: Codebook, g, h=None) -> tuple:
     first-seen order and members one (side, lowest ID on each row, shift)
     per such side, shift being each point's ID advance or None. A plan
     depends on the points only through the shifts of per-point iterations,
-    so one plan of scalar iterations serves any number of calls. An
+    so one plan of scalar iterations serves any number of slices. An
     iteration with no beams raises ValueError.
     """
     n_beams = book.n_beams
@@ -204,23 +198,71 @@ def _serve_plan(book: Codebook, g, h=None) -> tuple:
         lowest = dict(zip(reversed(order), reversed(ids)))
         members.append((side, np.array([lowest[r] for r in walk]), shift))
     tx, ty = np.array(list(rows)).T
-    return tx, ty, [order for order, _, _ in sides], list(walks.values())
+    return tx, ty, [order for order, _, _ in sides], list(walks.values()), n_beams
+
+
+def _serve_slice(plan: tuple, gains: np.ndarray, s: slice,
+                 interference: bool = True, ids: bool = True) -> tuple:
+    """`_serve`'s serving IDs, serving gains and interferer sums at one
+    `_gain_slices` slice s of its points, from the slice's gains toward
+    plan's rows: each (sides, points in s), None where not asked for.
+
+    Sides whose beams read the same set of rows share one walk over that
+    set: both y sides always, and all four where the codebook is closed
+    under the x-flip; sets are compared exactly, never by size. The max is
+    exact in any order, so it is every sharing side's serving gain; without
+    IDs the walk is a running max and nothing more. With IDs it is
+    `_max_walk`, and each side maps the first maximal row to its lowest ID
+    on that row, advanced at each point of s. At the points the walk marks
+    as possible ties, each side takes instead the lowest of its advanced
+    IDs on the rows equal to the max, so ties go to the lowest ID on every
+    side, wrapped IDs included. The interferer sum adds each side's rows in
+    its own ascending-ID order, one sequential sum per point, less the
+    serving gain. So each side gets, bit for bit, what a direct walk over
+    its beams at its points would give, whatever the slicing.
+    """
+    _, _, orders, walks, n_beams = plan
+    g_serve = np.empty((len(orders), gains.shape[1]))
+    sid = np.empty(g_serve.shape, dtype=np.int64) if ids else None
+    for walk, members in walks:
+        if not ids:  # the max alone: no ID gather, no tie pass
+            best = gains[walk[0]].copy()
+            for r in walk[1:]:
+                np.maximum(best, gains[r], out=best)
+            g_serve[[side for side, _, _ in members]] = best
+            continue
+        best, k, tie = _max_walk(gains, walk)
+        for side, lowest, shift in members:
+            sid[side] = (lowest[k] if shift is None
+                         else (lowest[k] + shift[s]) % n_beams)
+            g_serve[side] = best
+        c = np.flatnonzero(tie)
+        if c.size:  # each side's lowest ID among the rows at the max
+            hit = gains[np.ix_(walk, c)] == best[c]
+            for side, lowest, shift in members:
+                lowest = (lowest[:, None] if shift is None
+                          else (lowest[:, None] + shift[s][c]) % n_beams)
+                sid[side, c] = np.where(hit, lowest, n_beams).min(axis=0)
+    interf = np.empty(g_serve.shape) if interference else None
+    for side, order in enumerate(orders if interference else ()):
+        total = gains[order[0]].copy()
+        for r in order[1:]:
+            total += gains[r]
+        interf[side] = total - g_serve[side]
+    return sid, g_serve, interf
 
 
 def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
-           interference: bool = True, terms: np.ndarray | None = None,
-           ids: bool = True, plan: tuple | None = None) -> tuple[
+           interference: bool = True, ids: bool = True) -> tuple[
                np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Serving ID, serving gain and summed interferer gain of book's global
     iteration g at (px, |py|) and (px, -|py|), and with h, of iteration h at
     (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
     points) with h, one row per side in that order. With interference False
     the interferer sums are not formed, and with ids False the serving IDs
-    are not; None takes their place. terms, if given, are the `point_terms`
-    of (px, |py|) for the scene's array, which each kernel call takes its
-    slice of instead of computing its own. plan, if given, is
-    `_serve_plan(book, g, h)`, which a caller serving many calls of one
-    iteration builds once.
+    are not; None takes their place. `_gain_slices` evaluates the rows of
+    the `_serve_plan` one slice of points at a time, and `_serve_slice`
+    serves each slice.
 
     g and h are each one iteration, or one per point, all of one residue mod
     K, so every point of a side reads the same targets and only its IDs
@@ -237,59 +279,20 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
     always, and x -> -x for the DFT grid, hex k with 2k = 0 mod K, and h = -g
     at K = 2, 4 and 8. Otherwise a call carries up to twice the rows, as many
     evaluations as serving the mirrored points directly.
-
-    `_gain_slices` evaluates the distinct rows, one slice of points at a
-    time. Sides whose beams read the same set of rows share one walk over
-    that set: both y sides always, and all four where the codebook is
-    closed under the x-flip; sets are compared exactly, never by size. The
-    max is exact in any order, so it is every sharing side's serving gain;
-    without IDs the walk is a running max and nothing more. With IDs it is
-    `_max_walk`, and each side maps the first maximal row to its lowest ID
-    on that row, advanced at each point. At the points the walk marks as
-    possible ties, each side takes instead the lowest of its advanced IDs on
-    the rows equal to the max, so ties go to the lowest ID on every side,
-    wrapped IDs included. The interferer sum adds each side's rows in its
-    own ascending-ID order, one sequential sum per point, less the serving
-    gain. So each side gets, bit for bit, what a direct walk over its beams
-    at its points would give, whatever the slicing.
     """
-    n_beams = book.n_beams
-    tx, ty, orders, walks = _serve_plan(book, g, h) if plan is None else plan
+    plan = _serve_plan(book, g, h)
     px = np.asarray(px, dtype=float)
     py = np.abs(np.asarray(py, dtype=float))
-    g_serve = np.empty((len(orders), px.size))
-    sid = np.empty(g_serve.shape, dtype=np.int64) if ids else None
-    interf = np.empty(g_serve.shape) if interference else None
-    for s, gains in _gain_slices(scene, px, py, tx, ty, terms):
-        a = s.start
-        for walk, members in walks:
-            if not ids:  # the max alone: no ID gather, no tie pass
-                best = gains[walk[0]].copy()
-                for r in walk[1:]:
-                    np.maximum(best, gains[r], out=best)
-                for side, _, _ in members:
-                    g_serve[side, s] = best
-                continue
-            best, k, tie = _max_walk(gains, walk)
-            for side, lowest, shift in members:
-                sid[side, s] = (lowest[k] if shift is None
-                                else (lowest[k] + shift[s]) % n_beams)
-                g_serve[side, s] = best
-            c = np.flatnonzero(tie)
-            if c.size:  # each side's lowest ID among the rows at the max
-                hit = gains[np.ix_(walk, c)] == best[c]
-                for side, lowest, shift in members:
-                    lowest = (lowest[:, None] if shift is None
-                              else (lowest[:, None] + shift[a + c]) % n_beams)
-                    sid[side, a + c] = np.where(hit, lowest, n_beams).min(axis=0)
-        if interference:
-            for side, order in enumerate(orders):
-                total = gains[order[0]].copy()
-                for r in order[1:]:
-                    total += gains[r]
-                interf[side, s] = total - g_serve[side, s]
-        del gains  # freed before the next slice's kernel call allocates
-    return sid, g_serve, interf
+    shape = (len(plan[2]), px.size)
+    out = (np.empty(shape, dtype=np.int64) if ids else None, np.empty(shape),
+           np.empty(shape) if interference else None)
+    for s, _, gains in _gain_slices(scene, px, py, plan[:2]):
+        for whole, part in zip(out, _serve_slice(plan, gains, s,
+                                                 interference, ids)):
+            if whole is not None:
+                whole[:, s] = part
+        del gains, part  # freed before the next slice's kernel call allocates
+    return out
 
 
 def serving_beam(scene: Scene, point_xy, mode: str = "hex",
@@ -423,44 +426,40 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
     `cdf_from_map` over `coverage_map`.
 
     Every mode's codebook and `_serve_plan` are made before the first block.
-    Each block is served in chunks of KERNEL_EVALS // r points, r the most
-    kernel rows of any mode's plan, so every mode makes one kernel call per
-    chunk. A chunk's slant ranges, noise and side masks are computed once,
-    and so are its points' kernel terms when more than one mode shares
-    them; each mode is then served without IDs, its SINR formed and
-    counted, and its arrays released before the next mode is served. So
-    the loop holds one block's coordinates and one mode's chunk at a time.
+    Each block goes through `_gain_slices` over every mode's rows, so each
+    slice's point terms are computed once for all modes, and its slant
+    ranges, noise and side masks once at its first mode. Each mode is then
+    served from its gains by `_serve_slice` without IDs, its SINR formed and
+    counted, and its arrays released before the next mode's gains are
+    computed. So the loop holds one block's coordinates and one mode's
+    slice at a time.
     """
     if not modes:
         raise ValueError("modes must name at least one codebook")
     books = [codebook_for(scene, mode) for mode in modes]
-    geom = scene.geometry
     xs, ys = roi_grid(scene.roi, step, "grid_step_m")
     plans = [_serve_plan(book, iteration, iteration) for book in books]
-    chunk = max(1, KERNEL_EVALS // max(plan[0].size for plan in plans))
     n = np.zeros(len(books), dtype=np.int64)
     above = np.zeros((len(books), CDF_THRESHOLDS_DB.size), dtype=np.int64)
     for _, _, bx, by in _roi_blocks(scene.roi, xs, ys):
-        for a in range(0, bx.size, chunk):
-            px, py = bx[a:a + chunk], by[a:a + chunk]
-            # the sides that land on nodes of their own: y != 0, x != 0, both
-            # (the axes' nodes are the grid's only zeros: roi_grid's step * 0)
-            y_off, x_off = py != 0.0, px != 0.0
-            own = np.stack([np.ones_like(y_off), y_off, x_off, y_off & x_off])
-            # one mode shares no terms: its kernel call takes its own
-            terms = (point_terms(px, py, scene.h_sat, geom.subarray_nx,
-                                 geom.subarray_ny, geom.spacing)
-                     if len(books) > 1 else None)
-            rel = noise_rel(slant_range(px, py, scene.h_sat), scene.link)
-            for i, (book, plan) in enumerate(zip(books, plans)):
-                out = sinr_db(*_serve(scene, px, py, book, iteration,
-                                      iteration, terms=terms, ids=False,
-                                      plan=plan)[1:], rel)
-                n_b, above_b = _count_above(out[own & np.isfinite(out)],
-                                            CDF_THRESHOLDS_DB)
-                del out  # before the next mode is served
-                n[i] += n_b
-                above[i] += above_b
+        for s, i, gains in _gain_slices(scene, bx, by,
+                                        *(plan[:2] for plan in plans)):
+            if i == 0:  # the slice's noise and sides, shared by every mode
+                # the sides on nodes of their own: y != 0, x != 0, both (the
+                # axes' nodes are the grid's only zeros: roi_grid's step * 0)
+                y_off, x_off = by[s] != 0.0, bx[s] != 0.0
+                own = np.stack([np.ones_like(y_off), y_off, x_off,
+                                y_off & x_off])
+                rel = noise_rel(slant_range(bx[s], by[s], scene.h_sat),
+                                scene.link)
+            served = _serve_slice(plans[i], gains, s, ids=False)[1:]
+            del gains  # freed before the SINR and the next kernel call
+            out = sinr_db(*served, rel)
+            n_b, above_b = _count_above(out[own & np.isfinite(out)],
+                                        CDF_THRESHOLDS_DB)
+            del served, out  # before the next mode's gains are computed
+            n[i] += n_b
+            above[i] += above_b
     return [_cdf(n_i, above_i, CDF_THRESHOLDS_DB, mode)
             for n_i, above_i, mode in zip(n, above, modes)]
 
@@ -549,7 +548,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         sid, col = held[e], np.array(col)[e]
         tx, ty = np.array(list(rows)).T
         g_serve = np.empty(ts.size)
-        for s, gains in _gain_slices(scene, sx, sy, tx, ty):
+        for s, _, gains in _gain_slices(scene, sx, sy, (tx, ty)):
             g_serve[s] = gains[col[s], np.arange(gains.shape[1])]
             del gains
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import filecmp
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leobeams import cli
+from leobeams import __version__, cli
 from leobeams.codebook import phase_table
 from leobeams.config import SceneConfig, apply_overrides, build_scene, load_config
 from leobeams.geometry import Roi
@@ -499,6 +500,100 @@ def test_fuzzed_config_values_keep_the_cli_contract(tmp_path, argv):
     _assert_outputs_finite_in_roi(out)
 
 
+# a few valid values per flag, by dest, on coarse grids; --out is the
+# test's own and never drawn
+ARGV_VALID = {
+    "config": (os.devnull,),
+    "overrides": ("seed=3", "rician_factor=12.5", "cycle_len=2"),
+    "seed": ("0", "7"),
+    "iteration": ("0", "1", "-3", "99999999999999999999"),
+    "grid_step": ("40000", "6e4", "inf"),
+    "modes": ("hex", "dft", "dft,hex"),
+    "x": ("0", "3e4", "-1e4"),
+    "y": ("0", "-2e4", "5e4"),
+    "duration": ("0", "30"),
+    "t_start": ("0", "-1e1", "4.5"),
+    "dt": ("0.5", "2"),
+}
+ARGV_WRONG_TYPE = ("abc", "1.5.2", "", "0x1p3", "1e3", "1.5")
+ARGV_NEGATIVE = ("-1e4", "-inf", "-1", "-0", "-1.5e-3")
+ARGV_UNKNOWN = (["--bogus"], ["--bogus", "1"], ["-q"], ["--iter-"], ["x"])
+
+
+def _cli_subparsers() -> dict:
+    """Subcommand name -> its parser, from the CLI parser's own actions."""
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+@st.composite
+def _argv_case(draw):
+    """One subcommand's argv: its required flags, each possibly dropped,
+    then one to four items built from its parser's actions, each a valid
+    value, a wrong type, a missing value, a repeat, an unknown flag, a bad
+    choice or a negative spelling."""
+    name = draw(st.sampled_from(sorted(_cli_subparsers())))
+    actions = [a for a in _cli_subparsers()[name]._actions
+               if a.option_strings and a.dest not in ("help", "out")]
+
+    def valid(action):
+        flag = draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:  # a store_true switch
+            return [flag]
+        return [flag, draw(st.sampled_from(action.choices
+                                           or ARGV_VALID[action.dest]))]
+
+    argv = [name, "--set", "grid_step_m=40000",
+            "--set", "handover_grid_step_m=40000"]
+    for action in actions:
+        if action.required and draw(st.integers(0, 4)):
+            argv += valid(action)
+    valued = [a for a in actions if a.nargs != 0]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["valid", "type", "missing", "repeat",
+                                     "unknown", "choice", "negative"]))
+        pool = {"valid": actions, "repeat": actions,
+                "choice": [a for a in valued if a.choices] or valued}
+        action = draw(st.sampled_from(pool.get(kind, valued)))
+        flag = action.option_strings[0]
+        if kind == "valid":
+            argv += valid(action)
+        elif kind == "repeat":
+            argv += valid(action) + valid(action)
+        elif kind == "type":
+            argv += [flag, draw(st.sampled_from(ARGV_WRONG_TYPE))]
+        elif kind == "missing":
+            argv += [flag]
+        elif kind == "unknown":
+            argv += draw(st.sampled_from(ARGV_UNKNOWN))
+        elif kind == "choice":
+            argv += [flag, "xyz"]
+        else:
+            argv += [flag, draw(st.sampled_from(ARGV_NEGATIVE))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv_case())
+def test_fuzzed_argv_keeps_the_cli_contract(tmp_path, argv):
+    # any argv a subcommand's flags can spell ends in a return of 0, or of 2
+    # with one error line and nothing on stdout; main never raises
+    argv[1:1] = ["--out", tempfile.mkdtemp(dir=tmp_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv,
+                                                                     lines)
+        return
+    assert code == 0, argv
+    assert all(line.startswith("warning: ") for line in lines), (argv, lines)
+
+
 def test_unknown_key_exits_nonzero(tmp_path, capsys):
     assert _run(["map", "--set", "warp=1", "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err.strip()
@@ -625,9 +720,12 @@ def test_unwritable_output_dir(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--version"], ["map", "--help"]])
 def test_help_and_version_exit_zero(capsys, argv):
-    # only the parser's refusals became error lines; help and version still
-    # print to stdout and exit 0
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 0
-    assert capsys.readouterr().out
+    # help and version print to stdout, and main returns 0 instead of
+    # raising SystemExit out of it
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv == ["--version"]:
+        assert out == f"{__version__}\n"
+    else:
+        assert out.startswith("usage: leobeams map ")

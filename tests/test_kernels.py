@@ -332,12 +332,17 @@ def test_kernel_on_sliced_point_terms_matches_sliced_points(case, zx, zy,
 
 
 def _served_kernel_calls(monkeypatch, scene, mode, g, px, py):
-    """Per kernel call of one _serve(g, h = g) at (px, py): its arguments and
-    the number of cosines each axis factor was evaluated at, x then y."""
+    """Per kernel call of one _serve(g, h = g) at (px, py): its first eight
+    arguments and the number of cosines each axis factor was evaluated at, x
+    then y. The ninth, the point terms, must be exactly the `point_terms` of
+    the call's points."""
     calls, kernel, factor = [], sim.gain_matrix, kernels._dirichlet_sq
 
     def kernel_probe(*args):
-        calls.append((args, []))
+        head, (terms,) = args[:8], args[8:]
+        want = kernels.point_terms(*head[:2], *head[4:])
+        assert terms.shape == want.shape and terms.tobytes() == want.tobytes()
+        calls.append((head, []))
         return kernel(*args)
 
     def factor_probe(p, at, n):

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -709,6 +711,23 @@ def test_dynamic_map_memory_bounded_by_grid_and_block(scene, monkeypatch):
     assert peak < 9 * xs.size * ys.size + 2048 * sim.BLOCK
 
 
+def test_only_the_slice_loop_names_the_kernel():
+    # _gain_slices is the one kernel slice loop of simulate.py: no other
+    # function calls the kernel, computes the point terms or sizes a kernel
+    # call, so both are decided in one place
+    kernel_names = {"gain_matrix", "point_terms", "KERNEL_EVALS"}
+    users = {}
+    for top in ast.parse(Path(sim.__file__).read_text()).body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name in kernel_names:
+                users.setdefault(name, set()).add(top.name)
+    assert users == {name: {"_gain_slices"} for name in kernel_names}
+
+
 def _chunk_probe_outputs(scene):
     maps = [sim.coverage_map(scene, metric, mode, step=10e3)
             for metric in ("snr", "sinr", "cell") for mode in sim.MAP_MODES]
@@ -884,12 +903,12 @@ def test_cdf_of_several_modes_visits_each_block_once(scene, monkeypatch):
 
 
 def test_cdf_serves_its_modes_one_block_at_a_time(scene):
-    # two modes hold each block's point terms (8 values, 64 B, per quadrant
-    # node) on top of what one mode holds, and each mode's arrays are freed
-    # before the next mode is served: at 1 km the two-mode peak measured
-    # about 50 B per BLOCK over the one-mode peak, and serving both modes
-    # before counting either, so holding the first mode's SINR block (4 sides
-    # x 8 B per node) while the second is served, about 79 B
+    # the modes share one kernel slice's point terms at a time, and each
+    # mode's gains and served arrays are freed before the next mode's gains
+    # are computed, so two modes hold no more than one: at 1 km the
+    # two-mode peak measured 2.35 MB against 2.48 MB for the larger
+    # one-mode peak. The bound leaves room for a block's point terms (8
+    # values, 64 B, per quadrant node), which no mode holds
     def peak(modes):
         tracemalloc.start()
         try:
