@@ -26,6 +26,7 @@ NaN cells (points outside the region of interest) render mid-gray (80,80,80).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -216,20 +217,37 @@ class FieldMap:
     def to_ppm(self, path) -> None:
         """Render to binary PPM; +y is the top image row, +x the right column.
 
-        The color ramp spans the finite values' min to max.
+        The color ramp spans the finite values' min to max. A block is as
+        many whole grid rows as fit in `simulate.BLOCK` cells, or one row:
+        one pass over the blocks finds the min and max, and a second renders
+        and writes them, top row first, so the writer holds one block however
+        large the map. Each block costs about a dozen numpy calls, so blocks
+        of `BLOCK_LINES` cells would spend more time in calls than in cells.
         """
+        from .simulate import BLOCK  # the package's block; simulate imports us
+
         vals = self.values
-        finite = np.isfinite(vals)
-        vmin = float(vals[finite].min()) if finite.any() else 0.0
-        vmax = float(vals[finite].max()) if finite.any() else 1.0
+        step = max(1, BLOCK // max(1, vals.shape[1]))
+        vmin, vmax = math.inf, -math.inf
+        for i in range(0, vals.shape[0], step):
+            block = vals[i:i + step]
+            block = block[np.isfinite(block)]
+            if block.size:
+                vmin = min(vmin, float(block.min()))
+                vmax = max(vmax, float(block.max()))
+        if vmin > vmax:  # no finite value
+            vmin, vmax = 0.0, 1.0
         span = vmax - vmin
-        t = (vals - vmin) / span if span > 0 else np.full_like(vals, 0.5)
-        rgb = color_ramp(np.where(finite, t, 0.0))
-        rgb[~finite] = NODATA_RGB
-        rgb = rgb[::-1, :, :]  # top row = largest y
         with open(path, "wb") as fh:
             fh.write(f"P6\n{vals.shape[1]} {vals.shape[0]}\n255\n".encode("ascii"))
-            fh.write(rgb.tobytes())
+            for i in range(vals.shape[0], 0, -step):  # top row = largest y
+                block = vals[max(0, i - step):i][::-1]
+                finite = np.isfinite(block)
+                t = ((block - vmin) / span if span > 0
+                     else np.full_like(block, 0.5))
+                rgb = color_ramp(np.where(finite, t, 0.0))
+                rgb[~finite] = NODATA_RGB
+                fh.write(rgb.tobytes())
 
 
 @dataclass(frozen=True)

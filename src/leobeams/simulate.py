@@ -18,11 +18,17 @@ Every kernel call goes through one slice loop, `_gain_slices`: at most
 KERNEL_EVALS point x target pairs per call, each slice's per-point trig
 (`point_terms`) computed once for every target set it serves. Every serving
 decision goes through one per-slice evaluator, `_serve_slice`, which
-`_serve` and the SINR CDF call, and map blocks and sweep calls hold at most
-BLOCK points, so memory is bounded whatever the grid and codebook sizes.
-Maps and CDFs share one block loop, `_roi_blocks`: a map holds its value
-grid plus one block, and a CDF counts each slice's values mode by mode, so
-it holds one block's coordinates and one mode's slice, and no grid.
+`_served_slices` pairs with a plan and the slice loop, and which the SINR
+CDF calls itself. `_served_slices` yields each slice's served IDs and gains
+as it comes: the dynamic schedule scatters them into its event table, the
+handover sweeps count their changes and a pass series writes them into its
+result, so none of them holds whole served arrays. `_serve` collects the
+slices into whole arrays for the map fills and `serving_beam`. Map blocks,
+sweep calls and pass-series blocks hold at most BLOCK points, so memory is
+bounded whatever the grid, codebook and series sizes. Maps and CDFs share
+one block loop, `_roi_blocks`: a map holds its value grid plus one block,
+and a CDF counts each slice's values mode by mode, so it holds one block's
+coordinates and one mode's slice, and no grid.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
@@ -39,8 +45,8 @@ y >= 0, and a single point takes the side matching the sign of its y. The
 dynamic codebook's association events pair point x at update index g with
 -x at -g, whose satellite-frame positions are negatives of each other.
 Indices g and g + K share their targets and only the IDs advance, so one
-`_serve` call takes per-point iterations and serves several whole indices of
-one residue class mod K. `_dynamic_events` is the one schedule of that
+evaluator call takes per-point iterations and serves several whole indices
+of one residue class mod K. `_dynamic_events` is the one schedule of that
 policy: one (4, events, points) table of each side's IDs in event order,
 whose changes the handover map counts and whose one point the series reads.
 """
@@ -63,7 +69,7 @@ DEFAULT_GRID_STEP = 2000.0      # coverage-map spacing [m]
 DEFAULT_HANDOVER_STEP = 5000.0  # handover-map spacing [m]
 UPDATE_SUBSTEPS = 20            # time samples per codebook update period
 TIME_TOL = 1e-9                 # [s] before g * t_c that still counts as g
-BLOCK = 2**15                   # points per _serve call of a map or sweep
+BLOCK = 2**15                   # points per map, sweep or series block
 KERNEL_EVALS = 81920            # point x beam evaluations per gain-kernel call
 MAX_SAMPLES = 2**22             # time samples of one pass series or sweep row
 MAX_CELLS = 2**23               # grid nodes of one map's ROI box
@@ -252,6 +258,24 @@ def _serve_slice(plan: tuple, gains: np.ndarray, s: slice,
     return sid, g_serve, interf
 
 
+def _served_slices(scene: Scene, px, py, book: Codebook, g, h=None,
+                   interference: bool = True, ids: bool = True):
+    """`_serve`, one slice at a time: yields (s, ids, gains, sums) per
+    `_gain_slices` slice s of the points, the slice's `_serve_slice` result,
+    each (sides, points in s). The plan is made before the first slice, and
+    each slice's gain matrix is freed before its result is yielded; a
+    consumer that drops the result before it asks for the next one holds one
+    slice at a time."""
+    plan = _serve_plan(book, g, h)
+    px = np.asarray(px, dtype=float)
+    py = np.abs(np.asarray(py, dtype=float))
+    for s, _, gains in _gain_slices(scene, px, py, plan[:2]):
+        served = _serve_slice(plan, gains, s, interference, ids)
+        del gains
+        yield (s, *served)
+        del served  # freed before the next slice's kernel call allocates
+
+
 def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
            interference: bool = True, ids: bool = True) -> tuple[
                np.ndarray | None, np.ndarray, np.ndarray | None]:
@@ -261,8 +285,10 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
     points) with h, one row per side in that order. With interference False
     the interferer sums are not formed, and with ids False the serving IDs
     are not; None takes their place. `_gain_slices` evaluates the rows of
-    the `_serve_plan` one slice of points at a time, and `_serve_slice`
-    serves each slice.
+    the `_serve_plan` one slice of points at a time, `_serve_slice` serves
+    each slice, and `_served_slices`, which pairs the two, yields each
+    slice's result, which this collects into whole arrays. Callers that can
+    use each slice as it comes read `_served_slices` themselves.
 
     g and h are each one iteration, or one per point, all of one residue mod
     K, so every point of a side reads the same targets and only its IDs
@@ -280,18 +306,15 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
     at K = 2, 4 and 8. Otherwise a call carries up to twice the rows, as many
     evaluations as serving the mirrored points directly.
     """
-    plan = _serve_plan(book, g, h)
-    px = np.asarray(px, dtype=float)
-    py = np.abs(np.asarray(py, dtype=float))
-    shape = (len(plan[2]), px.size)
+    shape = (2 if h is None else 4, np.size(px))
     out = (np.empty(shape, dtype=np.int64) if ids else None, np.empty(shape),
            np.empty(shape) if interference else None)
-    for s, _, gains in _gain_slices(scene, px, py, plan[:2]):
-        for whole, part in zip(out, _serve_slice(plan, gains, s,
-                                                 interference, ids)):
+    for s, *parts in _served_slices(scene, px, py, book, g, h,
+                                    interference, ids):
+        for whole, part in zip(out, parts):
             if whole is not None:
                 whole[:, s] = part
-        del gains, part  # freed before the next slice's kernel call allocates
+        del parts, part  # freed before the next slice's kernel call allocates
     return out
 
 
@@ -494,8 +517,13 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     beam held since then, so a series ending before the window's final tau
     can show one change fewer than `handover_map`. The held IDs are the
     point's side of the schedule's table, and the held beams' gains come
-    from one `_gain_slices` pass over the samples and the distinct held
-    targets.
+    from `_gain_slices` over the samples and the distinct held targets.
+
+    Sample k is at t_start + dt * k. The indices are generated BLOCK at a
+    time, twice: once to count the in-ROI samples and find the first and
+    last, and once to serve each block slice by slice and write its times,
+    IDs and SNR into the preallocated result. So a series holds its result
+    (24 B per sample) plus one block.
     """
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
@@ -518,26 +546,30 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     k0 = max(0, math.ceil((t_in - t_start) / dt) - 1)
     n = math.floor((end - t_start) / dt + 1e-9) + 1 - k0
     _check_samples(n, dt)
-    ts = t_start + dt * np.arange(k0, k0 + max(n, 0))
-    sx = x_g - scene.v_ground * ts
-    keep = scene.roi.contains(sx, np.full_like(sx, y))
-    ts, sx = ts[keep], sx[keep]
-    if ts.size == 0:
+
+    def blocks():  # each block of sample indices: its in-ROI times and x
+        for a in range(k0, k0 + max(n, 0), BLOCK):
+            ts = t_start + dt * np.arange(a, min(a + BLOCK, k0 + n))
+            sx = x_g - scene.v_ground * ts
+            keep = scene.roi.contains(sx, np.full_like(sx, y))
+            yield ts[keep], sx[keep]
+
+    size, ends = 0, []  # in-ROI samples, and the first and last one's times
+    for ts, _ in blocks():
+        size += ts.size
+        ends += ts[[0, -1]].tolist() if ts.size else []
+    if size == 0:
         raise ValueError("no samples fall inside the region of interest")
-    sy = np.full_like(sx, y)
 
     side = int(y < 0)
-    if mode in ("static", "dft"):
-        sid, g_serve, _ = _serve(scene, sx, sy, book, 0, interference=False)
-        sid, g_serve = sid[side].copy(), g_serve[side]  # a row, not a view
-    else:
+    if mode == "dynamic":
         # the handover map's events for this one point, with its first and
         # last samples as the window: its event e is at update index g0 + e,
         # and each sample holds the beam of its own index's event
-        g0 = int(_iteration(scene, ts[0]))
-        e = _iteration(scene, ts) - g0
-        held = _dynamic_events(scene, np.array([x_g]), sy[:1], ts[:1],
-                               ts[-1:])[side, :e[-1] + 1, 0].astype(np.int64)
+        g0, g1 = (int(_iteration(scene, t)) for t in (ends[0], ends[-1]))
+        held = _dynamic_events(scene, np.array([x_g]), np.array([y]),
+                               np.array(ends[:1]), np.array(ends[-1:])
+                               )[side, :g1 - g0 + 1, 0].astype(np.int64)
         # each event's held target: the one of its base ID in its residue
         cyc, k = np.divmod(np.arange(g0, g0 + held.size), book.cycle_len)
         base = (held - book.advance * cyc) % book.n_beams
@@ -545,15 +577,32 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         for r, b in zip(k.tolist(), base.tolist()):
             t = book.targets[r][np.searchsorted(book.ids[r], b)]
             col.append(rows.setdefault(tuple(t.tolist()), len(rows)))
-        sid, col = held[e], np.array(col)[e]
+        col = np.array(col)
         tx, ty = np.array(list(rows)).T
-        g_serve = np.empty(ts.size)
-        for s, _, gains in _gain_slices(scene, sx, sy, (tx, ty)):
-            g_serve[s] = gains[col[s], np.arange(gains.shape[1])]
-            del gains
 
-    metric = snr_db(g_serve, slant_range(sx, sy, scene.h_sat), scene.link)
-    return TimeSeries(t_s=ts, serving_id=sid, metric_db=metric)
+    t_s, sid, metric = (np.empty(size), np.empty(size, dtype=np.int64),
+                        np.empty(size))
+    o = 0
+    for ts, sx in blocks():
+        sy = np.full_like(sx, y)
+        # this block's views of the result; gain holds the gains until the
+        # SNR replaces them
+        at = slice(o, o + ts.size)
+        o += ts.size
+        t_s[at], ids, gain = ts, sid[at], metric[at]
+        if mode == "dynamic":
+            e = _iteration(scene, ts) - g0
+            ids[:] = held[e]
+            for s, _, gains in _gain_slices(scene, sx, sy, (tx, ty)):
+                gain[s] = gains[col[e[s]], np.arange(gains.shape[1])]
+                del gains
+        else:
+            for s, sid_s, g_s, _ in _served_slices(scene, sx, sy, book, 0,
+                                                   interference=False):
+                ids[s], gain[s] = sid_s[side], g_s[side]
+                del sid_s, g_s
+        gain[:] = snr_db(gain, slant_range(sx, sy, scene.h_sat), scene.link)
+    return TimeSeries(t_s=t_s, serving_id=sid, metric_db=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +617,10 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
     Every point of a row sees the same sweep, and row -y sees it mirrored,
     so each row y >= 0 is swept once for both signs, and column -x repeats
     column x. The rows' samples run one after another under one running
-    sample index, BLOCK indices per _serve call; a row counts the ID changes
-    between its own consecutive in-ROI samples, and each call carries the
-    previous call's last sample, so a row split between two calls counts the
-    change at the split.
+    sample index, BLOCK indices per `_served_slices` call; a row counts the
+    ID changes between its own consecutive in-ROI samples slice by slice,
+    and each slice carries the previous slice's last sample, so a row split
+    between two slices or calls counts the change at the split.
     """
     ys = np.unique(py)
     x_b = scene.roi.x_extent(ys)
@@ -589,13 +638,15 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
         r = np.searchsorted(first, s, side="right") - 1
         sx = x_b[r] - scene.v_ground * dt * (s - first[r])
         keep = scene.roi.contains(sx, ys[r])
-        row = np.append(row[-1], r[keep])
-        sid = np.hstack([sid[:, -1:],
-                         _serve(scene, sx[keep], ys[row[1:]], book, 0,
-                                interference=False)[0]])
-        changed = (sid[:, 1:] != sid[:, :-1]) & (row[1:] == row[:-1])
-        for c, k in zip(counts, changed):
-            c += np.bincount(row[1:][k], minlength=ys.size)
+        r = r[keep]
+        for c, ids, _, _ in _served_slices(scene, sx[keep], ys[r], book, 0,
+                                           interference=False):
+            row = np.append(row[-1], r[c])
+            sid = np.hstack([sid[:, -1:], ids])
+            del ids  # freed before the next slice's kernel call allocates
+            changed = (sid[:, 1:] != sid[:, :-1]) & (row[1:] == row[:-1])
+            for total, k in zip(counts, changed):
+                total += np.bincount(row[1:][k], minlength=ys.size)
     return np.tile(counts[:, np.searchsorted(ys, py)], (2, 1))
 
 
@@ -622,9 +673,11 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
     their own, a mirror's negated; a column's owners are the sides that
     associate there, and only they write their IDs into the table.
 
-    One `_serve` call serves whole loop indices of one residue class mod K,
-    in ascending order, with iterations g on the point's sides and -g on
-    the mirror's, since g and g + K share their targets. The schedule starts
+    One `_served_slices` call serves whole loop indices of one residue class
+    mod K, in ascending order, with iterations g on the point's sides and -g
+    on the mirror's, since g and g + K share their targets, and each kernel
+    slice's IDs are scattered into the table as the slice is served, so no
+    call holds its columns' whole served arrays. The schedule starts
     at its first loop index, which always holds a column (an entry of a
     point, or an update or entry of a mirror). Each class is walked from
     there: an index's columns are built once, an index with none is
@@ -658,13 +711,16 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
         gs, pts, sx, own = zip(*parts)
         g = gs[0] if len(gs) == 1 else np.repeat(gs, [p.size for p in pts])
         pts, sx, own = (np.concatenate(a, axis=-1) for a in (pts, sx, own))
-        sid = _serve(scene, sx, py[pts], scene.hex, g, -g,
-                     interference=False)[0]
-        # the point's sides at event g - g_in, the mirror's at x_in - g
-        for side, e, k in zip((0, 2), (g - g_in[pts], x_in[pts] - g), own):
-            at = (e * px.size + pts)[k]
-            flat[side, at] = sid[side][k]
-            flat[side + 1, at] = sid[side + 1][k]
+        for s, sid, _, _ in _served_slices(scene, sx, py[pts], scene.hex, g,
+                                           -g, interference=False):
+            p, gp = pts[s], (g[s] if np.ndim(g) else g)
+            # the point's sides at event g - g_in, the mirror's at x_in - g
+            for side, e, k in zip((0, 2), (gp - g_in[p], x_in[p] - gp),
+                                  own[:, s]):
+                at = (e * px.size + p)[k]
+                flat[side, at] = sid[side][k]
+                flat[side + 1, at] = sid[side + 1][k]
+            del sid  # freed before the next slice's kernel call allocates
 
     for r in range(lo, min(lo + cycle_len, hi)):
         parts, held = [], 0

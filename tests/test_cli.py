@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -138,24 +137,22 @@ def test_phases_match_per_line_oracle(tmp_path, overrides):
     assert (tmp_path / "phases.csv").read_bytes() == want.encode()
 
 
-def test_channel_check_memory_stays_below_one_dense_matrix(tmp_path):
+def test_channel_check_memory_stays_below_one_dense_matrix(tmp_path,
+                                                            traced_peak):
     # the three norms come from the rank-1 factors; one dense
     # n_ut x n_sat complex matrix is 34.5 MB at the default config
     scene = build_scene(SceneConfig())
     n_ut = scene.link.ut_dims[0] * scene.link.ut_dims[1]
     dense = n_ut * scene.geometry.n_elements * 16
-    tracemalloc.start()
-    try:
-        assert _run(["codebook", "--channel-check", "--out", tmp_path]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < dense / 8
+    run = traced_peak(lambda: _run(["codebook", "--channel-check",
+                                    "--out", tmp_path]))
+    assert run.result == 0
+    assert run.peak < dense / 8
     line = (tmp_path / "channel_check.csv").read_text().splitlines()[1]
     assert line.startswith("0,")
 
 
-def test_output_hashing_is_bounded_by_one_block(tmp_path):
+def test_output_hashing_is_bounded_by_one_block(tmp_path, traced_peak):
     # a file of several blocks plus a partial one hashes to the digest of
     # its bytes, while write() holds no more than a couple of blocks
     data = np.random.default_rng(0).bytes(6 * cli.HASH_BLOCK + 12345)
@@ -163,12 +160,8 @@ def test_output_hashing_is_bounded_by_one_block(tmp_path):
     want = hashlib.sha256(data).hexdigest()
     del data
     emit = cli._Emitter(str(tmp_path), SceneConfig())
-    tracemalloc.start()
-    try:
-        emit.write("big.bin", lambda path: None)  # already on disk
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(  # already on disk
+        lambda: emit.write("big.bin", lambda path: None)).peak
     assert emit.records == [("big.bin", want)]
     assert peak < 3 * cli.HASH_BLOCK
 

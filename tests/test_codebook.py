@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,18 +168,15 @@ def test_overflow_names_offending_iteration(spec, roi):
 @pytest.mark.parametrize("cycle_len, oversampling",
                          [(1_000_000, 1.4), (4, 1e3), (4, 1e300)])
 def test_oversized_lattice_refused_before_allocating(roi, cycle_len,
-                                                     oversampling):
+                                                     oversampling,
+                                                     traced_peak):
     geom = satellite_array(13, (12, 24), 0.5)
     big = cb.make_lattice_spec(H, oversampling, (12, 24), cycle_len,
                                ground_track_speed(H))
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match=r"cycle_len = .* oversampling"):
             cb.build_cycle(geom, big, roi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**16
+    assert traced_peak(refused).peak < 2**16
 
 
 def test_lattice_node_cap_counts_the_whole_box(spec, roi, monkeypatch):
@@ -375,29 +371,23 @@ def test_dft_grid_pairs_with_itself_under_x_mirror(roi):
 
 
 @pytest.mark.parametrize("n_beams", [2**20 + 1, 10**8, 10**400])
-def test_oversized_dft_grid_refused_before_allocating(roi, n_beams):
-    tracemalloc.start()
-    try:
+def test_oversized_dft_grid_refused_before_allocating(roi, n_beams,
+                                                      traced_peak):
+    def refused():
         with pytest.raises(ValueError, match="^dft_n_beams = "):
             cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams, 0.88)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced_peak(refused).peak < 2**20
 
 
-def test_dft_grid_of_too_many_nodes_refused_before_allocating(roi):
+def test_dft_grid_of_too_many_nodes_refused_before_allocating(roi,
+                                                              traced_peak):
     # a prime count is one row of n_beams columns, laid out over the ROI box
     # at shrink 0.88: about n / 0.88 x 5 nodes
     n_beams = 262147
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match="^dft_n_beams = 262147 lays out"):
             cb.dft_baseline(SimpleNamespace(n_rf=13), roi, n_beams, 0.88)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced_peak(refused).peak < 2**20
 
 
 def test_dft_grid_holds_every_in_roi_node_of_its_lattice(roi):

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import pytest
 
@@ -108,15 +107,12 @@ def test_removed_constellation_keys_rejected():
     ("dft_n_beams", 10**7, "dft_n_beams"),
     ("cycle_len", 10**400, "cycle_len"),
 ])
-def test_oversized_counts_refused_before_allocating(key, value, match):
+def test_oversized_counts_refused_before_allocating(key, value, match,
+                                                    traced_peak):
     # the panel, the DFT grid and the lattice enumeration are sized by
     # unbounded integers; each is refused, naming its key, at a cost that
     # does not grow with the value
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match=match):
             build_scene(SceneConfig(**{key: value}))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced_peak(refused).peak < 2**20

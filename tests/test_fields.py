@@ -1,13 +1,12 @@
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leobeams import fields
+from leobeams import fields, simulate
 
 
 def test_ramp_anchor_colors():
@@ -197,7 +196,8 @@ def test_writers_match_per_cell_oracle(tmp_path_factory, data):
     assert (tmp_path / "c.csv").read_bytes() == _cdf_set_oracle(curves).encode()
 
 
-def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch):
+def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch,
+                                                    traced_peak):
     # a whole-file join, or whole-column lists, would hold every row at once;
     # the writer holds one block of rows (a series its values, their tuple,
     # the formatted text and its bytes; a map its values' numpy temporaries,
@@ -220,14 +220,62 @@ def test_timeseries_writer_memory_bounded_by_block(tmp_path, monkeypatch):
     # a row is wider than a block, so a block is one row of 300 lines
     for name, out, lines in (("ts.csv", ts, 256), ("map.csv", grid(100), 200),
                              ("wide.csv", grid(300), 300)):
-        tracemalloc.start()
-        try:
-            out.to_csv(tmp_path / name)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: out.to_csv(tmp_path / name)).peak
         size = (tmp_path / name).stat().st_size
         assert peak < 512 * lines < size / 8, name
+
+
+def _ppm_oracle(m):
+    """The whole-map PPM rendering the blocked writer replaced, kept as the
+    byte oracle."""
+    vals = m.values
+    finite = np.isfinite(vals)
+    vmin = float(vals[finite].min()) if finite.any() else 0.0
+    vmax = float(vals[finite].max()) if finite.any() else 1.0
+    span = vmax - vmin
+    t = (vals - vmin) / span if span > 0 else np.full_like(vals, 0.5)
+    rgb = fields.color_ramp(np.where(finite, t, 0.0))
+    rgb[~finite] = fields.NODATA_RGB
+    return (f"P6\n{vals.shape[1]} {vals.shape[0]}\n255\n".encode("ascii")
+            + rgb[::-1].tobytes())
+
+
+@pytest.mark.parametrize("block", [4, simulate.BLOCK])
+def test_ppm_matches_whole_map_rendering(tmp_path, monkeypatch, block):
+    # maps with NaN, infinite and signed-zero cells, all-NaN maps and
+    # constant maps, rendered in blocks of two whole rows and in blocks of
+    # one row wider than a block, or in one block, are the bytes of the
+    # whole-map rendering
+    monkeypatch.setattr(simulate, "BLOCK", block)
+    rng = np.random.default_rng(7)
+    for ny, nx in ((9, 2), (3, 7), (40, 60)):
+        mixed = rng.normal(0.0, 10.0, (ny, nx))
+        mixed[rng.random((ny, nx)) < 0.3] = np.nan
+        mixed[0, 0], mixed[-1, -1], mixed[ny // 2, 0] = np.inf, -np.inf, -0.0
+        for name, vals in (("nan", mixed),
+                           ("all-nan", np.full((ny, nx), np.nan)),
+                           ("constant", np.full((ny, nx), -3.25))):
+            fmap = fields.FieldMap(xs=np.arange(nx) * 500.0,
+                                   ys=np.arange(ny) * 500.0, values=vals)
+            fmap.to_ppm(tmp_path / "m.ppm")
+            assert (tmp_path / "m.ppm").read_bytes() == _ppm_oracle(fmap), (
+                ny, nx, name)
+
+
+def test_ppm_writer_memory_bounded_by_block(tmp_path, traced_peak):
+    # the writer finds the ramp's span and renders one block of whole rows at
+    # a time: a map the size of the 500 m grid (683 x 2137 cells, 11.1 MiB
+    # of values, 15 rows a block) peaked at about 1.4 MiB measured, 44 B
+    # per cell of a block, where rendering the whole map at once took 50.1
+    # MiB, about 4.5 times the map
+    ny, nx = 683, 2137
+    vals = np.sin(np.arange(ny * nx, dtype=float)).reshape(ny, nx) * 20.0
+    vals[:, :300] = np.nan
+    fmap = fields.FieldMap(xs=np.arange(nx) * 500.0, ys=np.arange(ny) * 500.0,
+                           values=vals)
+    peak = traced_peak(lambda: fmap.to_ppm(tmp_path / "m.ppm")).peak
+    assert (tmp_path / "m.ppm").stat().st_size > 3 * vals.size
+    assert peak < 64 * max(simulate.BLOCK, nx)
 
 
 def test_fixed6_lines_match_percent_format():

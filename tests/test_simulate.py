@@ -1,6 +1,5 @@
 import ast
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -325,18 +324,18 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
 
 
 def _kernel_rows_per_serve(monkeypatch):
-    """A list that fills, per _serve call, with [g, rows of each kernel call
-    it makes]."""
-    calls, serve, kernel = [], sim._serve, sim.gain_matrix
+    """A list that fills, per evaluator call (a `_served_slices` pass, which
+    `_serve` makes once), with [g, rows of each kernel call it makes]."""
+    calls, serve, kernel = [], sim._served_slices, sim.gain_matrix
 
     def serve_probe(scene, px, py, book, g, *rest, **kw):
         calls.append([g])
-        return serve(scene, px, py, book, g, *rest, **kw)
+        yield from serve(scene, px, py, book, g, *rest, **kw)
 
     def kernel_probe(px, py, tx, *args):
         calls[-1].append(tx.size)
         return kernel(px, py, tx, *args)
-    monkeypatch.setattr(sim, "_serve", serve_probe)
+    monkeypatch.setattr(sim, "_served_slices", serve_probe)
     monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
     return calls
 
@@ -451,9 +450,9 @@ def test_batched_serve_matches_direct_serve_per_column(
 
 def test_dynamic_map_of_many_small_classes_matches_direct_loop(monkeypatch):
     # at K = 1000 a 60 km map's thousands of update indices fall into 1000
-    # residue classes of a few small indices each: each class is one _serve
-    # call whose columns span several cycles, and the counts are still each
-    # point's own direct loop
+    # residue classes of a few small indices each: each class is one
+    # evaluator call whose columns span several cycles, and the counts are
+    # still each point's own direct loop
     scene = build_scene(SceneConfig(cycle_len=1000))
     xs, ys = sim.roi_grid(scene.roi, 60e3)
     gx, gy = np.meshgrid(xs, ys)
@@ -475,7 +474,7 @@ def test_dynamic_schedule_packs_whole_indices_below_a_quarter_block(
     # index that has columns is served once, and the counts are still each
     # point's own direct loop
     monkeypatch.setattr(sim, "BLOCK", 64)
-    blocks, events, serve = [], sim._dynamic_events, sim._serve
+    blocks, events, serve = [], sim._dynamic_events, sim._served_slices
 
     def events_probe(scene, px, py, t_in, t_out):
         blocks.append(([], t_in, t_out))
@@ -483,9 +482,9 @@ def test_dynamic_schedule_packs_whole_indices_below_a_quarter_block(
 
     def serve_probe(scene, px, py, book, g, h, **kw):
         blocks[-1][0].append(np.broadcast_to(g, np.shape(px)))
-        return serve(scene, px, py, book, g, h, **kw)
+        yield from serve(scene, px, py, book, g, h, **kw)
     monkeypatch.setattr(sim, "_dynamic_events", events_probe)
-    monkeypatch.setattr(sim, "_serve", serve_probe)
+    monkeypatch.setattr(sim, "_served_slices", serve_probe)
     got = sim.handover_map(scene, "dynamic", step=20e3).values
     xs, ys = sim.roi_grid(scene.roi, 20e3)
     gx, gy = np.meshgrid(xs, ys)
@@ -667,10 +666,10 @@ def test_mirrored_sides_share_kernel_rows(scenes_by_cycle_len, monkeypatch):
     # the DFT grid, hex k with 2k = 0 mod K, and the dynamic pair g, -g at
     # K = 4; hex k = 1 and 3 at K = 4 need their x-flipped targets as rows
     # of their own. The dynamic map serves whole update indices of one
-    # residue class mod K per _serve call, g on the point's sides and -g on
-    # the mirror's, with the rows of that class's own g and -g, also at K = 3
-    # where -g is not the mirror of g; a map this small makes at most one
-    # call per class
+    # residue class mod K per evaluator call, g on the point's sides and -g
+    # on the mirror's, with the rows of that class's own g and -g, also at
+    # K = 3 where -g is not the mirror of g; a map this small makes at most
+    # one call per class
     scene = scenes_by_cycle_len[4]
     calls = _kernel_rows_per_serve(monkeypatch)
     for mode, g in [("dft", 0)] + [("hex", k) for k in range(4)]:
@@ -694,7 +693,8 @@ def test_mirrored_sides_share_kernel_rows(scenes_by_cycle_len, monkeypatch):
             assert rows and set(rows) == {n if closed else 2 * n}
 
 
-def test_dynamic_map_memory_bounded_by_grid_and_block(scene, monkeypatch):
+def test_dynamic_map_memory_bounded_by_grid_and_block(scene, monkeypatch,
+                                                       traced_peak):
     # the dynamic map is filled one block of rows at a time like every other
     # map: its value grid (8 B per node) plus a block term (about 870 B per
     # block node measured, mostly kernel temporaries); one association loop
@@ -702,12 +702,8 @@ def test_dynamic_map_memory_bounded_by_grid_and_block(scene, monkeypatch):
     monkeypatch.setattr(sim, "BLOCK", 512)
     xs, ys = sim.roi_grid(scene.roi, 5e3)
     assert ys.size // 2 + 1 >= 8 * (sim.BLOCK // (xs.size // 2 + 1))
-    tracemalloc.start()
-    try:
-        sim.handover_map(scene, "dynamic", step=5e3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: sim.handover_map(scene, "dynamic",
+                                                step=5e3)).peak
     assert peak < 9 * xs.size * ys.size + 2048 * sim.BLOCK
 
 
@@ -764,52 +760,39 @@ def test_outputs_independent_of_chunk_size(scene, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
-def test_coverage_map_memory_bounded_by_chunk(scene):
+def test_coverage_map_memory_bounded_by_chunk(scene, traced_peak):
     # the full (points x beams) gain matrix alone would take 8 * n_beams
     # bytes per point; the chunked evaluator stays well under twice that
     n_points = _grid_points(scene, 1000.0)[0].size
     n_beams = scene.hex.targets[0].shape[0]
-    tracemalloc.start()
-    try:
-        sim.coverage_map(scene, step=1000.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: sim.coverage_map(scene, step=1000.0)).peak
     assert peak < 2 * n_beams * 8 * n_points
 
 
-def test_fine_map_memory_bounded_by_grid_and_block(scene):
+def test_fine_map_memory_bounded_by_grid_and_block(scene, traced_peak):
     # fill runs on one block of whole rows (about BLOCK quadrant nodes, 4 x
     # BLOCK values) at a time, so a fine map peaks at its value grid (8 B
     # per node) plus a block term that does not grow with the grid; one fill
     # over every in-ROI node took about 72 B per node
     xs, ys = sim.roi_grid(scene.roi, 500.0)
-    tracemalloc.start()
-    try:
-        sim.coverage_map(scene, step=500.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: sim.coverage_map(scene, step=500.0)).peak
     assert peak < 9 * xs.size * ys.size + 512 * sim.BLOCK
 
 
-def test_map_block_holds_only_its_own_quadrant(scene, monkeypatch):
+def test_map_block_holds_only_its_own_quadrant(scene, monkeypatch,
+                                               traced_peak):
     # each block tests its own quadrant against the ROI as it fills it, so a
     # map holds its value grid (8 B per node) and no full-box mask; at
     # BLOCK = 512 a 500 m DFT cell map's block term measured about 1.7 kB
     # per block node, and 4.6 kB with a full-box mask and per-row counts
     monkeypatch.setattr(sim, "BLOCK", 512)
     xs, ys = sim.roi_grid(scene.roi, 500.0)
-    tracemalloc.start()
-    try:
-        sim.coverage_map(scene, "cell", "dft", step=500.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: sim.coverage_map(scene, "cell", "dft",
+                                                step=500.0)).peak
     assert peak < 8 * xs.size * ys.size + 3072 * sim.BLOCK
 
 
-def test_cdf_memory_bounded_by_block(scene, monkeypatch):
+def test_cdf_memory_bounded_by_block(scene, monkeypatch, traced_peak):
     # the CDF counts each block's values as the block loop yields them and
     # keeps no value grid: at BLOCK = 512 a block is one grid row (535
     # quadrant nodes at 1 km, 1069 at 500 m) and the traced peak measured
@@ -817,28 +800,19 @@ def test_cdf_memory_bounded_by_block(scene, monkeypatch):
     # copy of its values took 5.6 and 22 MB
     monkeypatch.setattr(sim, "BLOCK", 512)
     for step in (1000.0, 500.0):
-        tracemalloc.start()
-        try:
-            sim.sinr_cdf(scene, step=step)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: sim.sinr_cdf(scene, step=step)).peak
         assert peak < 3072 * sim.BLOCK, step
 
 
-def test_fine_cdf_holds_one_kernel_slice_per_mode(scene):
+def test_fine_cdf_holds_one_kernel_slice_per_mode(scene, traced_peak):
     # a 500 m two-mode CDF serves each block in chunks of one kernel call
     # per mode, so it holds one block's coordinates (16 B per node) and one
     # chunk's kernel slice and arrays: about 26 B per KERNEL_EVALS measured
     # over the coordinates, where serving a whole block at a time took 7.6
     # MiB, 97 B per KERNEL_EVALS
     for g in (1, 2):
-        tracemalloc.start()
-        try:
-            sim.sinr_cdf(scene, iteration=g, step=500.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: sim.sinr_cdf(scene, iteration=g,
+                                                step=500.0)).peak
         assert peak < 16 * sim.BLOCK + 40 * sim.KERNEL_EVALS, g
 
 
@@ -902,7 +876,7 @@ def test_cdf_of_several_modes_visits_each_block_once(scene, monkeypatch):
                     == want.probs.tobytes()), (mode, g)
 
 
-def test_cdf_serves_its_modes_one_block_at_a_time(scene):
+def test_cdf_serves_its_modes_one_block_at_a_time(scene, traced_peak):
     # the modes share one kernel slice's point terms at a time, and each
     # mode's gains and served arrays are freed before the next mode's gains
     # are computed, so two modes hold no more than one: at 1 km the
@@ -910,32 +884,24 @@ def test_cdf_serves_its_modes_one_block_at_a_time(scene):
     # one-mode peak. The bound leaves room for a block's point terms (8
     # values, 64 B, per quadrant node), which no mode holds
     def peak(modes):
-        tracemalloc.start()
-        try:
-            sim.sinr_cdf(scene, modes, step=1000.0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: sim.sinr_cdf(scene, modes,
+                                                step=1000.0)).peak
     one = max(peak(("hex",)), peak(("dft",)))
     assert peak(("hex", "dft")) <= one + 64 * sim.BLOCK + 65536
 
 
-def test_cdf_sorts_its_one_copy_of_the_map_values(scene):
+def test_cdf_sorts_its_one_copy_of_the_map_values(scene, traced_peak):
     # the in-ROI values are gathered once and sorted in place: about 9.3 B
     # per value (8 B and the isfinite mask), where a sorted second copy
     # took 16 B
     fmap = sim.coverage_map(scene, step=1000.0)
     n = np.count_nonzero(np.isfinite(fmap.values))
-    tracemalloc.start()
-    try:
-        sim.cdf_from_map(fmap, sim.CDF_THRESHOLDS_DB)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: sim.cdf_from_map(fmap,
+                                                sim.CDF_THRESHOLDS_DB)).peak
     assert peak < 12 * n
 
 
-def test_kernel_call_memory_bounded_whatever_the_codebook_size():
+def test_kernel_call_memory_bounded_whatever_the_codebook_size(traced_peak):
     # each kernel call is bounded by KERNEL_EVALS point x beam pairs, not by
     # points, so a map of 946 DFT beams takes a fixed term over the 15-beam
     # map, not one that grows with the beams (2.7 MiB against 0.42 MiB; 864
@@ -943,12 +909,8 @@ def test_kernel_call_memory_bounded_whatever_the_codebook_size():
     peaks = []
     for n_beams in (15, 946):
         scene = build_scene(SceneConfig(dft_n_beams=n_beams))
-        tracemalloc.start()
-        try:
-            sim.coverage_map(scene, "sinr", "dft", step=10e3)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: sim.coverage_map(
+            scene, "sinr", "dft", step=10e3)).peak)
     assert peaks[1] - peaks[0] < 64 * sim.KERNEL_EVALS
 
 
@@ -1089,19 +1051,18 @@ def _paired_rows(book, g):
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
 def test_dynamic_series_serves_one_call_per_residue_class(
         scenes_by_cycle_len, cycle_len, monkeypatch):
-    # a series serves its update indices in at most one _serve call per
+    # a series serves its update indices in at most one evaluator call per
     # residue class mod K, g on the point's sides and -g on the mirror's,
     # each kernel call with the rows of that class's own g and -g; the gains
     # of its held beams come from one more kernel call, over the distinct
     # held targets, and none per event
     scene = scenes_by_cycle_len[cycle_len]
-    calls, serve, kernel = [], sim._serve, sim.gain_matrix
+    calls, serve, kernel = [], sim._served_slices, sim.gain_matrix
 
     def serve_probe(scene, px, py, book, g, h, **kw):
         calls.append([np.atleast_1d(g), np.atleast_1d(h)])
-        out = serve(scene, px, py, book, g, h, **kw)
-        calls.append(None)  # a kernel call past here is outside _serve
-        return out
+        yield from serve(scene, px, py, book, g, h, **kw)
+        calls.append(None)  # a kernel call past here is outside the call
 
     def kernel_probe(px, py, tx, *args):
         if calls and calls[-1] is None:
@@ -1109,7 +1070,7 @@ def test_dynamic_series_serves_one_call_per_residue_class(
         else:
             calls[-1].append(tx.size)
         return kernel(px, py, tx, *args)
-    monkeypatch.setattr(sim, "_serve", serve_probe)
+    monkeypatch.setattr(sim, "_served_slices", serve_probe)
     monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
     for pt in SERIES_POINTS:
         calls.clear()
@@ -1165,18 +1126,43 @@ def test_dynamic_series_samples_match_their_own_events(scenes_by_cycle_len,
 
 
 @pytest.mark.parametrize("mode", sim.PASS_MODES)
-def test_pass_series_holds_only_its_own_arrays(scene, mode):
+def test_pass_series_holds_only_its_own_arrays(scene, mode, traced_peak):
     # the result keeps 24 B per sample: t_s, serving_id and metric_db, each
     # owning its data (a static serving_id that viewed a row of the
     # evaluator's (2, n) IDs kept both rows, 32 B per sample)
-    tracemalloc.start()
-    try:
-        series = sim.pass_timeseries(scene, (0.0, 0.0), mode, dt=0.01)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    _, held, series = traced_peak(
+        lambda: sim.pass_timeseries(scene, (0.0, 0.0), mode, dt=0.01))
     assert series.t_s.size > 8000
     assert held <= 24 * series.t_s.size + 16 * 1024
+
+
+@pytest.mark.parametrize("mode", sim.PASS_MODES)
+def test_pass_series_peak_is_its_result_plus_one_block(scene, mode,
+                                                       traced_peak):
+    # a series generates its sample indices BLOCK at a time and writes each
+    # block's times, IDs and SNR into its preallocated result as the block is
+    # served, so it peaks at its result (24 B per sample) plus one block:
+    # 101-121 B per BLOCK measured at 2**19 samples, where serving every
+    # sample at once peaked at 81 B per sample (static, DFT) and 89 B
+    # (dynamic)
+    t_in, t_out = sim.pass_window(scene, (0.0, 0.0))
+    run = traced_peak(lambda: sim.pass_timeseries(
+        scene, (0.0, 0.0), mode, dt=(t_out - t_in) / 2**19, t_start=t_in))
+    n = run.result.t_s.size
+    assert n > 2**19
+    assert run.peak <= 24 * n + 160 * sim.BLOCK
+
+
+def test_dynamic_handover_map_holds_no_whole_served_arrays(scene,
+                                                           traced_peak):
+    # the schedule scatters each kernel slice's IDs into its event table as
+    # the slice is served, so no call holds its columns' whole (4, columns)
+    # IDs and gains (up to 21,214 columns here): the 2 km map peaked at 6.8
+    # MiB of traced allocation measured, and at 7.9-8.0 MiB with whole
+    # served arrays
+    peak = traced_peak(lambda: sim.handover_map(scene, "dynamic",
+                                                step=2e3)).peak
+    assert peak < 7.25 * 2**20
 
 
 @pytest.mark.parametrize("offset_s", [-5e-10, 0.0, 5e-10])
