@@ -18,17 +18,14 @@ Every kernel call goes through one slice loop, `_gain_slices`: at most
 KERNEL_EVALS point x target pairs per call, each slice's per-point trig
 (`point_terms`) computed once for every target set it serves. Every serving
 decision goes through one per-slice evaluator, `_serve_slice`, which
-`_served_slices` pairs with a plan and the slice loop, and which the SINR
-CDF calls itself. `_served_slices` yields each slice's served IDs and gains
-as it comes: the dynamic schedule scatters them into its event table, the
-handover sweeps count their changes and a pass series writes them into its
-result, so none of them holds whole served arrays. `_serve` collects the
-slices into whole arrays for the map fills and `serving_beam`. Map blocks,
-sweep calls and pass-series blocks hold at most BLOCK points, so memory is
-bounded whatever the grid, codebook and series sizes. Maps and CDFs share
-one block loop, `_roi_blocks`: a map holds its value grid plus one block,
-and a CDF counts each slice's values mode by mode, so it holds one block's
-coordinates and one mode's slice, and no grid.
+`_served_slices` pairs with a plan and the slice loop and the SINR CDF calls
+itself. The dynamic schedule, the handover sweeps and the pass series use
+each slice's IDs and gains as it comes, and `_serve` collects them into
+whole arrays for the map fills and `serving_beam`. Map blocks, sweep calls
+and pass-series blocks hold at most BLOCK points, so memory is bounded
+whatever the grid, codebook and series sizes. Maps and CDFs share one block
+loop, `_roi_blocks`: a map holds its value grid plus one block, and a CDF
+counts each slice's values mode by mode, and holds no grid.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
@@ -36,23 +33,21 @@ closed under x -> -x and y -> -y, and the kernel is odd in x and in y
 rounding). So a beam's gain at a mirrored point is the kernel's value at the
 point itself toward the beam's mirrored target. `_serve_plan` applies this
 one rule: the mirror images of (px, |py|) are served from one kernel slice
-over the distinct signed targets they need, which for a codebook closed
-under a flip are its own targets, and the sides that read the same rows
-share one max walk over them. Only the SINR asks for the interferer sums,
-and only the callers that read serving IDs ask for them. Maps fill the
-quadrant x >= 0, y >= 0 and write all four images, sweeps run the rows
-y >= 0, and a single point takes the side matching the sign of its y. The
-dynamic codebook's association events pair point x at update index g with
--x at -g, whose satellite-frame positions are negatives of each other.
-Indices g and g + K share their targets and only the IDs advance, so one
-evaluator call takes per-point iterations and serves several whole indices
-of one residue class mod K. `_dynamic_events` is the one schedule of that
-policy: one (4, events, points) table of each side's IDs in event order,
-whose changes the handover map counts and whose one point the series reads.
+over the distinct signed targets they need, and the sides that read the
+same rows share one max walk over them. Maps fill the quadrant x >= 0,
+y >= 0 and write all four images, sweeps run the rows y >= 0, and a single
+point takes the side matching the sign of its y. The dynamic codebook's
+association events pair point x at update index g with -x at -g, whose
+positions are negatives of each other, and g and g + K share their targets,
+so one evaluator call serves several whole indices of one residue class
+mod K. `_dynamic_events` is that policy's one schedule: window by window of
+whole rounds of K indices, it yields each class's IDs, whose changes the
+handover map counts and whose one point the series reads.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -176,20 +171,19 @@ def _serve_plan(book: Codebook, g, h=None) -> tuple:
     lists the rows of that side's beams in ascending-ID order; walks holds
     one [rows, members] per set of rows that some sides read, with rows in
     first-seen order and members one (side, lowest ID on each row, shift)
-    per such side, shift being each point's ID advance or None. A plan
-    depends on the points only through the shifts of per-point iterations,
-    so one plan of scalar iterations serves any number of slices. An
-    iteration with no beams raises ValueError.
+    per such side, shift(s) the ID advance of each point of a slice s of
+    per-point iterations, or None: a plan holds no per-point array of its
+    own. An iteration with no beams raises ValueError.
     """
     n_beams = book.n_beams
     sides, rows = [], {}  # rows: signed target (x, y) -> kernel row
     for sx, it in ((1.0, g),) if h is None else ((1.0, g), (-1.0, h)):
-        # shift: each point's ID advance past the first point's, or None
+        # shift(s): the ID advance past the first point's at slice s, or None
         first, shift = it, None
         if np.ndim(it):
             first = int(it[0])
-            shift = (book.advance * (it // book.cycle_len
-                                     - first // book.cycle_len) % n_beams)
+            shift = lambda s, it=it, c=first // book.cycle_len: (
+                book.advance * (it[s] // book.cycle_len - c) % n_beams)
         targets, ids = book.snapshot(first)
         if ids.size == 0:
             raise ValueError(f"iteration {first} has no beams in the ROI")
@@ -213,21 +207,19 @@ def _serve_slice(plan: tuple, gains: np.ndarray, s: slice,
     `_gain_slices` slice s of its points, from the slice's gains toward
     plan's rows: each (sides, points in s), None where not asked for.
 
-    Sides whose beams read the same set of rows share one walk over that
-    set: both y sides always, and all four where the codebook is closed
-    under the x-flip; sets are compared exactly, never by size. The max is
-    exact in any order, so it is every sharing side's serving gain; without
-    IDs the walk is a running max and nothing more. With IDs it is
-    `_max_walk`, and each side maps the first maximal row to its lowest ID
-    on that row, advanced at each point of s. At the points the walk marks
-    as possible ties, each side takes instead the lowest of its advanced
-    IDs on the rows equal to the max, so ties go to the lowest ID on every
-    side, wrapped IDs included. The interferer sum adds each side's rows in
-    its own ascending-ID order, one sequential sum per point, less the
-    serving gain. So each side gets, bit for bit, what a direct walk over
-    its beams at its points would give, whatever the slicing.
+    Sides whose beams read the same set of rows (compared exactly) share
+    one walk over it; the max is exact in any order, so it is every sharing
+    side's serving gain, and without IDs the walk is a running max alone.
+    With IDs it is `_max_walk`: each side maps the first maximal row to its
+    lowest ID on that row, advanced at each point of s by its slice of the
+    plan's shift, and at the points the walk marks as possible ties takes
+    the lowest of its advanced IDs on the rows at the max, wrapped IDs
+    included. The interferer sum adds each side's rows in its own
+    ascending-ID order, less the serving gain. So each side gets, bit for
+    bit, what a direct walk over its beams would give, whatever the slicing.
     """
     _, _, orders, walks, n_beams = plan
+    shifts = {f: f(s) for f in {m[2] for _, ms in walks for m in ms} if f}
     g_serve = np.empty((len(orders), gains.shape[1]))
     sid = np.empty(g_serve.shape, dtype=np.int64) if ids else None
     for walk, members in walks:
@@ -240,14 +232,15 @@ def _serve_slice(plan: tuple, gains: np.ndarray, s: slice,
         best, k, tie = _max_walk(gains, walk)
         for side, lowest, shift in members:
             sid[side] = (lowest[k] if shift is None
-                         else (lowest[k] + shift[s]) % n_beams)
+                         else (lowest[k] + shifts[shift]) % n_beams)
             g_serve[side] = best
         c = np.flatnonzero(tie)
         if c.size:  # each side's lowest ID among the rows at the max
             hit = gains[np.ix_(walk, c)] == best[c]
             for side, lowest, shift in members:
                 lowest = (lowest[:, None] if shift is None
-                          else (lowest[:, None] + shift[s][c]) % n_beams)
+                          else (lowest[:, None] + shifts[shift][c])
+                          % n_beams)
                 sid[side, c] = np.where(hit, lowest, n_beams).min(axis=0)
     interf = np.empty(g_serve.shape) if interference else None
     for side, order in enumerate(orders if interference else ()):
@@ -260,12 +253,10 @@ def _serve_slice(plan: tuple, gains: np.ndarray, s: slice,
 
 def _served_slices(scene: Scene, px, py, book: Codebook, g, h=None,
                    interference: bool = True, ids: bool = True):
-    """`_serve`, one slice at a time: yields (s, ids, gains, sums) per
-    `_gain_slices` slice s of the points, the slice's `_serve_slice` result,
-    each (sides, points in s). The plan is made before the first slice, and
-    each slice's gain matrix is freed before its result is yielded; a
-    consumer that drops the result before it asks for the next one holds one
-    slice at a time."""
+    """`_serve`, one slice at a time: yields (s, ids, gains, sums), the
+    `_serve_slice` result of each `_gain_slices` slice s, each (sides, points
+    in s). A consumer that drops each result before it asks for the next
+    holds one slice at a time."""
     plan = _serve_plan(book, g, h)
     px = np.asarray(px, dtype=float)
     py = np.abs(np.asarray(py, dtype=float))
@@ -284,11 +275,9 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
     (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
     points) with h, one row per side in that order. With interference False
     the interferer sums are not formed, and with ids False the serving IDs
-    are not; None takes their place. `_gain_slices` evaluates the rows of
-    the `_serve_plan` one slice of points at a time, `_serve_slice` serves
-    each slice, and `_served_slices`, which pairs the two, yields each
-    slice's result, which this collects into whole arrays. Callers that can
-    use each slice as it comes read `_served_slices` themselves.
+    are not; None takes their place. This collects the slices that
+    `_served_slices` yields into whole arrays; callers that can use each
+    slice as it comes read `_served_slices` themselves.
 
     g and h are each one iteration, or one per point, all of one residue mod
     K, so every point of a side reads the same targets and only its IDs
@@ -296,15 +285,13 @@ def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
     The interferer sums need one iteration per side, and the error for an
     iteration with no beams names the first point's.
 
-    Max gain wins, exact ties go to the lowest ID. The kernel is odd in x and
-    in y bit for bit, so beam j seen from (sx * px, sy * |py|) has the
-    kernel's value at (px, |py|) toward the signed target (sx * tx_j,
-    sy * ty_j). Every side's beams become such targets, and exact duplicates
-    share one kernel row ((x, 0.0) and (x, -0.0) too, which the kernel gives
-    the same bits). A flip the codebook is closed under adds no row: y -> -y
-    always, and x -> -x for the DFT grid, hex k with 2k = 0 mod K, and h = -g
-    at K = 2, 4 and 8. Otherwise a call carries up to twice the rows, as many
-    evaluations as serving the mirrored points directly.
+    Max gain wins, exact ties go to the lowest ID. Beam j seen from
+    (sx * px, sy * |py|) is the kernel at (px, |py|) toward the signed
+    target (sx * tx_j, sy * ty_j), and exact duplicates share one kernel row
+    ((x, 0.0) and (x, -0.0) too). A flip the codebook is closed under adds
+    no row: y -> -y always, and x -> -x for the DFT grid, hex k with 2k = 0
+    mod K, and h = -g at K = 2, 4 and 8; otherwise a call carries up to
+    twice the rows.
     """
     shape = (2 if h is None else 4, np.size(px))
     out = (np.empty(shape, dtype=np.int64) if ids else None, np.empty(shape),
@@ -334,12 +321,10 @@ def _roi_blocks(roi: Roi, xs: np.ndarray, ys: np.ndarray):
     with m the block's quadrant ROI mask, shape (rows, xs.size - xs.size //
     2), and px, py the coordinates of m's nodes, all with x >= 0, y >= 0.
 
-    The grid and the ellipse are symmetric about y = 0 and about x = 0 bit
-    for bit (ys[-1 - i] == -ys[i], and the same for xs), so a consumer
-    evaluates only these nodes and takes the four sides of `_serve`: its
-    values at (px, py), (px, -py), (-px, py) and (-px, -py). Each block's
-    quadrant is tested against the ROI as it is yielded, so a consumer that
-    keeps no grid holds one block.
+    The grid and the ellipse are symmetric about both axes bit for bit
+    (ys[-1 - i] == -ys[i], and the same for xs), so a consumer evaluates
+    only these nodes and takes the four sides of `_serve`. Each block is
+    tested against the ROI as it is yielded, so a consumer holds one block.
     """
     c = xs.size // 2
     rows = max(1, BLOCK // (xs.size - c))
@@ -352,10 +337,9 @@ def _roi_blocks(roi: Roi, xs: np.ndarray, ys: np.ndarray):
 def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
     """Grid over the ROI box holding fill's values at in-ROI nodes, NaN
     elsewhere, assembled from `_roi_blocks`: fill(px, py) returns the four
-    sides at a block's nodes, shape (4, n), treating each point, or each
-    row, on its own. Row -y takes the second side, column -x the last two;
-    the row y = 0 and the column x = 0 take the first, so nothing but the
-    value grid grows with the grid.
+    sides at a block's nodes, shape (4, n). Row -y takes the second side,
+    column -x the last two, and the axes the first, so nothing but the value
+    grid grows with the grid.
     """
     xs, ys = roi_grid(roi, step, key)
     vals = np.full((ys.size, xs.size), np.nan)
@@ -444,18 +428,13 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
 
     The values are counted block by block as `_roi_blocks` yields them, so
     no map is built: each grid node is counted once, from the side the map
-    would write there (the row y = 0 and the column x = 0 are not mirrored
-    onto themselves), and the integer counts, so the curves, are those of
-    `cdf_from_map` over `coverage_map`.
-
-    Every mode's codebook and `_serve_plan` are made before the first block.
-    Each block goes through `_gain_slices` over every mode's rows, so each
-    slice's point terms are computed once for all modes, and its slant
-    ranges, noise and side masks once at its first mode. Each mode is then
-    served from its gains by `_serve_slice` without IDs, its SINR formed and
-    counted, and its arrays released before the next mode's gains are
-    computed. So the loop holds one block's coordinates and one mode's
-    slice at a time.
+    would write there, and the counts, so the curves, are those of
+    `cdf_from_map` over `coverage_map`. Each block goes through
+    `_gain_slices` over every mode's `_serve_plan` rows, so a slice's point
+    terms, slant ranges, noise and side masks are computed once for all
+    modes; each mode is then served by `_serve_slice` without IDs, its SINR
+    counted and its arrays released before the next mode's gains. So the
+    loop holds one block's coordinates and one mode's slice at a time.
     """
     if not modes:
         raise ValueError("modes must name at least one codebook")
@@ -511,19 +490,16 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 
     Samples run from t_start at spacing dt (default scene.dt) while the point
     is inside the ROI, up to its exit or the end of duration. Dynamic mode
-    runs the handover map's `_dynamic_events` with the first and last
-    samples as the window: it associates at the first sample and at each
-    update instant tau = g * t_c up to the last, and a sample reports the
-    beam held since then, so a series ending before the window's final tau
-    can show one change fewer than `handover_map`. The held IDs are the
-    point's side of the schedule's table, and the held beams' gains come
-    from `_gain_slices` over the samples and the distinct held targets.
+    reads its point's side of the handover map's `_dynamic_events` with the
+    first and last samples as the window, so a series ending before the
+    window's final tau can show one change fewer than `handover_map`; the
+    held beams' gains come from `_gain_slices` toward the held targets.
 
     Sample k is at t_start + dt * k. The indices are generated BLOCK at a
-    time, twice: once to count the in-ROI samples and find the first and
-    last, and once to serve each block slice by slice and write its times,
-    IDs and SNR into the preallocated result. So a series holds its result
-    (24 B per sample) plus one block.
+    time, twice unless they fit one block: once to count the in-ROI samples
+    and find the first and last, and once to serve each block and write its
+    times, IDs and SNR into the preallocated result. So a series holds its
+    result (24 B per sample) plus one block.
     """
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
@@ -554,8 +530,11 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
             keep = scene.roi.contains(sx, np.full_like(sx, y))
             yield ts[keep], sx[keep]
 
+    # the count pass, then the serving pass: one block is generated once
+    counting, serving = ([list(blocks())] * 2 if n <= BLOCK
+                         else (blocks(), blocks()))
     size, ends = 0, []  # in-ROI samples, and the first and last one's times
-    for ts, _ in blocks():
+    for ts, _ in counting:
         size += ts.size
         ends += ts[[0, -1]].tolist() if ts.size else []
     if size == 0:
@@ -563,13 +542,15 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
 
     side = int(y < 0)
     if mode == "dynamic":
-        # the handover map's events for this one point, with its first and
-        # last samples as the window: its event e is at update index g0 + e,
-        # and each sample holds the beam of its own index's event
-        g0, g1 = (int(_iteration(scene, t)) for t in (ends[0], ends[-1]))
-        held = _dynamic_events(scene, np.array([x_g]), np.array([y]),
-                               np.array(ends[:1]), np.array(ends[-1:])
-                               )[side, :g1 - g0 + 1, 0].astype(np.int64)
+        # this point's events sit at update indices g0, g0 + 1, ..., and
+        # each sample holds the beam of its own index's event
+        g0 = int(_iteration(scene, ends[0]))
+        g, ids = zip(*((g + book.cycle_len * np.arange(ids.shape[1]),
+                        ids[side, :, 0]) for g, ids in _dynamic_events(
+            scene, np.array([x_g]), np.array([y]), np.array(ends[:1]),
+            np.array(ends[-1:]))))
+        held = np.concatenate(ids)[np.argsort(np.concatenate(g))]
+        held = held[held < book.n_beams].astype(np.int64)
         # each event's held target: the one of its base ID in its residue
         cyc, k = np.divmod(np.arange(g0, g0 + held.size), book.cycle_len)
         base = (held - book.advance * cyc) % book.n_beams
@@ -583,10 +564,9 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     t_s, sid, metric = (np.empty(size), np.empty(size, dtype=np.int64),
                         np.empty(size))
     o = 0
-    for ts, sx in blocks():
+    for ts, sx in serving:
         sy = np.full_like(sx, y)
-        # this block's views of the result; gain holds the gains until the
-        # SNR replaces them
+        # this block's views of the result; gain holds the gains until SNR
         at = slice(o, o + ts.size)
         o += ts.size
         t_s[at], ids, gain = ts, sid[at], metric[at]
@@ -651,102 +631,122 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
 
 
 def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
-                    t_in: np.ndarray, t_out: np.ndarray) -> np.ndarray:
+                    t_in: np.ndarray, t_out: np.ndarray):
     """The dynamic codebook's association events at the points (px, py) over
     the windows (t_in, t_out), and at their x-mirrors (-px, py) over
-    (-t_out, -t_in): returns the (4, events, points) table of the IDs of
-    `_serve`'s four sides at their events in time order, of the smallest
-    integer type that holds n_beams, which fills each side's slots past its
-    last event. The sides are (px, |py|), (px, -|py|), (-px, |py|) and
-    (-px, -|py|).
+    (-t_out, -t_in): yields (g, ids) per residue class mod K of each window,
+    ids the (4, rows, points) IDs of `_serve`'s four sides at loop indices
+    g, g + K, ..., of the narrowest type holding n_beams, the fill elsewhere.
 
-    Point i associates at its entry t_in[i] under iteration g_in[i], then at
-    each update instant tau = g * t_c, g in (g_in[i], g_out[i]]: its event
-    g - g_in[i] is at loop index g. Its mirror associates under iteration
-    -g at loop index g, where its update position negates point i's, so it
-    meets its events in reverse time order, from its last at loop index
-    x_end[i] up to its entry at x_in[i]: event x_in[i] - g. The schedule
-    holds only these four indices per point. At each loop index one column
-    evaluates once each point that either side updates there (the half-open
-    window and the TIME_TOL tolerance of `_iteration` make the two sets
-    differ), and each side's entries (at its own entry time) as columns of
-    their own, a mirror's negated; a column's owners are the sides that
-    associate there, and only they write their IDs into the table.
-
-    One `_served_slices` call serves whole loop indices of one residue class
-    mod K, in ascending order, with iterations g on the point's sides and -g
-    on the mirror's, since g and g + K share their targets, and each kernel
-    slice's IDs are scattered into the table as the slice is served, so no
-    call holds its columns' whole served arrays. The schedule starts
-    at its first loop index, which always holds a column (an entry of a
-    point, or an update or entry of a mirror). Each class is walked from
-    there: an index's columns are built once, an index with none is
-    skipped, and a call is made once its indices hold BLOCK // 4 columns or
-    more, so it holds fewer than BLOCK // 4 before its last index.
+    Point i associates at its entry under iteration g_in[i], then at each
+    tau = g * t_c, g in (g_in[i], g_out[i]], at loop index g; its mirror
+    under iteration -g at loop index g, from its last event at x_end[i] to
+    its entry at x_in[i]. So each side's events sit on consecutive indices.
+    An index's columns are each point either side updates there (the
+    half-open window and TIME_TOL make the two sets differ), then each
+    side's entries; only a column's owners write its IDs. A window is the
+    fewest whole rounds of K indices holding K x BLOCK // 4 columns, counted
+    from the four indices' spans; each of its classes is served in turn by
+    `_served_slices` calls over whole indices in ascending order, g on the
+    point's sides and -g on the mirror's, a call closed once it holds
+    BLOCK // 4 columns. So a dense map serves about one index per call, and
+    a sparse map or one point one call per class.
     """
     v, t_c, cycle_len = scene.v_ground, scene.lattice.t_c, scene.hex.cycle_len
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
     x_in, x_end = -_iteration(scene, -t_out), -_iteration(scene, -t_in)
     lo = min(int(g_in.min()), int(x_end.min()))
-    hi = max(int(g_out.max()), int(x_in.max())) + 1
-    fill = scene.hex.n_beams
-    table = np.full((4, int(np.maximum(g_out - g_in, x_in - x_end).max()) + 1,
-                     px.size), fill, dtype=np.min_scalar_type(fill))
-    flat = table.reshape(4, -1)
+    n = max(int(g_out.max()), int(x_in.max())) + 1 - lo  # loop indices
+    g_in, g_out, x_in, x_end = ((i - lo).astype(np.min_scalar_type(n))
+                                for i in (g_in, g_out, x_in, x_end))
+    # held[o]: the columns before offset o, from the spans [a, c) of offsets
+    # holding one: each side's updates, less both's, and each side's entry
+    held = [0] + np.cumsum(np.cumsum(sum(
+        w * (np.bincount(a[a < c], minlength=n + 1)
+             - np.bincount(c[a < c], minlength=n + 1))
+        for a, c, w in ((g_in + 1, g_out + 1, 1), (x_end, x_in, 1),
+                        (g_in, g_in + 1, 1), (x_in, x_in + 1, 1),
+                        (np.maximum(g_in + 1, x_end),
+                         np.minimum(g_out + 1, x_in), -1))))[:n]).tolist()
+    step, fill = max(1, BLOCK // px.size), scene.hex.n_beams
 
-    def columns(g):  # point, position and owners of loop index g's columns
-        upd, x_upd = (g_in < g) & (g <= g_out), (x_end <= g) & (g < x_in)
-        both = (upd | x_upd).nonzero()[0]
-        ea, eb = (g_in == g).nonzero()[0], (x_in == g).nonzero()[0]
-        own = np.zeros((2, both.size + ea.size + eb.size), dtype=bool)
-        own[:, :both.size] = upd[both], x_upd[both]
-        own[0, both.size:own.shape[1] - eb.size] = True  # the entries
-        own[1, own.shape[1] - eb.size:] = True
-        return (np.concatenate([both, ea, eb]),
-                np.concatenate([px[both] - v * (g * t_c),
-                                px[ea] - v * t_in[ea], px[eb] - v * t_out[eb]]),
-                own)
+    def columns(os):  # points, positions and owners of indices lo + os,
+        # built over (index, group, point) cells a block of cells at a time
+        o = np.array(os, dtype=g_in.dtype)[:, None]
+        upd, x_upd = (g_in < o) & (o <= g_out), (x_end <= o) & (o < x_in)
+        f = np.flatnonzero(np.concatenate([upd | x_upd, g_in == o, x_in == o],
+                                          axis=1))
+        none = np.zeros_like(upd)
+        own = [np.concatenate(m, axis=1).ravel()[f]
+               for m in ((upd, ~none, none), (x_upd, none, ~none))]
+        t = np.empty((len(os), 3, px.size))  # each cell's instant
+        t[:, 0] = (lo + np.array(os)[:, None]) * t_c
+        t[:, 1], t[:, 2] = t_in, t_out
+        p = f - f // px.size * px.size
+        return p, px[p] - v * t.ravel()[f], np.array(own)
 
-    def serve(parts):  # one call over whole indices: (g, its columns) each
-        gs, pts, sx, own = zip(*parts)
-        g = gs[0] if len(gs) == 1 else np.repeat(gs, [p.size for p in pts])
-        pts, sx, own = (np.concatenate(a, axis=-1) for a in (pts, sx, own))
+    def serve(call):  # one call over the whole indices lo + call of a class
+        pts, sx, own = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1)
+                        for x in zip(*(columns(call[c:c + step])
+                                       for c in range(0, len(call), step))))
+        g = lo + (call[0] if len(call) == 1 else np.repeat(
+            call, [held[o + 1] - held[o] for o in call]))
         for s, sid, _, _ in _served_slices(scene, sx, py[pts], scene.hex, g,
                                            -g, interference=False):
-            p, gp = pts[s], (g[s] if np.ndim(g) else g)
-            # the point's sides at event g - g_in, the mirror's at x_in - g
-            for side, e, k in zip((0, 2), (gp - g_in[p], x_in[p] - gp),
-                                  own[:, s]):
-                at = (e * px.size + p)[k]
-                flat[side, at] = sid[side][k]
-                flat[side + 1, at] = sid[side + 1][k]
-            del sid  # freed before the next slice's kernel call allocates
+            # each column's row of its class: (index - window start) // K
+            at = pts[s] + ((g[s] if np.ndim(g) else g) - lo - a
+                           ) // cycle_len * px.size
+            for side, k in zip((0, 2), own[:, s]):
+                flat[side, at[k]] = sid[side][k]
+                flat[side + 1, at[k]] = sid[side + 1][k]
+            del sid, at  # freed before the next slice's kernel call allocates
 
-    for r in range(lo, min(lo + cycle_len, hi)):
-        parts, held = [], 0
-        for g in range(r, hi, cycle_len):
-            pts, sx, own = columns(g)
-            if pts.size:
-                parts.append((g, pts, sx, own))
-                held += pts.size
-                if held >= BLOCK // 4:
-                    serve(parts)
-                    parts, held = [], 0
-        if parts:
-            serve(parts)
-    return table
+    a = 0
+    while a < n:  # a window [a, b)
+        e = bisect.bisect_left(held, held[a] + cycle_len * (BLOCK // 4))
+        b = min(a - (a - e) // cycle_len * cycle_len, n)
+        for r in range(a, min(a + cycle_len, b)):
+            ids = np.full((4, len(range(r, b, cycle_len)), px.size), fill,
+                          dtype=np.min_scalar_type(fill))
+            flat, call, size = ids.reshape(4, -1), [], 0
+            for o in range(r, b, cycle_len):
+                if held[o + 1] > held[o]:
+                    call, size = call + [o], size + held[o + 1] - held[o]
+                if size >= BLOCK // 4 or call and o + cycle_len >= b:
+                    serve(call)
+                    call, size = [], 0
+            yield lo + r, ids
+        a = b
 
 
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
                              py: np.ndarray) -> np.ndarray:
-    """Dynamic-codebook handovers: ID changes across the `_dynamic_events`
-    of each point's full in-ROI window, at (px, |py|), (px, -|py|),
-    (-px, |py|) and (-px, -|py|), shape (4, n): the changes along the
-    schedule's event axis, less the one into the n_beams fill.
-    """
-    table = _dynamic_events(scene, px, py, *pass_window(scene, (px, py)))
-    return (np.array([np.count_nonzero(t[1:] != t[:-1], axis=0)
-                      for t in table]) - (table[:, -1] == scene.hex.n_beams))
+    """Dynamic-codebook handovers at `_serve`'s four sides, shape (4, n):
+    each side's ID changes between its `_dynamic_events` at consecutive loop
+    indices, counted as each class comes against the previous class and, at
+    a window's last class, against the window's first."""
+    t_in, t_out = pass_window(scene, (px, py))
+    fill, cycle_len = scene.hex.n_beams, scene.hex.cycle_len
+    counts = np.zeros((4, px.size), np.min_scalar_type(  # at most one change
+        int(np.max(t_out - t_in) / scene.lattice.t_c) + 2))  # per update
+
+    def count(h, old, g, new):  # changes into new's row i from old's i + d
+        d, r = divmod(g - 1 - h, cycle_len)
+        if r == 0:  # d is -1 (a window's last class to its first), or >= 0
+            i, j = max(0, -d), min(new.shape[1], old.shape[1] - d)
+            a, b = new[:, i:j], old[:, i + d:j + d]
+            counts[:] += ((a != b) & (np.maximum(a, b) < fill)).sum(
+                axis=1, dtype=counts.dtype)
+
+    first = prev = None
+    for g, ids in _dynamic_events(scene, px, py, t_in, t_out):
+        if first is None or g - first[0] >= cycle_len:  # a window's first
+            first = g, ids
+        if prev:
+            count(*prev, g, ids)
+        count(g, ids, *first)  # from a window's last class to its first
+        prev = g, ids
+    return counts
 
 
 def handover_map(scene: Scene, mode: str = "dynamic",

@@ -563,12 +563,13 @@ def _direct_dynamic_counts(scene, px, py):
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
 def test_dynamic_event_table_is_each_sides_direct_loop(scenes_by_cycle_len,
                                                        cycle_len):
-    # each row of the schedule's table is the direct loop at its own side's
-    # point (+-x, +-|y|): the IDs of that point's events in time order, the
-    # x-mirror's too, which the schedule meets in reverse, then the n_beams
-    # fill. The points are a grid and points whose window opens or closes
-    # within TIME_TOL of an update instant, where the sides' event sets
-    # differ
+    # the schedule's classes, laid out by loop index, cover every loop index
+    # once and hold at each side's point (+-x, +-|y|) the direct loop's IDs of
+    # that point's events: event e under iteration g_in + e at loop index
+    # g_in + e, the x-mirror's at the negated index, so read in reverse it is
+    # in time order, and the n_beams fill at every other index. The points are
+    # a grid and points whose window opens or closes within TIME_TOL of an
+    # update instant, where the sides' event sets differ
     scene = scenes_by_cycle_len[cycle_len]
     t_c, v = scene.lattice.t_c, scene.v_ground
     rng = np.random.default_rng(cycle_len)
@@ -580,14 +581,25 @@ def test_dynamic_event_table_is_each_sides_direct_loop(scenes_by_cycle_len,
     px, py = _grid_points(scene, 40e3)
     px = np.append(px, edge * (x_b - v * (j * t_c + off)))
     py = np.append(py, y)
-    table = sim._dynamic_events(scene, px, py,
-                                *sim.pass_window(scene, (px, py)))
-    assert table.shape[::2] == (4, px.size)
+    t_in, t_out = sim.pass_window(scene, (px, py))
+    lo = min(sim._iteration(scene, t_in).min(),
+             -sim._iteration(scene, -t_in).max())
+    classes = list(sim._dynamic_events(scene, px, py, t_in, t_out))
+    assert classes[0][0] == lo
+    table = np.full((4, sum(ids.shape[1] for _, ids in classes), px.size), -1)
+    for g, ids in classes:  # a class's rows are loop indices g, g + K, ...
+        rows = table[:, g - lo::cycle_len][:, :ids.shape[1]]
+        assert np.all(rows == -1) and ids.shape[::2] == (4, px.size)
+        rows[...] = ids
+    fill = scene.hex.n_beams
     for row, (sx, sy) in zip(table, [(1, 1), (1, -1), (-1, 1), (-1, -1)],
                              strict=True):
         want = _direct_dynamic_ids(scene, sx * px, sy * np.abs(py))
-        assert np.array_equal(row[:want.shape[0]], want), (sx, sy)
-        assert np.all(row[want.shape[0]:] == scene.hex.n_beams)
+        g_in = sim._iteration(scene, sim.pass_window(scene, (sx * px, py))[0])
+        e, p = np.nonzero(want != fill)
+        expect = np.full(row.shape, fill)
+        expect[sx * (g_in[p] + e) - lo, p] = want[e, p]
+        assert np.array_equal(row, expect), (sx, sy)
 
 
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
@@ -696,9 +708,10 @@ def test_mirrored_sides_share_kernel_rows(scenes_by_cycle_len, monkeypatch):
 def test_dynamic_map_memory_bounded_by_grid_and_block(scene, monkeypatch,
                                                        traced_peak):
     # the dynamic map is filled one block of rows at a time like every other
-    # map: its value grid (8 B per node) plus a block term (about 870 B per
-    # block node measured, mostly kernel temporaries); one association loop
-    # over the whole map held about 160 B per node here
+    # map: its value grid (8 B per node) plus a block term (about 490 B per
+    # block node measured, mostly kernel temporaries, and 595 B with a whole
+    # event table per block); one association loop over the whole map held
+    # about 160 B per node here
     monkeypatch.setattr(sim, "BLOCK", 512)
     xs, ys = sim.roi_grid(scene.roi, 5e3)
     assert ys.size // 2 + 1 >= 8 * (sim.BLOCK // (xs.size // 2 + 1))
@@ -1155,14 +1168,43 @@ def test_pass_series_peak_is_its_result_plus_one_block(scene, mode,
 
 def test_dynamic_handover_map_holds_no_whole_served_arrays(scene,
                                                            traced_peak):
-    # the schedule scatters each kernel slice's IDs into its event table as
-    # the slice is served, so no call holds its columns' whole (4, columns)
-    # IDs and gains (up to 21,214 columns here): the 2 km map peaked at 6.8
-    # MiB of traced allocation measured, and at 7.9-8.0 MiB with whole
-    # served arrays
+    # the schedule scatters each kernel slice's IDs into its class's rows as
+    # the slice is served, keeps no whole event table and builds no
+    # whole-call arrays but a call's kernel coordinates, points and owners:
+    # the 2 km map peaked at 4.82 MiB of traced allocation measured, at 6.78
+    # MiB with one (4, events, points) table and whole-call column arrays,
+    # and at 7.9-8.0 MiB with whole served arrays too
     peak = traced_peak(lambda: sim.handover_map(scene, "dynamic",
                                                 step=2e3)).peak
-    assert peak < 7.25 * 2**20
+    assert peak < 5.2 * 2**20
+
+
+def test_dynamic_map_peak_does_not_grow_with_cycle_len(scene, traced_peak):
+    # the schedule holds a window's classes, not its loop indices: the
+    # counts keep only the previous class and the window's first, so a
+    # larger K, with K times the update indices of a pass, costs no more
+    # memory. The 2 km map peaked at 4.82 MiB at K = 4 and 5.00 MiB at K = 16
+    # measured; with one (4, events, points) table, 6.78 and 10.89 MiB
+    peaks = [traced_peak(lambda: sim.handover_map(
+        book_scene, "dynamic", step=2e3)).peak
+        for book_scene in (scene, build_scene(SceneConfig(cycle_len=16)))]
+    assert peaks[1] <= 1.15 * peaks[0]
+
+
+def test_dynamic_map_kernel_work_is_one_column_per_event(scene, monkeypatch):
+    # windows change which calls serve an update index, not the work: the
+    # 2 km map still hands the kernel one column per point per loop index
+    # where either side associates (each side's entry a column of its own)
+    # and one row per distinct signed target of its class
+    work, kernel = [0, 0], sim.gain_matrix
+
+    def kernel_probe(px, py, tx, *args):
+        work[0] += px.size
+        work[1] += px.size * tx.size
+        return kernel(px, py, tx, *args)
+    monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
+    sim.handover_map(scene, "dynamic", step=2e3)
+    assert work == [306_040, 3_289_798]
 
 
 @pytest.mark.parametrize("offset_s", [-5e-10, 0.0, 5e-10])
