@@ -278,7 +278,7 @@ def _fix_heap_thresholds() -> bool:
     the kernel when freed, and trims the free top of the heap; both
     thresholds start low and rise only after a large block is freed. A run
     that frees no large array, as a streamed CDF does not, so maps and
-    unmaps the evaluator's kernel temporaries on every `_serve` call and
+    unmaps the kernel temporaries of every `_served_slices` slice and
     faults their pages back in each time. Fixed thresholds keep those
     blocks in the heap and reuse their pages.
     """

@@ -17,15 +17,16 @@ The scene holds two `Codebook`s: `Scene.hex`, the K-iteration hex cycle, and
 Every kernel call goes through one slice loop, `_gain_slices`: at most
 KERNEL_EVALS point x target pairs per call, each slice's per-point trig
 (`point_terms`) computed once for every target set it serves. Every serving
-decision goes through one per-slice evaluator, `_serve_slice`, which
-`_served_slices` pairs with a plan and the slice loop and the SINR CDF calls
-itself. The dynamic schedule, the handover sweeps and the pass series use
-each slice's IDs and gains as it comes, and `_serve` collects them into
-whole arrays for the map fills and `serving_beam`. Map blocks, sweep calls
-and pass-series blocks hold at most BLOCK points, so memory is bounded
-whatever the grid, codebook and series sizes. Maps and CDFs share one block
-loop, `_roi_blocks`: a map holds its value grid plus one block, and a CDF
-counts each slice's values mode by mode, and holds no grid.
+decision goes through one serving loop, `_served_slices`, which runs the
+slice loop over the rows of one or more `_serve_plan`s and serves each slice
+through one evaluator, `_serve_slice`. The map fills, `serving_beam`, the
+SINR CDF, the dynamic schedule, the handover sweeps and the pass series use
+each slice's IDs and gains as it comes, so none holds whole served arrays.
+Map blocks, sweep calls and pass-series blocks hold at most BLOCK points,
+so memory is bounded whatever the grid, codebook and series sizes. Maps and
+CDFs share one block loop, `_roi_blocks`: a map holds its value grid plus
+one block, and a CDF counts each slice's values mode by mode, and holds no
+grid.
 
 The scene is symmetric about both axes, bit for bit: the grid axes are
 closed under x -> -x and y -> -y, and the kernel is odd in x and in y
@@ -99,9 +100,10 @@ def roi_grid(roi: Roi, step: float,
              key: str = "grid step") -> tuple[np.ndarray, np.ndarray]:
     """Grid axes centered on the sub-satellite point covering the ROI box.
 
-    Raises ValueError naming key, before allocating, when the box would hold
-    more than MAX_CELLS nodes.
+    Raises ValueError naming key, before allocating, when step is not finite
+    or the box would hold more than MAX_CELLS nodes.
     """
+    _check_finite(**{key: step})
     if step <= 0:
         raise ValueError(f"{key} must be positive")
     # nodes per half axis: a Python float quotient past float range is inf,
@@ -164,8 +166,23 @@ def _max_walk(gains: np.ndarray,
 
 
 def _serve_plan(book: Codebook, g, h=None) -> tuple:
-    """The kernel rows and walks that serve book's iteration g, and with h,
-    iteration h on the x-mirrored sides: (tx, ty, orders, walks, n_beams).
+    """The kernel rows and walks that serve book's global iteration g at
+    (px, |py|) and (px, -|py|), and with h, iteration h at (-px, |py|) and
+    (-px, -|py|): two sides, or four with h, in that order. Returns (tx, ty,
+    orders, walks, n_beams).
+
+    g and h are each one iteration, or one per point, all of one residue mod
+    K, so every point of a side reads the same targets and only its IDs
+    advance: by advance x its cycles past the first point's (mod n_beams).
+    The interferer sums need one iteration per side, and the error for an
+    iteration with no beams names the first point's.
+
+    Beam j seen from (sx * px, sy * |py|) is the kernel at (px, |py|) toward
+    the signed target (sx * tx_j, sy * ty_j), and exact duplicates share one
+    kernel row ((x, 0.0) and (x, -0.0) too). A flip the codebook is closed
+    under adds no row: y -> -y always, and x -> -x for the DFT grid, hex k
+    with 2k = 0 mod K, and h = -g at K = 2, 4 and 8; otherwise a plan
+    carries up to twice the rows.
 
     tx, ty are the distinct signed targets, one kernel row each; orders[side]
     lists the rows of that side's beams in ascending-ID order; walks holds
@@ -203,8 +220,8 @@ def _serve_plan(book: Codebook, g, h=None) -> tuple:
 
 def _serve_slice(plan: tuple, gains: np.ndarray, s: slice,
                  interference: bool = True, ids: bool = True) -> tuple:
-    """`_serve`'s serving IDs, serving gains and interferer sums at one
-    `_gain_slices` slice s of its points, from the slice's gains toward
+    """The serving IDs, serving gains and interferer sums of plan's sides at
+    one `_gain_slices` slice s of the points, from the slice's gains toward
     plan's rows: each (sides, points in s), None where not asked for.
 
     Sides whose beams read the same set of rows (compared exactly) share
@@ -251,67 +268,32 @@ def _serve_slice(plan: tuple, gains: np.ndarray, s: slice,
     return sid, g_serve, interf
 
 
-def _served_slices(scene: Scene, px, py, book: Codebook, g, h=None,
+def _served_slices(scene: Scene, px: np.ndarray, py: np.ndarray, *plans,
                    interference: bool = True, ids: bool = True):
-    """`_serve`, one slice at a time: yields (s, ids, gains, sums), the
-    `_serve_slice` result of each `_gain_slices` slice s, each (sides, points
-    in s). A consumer that drops each result before it asks for the next
-    holds one slice at a time."""
-    plan = _serve_plan(book, g, h)
-    px = np.asarray(px, dtype=float)
-    py = np.abs(np.asarray(py, dtype=float))
-    for s, _, gains in _gain_slices(scene, px, py, plan[:2]):
-        served = _serve_slice(plan, gains, s, interference, ids)
+    """The one serving loop: one `_gain_slices` pass over the rows of every
+    `_serve_plan` in plans at the points (px, py), py holding |y|. Yields
+    (s, i, ids, gains, sums) per slice s and plan i in turn, `_serve_slice`'s
+    result for plans[i] at the points in s: each (sides, points in s), None
+    where interference or ids is False. Max gain wins, and exact ties go to
+    the lowest ID. A consumer that drops each result before it asks for the
+    next holds one slice of one plan at a time."""
+    for s, i, gains in _gain_slices(scene, px, py,
+                                    *(plan[:2] for plan in plans)):
+        served = _serve_slice(plans[i], gains, s, interference, ids)
         del gains
-        yield (s, *served)
+        yield (s, i, *served)
         del served  # freed before the next slice's kernel call allocates
-
-
-def _serve(scene: Scene, px, py, book: Codebook, g, h=None,
-           interference: bool = True, ids: bool = True) -> tuple[
-               np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """Serving ID, serving gain and summed interferer gain of book's global
-    iteration g at (px, |py|) and (px, -|py|), and with h, of iteration h at
-    (-px, |py|) and (-px, -|py|): each of shape (2, n points), or (4, n
-    points) with h, one row per side in that order. With interference False
-    the interferer sums are not formed, and with ids False the serving IDs
-    are not; None takes their place. This collects the slices that
-    `_served_slices` yields into whole arrays; callers that can use each
-    slice as it comes read `_served_slices` themselves.
-
-    g and h are each one iteration, or one per point, all of one residue mod
-    K, so every point of a side reads the same targets and only its IDs
-    advance: by advance x its cycles past the first point's (mod n_beams).
-    The interferer sums need one iteration per side, and the error for an
-    iteration with no beams names the first point's.
-
-    Max gain wins, exact ties go to the lowest ID. Beam j seen from
-    (sx * px, sy * |py|) is the kernel at (px, |py|) toward the signed
-    target (sx * tx_j, sy * ty_j), and exact duplicates share one kernel row
-    ((x, 0.0) and (x, -0.0) too). A flip the codebook is closed under adds
-    no row: y -> -y always, and x -> -x for the DFT grid, hex k with 2k = 0
-    mod K, and h = -g at K = 2, 4 and 8; otherwise a call carries up to
-    twice the rows.
-    """
-    shape = (2 if h is None else 4, np.size(px))
-    out = (np.empty(shape, dtype=np.int64) if ids else None, np.empty(shape),
-           np.empty(shape) if interference else None)
-    for s, *parts in _served_slices(scene, px, py, book, g, h,
-                                    interference, ids):
-        for whole, part in zip(out, parts):
-            if whole is not None:
-                whole[:, s] = part
-        del parts, part  # freed before the next slice's kernel call allocates
-    return out
 
 
 def serving_beam(scene: Scene, point_xy, mode: str = "hex",
                  iteration: int = 0) -> tuple[int, float]:
     """Serving beam ID and its linear gain at one satellite-frame point."""
-    sid, g, _ = _serve(scene, [point_xy[0]], [point_xy[1]],
-                       codebook_for(scene, mode), iteration,
-                       interference=False)
-    side = int(point_xy[1] < 0)
+    x, y = float(point_xy[0]), float(point_xy[1])
+    _check_finite(x=x, y=y)
+    _, _, sid, g, _ = next(_served_slices(
+        scene, np.array([x]), np.array([abs(y)]),
+        _serve_plan(codebook_for(scene, mode), iteration), interference=False))
+    side = int(y < 0)
     return int(sid[side, 0]), float(g[side, 0])
 
 
@@ -323,8 +305,9 @@ def _roi_blocks(roi: Roi, xs: np.ndarray, ys: np.ndarray):
 
     The grid and the ellipse are symmetric about both axes bit for bit
     (ys[-1 - i] == -ys[i], and the same for xs), so a consumer evaluates
-    only these nodes and takes the four sides of `_serve`. Each block is
-    tested against the ROI as it is yielded, so a consumer holds one block.
+    only these nodes and takes the four sides of a `_serve_plan`. Each
+    block is tested against the ROI as it is yielded, so a consumer holds
+    one block.
     """
     c = xs.size // 2
     rows = max(1, BLOCK // (xs.size - c))
@@ -353,9 +336,15 @@ def _roi_field(roi: Roi, step: float, key: str, fill) -> FieldMap:
     return FieldMap(xs=xs, ys=ys, values=vals)
 
 
+def _check_finite(**values) -> None:
+    """Refuse a non-finite value by its name; None stands for a default."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_dt(dt: float) -> None:
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+    _check_finite(dt=dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
 
@@ -377,16 +366,20 @@ def _metric_fill(scene: Scene, metric: str, mode: str, iteration: int):
     book = codebook_for(scene, mode)
 
     def at(px, py):
-        sid, g_serve, interf = _serve(scene, px, py, book, iteration,
-                                      iteration,
-                                      interference=metric == "sinr",
-                                      ids=metric == "cell")
-        if metric == "cell":
-            return sid
-        dist = slant_range(px, py, scene.h_sat)
-        if metric == "snr":
-            return snr_db(g_serve, dist, scene.link)
-        return sinr_db(g_serve, interf, noise_rel(dist, scene.link))
+        out = np.empty((4, px.size), np.int64 if metric == "cell" else float)
+        for s, _, sid, g_serve, interf in _served_slices(
+                scene, px, py, _serve_plan(book, iteration, iteration),
+                interference=metric == "sinr", ids=metric == "cell"):
+            if metric == "cell":
+                out[:, s] = sid
+            else:
+                dist = slant_range(px[s], py[s], scene.h_sat)
+                out[:, s] = (snr_db(g_serve, dist, scene.link)
+                             if metric == "snr" else
+                             sinr_db(g_serve, interf,
+                                     noise_rel(dist, scene.link)))
+            del sid, g_serve, interf  # freed before the next kernel call
+        return out
     return at
 
 
@@ -429,12 +422,12 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
     The values are counted block by block as `_roi_blocks` yields them, so
     no map is built: each grid node is counted once, from the side the map
     would write there, and the counts, so the curves, are those of
-    `cdf_from_map` over `coverage_map`. Each block goes through
-    `_gain_slices` over every mode's `_serve_plan` rows, so a slice's point
-    terms, slant ranges, noise and side masks are computed once for all
-    modes; each mode is then served by `_serve_slice` without IDs, its SINR
-    counted and its arrays released before the next mode's gains. So the
-    loop holds one block's coordinates and one mode's slice at a time.
+    `cdf_from_map` over `coverage_map`. Each block is served without IDs by
+    one `_served_slices` pass over every mode's `_serve_plan`, so a slice's
+    point terms, slant ranges, noise and side masks are computed once for
+    all modes; each mode's SINR is counted and its arrays released before
+    the next mode's gains. So the loop holds one block's coordinates and
+    one mode's slice at a time.
     """
     if not modes:
         raise ValueError("modes must name at least one codebook")
@@ -444,8 +437,8 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
     n = np.zeros(len(books), dtype=np.int64)
     above = np.zeros((len(books), CDF_THRESHOLDS_DB.size), dtype=np.int64)
     for _, _, bx, by in _roi_blocks(scene.roi, xs, ys):
-        for s, i, gains in _gain_slices(scene, bx, by,
-                                        *(plan[:2] for plan in plans)):
+        for s, i, _, *served in _served_slices(scene, bx, by, *plans,
+                                               ids=False):
             if i == 0:  # the slice's noise and sides, shared by every mode
                 # the sides on nodes of their own: y != 0, x != 0, both (the
                 # axes' nodes are the grid's only zeros: roi_grid's step * 0)
@@ -454,8 +447,6 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
                                 y_off & x_off])
                 rel = noise_rel(slant_range(bx[s], by[s], scene.h_sat),
                                 scene.link)
-            served = _serve_slice(plans[i], gains, s, ids=False)[1:]
-            del gains  # freed before the SINR and the next kernel call
             out = sinr_db(*served, rel)
             n_b, above_b = _count_above(out[own & np.isfinite(out)],
                                         CDF_THRESHOLDS_DB)
@@ -505,10 +496,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     if dt is None:
         dt = scene.dt
     x_g, y = float(ut_xy[0]), float(ut_xy[1])
-    for name, value in dict(x=x_g, y=y, t_start=t_start,
-                            duration=duration).items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_finite(x=x_g, y=y, t_start=t_start, duration=duration)
     _check_dt(dt)
     if duration is not None and duration < 0:
         raise ValueError("duration must be non-negative")
@@ -547,7 +535,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         g0 = int(_iteration(scene, ends[0]))
         g, ids = zip(*((g + book.cycle_len * np.arange(ids.shape[1]),
                         ids[side, :, 0]) for g, ids in _dynamic_events(
-            scene, np.array([x_g]), np.array([y]), np.array(ends[:1]),
+            scene, np.array([x_g]), np.array([abs(y)]), np.array(ends[:1]),
             np.array(ends[-1:]))))
         held = np.concatenate(ids)[np.argsort(np.concatenate(g))]
         held = held[held < book.n_beams].astype(np.int64)
@@ -577,8 +565,9 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
                 gain[s] = gains[col[e[s]], np.arange(gains.shape[1])]
                 del gains
         else:
-            for s, sid_s, g_s, _ in _served_slices(scene, sx, sy, book, 0,
-                                                   interference=False):
+            for s, _, sid_s, g_s, _ in _served_slices(
+                    scene, sx, np.abs(sy), _serve_plan(book, 0),
+                    interference=False):
                 ids[s], gain[s] = sid_s[side], g_s[side]
                 del sid_s, g_s
         gain[:] = snr_db(gain, slant_range(sx, sy, scene.h_sat), scene.link)
@@ -619,8 +608,9 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
         sx = x_b[r] - scene.v_ground * dt * (s - first[r])
         keep = scene.roi.contains(sx, ys[r])
         r = r[keep]
-        for c, ids, _, _ in _served_slices(scene, sx[keep], ys[r], book, 0,
-                                           interference=False):
+        for c, _, ids, _, _ in _served_slices(scene, sx[keep], ys[r],
+                                              _serve_plan(book, 0),
+                                              interference=False):
             row = np.append(row[-1], r[c])
             sid = np.hstack([sid[:, -1:], ids])
             del ids  # freed before the next slice's kernel call allocates
@@ -632,11 +622,12 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
 
 def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
                     t_in: np.ndarray, t_out: np.ndarray):
-    """The dynamic codebook's association events at the points (px, py) over
-    the windows (t_in, t_out), and at their x-mirrors (-px, py) over
-    (-t_out, -t_in): yields (g, ids) per residue class mod K of each window,
-    ids the (4, rows, points) IDs of `_serve`'s four sides at loop indices
-    g, g + K, ..., of the narrowest type holding n_beams, the fill elsewhere.
+    """The dynamic codebook's association events at the points (px, py), py
+    holding |y|, over the windows (t_in, t_out), and at their x-mirrors
+    (-px, py) over (-t_out, -t_in): yields (g, ids) per residue class mod K
+    of each window, ids the (4, rows, points) IDs of `_serve_plan`'s four
+    sides at loop indices g, g + K, ..., of the narrowest type holding
+    n_beams, the fill elsewhere.
 
     Point i associates at its entry under iteration g_in[i], then at each
     tau = g * t_c, g in (g_in[i], g_out[i]], at loop index g; its mirror
@@ -691,8 +682,9 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
                                        for c in range(0, len(call), step))))
         g = lo + (call[0] if len(call) == 1 else np.repeat(
             call, [held[o + 1] - held[o] for o in call]))
-        for s, sid, _, _ in _served_slices(scene, sx, py[pts], scene.hex, g,
-                                           -g, interference=False):
+        for s, _, sid, _, _ in _served_slices(
+                scene, sx, py[pts], _serve_plan(scene.hex, g, -g),
+                interference=False):
             # each column's row of its class: (index - window start) // K
             at = pts[s] + ((g[s] if np.ndim(g) else g) - lo - a
                            ) // cycle_len * px.size
@@ -721,10 +713,10 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
 
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,
                              py: np.ndarray) -> np.ndarray:
-    """Dynamic-codebook handovers at `_serve`'s four sides, shape (4, n):
-    each side's ID changes between its `_dynamic_events` at consecutive loop
-    indices, counted as each class comes against the previous class and, at
-    a window's last class, against the window's first."""
+    """Dynamic-codebook handovers at `_serve_plan`'s four sides, shape (4,
+    n): each side's ID changes between its `_dynamic_events` at consecutive
+    loop indices, counted as each class comes against the previous class
+    and, at a window's last class, against the window's first."""
     t_in, t_out = pass_window(scene, (px, py))
     fill, cycle_len = scene.hex.n_beams, scene.hex.cycle_len
     counts = np.zeros((4, px.size), np.min_scalar_type(  # at most one change

@@ -1,8 +1,10 @@
 import tracemalloc
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
+from leobeams import simulate as sim
 from leobeams.config import SceneConfig, build_scene
 
 
@@ -30,4 +32,26 @@ def traced_peak():
         finally:
             tracemalloc.stop()
         return Traced(peak, held, result)
+    return run
+
+
+@pytest.fixture(scope="session")
+def serve_whole():
+    """serve_whole(scene, px, py, book, g, h=None, **kw) gathers what
+    `_served_slices` yields for `_serve_plan(book, g, h)` at (px, py) into
+    whole (sides, points) arrays: (IDs, serving gains, interferer sums),
+    None where kw turns one off. py may carry signs: it is served at |py|."""
+    def run(scene, px, py, book, g, h=None, **kw):
+        px = np.asarray(px, dtype=float)
+        py = np.abs(np.asarray(py, dtype=float))
+        out = [None] * 3
+        for s, _, *parts in sim._served_slices(
+                scene, px, py, sim._serve_plan(book, g, h), **kw):
+            for k, part in enumerate(parts):
+                if part is not None:
+                    if out[k] is None:
+                        out[k] = np.empty((part.shape[0], px.size),
+                                          part.dtype)
+                    out[k][:, s] = part
+        return tuple(out)
     return run

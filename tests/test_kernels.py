@@ -284,7 +284,7 @@ def _assert_same_bits(args):
        st.sampled_from([0.0, -0.0]), st.booleans())
 def test_shared_axis_factors_match_per_row_kernel_bit_for_bit(case, zx, zy,
                                                               single):
-    # the rows _serve hands the kernel: every beam with its y-, x- and
+    # the rows _serve_plan hands the kernel: every beam with its y-, x- and
     # xy-mirror, and targets on x = +0.0 / -0.0 and y = +0.0 / -0.0 in the
     # same call; points sit on every target (the _EPS branch) and on the
     # axes, so +0.0 and -0.0 cosines share one factor
@@ -331,11 +331,11 @@ def test_kernel_on_sliced_point_terms_matches_sliced_points(case, zx, zy,
                                                  *rest).tobytes()
 
 
-def _served_kernel_calls(monkeypatch, scene, mode, g, px, py):
-    """Per kernel call of one _serve(g, h = g) at (px, py): its first eight
-    arguments and the number of cosines each axis factor was evaluated at, x
-    then y. The ninth, the point terms, must be exactly the `point_terms` of
-    the call's points."""
+def _served_kernel_calls(monkeypatch, serve_whole, scene, mode, g, px, py):
+    """Per kernel call of serving iteration g on all four sides (h = g) at
+    (px, py): its first eight arguments and the number of cosines each axis
+    factor was evaluated at, x then y. The ninth, the point terms, must be
+    exactly the `point_terms` of the call's points."""
     calls, kernel, factor = [], sim.gain_matrix, kernels._dirichlet_sq
 
     def kernel_probe(*args):
@@ -350,7 +350,7 @@ def _served_kernel_calls(monkeypatch, scene, mode, g, px, py):
         return factor(p, at, n)
     monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
     monkeypatch.setattr(kernels, "_dirichlet_sq", factor_probe)
-    sim._serve(scene, px, py, sim.codebook_for(scene, mode), g, g)
+    serve_whole(scene, px, py, sim.codebook_for(scene, mode), g, g)
     monkeypatch.undo()
     return calls
 
@@ -358,15 +358,16 @@ def _served_kernel_calls(monkeypatch, scene, mode, g, px, py):
 @pytest.mark.parametrize("mode, g, rows, n_cos", [
     ("hex", 0, 13, [9, 5]), ("hex", 1, 20, [14, 7]), ("hex", 2, 10, [7, 5]),
     ("hex", 3, 20, [14, 7]), ("dft", 0, 15, [9, 7])])
-def test_served_calls_share_axis_factors(scene, monkeypatch, mode, g, rows,
-                                         n_cos):
-    # the default scene's mirrored calls, rows as _serve builds them: each
-    # axis factor is evaluated once per distinct cosine, not once per row,
-    # and every gain keeps the per-row kernel's bits
+def test_served_calls_share_axis_factors(scene, monkeypatch, serve_whole,
+                                         mode, g, rows, n_cos):
+    # the default scene's mirrored calls, rows as _serve_plan builds them:
+    # each axis factor is evaluated once per distinct cosine, not once per
+    # row, and every gain keeps the per-row kernel's bits
     xs = np.arange(-5.5e5, 5.6e5, 2.5e4)
     ys = np.arange(0.0, 1.9e5, 2.5e4)
     px, py = (a.ravel() for a in np.meshgrid(xs, ys))
-    calls = _served_kernel_calls(monkeypatch, scene, mode, g, px, py)
+    calls = _served_kernel_calls(monkeypatch, serve_whole, scene, mode, g,
+                                 px, py)
     assert len(calls) == 1
     (args, evaluated), = calls
     assert args[2].size == rows

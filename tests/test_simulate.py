@@ -69,7 +69,7 @@ def _lowest_tied_id(scene, book, px, py, g):
 
 @pytest.mark.parametrize("mode, g", [("hex", g) for g in (-3, 0, 3, 4, 5, 8, 9)]
                          + [("dft", 0)])
-def test_serve_ids_follow_lowest_tied_id_rule(scene, mode, g):
+def test_serve_ids_follow_lowest_tied_id_rule(scene, mode, g, serve_whole):
     # IDs wrap mod n_beams from g = cycle_len on, so the codebook's columns
     # are not in ID order; at g = 8 the (0, 80 km) tie is between IDs 12
     # and 0, with 0 in the later column
@@ -78,9 +78,10 @@ def test_serve_ids_follow_lowest_tied_id_rule(scene, mode, g):
     assert np.all(np.diff(ids) > 0)
     px, py = _grid_points(scene, 10e3)
     px, py = np.append(px, 0.0), np.append(py, 80e3)
-    # _serve answers at (px, |py|) in row 0 and at (px, -|py|) in row 1
+    # the served slices answer at (px, |py|) in row 0 and at (px, -|py|) in
+    # row 1
     side = (py < 0).astype(int), np.arange(px.size)
-    sid, g_serve = (a[side] for a in sim._serve(scene, px, py, book, g)[:2])
+    sid, g_serve = (a[side] for a in serve_whole(scene, px, py, book, g)[:2])
     want, best = _lowest_tied_id(scene, book, px, py, g)
     assert np.array_equal(sid, want)
     assert np.array_equal(g_serve, best)
@@ -121,6 +122,27 @@ def test_sinr_never_exceeds_snr(scene):
         si = sim.coverage_map(scene, metric="sinr", mode=mode, step=10e3)
         m = np.isfinite(s.values)
         assert np.all(si.values[m] <= s.values[m] + 1e-9)
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan])
+@pytest.mark.filterwarnings("error")  # no numpy warning before the refusal
+def test_grids_refuse_non_finite_step(scene, step):
+    # inf * 0 would make NaN axes: a 1 x 1 all-NaN map, or a failed
+    # reduction in the handover map
+    for run, key in ((sim.coverage_map, "grid_step_m"),
+                     (sim.sinr_cdf, "grid_step_m"),
+                     (sim.handover_map, "handover_grid_step_m")):
+        with pytest.raises(ValueError,
+                           match=f"^{key} must be finite, got {step}$"):
+            run(scene, step=step)
+
+
+@pytest.mark.parametrize("name, point", [
+    ("x", (math.nan, 0.0)), ("x", (math.inf, 0.0)), ("x", (-math.inf, 1e3)),
+    ("y", (0.0, math.nan)), ("y", (0.0, -math.inf))])
+def test_serving_beam_refuses_non_finite_point(scene, name, point):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        sim.serving_beam(scene, point)
 
 
 def test_map_rejects_unknown_inputs(scene):
@@ -181,7 +203,7 @@ def _serve_case(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_serve_case())
-def test_serve_running_max_matches_argmax_oracle(scene, case):
+def test_serve_running_max_matches_argmax_oracle(scene, serve_whole, case):
     gains, ids, chunk = case
     n_points, n_beams = gains.shape
     # a one-iteration codebook with these IDs; beam j targets (j, 1 + j), and
@@ -198,7 +220,7 @@ def test_serve_running_max_matches_argmax_oracle(scene, case):
         mp.setattr(sim, "KERNEL_EVALS", chunk * 2 * n_beams)
         mp.setattr(sim, "gain_matrix", kernel)
         px, py = np.arange(n_points, dtype=float), np.zeros(n_points)
-        served = sim._serve(scene, px, py, book, 0)
+        served = serve_whole(scene, px, py, book, 0)
     # the oracle: argmax and row sums over the points x beams matrix, on
     # both sides
     k = gains.argmax(axis=1)
@@ -269,14 +291,15 @@ def _mirror_case(draw, scene):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(data=st.data())
-def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
-    # rows 0 and 1 of _serve are the direct evaluator at (px, |py|) and
-    # (px, -|py|); with any iteration h, whether or not it mirrors g, rows 2
-    # and 3 are the direct evaluator under h at (-px, |py|) and (-px, -|py|),
-    # bit for bit: IDs, serving gains and interferer sums. A call that skips
-    # the sums gives the same IDs and gains, and no interferer array; one
-    # that skips the IDs gives the same gains and sums, no ID array, and
-    # makes no _max_walk call
+def test_paired_serve_matches_direct_serve_on_both_sides(scene, data,
+                                                         serve_whole):
+    # rows 0 and 1 of the served slices are the direct evaluator at (px,
+    # |py|) and (px, -|py|); with any iteration h, whether or not it mirrors
+    # g, rows 2 and 3 are the direct evaluator under h at (-px, |py|) and
+    # (-px, -|py|), bit for bit: IDs, serving gains and interferer sums. A
+    # call that skips the sums gives the same IDs and gains, and no
+    # interferer array; one that skips the IDs gives the same gains and
+    # sums, no ID array, and makes no _max_walk call
     mode, g, h, px, py, evals, quantized = data.draw(_mirror_case(scene))
     kernel, walk = sim.gain_matrix, sim._max_walk
     book = sim.codebook_for(scene, mode)
@@ -295,13 +318,13 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
                 for x, y, it in ((px, np.abs(py), g), (px, -np.abs(py), g),
                                  (-px, np.abs(py), h), (-px, -np.abs(py), h))]
         mp.setattr(sim, "KERNEL_EVALS", evals)
-        paired = sim._serve(scene, px, py, book, g, h)
-        halves = sim._serve(scene, px, py, book, g)
-        ids_only = [sim._serve(scene, px, py, book, g, mirror,
-                               interference=False) for mirror in (h, None)]
+        paired = serve_whole(scene, px, py, book, g, h)
+        halves = serve_whole(scene, px, py, book, g)
+        ids_only = [serve_whole(scene, px, py, book, g, mirror,
+                                interference=False) for mirror in (h, None)]
         mp.setattr(sim, "_max_walk", walk_probe)
-        no_ids = [sim._serve(scene, px, py, book, g, mirror, ids=False,
-                             interference=interference)
+        no_ids = [serve_whole(scene, px, py, book, g, mirror, ids=False,
+                              interference=interference)
                   for mirror in (h, None) for interference in (True, False)]
     assert walks == []
     for got, half, *sides in zip(paired, halves, *want, strict=True):
@@ -324,24 +347,24 @@ def test_paired_serve_matches_direct_serve_on_both_sides(scene, data):
 
 
 def _kernel_rows_per_serve(monkeypatch):
-    """A list that fills, per evaluator call (a `_served_slices` pass, which
-    `_serve` makes once), with [g, rows of each kernel call it makes]."""
-    calls, serve, kernel = [], sim._served_slices, sim.gain_matrix
+    """A list that fills, per evaluator plan (one per `_served_slices`
+    pass), with [g, rows of each kernel call made after it]."""
+    calls, plan, kernel = [], sim._serve_plan, sim.gain_matrix
 
-    def serve_probe(scene, px, py, book, g, *rest, **kw):
+    def plan_probe(book, g, *rest):
         calls.append([g])
-        yield from serve(scene, px, py, book, g, *rest, **kw)
+        return plan(book, g, *rest)
 
     def kernel_probe(px, py, tx, *args):
         calls[-1].append(tx.size)
         return kernel(px, py, tx, *args)
-    monkeypatch.setattr(sim, "_served_slices", serve_probe)
+    monkeypatch.setattr(sim, "_serve_plan", plan_probe)
     monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
     return calls
 
 
 def test_serve_of_a_codebook_open_under_both_mirrors_matches_direct_serve(
-        scene, monkeypatch):
+        scene, monkeypatch, serve_whole):
     # the evaluator relies on no closure: beams with no y- or x-mirror
     # partner are served on every side bit for bit like the direct
     # evaluator, from 2n kernel rows with the y-mirror and 4n with both
@@ -353,8 +376,8 @@ def test_serve_of_a_codebook_open_under_both_mirrors_matches_direct_serve(
             for x, y in ((px, np.abs(py)), (px, -np.abs(py)),
                          (-px, np.abs(py)), (-px, -np.abs(py)))]
     calls = _kernel_rows_per_serve(monkeypatch)
-    halves = sim._serve(scene, px, py, book, 0)
-    paired = sim._serve(scene, px, py, book, 0, 0)
+    halves = serve_whole(scene, px, py, book, 0)
+    paired = serve_whole(scene, px, py, book, 0, 0)
     assert calls == [[0, 8], [0, 16]]
     for half, got, *sides in zip(halves, paired, *want, strict=True):
         assert np.array_equal(half, got[:2])
@@ -379,7 +402,8 @@ def _walks_per_kernel_call(monkeypatch):
     return counts
 
 
-def test_sides_that_read_one_row_set_share_one_walk(scene, monkeypatch):
+def test_sides_that_read_one_row_set_share_one_walk(scene, monkeypatch,
+                                                    serve_whole):
     # sides are grouped by the exact set of kernel rows they read: all four
     # share one walk for the DFT grid and for hex (g, -g) at K = 4; hex k = 1
     # with h = 1 has as many rows per side but two sets, and the 4-beam
@@ -399,7 +423,7 @@ def test_sides_that_read_one_row_set_share_one_walk(scene, monkeypatch):
     monkeypatch.setattr(sim, "KERNEL_EVALS", 20 * px.size // 3)
     for book, g, h, walks in cases:
         counts.clear()
-        sim._serve(scene, px, py, book, g, h)
+        serve_whole(scene, px, py, book, g, h)
         assert len(counts) > 1 and counts == [walks] * len(counts), (g, h)
 
 
@@ -414,7 +438,7 @@ def scenes_by_cycle_len(scene):
 @pytest.mark.parametrize("cycle_len", [3, 4, 5])
 @pytest.mark.parametrize("quantized", [False, True])
 def test_batched_serve_matches_direct_serve_per_column(
-        scenes_by_cycle_len, cycle_len, quantized, monkeypatch):
+        scenes_by_cycle_len, cycle_len, quantized, monkeypatch, serve_whole):
     # one call serves columns of one residue class at many cycle counts,
     # negative ones too, with -g on the mirror's sides, whose IDs wrap the
     # other way (at K = 3 and 5, -g is not the x-mirror of g): every column
@@ -434,8 +458,8 @@ def test_batched_serve_matches_direct_serve_per_column(
     for r in range(cycle_len):
         g = r + cycle_len * rng.integers(-4, 5, px.size)
         g[0], g[-1] = r, r + 2 * cycle_len
-        sid, g_serve, _ = sim._serve(scene, px, py, scene.hex, g, -g,
-                                     interference=False)
+        sid, g_serve, _ = serve_whole(scene, px, py, scene.hex, g, -g,
+                                      interference=False)
         for k in np.unique(g).tolist():
             at = g == k
             for side, (sx, sy, it) in enumerate([(1, 1, k), (1, -1, k),
@@ -474,16 +498,23 @@ def test_dynamic_schedule_packs_whole_indices_below_a_quarter_block(
     # index that has columns is served once, and the counts are still each
     # point's own direct loop
     monkeypatch.setattr(sim, "BLOCK", 64)
-    blocks, events, serve = [], sim._dynamic_events, sim._served_slices
+    blocks, events, plan, serve = ([], sim._dynamic_events, sim._serve_plan,
+                                   sim._served_slices)
 
     def events_probe(scene, px, py, t_in, t_out):
         blocks.append(([], t_in, t_out))
         return events(scene, px, py, t_in, t_out)
 
-    def serve_probe(scene, px, py, book, g, h, **kw):
-        blocks[-1][0].append(np.broadcast_to(g, np.shape(px)))
-        yield from serve(scene, px, py, book, g, h, **kw)
+    def plan_probe(book, g, h):
+        blocks[-1][0].append(g)
+        return plan(book, g, h)
+
+    def serve_probe(scene, px, *args, **kw):  # each column's g
+        calls = blocks[-1][0]
+        calls[-1] = np.broadcast_to(calls[-1], px.shape)
+        yield from serve(scene, px, *args, **kw)
     monkeypatch.setattr(sim, "_dynamic_events", events_probe)
+    monkeypatch.setattr(sim, "_serve_plan", plan_probe)
     monkeypatch.setattr(sim, "_served_slices", serve_probe)
     got = sim.handover_map(scene, "dynamic", step=20e3).values
     xs, ys = sim.roi_grid(scene.roi, 20e3)
@@ -584,7 +615,8 @@ def test_dynamic_event_table_is_each_sides_direct_loop(scenes_by_cycle_len,
     t_in, t_out = sim.pass_window(scene, (px, py))
     lo = min(sim._iteration(scene, t_in).min(),
              -sim._iteration(scene, -t_in).max())
-    classes = list(sim._dynamic_events(scene, px, py, t_in, t_out))
+    classes = list(sim._dynamic_events(scene, px, np.abs(py), t_in,
+                                       t_out))
     assert classes[0][0] == lo
     table = np.full((4, sum(ids.shape[1] for _, ids in classes), px.size), -1)
     for g, ids in classes:  # a class's rows are loop indices g, g + K, ...
@@ -720,11 +752,9 @@ def test_dynamic_map_memory_bounded_by_grid_and_block(scene, monkeypatch,
     assert peak < 9 * xs.size * ys.size + 2048 * sim.BLOCK
 
 
-def test_only_the_slice_loop_names_the_kernel():
-    # _gain_slices is the one kernel slice loop of simulate.py: no other
-    # function calls the kernel, computes the point terms or sizes a kernel
-    # call, so both are decided in one place
-    kernel_names = {"gain_matrix", "point_terms", "KERNEL_EVALS"}
+def _top_level_users(names):
+    """Each of names that simulate.py's functions and classes name, mapped
+    to the top-level ones that name it."""
     users = {}
     for top in ast.parse(Path(sim.__file__).read_text()).body:
         if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -732,9 +762,27 @@ def test_only_the_slice_loop_names_the_kernel():
         for node in ast.walk(top):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else None)
-            if name in kernel_names:
+            if name in names:
                 users.setdefault(name, set()).add(top.name)
-    assert users == {name: {"_gain_slices"} for name in kernel_names}
+    return users
+
+
+def test_only_the_slice_loop_names_the_kernel():
+    # _gain_slices is the one kernel slice loop of simulate.py: no other
+    # function calls the kernel, computes the point terms or sizes a kernel
+    # call, so both are decided in one place
+    kernel_names = {"gain_matrix", "point_terms", "KERNEL_EVALS"}
+    assert _top_level_users(kernel_names) == {
+        name: {"_gain_slices"} for name in kernel_names}
+
+
+def test_only_the_serving_loop_serves_slices():
+    # _served_slices is the one serving loop: no other function serves a
+    # slice, and the only other kernel slice loop is the dynamic series'
+    # held-gain pass, which serves nothing
+    assert _top_level_users({"_serve", "_serve_slice", "_gain_slices"}) == {
+        "_serve_slice": {"_served_slices"},
+        "_gain_slices": {"_served_slices", "pass_timeseries"}}
 
 
 def _chunk_probe_outputs(scene):
@@ -1070,11 +1118,15 @@ def test_dynamic_series_serves_one_call_per_residue_class(
     # of its held beams come from one more kernel call, over the distinct
     # held targets, and none per event
     scene = scenes_by_cycle_len[cycle_len]
-    calls, serve, kernel = [], sim._served_slices, sim.gain_matrix
+    calls, plan, serve, kernel = ([], sim._serve_plan, sim._served_slices,
+                                  sim.gain_matrix)
 
-    def serve_probe(scene, px, py, book, g, h, **kw):
+    def plan_probe(book, g, h):
         calls.append([np.atleast_1d(g), np.atleast_1d(h)])
-        yield from serve(scene, px, py, book, g, h, **kw)
+        return plan(book, g, h)
+
+    def serve_probe(*args, **kw):
+        yield from serve(*args, **kw)
         calls.append(None)  # a kernel call past here is outside the call
 
     def kernel_probe(px, py, tx, *args):
@@ -1083,6 +1135,7 @@ def test_dynamic_series_serves_one_call_per_residue_class(
         else:
             calls[-1].append(tx.size)
         return kernel(px, py, tx, *args)
+    monkeypatch.setattr(sim, "_serve_plan", plan_probe)
     monkeypatch.setattr(sim, "_served_slices", serve_probe)
     monkeypatch.setattr(sim, "gain_matrix", kernel_probe)
     for pt in SERIES_POINTS:
