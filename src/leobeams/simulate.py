@@ -40,15 +40,14 @@ y >= 0 and write all four images, sweeps run the rows y >= 0, and a single
 point takes the side matching the sign of its y. The dynamic codebook's
 association events pair point x at update index g with -x at -g, whose
 positions are negatives of each other, and g and g + K share their targets,
-so one evaluator call serves several whole indices of one residue class
-mod K. `_dynamic_events` is that policy's one schedule: window by window of
-whole rounds of K indices, it yields each class's IDs, whose changes the
-handover map counts and whose one point the series reads.
+so one evaluator call serves a window's indices of one residue class mod
+K. `_dynamic_events` is that policy's one schedule: window by window of
+BLOCK // points whole rounds of K indices, it yields each class's IDs, whose
+changes the handover map counts and whose one point the series reads.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -483,8 +482,10 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     is inside the ROI, up to its exit or the end of duration. Dynamic mode
     reads its point's side of the handover map's `_dynamic_events` with the
     first and last samples as the window, so a series ending before the
-    window's final tau can show one change fewer than `handover_map`; the
-    held beams' gains come from `_gain_slices` toward the held targets.
+    window's final tau can show one change fewer than `handover_map`. Each
+    event's held target is read from its own iteration's `Codebook.snapshot`,
+    and each block's held gains come from one `_gain_slices` pass toward the
+    distinct held targets, each sample reading its own event's target's row.
 
     Sample k is at t_start + dt * k. The indices are generated BLOCK at a
     time, twice unless they fit one block: once to count the in-ROI samples
@@ -539,15 +540,12 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
             np.array(ends[-1:]))))
         held = np.concatenate(ids)[np.argsort(np.concatenate(g))]
         held = held[held < book.n_beams].astype(np.int64)
-        # each event's held target: the one of its base ID in its residue
-        cyc, k = np.divmod(np.arange(g0, g0 + held.size), book.cycle_len)
-        base = (held - book.advance * cyc) % book.n_beams
-        rows, col = {}, []  # distinct held target -> its row of the gains
-        for r, b in zip(k.tolist(), base.tolist()):
-            t = book.targets[r][np.searchsorted(book.ids[r], b)]
-            col.append(rows.setdefault(tuple(t.tolist()), len(rows)))
-        col = np.array(col)
-        tx, ty = np.array(list(rows)).T
+        # each event's held target, from its own iteration's snapshot, and
+        # its row of the gains: one row per distinct target
+        targets = np.concatenate([t[i == h] for (t, i), h in zip(
+            map(book.snapshot, range(g0, g0 + held.size)), held.tolist())])
+        targets, row = np.unique(targets, axis=0, return_inverse=True)
+        tx, ty = targets.T
 
     t_s, sid, metric = (np.empty(size), np.empty(size, dtype=np.int64),
                         np.empty(size))
@@ -562,7 +560,7 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
             e = _iteration(scene, ts) - g0
             ids[:] = held[e]
             for s, _, gains in _gain_slices(scene, sx, sy, (tx, ty)):
-                gain[s] = gains[col[e[s]], np.arange(gains.shape[1])]
+                gain[s] = gains[row[e[s]], np.arange(gains.shape[1])]
                 del gains
         else:
             for s, _, sid_s, g_s, _ in _served_slices(
@@ -635,13 +633,15 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
     its entry at x_in[i]. So each side's events sit on consecutive indices.
     An index's columns are each point either side updates there (the
     half-open window and TIME_TOL make the two sets differ), then each
-    side's entries; only a column's owners write its IDs. A window is the
-    fewest whole rounds of K indices holding K x BLOCK // 4 columns, counted
-    from the four indices' spans; each of its classes is served in turn by
-    `_served_slices` calls over whole indices in ascending order, g on the
-    point's sides and -g on the mirror's, a call closed once it holds
-    BLOCK // 4 columns. So a dense map serves about one index per call, and
-    a sparse map or one point one call per class.
+    side's entries; only a column's owners write its IDs.
+
+    One size sets the work: a window is BLOCK // points whole rounds of K
+    indices (at least one), so a class holds at most BLOCK // points
+    indices and its (index, group, point) cells number at most 3 x BLOCK.
+    Each class of a window is built in one batch and served by one
+    `_served_slices` call, g on the point's sides and -g on the mirror's,
+    or skipped if it has no columns. So a block of more than BLOCK / 2
+    points serves one index per call, and one point one call per class.
     """
     v, t_c, cycle_len = scene.v_ground, scene.lattice.t_c, scene.hex.cycle_len
     g_in, g_out = _iteration(scene, t_in), _iteration(scene, t_out)
@@ -650,19 +650,10 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
     n = max(int(g_out.max()), int(x_in.max())) + 1 - lo  # loop indices
     g_in, g_out, x_in, x_end = ((i - lo).astype(np.min_scalar_type(n))
                                 for i in (g_in, g_out, x_in, x_end))
-    # held[o]: the columns before offset o, from the spans [a, c) of offsets
-    # holding one: each side's updates, less both's, and each side's entry
-    held = [0] + np.cumsum(np.cumsum(sum(
-        w * (np.bincount(a[a < c], minlength=n + 1)
-             - np.bincount(c[a < c], minlength=n + 1))
-        for a, c, w in ((g_in + 1, g_out + 1, 1), (x_end, x_in, 1),
-                        (g_in, g_in + 1, 1), (x_in, x_in + 1, 1),
-                        (np.maximum(g_in + 1, x_end),
-                         np.minimum(g_out + 1, x_in), -1))))[:n]).tolist()
-    step, fill = max(1, BLOCK // px.size), scene.hex.n_beams
+    rounds, fill = max(1, BLOCK // px.size), scene.hex.n_beams
 
-    def columns(os):  # points, positions and owners of indices lo + os,
-        # built over (index, group, point) cells a block of cells at a time
+    def columns(os):  # points, positions, owners and iterations of the
+        # columns at indices lo + os, over (index, group, point) cells
         o = np.array(os, dtype=g_in.dtype)[:, None]
         upd, x_upd = (g_in < o) & (o <= g_out), (x_end <= o) & (o < x_in)
         f = np.flatnonzero(np.concatenate([upd | x_upd, g_in == o, x_in == o],
@@ -674,41 +665,29 @@ def _dynamic_events(scene: Scene, px: np.ndarray, py: np.ndarray,
         t[:, 0] = (lo + np.array(os)[:, None]) * t_c
         t[:, 1], t[:, 2] = t_in, t_out
         p = f - f // px.size * px.size
-        return p, px[p] - v * t.ravel()[f], np.array(own)
+        g = lo + (os[0] if len(os) == 1 else np.array(os)[f // (3 * px.size)])
+        return p, px[p] - v * t.ravel()[f], np.array(own), g
 
-    def serve(call):  # one call over the whole indices lo + call of a class
-        pts, sx, own = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1)
-                        for x in zip(*(columns(call[c:c + step])
-                                       for c in range(0, len(call), step))))
-        g = lo + (call[0] if len(call) == 1 else np.repeat(
-            call, [held[o + 1] - held[o] for o in call]))
-        for s, _, sid, _, _ in _served_slices(
-                scene, sx, py[pts], _serve_plan(scene.hex, g, -g),
-                interference=False):
-            # each column's row of its class: (index - window start) // K
-            at = pts[s] + ((g[s] if np.ndim(g) else g) - lo - a
-                           ) // cycle_len * px.size
-            for side, k in zip((0, 2), own[:, s]):
-                flat[side, at[k]] = sid[side][k]
-                flat[side + 1, at[k]] = sid[side + 1][k]
-            del sid, at  # freed before the next slice's kernel call allocates
-
-    a = 0
-    while a < n:  # a window [a, b)
-        e = bisect.bisect_left(held, held[a] + cycle_len * (BLOCK // 4))
-        b = min(a - (a - e) // cycle_len * cycle_len, n)
+    for a in range(0, n, rounds * cycle_len):  # a window [a, b)
+        b = min(a + rounds * cycle_len, n)
         for r in range(a, min(a + cycle_len, b)):
-            ids = np.full((4, len(range(r, b, cycle_len)), px.size), fill,
+            os = range(r, b, cycle_len)  # the class's offsets in the window
+            ids = np.full((4, len(os), px.size), fill,
                           dtype=np.min_scalar_type(fill))
-            flat, call, size = ids.reshape(4, -1), [], 0
-            for o in range(r, b, cycle_len):
-                if held[o + 1] > held[o]:
-                    call, size = call + [o], size + held[o + 1] - held[o]
-                if size >= BLOCK // 4 or call and o + cycle_len >= b:
-                    serve(call)
-                    call, size = [], 0
+            flat = ids.reshape(4, -1)
+            pts, sx, own, g = columns(os)
+            for s, _, sid, _, _ in _served_slices(
+                    scene, sx, py[pts], _serve_plan(scene.hex, g, -g),
+                    interference=False) if pts.size else ():
+                # each column's row of its class: (index - r) // K
+                at = pts[s] + ((g[s] if np.ndim(g) else g) - lo - r
+                               ) // cycle_len * px.size
+                for side, k in zip((0, 2), own[:, s]):
+                    flat[side, at[k]] = sid[side][k]
+                    flat[side + 1, at[k]] = sid[side + 1][k]
+                del sid, at  # freed before the next slice's kernel call
+            del pts, sx, own, g  # freed before the next class's columns
             yield lo + r, ids
-        a = b
 
 
 def _dynamic_handover_counts(scene: Scene, px: np.ndarray,

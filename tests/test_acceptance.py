@@ -1,8 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Tolerances and runtime bounds are pinned in the assertions. Criterion bodies
-are timed with the session scene prebuilt, so the clock measures the
-experiment, not setup.
+Tolerances and runtime bounds are pinned in the assertions; criteria 2 and 4
+take their measures and bands from one helper each, `_cdf_separation` and
+`_ripple_contrast`, which one more test sweeps over element spacing and
+oversampling. Criterion bodies are timed with the session scene prebuilt,
+so the clock measures the experiment, not setup.
 """
 
 import math
@@ -16,6 +18,7 @@ from leobeams import codebook as cb
 from leobeams import link
 from leobeams import simulate as sim
 from leobeams.antenna import beam_gain, satellite_array
+from leobeams.config import SceneConfig, build_scene
 from leobeams.geometry import Roi, direction_to, ground_track_speed, slant_range
 from leobeams.kernels import gain_matrix
 
@@ -39,13 +42,20 @@ def test_criterion_1_beam_counts():
     _report(1, "beam-counts", ok, elapsed, f"per-iteration counts {counts}")
 
 
-def test_criterion_2_cdf_separation(scene):
-    t0 = time.perf_counter()
+def _cdf_separation(scene):
+    """Criterion 2's measure: hex and DFT P(SINR > 4 dB) over the 2 km grid,
+    and whether they meet its bands."""
     curves = {c.label: c for c in sim.sinr_cdf(scene, step=2000.0)}
     p_hex = curves["hex"].prob_at(4.0)
     p_dft = curves["dft"].prob_at(4.0)
+    return p_hex, p_dft, 0.40 <= p_hex <= 0.60 and (p_hex - p_dft) >= 0.15
+
+
+def test_criterion_2_cdf_separation(scene):
+    t0 = time.perf_counter()
+    p_hex, p_dft, in_band = _cdf_separation(scene)
     elapsed = time.perf_counter() - t0
-    ok = 0.40 <= p_hex <= 0.60 and (p_hex - p_dft) >= 0.15 and elapsed < 30.0
+    ok = in_band and elapsed < 30.0
     _report(2, "cdf-separation", ok, elapsed,
             f"P(SINR>4dB): hex {p_hex:.3f} (need [0.40,0.60]), "
             f"dft {p_dft:.3f}, gap {p_hex - p_dft:.3f} (need >=0.15)")
@@ -80,8 +90,12 @@ def test_criterion_3_triple_point_cap(scene):
             f"(cap -2.90 dB)")
 
 
-def test_criterion_4_ripple_contrast(scene):
-    t0 = time.perf_counter()
+def _ripple_contrast(scene):
+    """Criterion 4's measures: the static dwell ripple at (0, 0) over the
+    dwell holding t = 4 t_c, the dynamic ripple over that dwell's span, and
+    the per-cycle peak spread at y = 50 km, at dt = t_c / 20. Returns
+    (ripple_static, span, ripple_dyn, peaks, in_band), peaks the peak SNR
+    of each whole cycle and in_band whether they meet its bands."""
     t_c = scene.lattice.t_c
 
     ts_s = sim.pass_timeseries(scene, (0.0, 0.0), mode="static")
@@ -108,16 +122,40 @@ def test_criterion_4_ripple_contrast(scene):
     peaks = [float(ts50.metric_db[cyc == c].max())
              for c in range(int(cyc.max()) + 1)
              if (c + 1) * 4.0 * t_c <= t_end + 1e-9]
-    peak_spread = max(peaks) - min(peaks)
+    in_band = (2.0 <= ripple_static <= 4.0 and ripple_dyn <= 1.0
+               and len(peaks) >= 2 and max(peaks) - min(peaks) <= 0.5)
+    return ripple_static, span, ripple_dyn, peaks, in_band
 
+
+def test_criterion_4_ripple_contrast(scene):
+    t0 = time.perf_counter()
+    ripple_static, span, ripple_dyn, peaks, in_band = _ripple_contrast(scene)
+    peak_spread = max(peaks) - min(peaks)
     elapsed = time.perf_counter() - t0
-    ok = (2.0 <= ripple_static <= 4.0 and ripple_dyn <= 1.0
-          and len(peaks) >= 2 and peak_spread <= 0.5 and elapsed < 10.0)
+    ok = in_band and elapsed < 10.0
     _report(4, "ripple-contrast", ok, elapsed,
             f"static dwell {span[0]:.1f}-{span[1]:.1f}s ripple "
             f"{ripple_static:.3f} dB (need [2,4]); dynamic ripple "
             f"{ripple_dyn:.3f} dB (need <=1.0); y=50km peak spread "
             f"{peak_spread:.3f} dB over {len(peaks)} cycles (need <=0.5)")
+
+
+def test_no_spacing_and_oversampling_meet_criteria_2_and_4():
+    # the criterion 2 and 4 bands are disjoint in this model family: across
+    # element spacings of 0.44-0.50 wavelengths and lattice oversamplings of
+    # 1.3-1.5, with the criteria's own measures, each band is met by some
+    # config (criterion 2 toward wide spacing and coarse lattices, 4 toward
+    # fine lattices) and none meets both
+    met = {}
+    for spacing_wl in (0.44, 0.46, 0.48, 0.50):
+        for oversampling in (1.3, 1.4, 1.5):
+            scene = build_scene(SceneConfig(element_spacing_wl=spacing_wl,
+                                            oversampling=oversampling))
+            met[spacing_wl, oversampling] = (_cdf_separation(scene)[-1],
+                                             _ripple_contrast(scene)[-1])
+    assert any(c2 for c2, _ in met.values())
+    assert any(c4 for _, c4 in met.values())
+    assert [config for config, (c2, c4) in met.items() if c2 and c4] == []
 
 
 def test_criterion_5_handover_contrast(scene):

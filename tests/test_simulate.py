@@ -490,14 +490,17 @@ def test_dynamic_map_of_many_small_classes_matches_direct_loop(monkeypatch):
     assert any(np.unique(c[0] // 1000).size > 1 for c in calls)
 
 
-def test_dynamic_schedule_packs_whole_indices_below_a_quarter_block(
-        scene, monkeypatch):
-    # at BLOCK = 64 a 20 km map's classes take several calls each: a call
-    # serves whole update indices of one residue class in ascending order
-    # and holds fewer than BLOCK // 4 columns before its last index, every
-    # index that has columns is served once, and the counts are still each
-    # point's own direct loop
-    monkeypatch.setattr(sim, "BLOCK", 64)
+@pytest.mark.parametrize("block", [64, 512])
+def test_dynamic_schedule_calls_span_less_than_a_window(scene, monkeypatch,
+                                                        block):
+    # a call serves whole update indices of one residue class in ascending
+    # order, all within one window of max(1, BLOCK // points) rounds of K
+    # indices, so a block of more than BLOCK / 2 points serves one index per
+    # call; every index that has columns is served once, and the counts are
+    # still each point's own direct loop. At BLOCK = 64 a 20 km map is five
+    # blocks, four of them dense; at BLOCK = 512 its quadrant is one block
+    # of 196 points, a window is 2 rounds, and some call holds two indices
+    monkeypatch.setattr(sim, "BLOCK", block)
     blocks, events, plan, serve = ([], sim._dynamic_events, sim._serve_plan,
                                    sim._served_slices)
 
@@ -524,10 +527,11 @@ def test_dynamic_schedule_packs_whole_indices_below_a_quarter_block(
     want[m] = _direct_dynamic_counts(scene, gx[m], gy[m])
     assert got.tobytes() == want.tobytes()
 
-    K, quarter = scene.hex.cycle_len, sim.BLOCK // 4
-    assert len(blocks) > 1
+    K, widths = scene.hex.cycle_len, []
+    assert len(blocks) > 1 if block == 64 else len(blocks) == 1
     assert sum(len(c) for c, *_ in blocks) > K * len(blocks)
     for calls, t_in, t_out in blocks:
+        span = max(1, sim.BLOCK // t_in.size) * K
         g_in, g_out = sim._iteration(scene, t_in), sim._iteration(scene, t_out)
         x_in = -sim._iteration(scene, -t_out)
         x_end = -sim._iteration(scene, -t_in)
@@ -545,9 +549,12 @@ def test_dynamic_schedule_packs_whole_indices_below_a_quarter_block(
             k, n = np.unique(g, return_counts=True)
             assert np.unique(k % K).size == 1
             assert n.tolist() == [n_cols(i) for i in k.tolist()]
-            assert n[:-1].sum() < quarter
+            assert k[-1] - k[0] < span
+            assert k.size == 1 or 2 * t_in.size <= sim.BLOCK
+            widths.append(k.size)
             served += k.tolist()
         assert sorted(served) == [i for i in indices if n_cols(i)]
+    assert max(widths) >= 2
 
 
 def _direct_map(scene, metric, mode, g, step):
@@ -1230,6 +1237,16 @@ def test_dynamic_handover_map_holds_no_whole_served_arrays(scene,
     peak = traced_peak(lambda: sim.handover_map(scene, "dynamic",
                                                 step=2e3)).peak
     assert peak < 5.2 * 2**20
+
+
+def test_default_dynamic_handover_map_peak(scene, traced_peak):
+    # at the default 5 km handover grid the quadrant is one block of 2,931
+    # points, so a window is BLOCK // 2931 = 11 rounds of K indices and a
+    # class's whole pass is one call: the map peaked at 3.30 MiB of traced
+    # allocation measured (3.02 MiB when calls were packed to BLOCK // 4
+    # columns)
+    peak = traced_peak(lambda: sim.handover_map(scene, "dynamic")).peak
+    assert peak < 3.6 * 2**20
 
 
 def test_dynamic_map_peak_does_not_grow_with_cycle_len(scene, traced_peak):
