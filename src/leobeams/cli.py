@@ -3,8 +3,9 @@
 Every run resolves its configuration (file, then --set overrides, then
 dedicated flags), builds the scene, writes the requested outputs, and ends
 with manifest.txt: the resolved configuration echoed as key = value lines
-plus a sha256 digest comment per output file. The manifest is itself a valid
-config file, so re-feeding it reproduces the run byte for byte.
+plus a sha256 digest comment per output file: that of the bytes written, as
+`fields.write_blocks`, the one writer, returns it. The manifest is itself a
+valid config file, so re-feeding it reproduces the run byte for byte.
 
 Exit code 0 on success; nonzero with a single-line `error: ...` on stderr,
 argv that argparse refuses included; --help and --version return 0.
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
-import hashlib
 import os
 import sys
 from itertools import chain
@@ -31,13 +32,12 @@ from . import __version__
 from .codebook import phase_table
 from .config import (SceneConfig, apply_overrides, build_scene, format_config,
                      load_config)
-from .fields import column_blocks, write_cdf_set, write_csv
+from .fields import column_blocks, write_blocks, write_cdf_set
 from .link import rician_sample
 from .simulate import (MAP_MODES, METRICS, PASS_MODES, codebook_for,
                        coverage_map, dominance_violations, handover_map,
                        pass_timeseries, sinr_cdf)
 
-HASH_BLOCK = 2**20  # bytes read per sha256 update
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 MMAP_THRESHOLD = 2**25  # bytes: smaller blocks are carved from the heap
 TRIM_THRESHOLD = 2**28  # bytes of free heap top kept before returning it
@@ -141,16 +141,11 @@ def _resolve_config(args) -> SceneConfig:
     cfg = apply_overrides(cfg, args.overrides)
     # dedicated flags win over --set and the file; fold them into the config
     # so the manifest records the effective values
-    flags = []
-    if args.seed is not None:
-        flags.append(f"seed={args.seed}")
-    if getattr(args, "grid_step", None) is not None:
-        key = ("handover_grid_step_m" if args.command == "handover"
-               else "grid_step_m")
-        flags.append(f"{key}={args.grid_step}")
-    if getattr(args, "dt", None) is not None:
-        flags.append(f"dt_s={args.dt}")
-    return apply_overrides(cfg, flags)
+    flags = {"seed": args.seed, "dt_s": getattr(args, "dt", None),
+             ("handover_grid_step_m" if args.command == "handover"
+              else "grid_step_m"): getattr(args, "grid_step", None)}
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 class _Emitter:
@@ -163,15 +158,10 @@ class _Emitter:
         os.makedirs(out_dir, exist_ok=True)
 
     def write(self, name: str, writer, *args) -> None:
-        """Write output `name` by writer(path, *args), then record the sha256
-        of the bytes on disk, read back HASH_BLOCK at a time."""
-        path = os.path.join(self.out_dir, name)
-        writer(path, *args)
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(HASH_BLOCK), b""):
-                digest.update(block)
-        self.records.append((name, digest.hexdigest()))
+        """Write output `name` by writer(path, *args) and record the sha256
+        digest it returns, that of the bytes it wrote."""
+        self.records.append(
+            (name, writer(os.path.join(self.out_dir, name), *args)))
 
     def field_map(self, stem: str, fmap) -> None:
         """Write a map as <stem>.csv and <stem>.ppm and record both."""
@@ -179,11 +169,11 @@ class _Emitter:
         self.write(stem + ".ppm", fmap.to_ppm)
 
     def write_manifest(self) -> None:
-        with open(os.path.join(self.out_dir, "manifest.txt"), "w") as fh:
-            fh.write(f"# leobeams {__version__} resolved configuration\n")
-            fh.write(format_config(self.cfg))
-            for name, digest in self.records:
-                fh.write(f"# output {name} sha256={digest}\n")
+        write_blocks(os.path.join(self.out_dir, "manifest.txt"),
+                     f"# leobeams {__version__} resolved configuration",
+                     [format_config(self.cfg).encode()]
+                     + [f"# output {name} sha256={digest}\n".encode()
+                        for name, digest in self.records])
 
 
 def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
@@ -192,17 +182,18 @@ def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
     cycle, dft = ((np.repeat(np.arange(b.cycle_len), [i.size for i in b.ids]),
                    np.concatenate(b.ids), np.concatenate(b.rf),
                    *np.concatenate(b.targets).T) for b in (scene.hex, scene.dft))
-    emit.write("cycle.csv", write_csv,
+    emit.write("cycle.csv", write_blocks,
                "iteration,beam_id,rf_chain,target_x_m,target_y_m",
                column_blocks("%d,%d,%d,%.3f,%.3f\n", *cycle))
-    emit.write("dft_grid.csv", write_csv, "beam_id,rf_chain,target_x_m,target_y_m",
+    emit.write("dft_grid.csv", write_blocks,
+               "beam_id,rf_chain,target_x_m,target_y_m",
                column_blocks("%d,%d,%.3f,%.3f\n", *dft[1:]))
     if args.phases:
         # one block per beam: the (element_index, phase) rows of its chain,
         # with the beam's iteration and ID baked into the row format
         tables = ((k, b, phase_table([x, y], scene.geometry, c, scene.h_sat))
                   for k, b, c, x, y in zip(*(a.tolist() for a in cycle)))
-        emit.write("phases.csv", write_csv,
+        emit.write("phases.csv", write_blocks,
                    "iteration,beam_id,element_index,phase_radians",
                    ((("%d,%d," % (k, b) + "%d,%.9f\n") * len(t)
                      % tuple(chain.from_iterable(t))).encode("ascii")
@@ -211,7 +202,7 @@ def _run_codebook(args, cfg, scene, emit: _Emitter) -> None:
         rng = np.random.default_rng(cfg.seed)
         sample = rician_sample((0.0, 0.0), scene.geometry, scene.h_sat,
                                scene.link, rng)
-        emit.write("channel_check.csv", write_csv,
+        emit.write("channel_check.csv", write_blocks,
                    "seed,matrix_fro,los_fro,scatter_fro",
                    [("%d,%.9e,%.9e,%.9e\n"
                      % (cfg.seed, *sample.fro_norms())).encode("ascii")])
@@ -251,7 +242,7 @@ def _run_handover(args, cfg, scene, emit: _Emitter) -> None:
         emit.field_map("handover_static", smap)
         bad = dominance_violations(hmap, smap)
         # %d truncates the float counts as int() does
-        emit.write("dominance_violations.csv", write_csv,
+        emit.write("dominance_violations.csv", write_blocks,
                    "x_m,y_m,dynamic,static",
                    column_blocks("%.3f,%.3f,%d,%d\n", *bad.T))
         if len(bad):

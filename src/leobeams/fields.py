@@ -1,19 +1,21 @@
 """Output containers: gridded maps, pass time series, CDF curves.
 
-Every CSV the package writes goes through one writer, `write_csv(path,
-header, blocks)`, and each block is whole lines of rendered ASCII bytes, so
-identical inputs produce byte-identical files. `column_blocks` renders the
-series, CDF and codebook CSVs with one `%` call per block of `BLOCK_LINES`
-rows: at a few hundred rows each, numpy's per-call cost would not pay. A
-map's values are rendered in numpy instead, by `fixed6_lines`, which gives
-exactly the bytes of `"%.6f" % v`: the integer part and the fraction of |v|
-are both exact, the fraction times 10**6 is rounded half to even with the
-exact error of that product deciding the rare rounded halves, a rounded
-fraction of 10**6 carries into the integer part, and the sign is the sign
-bit, so -0.0 prints as -0.000000. Only finite |v| >= 2**53 go through `%`,
-one value at a time. Transient memory is one block however large the map
-or series. Maps can also render to binary PPM (P6), an uncompressed raster
-any image viewer opens.
+Every file the package writes, the CLI's manifest too, goes through one
+writer, `write_blocks(path, header, blocks)`, which hashes each block as it
+writes it and returns the sha256 of the bytes written, as every writer here
+does. A CSV block is whole lines of rendered ASCII bytes, so identical
+inputs produce byte-identical files. `column_blocks` renders the series, CDF
+and codebook CSVs with one `%` call per block of `BLOCK_LINES` rows: at a
+few hundred rows each, numpy's per-call cost would not pay. A map's values
+are rendered in numpy instead, by `fixed6_lines`, which gives exactly the
+bytes of `"%.6f" % v`: the integer part and the fraction of |v| are both
+exact, the fraction times 10**6 is rounded half to even with the exact error
+of that product deciding the rare rounded halves, a rounded fraction of
+10**6 carries into the integer part, and the sign is the sign bit, so -0.0
+prints as -0.000000. Only finite |v| >= 2**53 go through `%`, one value at a
+time. Transient memory is one block however large the map or series. Maps
+can also render to binary PPM (P6), an uncompressed raster any image viewer
+opens.
 
 Color ramp (fixed, linear between anchors on the normalized value t):
     t=0.00 -> ( 20,  20, 120)   deep blue
@@ -32,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-BLOCK_LINES = 4096  # rows per block handed to write_csv
+BLOCK_LINES = 4096  # rows per block handed to write_blocks
 
 _RAMP_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _RAMP_RGB = np.array([
@@ -46,17 +48,20 @@ _RAMP_RGB = np.array([
 NODATA_RGB = (80, 80, 80)
 
 
-def write_csv(path, header: str, blocks) -> None:
-    """Write `header` and then every block to path; a block is ASCII bytes
-    of whole lines, each ending in a newline."""
+def write_blocks(path, header: str, blocks) -> str:
+    """Write the `header` line, then each block (bytes), to path; return the
+    sha256 hex digest of the bytes written, each block hashed as written."""
+    import hashlib  # here, not on import: it adds to `import leobeams`
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for block in blocks:
+        for block in chain([header.encode() + b"\n"], blocks):
             fh.write(block)
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def column_blocks(row_fmt: str, *arrays):
-    """The equal-length arrays as write_csv blocks of `BLOCK_LINES` rows:
+    """The equal-length arrays as write_blocks blocks of `BLOCK_LINES` rows:
     `row_fmt` repeated once per row, formatted by one `%` over the rows'
     values in order, each column slice converted by `.tolist()`."""
     for i in range(0, len(arrays[0]), BLOCK_LINES):
@@ -202,7 +207,7 @@ class FieldMap:
         if self.values.shape != (self.ys.size, self.xs.size):
             raise ValueError("values must have shape (len(ys), len(xs))")
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path) -> str:
         """Write rows x_m,y_m,value (y outer, x inner); no-data cells as nan.
 
         A block is whole grid rows. The x and y labels are rendered once
@@ -210,26 +215,27 @@ class FieldMap:
         """
         xw, yw = _label_words(self.xs), _label_words(self.ys)[:, None]
         step = max(1, BLOCK_LINES // max(1, self.xs.size))
-        write_csv(path, "x_m,y_m,value",
-                  (fixed6_lines(self.values[i:i + step], xw, yw[i:i + step])
-                   for i in range(0, self.ys.size, step)))
+        blocks = (fixed6_lines(self.values[i:i + step], xw, yw[i:i + step])
+                  for i in range(0, self.ys.size, step))
+        return write_blocks(path, "x_m,y_m,value", blocks)
 
-    def to_ppm(self, path) -> None:
+    def to_ppm(self, path) -> str:
         """Render to binary PPM; +y is the top image row, +x the right column.
 
         The color ramp spans the finite values' min to max. A block is as
         many whole grid rows as fit in `simulate.BLOCK` cells, or one row:
-        one pass over the blocks finds the min and max, and a second renders
-        and writes them, top row first, so the writer holds one block however
-        large the map. Each block costs about a dozen numpy calls, so blocks
-        of `BLOCK_LINES` cells would spend more time in calls than in cells.
+        one pass over the blocks finds the min and max, and `write_blocks`
+        renders and writes them, top row first, so the writer holds one
+        block however large the map. Each block costs about a dozen numpy
+        calls, so blocks of `BLOCK_LINES` cells would spend more time in
+        calls than in cells.
         """
         from .simulate import BLOCK  # the package's block; simulate imports us
 
-        vals = self.values
-        step = max(1, BLOCK // max(1, vals.shape[1]))
+        vals, (h, w) = self.values, self.values.shape
+        step = max(1, BLOCK // max(1, w))
         vmin, vmax = math.inf, -math.inf
-        for i in range(0, vals.shape[0], step):
+        for i in range(0, h, step):
             block = vals[i:i + step]
             block = block[np.isfinite(block)]
             if block.size:
@@ -238,16 +244,17 @@ class FieldMap:
         if vmin > vmax:  # no finite value
             vmin, vmax = 0.0, 1.0
         span = vmax - vmin
-        with open(path, "wb") as fh:
-            fh.write(f"P6\n{vals.shape[1]} {vals.shape[0]}\n255\n".encode("ascii"))
-            for i in range(vals.shape[0], 0, -step):  # top row = largest y
+
+        def blocks():
+            for i in range(h, 0, -step):  # top row = largest y
                 block = vals[max(0, i - step):i][::-1]
                 finite = np.isfinite(block)
                 t = ((block - vmin) / span if span > 0
                      else np.full_like(block, 0.5))
                 rgb = color_ramp(np.where(finite, t, 0.0))
                 rgb[~finite] = NODATA_RGB
-                fh.write(rgb.tobytes())
+                yield rgb.tobytes()
+        return write_blocks(path, f"P6\n{w} {h}\n255", blocks())
 
 
 @dataclass(frozen=True)
@@ -267,10 +274,10 @@ class TimeSeries:
         ids = self.serving_id
         return int(np.count_nonzero(ids[1:] != ids[:-1]))
 
-    def to_csv(self, path) -> None:
-        write_csv(path, "t_s,serving_id,snr_db",
-                  column_blocks("%.6f,%d,%.6f\n", self.t_s, self.serving_id,
-                                self.metric_db))
+    def to_csv(self, path) -> str:
+        return write_blocks(path, "t_s,serving_id,snr_db",
+                            column_blocks("%.6f,%d,%.6f\n", self.t_s,
+                                          self.serving_id, self.metric_db))
 
 
 @dataclass(frozen=True)
@@ -291,13 +298,13 @@ class CdfCurve:
         return float(self.probs[idx])
 
 
-def write_cdf_set(path, curves: list[CdfCurve]) -> None:
+def write_cdf_set(path, curves: list[CdfCurve]) -> str:
     """Write several CDF curves side by side: threshold_db,prob_<label>,..."""
     if not curves:
         raise ValueError("need at least one curve")
     base = curves[0].thresholds_db
     if not all(np.array_equal(c.thresholds_db, base) for c in curves[1:]):
         raise ValueError("curves must share the same threshold grid")
-    write_csv(path, "threshold_db," + ",".join(f"prob_{c.label}" for c in curves),
-              column_blocks("%.6f" + ",%.6f" * len(curves) + "\n",
-                            base, *(c.probs for c in curves)))
+    header = "threshold_db," + ",".join(f"prob_{c.label}" for c in curves)
+    return write_blocks(path, header, column_blocks(
+        "%.6f," * len(curves) + "%.6f\n", base, *(c.probs for c in curves)))

@@ -541,11 +541,12 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         held = np.concatenate(ids)[np.argsort(np.concatenate(g))]
         held = held[held < book.n_beams].astype(np.int64)
         # each event's held target, from its own iteration's snapshot, and
-        # its row of the gains: one row per distinct target
-        targets = np.concatenate([t[i == h] for (t, i), h in zip(
-            map(book.snapshot, range(g0, g0 + held.size)), held.tolist())])
-        targets, row = np.unique(targets, axis=0, return_inverse=True)
-        tx, ty = targets.T
+        # its row of the gains: one row per distinct target, first seen first
+        rows = {}
+        row = np.array([rows.setdefault(tuple(t[i == h][0].tolist()), len(rows))
+                        for (t, i), h in zip(map(book.snapshot, range(
+                            g0, g0 + held.size)), held.tolist())])
+        tx, ty = np.array(list(rows)).T
 
     t_s, sid, metric = (np.empty(size), np.empty(size, dtype=np.int64),
                         np.empty(size))

@@ -4,6 +4,7 @@ import dataclasses
 import filecmp
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leobeams import __version__, cli
+from leobeams import __version__, cli, fields
+from leobeams import simulate as sim
 from leobeams.codebook import phase_table
 from leobeams.config import SceneConfig, apply_overrides, build_scene, load_config
 from leobeams.geometry import Roi
@@ -152,18 +154,28 @@ def test_channel_check_memory_stays_below_one_dense_matrix(tmp_path,
     assert line.startswith("0,")
 
 
-def test_output_hashing_is_bounded_by_one_block(tmp_path, traced_peak):
-    # a file of several blocks plus a partial one hashes to the digest of
-    # its bytes, while write() holds no more than a couple of blocks
-    data = np.random.default_rng(0).bytes(6 * cli.HASH_BLOCK + 12345)
-    (tmp_path / "big.bin").write_bytes(data)
-    want = hashlib.sha256(data).hexdigest()
-    del data
+def test_recorded_digests_are_those_of_the_files(tmp_path, monkeypatch,
+                                                 scene):
+    # each output is hashed block by block as it is written: with small
+    # blocks a map's CSV and PPM and a pass series span many blocks each,
+    # and every digest recorded, in the manifest too, is the sha256 of the
+    # file on disk
+    monkeypatch.setattr(sim, "BLOCK", 64)
+    monkeypatch.setattr(fields, "BLOCK_LINES", 16)
+    fmap = sim.coverage_map(scene, "snr", step=25e3)
+    series = sim.pass_timeseries(scene, (1e5, 2e4), "dynamic")
+    assert fmap.ys.size > 3 and series.t_s.size > 3 * fields.BLOCK_LINES
     emit = cli._Emitter(str(tmp_path), SceneConfig())
-    peak = traced_peak(  # already on disk
-        lambda: emit.write("big.bin", lambda path: None)).peak
-    assert emit.records == [("big.bin", want)]
-    assert peak < 3 * cli.HASH_BLOCK
+    emit.field_map("map", fmap)
+    emit.write("series.csv", series.to_csv)
+    emit.write_manifest()
+    assert [name for name, _ in emit.records] == [
+        "map.csv", "map.ppm", "series.csv"]
+    manifest = (tmp_path / "manifest.txt").read_text()
+    for name, digest in emit.records:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
+        assert f"# output {name} sha256={digest}\n" in manifest
 
 
 @pytest.mark.parametrize("job", sorted(DEFAULT_SHA256))
@@ -695,6 +707,60 @@ def test_repeated_runs_reuse_heap_pages(tmp_path):
     if not fixed or faults[0] == 0:
         pytest.skip("no mallopt, or no minor-fault count, on this platform")
     assert max(faults[1:]) < 300, faults
+
+
+# the byte contract's job set on coarse grids, 18 outputs in all
+SIMD_JOBS = [
+    ["cdf", "--grid-step", "5000"],
+    ["map", "--metric", "sinr", "--mode", "hex", "--grid-step", "5000"],
+    ["map", "--metric", "snr", "--mode", "dft", "--grid-step", "5000"],
+    ["handover", "--mode", "dynamic", "--grid-step", "10000"],
+    ["handover", "--mode", "dft", "--grid-step", "10000"],
+    ["codebook", "--phases", "--channel-check"],
+    ["timeseries", "--x", "123000", "--y", "-47000", "--mode", "dynamic"],
+    ["timeseries", "--x", "-210000", "--y", "88000", "--mode", "static"],
+]
+# a fresh interpreter runs the job set in-process, each job into its own
+# directory under argv[1], and prints every manifest's output lines
+SIMD_PROBE = """
+import json, os, sys
+from leobeams import cli
+for i, argv in enumerate(json.loads(sys.argv[2])):
+    out = os.path.join(sys.argv[1], str(i))
+    assert cli.main(argv + ["--out", out]) == 0, argv
+    with open(os.path.join(out, "manifest.txt")) as fh:
+        print("".join(line for line in fh if line.startswith("# output ")))
+"""
+# numpy's x86 dispatch levels: each disables the targets above it, so its
+# kernels run at the next level down
+SIMD_LEVELS = ([], ["X86_V4", "AVX512_ICL", "AVX512_SPR"],
+               ["X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3"])
+
+
+def test_outputs_identical_across_simd_dispatch_levels(tmp_path):
+    # numpy picks a SIMD kernel for the host at import; the outputs must not
+    # depend on which. A level runs only if the host dispatches to one of
+    # the targets it newly disables, or it would repeat the level above
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    dispatched = {t for t in __cpu_dispatch__ if __cpu_features__.get(t)}
+    levels = [disabled for i, disabled in enumerate(SIMD_LEVELS)
+              if i == 0 or dispatched & set(disabled[len(SIMD_LEVELS[i - 1]):])]
+    if len(levels) < 2:
+        pytest.skip("the host dispatches to no x86 level above the baseline")
+    manifests = []
+    for i, disabled in enumerate(levels):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+               "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        run = subprocess.run(
+            [sys.executable, "-c", SIMD_PROBE, str(tmp_path / str(i)),
+             json.dumps(SIMD_JOBS)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        manifests.append((run.stdout.splitlines(), run.stderr))
+    assert sum(line.startswith("# output ") for line in manifests[0][0]) == 18
+    for disabled, got in zip(levels[1:], manifests[1:]):
+        assert got == manifests[0], disabled
 
 
 def test_unknown_subcommand_rejected(capsys):

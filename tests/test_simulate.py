@@ -792,6 +792,24 @@ def test_only_the_serving_loop_serves_slices():
         "_gain_slices": {"_served_slices", "pass_timeseries"}}
 
 
+def test_only_the_writer_opens_files_for_writing():
+    # fields.write_blocks writes and hashes every output, the manifest too:
+    # no other function or class of the package opens a file in a mode that
+    # writes, and the one other open, load_config's, only reads
+    modes = {}
+    for path in Path(sim.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) != "open":
+                    continue
+                mode = ([k.value for k in node.keywords if k.arg == "mode"]
+                        + node.args[1:2])
+                modes.setdefault(getattr(top, "name", None), set()).add(
+                    ast.literal_eval(mode[0]) if mode else "r")
+    assert modes == {"write_blocks": {"wb"}, "load_config": {"r"}}
+
+
 def _chunk_probe_outputs(scene):
     maps = [sim.coverage_map(scene, metric, mode, step=10e3)
             for metric in ("snr", "sinr", "cell") for mode in sim.MAP_MODES]
