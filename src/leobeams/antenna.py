@@ -34,7 +34,7 @@ def upa_positions(n_x: int, n_y: int, spacing: float) -> np.ndarray:
     return pos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     """Full satellite panel: n_rf disjoint UPA sub-arrays.
 
@@ -99,7 +99,7 @@ def steering_vector(positions: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * (positions @ v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Precoder:
     """Phase-only beam weights for one RF chain.
 

@@ -13,6 +13,7 @@ whose IDs never advance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +146,12 @@ class Codebook:
     def snapshot(self, g: int) -> tuple[np.ndarray, np.ndarray]:
         """Targets and stable IDs of global iteration g (any integer;
         snapshots repeat every K * n_beams), in ascending-ID order. IDs wrap
-        mod n_beams past a cycle, so the base order is re-sorted."""
-        m, k = divmod(g, self.cycle_len)
+        mod n_beams past a cycle, so the base order is re-sorted. A g that
+        is not an integer (NumPy integers are) is refused by name."""
+        try:
+            m, k = divmod(operator.index(g), self.cycle_len)
+        except TypeError:
+            raise ValueError(f"iteration must be an integer, got {g!r}") from None
         ids = (self.ids[k] + self.advance * m % self.n_beams) % self.n_beams
         asc = np.argsort(ids, kind="stable")
         return self.targets[k][asc], ids[asc]

@@ -192,7 +192,7 @@ def color_ramp(t) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldMap:
     """A scalar field sampled on a regular grid; NaN marks no-data cells.
 
@@ -257,7 +257,7 @@ class FieldMap:
         return write_blocks(path, f"P6\n{w} {h}\n255", blocks())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Serving-beam identity and link metric along one pass."""
 
@@ -280,7 +280,7 @@ class TimeSeries:
                                           self.serving_id, self.metric_db))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdfCurve:
     """Complementary coverage curve: prob(metric > threshold) per threshold."""
 

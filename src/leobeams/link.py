@@ -108,7 +108,7 @@ def sinr_db(g_serving, g_interference, rel_noise):
     return out[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSample:
     """One stochastic channel draw, kept as its rank-1 factors.
 

@@ -76,7 +76,7 @@ PASS_MODES = ("static", "dynamic", "dft")
 METRICS = ("snr", "sinr", "cell")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Everything needed to run experiments: array, codebooks, ROI, budget."""
 
@@ -428,6 +428,8 @@ def sinr_cdf(scene: Scene, modes=MAP_MODES, iteration: int = 0,
     the next mode's gains. So the loop holds one block's coordinates and
     one mode's slice at a time.
     """
+    if isinstance(modes, str):
+        raise ValueError(f"modes must be a sequence of mode names, not {modes!r}")
     if not modes:
         raise ValueError("modes must name at least one codebook")
     books = [codebook_for(scene, mode) for mode in modes]
@@ -487,11 +489,13 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
     and each block's held gains come from one `_gain_slices` pass toward the
     distinct held targets, each sample reading its own event's target's row.
 
-    Sample k is at t_start + dt * k. The indices are generated BLOCK at a
-    time, twice unless they fit one block: once to count the in-ROI samples
-    and find the first and last, and once to serve each block and write its
-    times, IDs and SNR into the preallocated result. So a series holds its
-    result (24 B per sample) plus one block.
+    Sample k is at t_start + dt * k. The candidate indices, one before entry
+    to the end, are generated once, BLOCK at a time: each block's in-ROI
+    times go straight into a result sized for every candidate, with static
+    and DFT IDs and SNR served as the block comes, and the result is cut to
+    the samples written. Dynamic mode then fills held IDs and SNR block by
+    block of the result, each block's x recomputed from its times. So a
+    series holds its result (24 B per candidate) plus one block.
     """
     book = codebook_for(scene, mode, PASS_MODES)
     if dt is None:
@@ -509,35 +513,36 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
         raise ValueError(f"dt = {dt} is below the float resolution at t = {t_max:g}")
     # sample indices from one before entry to the end; the ROI mask cuts
     k0 = max(0, math.ceil((t_in - t_start) / dt) - 1)
-    n = math.floor((end - t_start) / dt + 1e-9) + 1 - k0
+    n = max(0, math.floor((end - t_start) / dt + 1e-9) + 1 - k0)
     _check_samples(n, dt)
-
-    def blocks():  # each block of sample indices: its in-ROI times and x
-        for a in range(k0, k0 + max(n, 0), BLOCK):
-            ts = t_start + dt * np.arange(a, min(a + BLOCK, k0 + n))
-            sx = x_g - scene.v_ground * ts
-            keep = scene.roi.contains(sx, np.full_like(sx, y))
-            yield ts[keep], sx[keep]
-
-    # the count pass, then the serving pass: one block is generated once
-    counting, serving = ([list(blocks())] * 2 if n <= BLOCK
-                         else (blocks(), blocks()))
-    size, ends = 0, []  # in-ROI samples, and the first and last one's times
-    for ts, _ in counting:
-        size += ts.size
-        ends += ts[[0, -1]].tolist() if ts.size else []
-    if size == 0:
+    t_s, sid, metric = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
+    side, plan, o = int(y < 0), None, 0  # o: the samples written
+    for a in range(k0, k0 + n, BLOCK):
+        ts = t_start + dt * np.arange(a, min(a + BLOCK, k0 + n))
+        sx = x_g - scene.v_ground * ts
+        keep = scene.roi.contains(sx, np.full_like(sx, y))
+        ts, sx = ts[keep], sx[keep]
+        at, o = slice(o, o + ts.size), o + ts.size
+        t_s[at] = ts
+        if mode != "dynamic" and ts.size:
+            plan = plan or _serve_plan(book, 0)
+            # this block's views of the result; gain holds the gains until SNR
+            ids, gain, sy = sid[at], metric[at], np.full_like(sx, y)
+            for s, _, sid_s, g_s, _ in _served_slices(
+                    scene, sx, np.abs(sy), plan, interference=False):
+                ids[s], gain[s] = sid_s[side], g_s[side]
+                del sid_s, g_s
+            gain[:] = snr_db(gain, slant_range(sx, sy, scene.h_sat), scene.link)
+    if o == 0:
         raise ValueError("no samples fall inside the region of interest")
-
-    side = int(y < 0)
+    t_s, sid, metric = t_s[:o], sid[:o], metric[:o]
     if mode == "dynamic":
         # this point's events sit at update indices g0, g0 + 1, ..., and
         # each sample holds the beam of its own index's event
-        g0 = int(_iteration(scene, ends[0]))
+        g0 = int(_iteration(scene, t_s[0]))
         g, ids = zip(*((g + book.cycle_len * np.arange(ids.shape[1]),
                         ids[side, :, 0]) for g, ids in _dynamic_events(
-            scene, np.array([x_g]), np.array([abs(y)]), np.array(ends[:1]),
-            np.array(ends[-1:]))))
+            scene, np.array([x_g]), np.array([abs(y)]), t_s[:1], t_s[-1:])))
         held = np.concatenate(ids)[np.argsort(np.concatenate(g))]
         held = held[held < book.n_beams].astype(np.int64)
         # each event's held target, from its own iteration's snapshot, and
@@ -547,29 +552,17 @@ def pass_timeseries(scene: Scene, ut_xy, mode: str = "dynamic",
                         for (t, i), h in zip(map(book.snapshot, range(
                             g0, g0 + held.size)), held.tolist())])
         tx, ty = np.array(list(rows)).T
-
-    t_s, sid, metric = (np.empty(size), np.empty(size, dtype=np.int64),
-                        np.empty(size))
-    o = 0
-    for ts, sx in serving:
-        sy = np.full_like(sx, y)
-        # this block's views of the result; gain holds the gains until SNR
-        at = slice(o, o + ts.size)
-        o += ts.size
-        t_s[at], ids, gain = ts, sid[at], metric[at]
-        if mode == "dynamic":
-            e = _iteration(scene, ts) - g0
-            ids[:] = held[e]
+        for a in range(0, o, BLOCK):
+            at = slice(a, a + BLOCK)
+            # the block's x from its stored times: the written block's bits
+            sx = x_g - scene.v_ground * t_s[at]
+            e = _iteration(scene, t_s[at]) - g0
+            sid[at] = held[e]
+            gain, sy = metric[at], np.full_like(sx, y)
             for s, _, gains in _gain_slices(scene, sx, sy, (tx, ty)):
                 gain[s] = gains[row[e[s]], np.arange(gains.shape[1])]
                 del gains
-        else:
-            for s, _, sid_s, g_s, _ in _served_slices(
-                    scene, sx, np.abs(sy), _serve_plan(book, 0),
-                    interference=False):
-                ids[s], gain[s] = sid_s[side], g_s[side]
-                del sid_s, g_s
-        gain[:] = snr_db(gain, slant_range(sx, sy, scene.h_sat), scene.link)
+            gain[:] = snr_db(gain, slant_range(sx, sy, scene.h_sat), scene.link)
     return TimeSeries(t_s=t_s, serving_id=sid, metric_db=metric)
 
 
@@ -585,10 +578,11 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
     Every point of a row sees the same sweep, and row -y sees it mirrored,
     so each row y >= 0 is swept once for both signs, and column -x repeats
     column x. The rows' samples run one after another under one running
-    sample index, BLOCK indices per `_served_slices` call; a row counts the
-    ID changes between its own consecutive in-ROI samples slice by slice,
-    and each slice carries the previous slice's last sample, so a row split
-    between two slices or calls counts the change at the split.
+    sample index, BLOCK indices per `_served_slices` call, all on one
+    `_serve_plan`; a row counts the ID changes between its own consecutive
+    in-ROI samples slice by slice, and each slice carries the previous
+    slice's last sample, so a row split between two slices or calls counts
+    the change at the split.
     """
     ys = np.unique(py)
     x_b = scene.roi.x_extent(ys)
@@ -601,14 +595,14 @@ def _swept_handover_counts(scene: Scene, py: np.ndarray, book: Codebook,
     first = np.cumsum(n) - n  # each row's first running sample index
     counts = np.zeros((2, ys.size), dtype=np.int64)
     row, sid = np.array([-1]), np.zeros((2, 1), dtype=np.int64)
+    plan = _serve_plan(book, 0)
     for a in range(0, n.sum(), BLOCK):
         s = np.arange(a, min(a + BLOCK, n.sum()))
         r = np.searchsorted(first, s, side="right") - 1
         sx = x_b[r] - scene.v_ground * dt * (s - first[r])
         keep = scene.roi.contains(sx, ys[r])
         r = r[keep]
-        for c, _, ids, _, _ in _served_slices(scene, sx[keep], ys[r],
-                                              _serve_plan(book, 0),
+        for c, _, ids, _, _ in _served_slices(scene, sx[keep], ys[r], plan,
                                               interference=False):
             row = np.append(row[-1], r[c])
             sid = np.hstack([sid[:, -1:], ids])

@@ -12,7 +12,7 @@ from leobeams import simulate as sim
 from leobeams.codebook import Codebook
 from leobeams.config import SceneConfig, build_scene
 from leobeams.fields import FieldMap
-from leobeams.geometry import slant_range
+from leobeams.geometry import Roi, slant_range
 from leobeams.kernels import gain_matrix
 from leobeams.link import noise_rel, sinr_db, snr_db
 
@@ -152,6 +152,32 @@ def test_map_rejects_unknown_inputs(scene):
         sim.coverage_map(scene, mode="fancy")
     with pytest.raises(ValueError):
         sim.pass_timeseries(scene, (0, 0), mode="warp")
+
+
+@pytest.mark.parametrize("call, got", [
+    (lambda s: sim.serving_beam(s, (1e4, -2e4), "hex", 2.5), "2.5"),
+    (lambda s: sim.coverage_map(s, "snr", iteration=1.0, step=40e3), "1.0"),
+    (lambda s: sim.sinr_cdf(s, iteration="1", step=40e3), "'1'")],
+    ids=["serving_beam", "coverage_map", "sinr_cdf"])
+def test_non_integer_iteration_is_refused_by_name(scene, call, got):
+    with pytest.raises(ValueError,
+                       match=f"^iteration must be an integer, got {got}$"):
+        call(scene)
+
+
+def test_numpy_integer_iteration_is_an_iteration(scene):
+    for g in (np.int64(2), np.uint8(2), np.intp(-7)):
+        assert (sim.serving_beam(scene, (1e4, -2e4), "hex", g)
+                == sim.serving_beam(scene, (1e4, -2e4), "hex", int(g)))
+    assert np.array_equal(*(sim.coverage_map(scene, "cell", iteration=g,
+                                             step=40e3).values
+                            for g in (np.int32(3), 3)), equal_nan=True)
+
+
+def test_cdf_refuses_a_bare_mode_string(scene):
+    with pytest.raises(ValueError, match="^modes must be a sequence of mode "
+                                         "names, not 'hex'$"):
+        sim.sinr_cdf(scene, "hex")
 
 
 def test_cdf_monotone_and_bounded(scene):
@@ -1230,18 +1256,43 @@ def test_pass_series_holds_only_its_own_arrays(scene, mode, traced_peak):
 @pytest.mark.parametrize("mode", sim.PASS_MODES)
 def test_pass_series_peak_is_its_result_plus_one_block(scene, mode,
                                                        traced_peak):
-    # a series generates its sample indices BLOCK at a time and writes each
-    # block's times, IDs and SNR into its preallocated result as the block is
-    # served, so it peaks at its result (24 B per sample) plus one block:
-    # 101-121 B per BLOCK measured at 2**19 samples, where serving every
-    # sample at once peaked at 81 B per sample (static, DFT) and 89 B
-    # (dynamic)
+    # a series generates its candidate sample indices once, BLOCK at a
+    # time, writes each block's in-ROI times (static and DFT: IDs and SNR
+    # too) into a result allocated for every candidate, and fills the
+    # dynamic IDs and SNR block by block of the result, so it peaks at its
+    # result (24 B per candidate) plus one block: 85-96 B per BLOCK measured
+    # at 2**19 samples, where serving every sample at once peaked at 81 B
+    # per sample (static, DFT) and 89 B (dynamic)
     t_in, t_out = sim.pass_window(scene, (0.0, 0.0))
     run = traced_peak(lambda: sim.pass_timeseries(
         scene, (0.0, 0.0), mode, dt=(t_out - t_in) / 2**19, t_start=t_in))
     n = run.result.t_s.size
     assert n > 2**19
     assert run.peak <= 24 * n + 160 * sim.BLOCK
+
+
+@pytest.mark.parametrize("mode", sim.PASS_MODES)
+def test_pass_series_generates_each_sample_once(scene, mode, monkeypatch):
+    # the candidate indices, from one before entry to the end, are generated
+    # once, BLOCK at a time: at BLOCK = 64 each reaches the ROI mask once,
+    # and the series is the default BLOCK's byte for byte
+    dt, contains = scene.dt, Roi.contains
+    for pt in ((1.2e5, 3.1e4), (-2.5e5, -6.7e4)):
+        t_in, t_out = sim.pass_window(scene, pt)
+        t_start = t_in - 10.3
+        want = sim.pass_timeseries(scene, pt, mode, t_start=t_start)
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(sim, "BLOCK", 64)
+            m.setattr(Roi, "contains", lambda roi, x, y: (
+                seen.append(np.size(x)), contains(roi, x, y))[1])
+            got = sim.pass_timeseries(scene, pt, mode, t_start=t_start)
+        k0 = math.ceil((t_in - t_start) / dt) - 1
+        assert sum(seen) == math.floor((t_out - t_start) / dt + 1e-9) + 1 - k0
+        assert len(seen) > 3 and got.t_s.size >= sum(seen) - 2
+        for a, b in zip((got.t_s, got.serving_id, got.metric_db),
+                        (want.t_s, want.serving_id, want.metric_db)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_dynamic_handover_map_holds_no_whole_served_arrays(scene,
